@@ -15,6 +15,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import composition, divergence, formal_group, geometry, hf_entropy, maxent
-from .errors import EntrogeoError, ParamOutOfRange
+from .errors import EntrogeoError, InvalidArgument, ParamOutOfRange
 from .probability import FILE_TOL, ProbDist, load_distribution
 
 _METRIC_REL_TOL = 1e-5
@@ -120,71 +121,66 @@ def _pretty_scalar(x) -> str:
 # --- spec grammars --------------------------------------------------------------
 
 
-def _split_spec(text: str) -> tuple[str, dict[str, float]]:
+def _parse_spec(text: str, extra_params: Sequence[str] | None = None) -> tuple[str, dict]:
+    """Split 'name:k=v,...' into a normalised name and float parameters.
+
+    `extra_params` are further 'k=v' items (the --params option); they are
+    read after the inline ones, so a key given in both takes their value.
+    """
     head, _, tail = text.partition(":")
     params: dict[str, float] = {}
-    if tail:
-        for item in tail.split(","):
-            k, eq, v = item.partition("=")
-            if not eq:
-                raise ParamOutOfRange(f"expected key=value in {text!r}, got {item!r}")
-            try:
-                params[k.strip()] = float(v)
-            except ValueError as exc:
-                raise ParamOutOfRange(f"bad numeric value in {text!r}: {item!r}") from exc
-    return head.strip().lower().replace("_", "-"), params
-
-
-def _parse_params(items: Sequence[str] | None) -> dict[str, float]:
-    params: dict[str, float] = {}
-    for item in items or ():
+    for item in [*(tail.split(",") if tail else ()), *(extra_params or ())]:
         k, eq, v = item.partition("=")
         if not eq:
-            raise ParamOutOfRange(f"expected key=value, got {item!r}")
+            raise ParamOutOfRange(f"expected key=value in {text!r}, got {item!r}")
         try:
             params[k.strip()] = float(v)
         except ValueError as exc:
-            raise ParamOutOfRange(f"bad numeric value {item!r}") from exc
-    return params
+            raise ParamOutOfRange(f"bad numeric value in {text!r}: {item!r}") from exc
+    return head.strip().lower().replace("_", "-"), params
 
 
-def _entropy_from_spec(family: str, params: dict[str, float]) -> hf_entropy.EntropyFunctional:
-    fam = family.strip().lower().replace("_", "-")
+def _hf_div(pair_builder: Callable) -> Callable[..., divergence.DivergenceFunctional]:
+    return lambda **params: divergence.hf_div_functional(pair_builder(**params))
+
+
+#: Entropy families by CLI name; each builder takes the spec's parameters.
+_ENTROPIES: dict[str, Callable[..., hf_entropy.EntropyFunctional]] = {
+    **{
+        name: functools.partial(hf_entropy.builtin_functional, name)
+        for name in ("shannon", "renyi", "tsallis", "sharma-mittal", "kaniadakis")
+    },
+    "sm-pair": composition.sm_pair_entropy,
+    "sm-tsallis": composition.sm_tsallis_entropy,
+}
+
+#: Divergence families by CLI name; each builder takes the spec's parameters.
+_DIVERGENCES: dict[str, Callable[..., divergence.DivergenceFunctional]] = {
+    "kl": divergence.kl_functional,
+    "sm": divergence.sm_div_functional,
+    "power": _hf_div(divergence.power_pair),
+    "tsallis-rel": _hf_div(divergence.tsallis_relative_pair),
+    "tsallis-relative": _hf_div(divergence.tsallis_relative_pair),
+}
+
+
+def _resolve(table: dict[str, Callable], kind: str, text: str, extra_params=None):
+    name, params = _parse_spec(text, extra_params)
+    build = table.get(name)
+    if build is None:
+        raise ParamOutOfRange(f"unknown {kind} {text!r}; expected one of {sorted(table)}")
     try:
-        if fam == "sm-pair":
-            return composition.sm_pair_entropy(
-                params["alpha1"], params["alpha2"], params["beta"]
-            )
-        if fam == "sm-tsallis":
-            return composition.sm_tsallis_entropy(params["alpha"], params["q"])
-    except KeyError as exc:
-        raise ParamOutOfRange(f"{fam} is missing parameter {exc.args[0]}") from exc
-    return hf_entropy.builtin_functional(fam, **params)
+        return build(**params)
+    except TypeError as exc:
+        raise ParamOutOfRange(f"bad parameters for {kind} {name!r}: {exc}") from exc
 
 
-def _constituent_from_spec(text: str) -> hf_entropy.EntropyFunctional:
-    fam, params = _split_spec(text)
-    return _entropy_from_spec(fam, params)
+def _entropy(text: str, extra_params=None) -> hf_entropy.EntropyFunctional:
+    return _resolve(_ENTROPIES, "entropy", text, extra_params)
 
 
-def _divergence_from_spec(text: str) -> divergence.DivergenceFunctional:
-    fam, params = _split_spec(text)
-    try:
-        if fam == "kl":
-            return divergence.kl_functional()
-        if fam == "sm":
-            return divergence.sm_div_functional(params["alpha"], params["beta"])
-        if fam == "power":
-            return divergence.hf_div_functional(divergence.power_pair(params["a"]))
-        if fam in ("tsallis-rel", "tsallis-relative"):
-            return divergence.hf_div_functional(
-                divergence.tsallis_relative_pair(params["alpha"])
-            )
-    except KeyError as exc:
-        raise ParamOutOfRange(f"{fam} is missing parameter {exc.args[0]}") from exc
-    raise ParamOutOfRange(
-        f"unknown divergence {text!r} (expected kl, sm:..., power:..., tsallis-rel:...)"
-    )
+def _divergence(text: str, extra_params=None) -> divergence.DivergenceFunctional:
+    return _resolve(_DIVERGENCES, "divergence", text, extra_params)
 
 
 def _model_from_spec(text: str) -> geometry.StatModel:
@@ -221,9 +217,7 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _cmd_entropy(args) -> tuple[int, dict]:
-    family, params = _split_spec(args.family)
-    params.update(_parse_params(args.params))
-    functional = _entropy_from_spec(family, params)
+    functional = _entropy(args.family, args.params)
     dist = load_distribution(args.dist, tol=args.tol)
     doc = {
         "command": "entropy",
@@ -235,29 +229,19 @@ def _cmd_entropy(args) -> tuple[int, dict]:
 
 
 def _cmd_divergence(args) -> tuple[int, dict]:
-    params = _parse_params(args.params)
     fam = args.family.strip().lower()
-    if fam == "kl":
-        functional = divergence.kl_functional()
-    elif fam == "sm":
-        try:
-            functional = divergence.sm_div_functional(params["alpha"], params["beta"])
-        except KeyError as exc:
-            raise ParamOutOfRange(f"sm needs parameter {exc.args[0]}") from exc
-    elif fam == "hf":
+    if fam == "hf":
         if not args.pair:
             raise ParamOutOfRange("--family hf requires --pair")
-        functional = _divergence_from_spec(args.pair)
+        functional = _divergence(args.pair, args.params)
     elif fam == "composed":
         if not args.of:
             raise ParamOutOfRange("--family composed requires at least one --of")
         coeffs = _point_from_text(args.coeffs) if args.coeffs else np.ones(len(args.of))
         composer = composition.linear_composer(coeffs)
-        functional = divergence.zeta_compose_div(
-            [_divergence_from_spec(s) for s in args.of], composer
-        )
+        functional = divergence.zeta_compose_div([_divergence(s) for s in args.of], composer)
     else:
-        raise ParamOutOfRange(f"unknown divergence family {args.family!r}")
+        functional = _divergence(args.family, args.params)
     p = load_distribution(args.p, tol=args.tol)
     q = load_distribution(args.q, tol=args.tol)
     doc = {
@@ -271,7 +255,7 @@ def _cmd_divergence(args) -> tuple[int, dict]:
 
 def _cmd_compose(args) -> tuple[int, dict]:
     seed = _resolve_seed(args.seed)
-    constituents = [_constituent_from_spec(s) for s in args.constituent]
+    constituents = [_entropy(s) for s in args.constituent]
     xi = formal_group.conjugator_by_name(args.xi)
     z, omega = composition.group_compose(constituents, xi, args.m, seed=seed)
     dist = load_distribution(args.dist, tol=args.tol)
@@ -305,7 +289,7 @@ def _cmd_metric(args) -> tuple[int, dict]:
         doc["entries"] = tensor.entries.tolist()
         doc["positive_definite"] = tensor.is_positive_definite()
         return 0, doc
-    functional = _divergence_from_spec(args.divergence)
+    functional = _divergence(args.divergence)
     tensor = geometry.div_metric(functional, model, point, step=args.step)
     doc["divergence"] = functional.name
     doc["entries"] = tensor.entries.tolist()
@@ -335,19 +319,12 @@ def _cmd_connection(args) -> tuple[int, dict]:
         return 0, doc
     if not args.divergence:
         raise ParamOutOfRange("connection needs --divergence or --alpha")
-    functional = _divergence_from_spec(args.divergence)
+    functional = _divergence(args.divergence)
     gamma, gamma_star = geometry.div_connections(functional, model, point, step=args.step)
     doc["divergence"] = functional.name
     doc["gamma"] = gamma.entries.tolist()
     doc["gamma_star"] = gamma_star.entries.tolist()
-    residual = geometry.duality_residual(
-        lambda x: geometry.div_metric(functional, model, x),
-        lambda x: geometry.div_connections(functional, model, x)[0],
-        lambda x: geometry.div_connections(functional, model, x)[1],
-        model,
-        point,
-    )
-    doc["duality_residual"] = residual
+    doc["duality_residual"] = _duality_residual(functional, model, point, gamma, gamma_star)
     if functional.pair is not None:
         doc["hf_alpha"] = geometry.hf_alpha_of(functional.pair)
     return 0, doc
@@ -355,8 +332,7 @@ def _cmd_connection(args) -> tuple[int, dict]:
 
 def _cmd_maxent(args) -> tuple[int, dict]:
     seed = _resolve_seed(args.seed)
-    params = _parse_params(args.params)
-    functional = _entropy_from_spec(args.family, params)
+    functional = _entropy(args.family, args.params)
     constraints = None
     if args.constraint:
         rows = []
@@ -419,25 +395,24 @@ def _checks_group_law(qs: Sequence[float], samples: int, seed: int) -> list[dict
     return checks
 
 
-_SK_PANEL: tuple[tuple[str, dict], ...] = (
-    ("shannon", {}),
-    ("renyi", {"alpha": 0.5}),
-    ("renyi", {"alpha": 2.0}),
-    ("tsallis", {"q": 0.5}),
-    ("tsallis", {"q": 2.0}),
-    ("sharma_mittal", {"alpha": 0.5, "beta": 0.7}),
-    ("sharma_mittal", {"alpha": 2.0, "beta": 3.0}),
-    ("kaniadakis", {"kappa": 0.3}),
-    ("kaniadakis", {"kappa": 0.9}),
+_SK_PANEL = (
+    "shannon",
+    "renyi:alpha=0.5",
+    "renyi:alpha=2",
+    "tsallis:q=0.5",
+    "tsallis:q=2",
+    "sharma-mittal:alpha=0.5,beta=0.7",
+    "sharma-mittal:alpha=2,beta=3",
+    "kaniadakis:kappa=0.3",
+    "kaniadakis:kappa=0.9",
 )
 
 
 def _checks_sk(
-    panel: Sequence[tuple[str, dict]], w_max: int, samples: int, seed: int
+    panel: Sequence[hf_entropy.EntropyFunctional], w_max: int, samples: int, seed: int
 ) -> list[dict]:
     checks = []
-    for family, params in panel:
-        functional = hf_entropy.builtin_functional(family, **params)
+    for functional in panel:
         report = hf_entropy.sk_suite(functional, w_max, samples, seed)
         checks.append(_check(f"sk-suite[{functional.name}]", report.passed, report.as_dict()))
     return checks
@@ -451,22 +426,14 @@ def _max_product_residual(fn: Callable, law: formal_group.BinaryLaw, rng, count:
     for w1, w2 in combos:
         p = rng.dirichlet(np.ones(w1), size=each)
         q = rng.dirichlet(np.ones(w2), size=each)
-        joint = np.asarray(fn(np.einsum("ni,nj->nij", p, q).reshape(each, -1)))
-        split = law(np.asarray(fn(p)), np.asarray(fn(q)))
-        worst = max(worst, float(np.max(np.abs(joint - split))))
+        worst = max(worst, float(np.max(hf_entropy.product_residuals(fn, law, p, q))))
     return worst
 
 
 def _checks_composability(pairs: int, seed: int) -> list[dict]:
     checks = []
-    panel = (
-        ("shannon", {}),
-        ("renyi", {"alpha": 2.0}),
-        ("tsallis", {"q": 1.5}),
-        ("sharma_mittal", {"alpha": 0.5, "beta": 0.7}),
-    )
-    for family, params in panel:
-        functional = hf_entropy.builtin_functional(family, **params)
+    for spec in ("shannon", "renyi:alpha=2", "tsallis:q=1.5", "sharma-mittal:alpha=0.5,beta=0.7"):
+        functional = _entropy(spec)
         rng = np.random.default_rng(seed)
         worst = _max_product_residual(functional.fn, functional.law, rng, pairs)
         checks.append(
@@ -479,7 +446,7 @@ def _checks_composability(pairs: int, seed: int) -> list[dict]:
             )
         )
     # Kaniadakis must fail against every deformed sum tried (falsification).
-    functional = hf_entropy.builtin_functional("kaniadakis", kappa=0.4)
+    functional = _entropy("kaniadakis:kappa=0.4")
     witnesses = {}
     for q in (0.0, 0.5, 1.0, 1.5, 2.0):
         rng = np.random.default_rng(seed)
@@ -496,6 +463,17 @@ def _checks_composability(pairs: int, seed: int) -> list[dict]:
     return checks
 
 
+def _duality_residual(functional, model, xi, gamma, gamma_star) -> float:
+    """Duality defect of a divergence's FD metric field and connections already at xi."""
+    return geometry.duality_residual(
+        lambda x: geometry.div_metric(functional, model, x),
+        lambda x: gamma,
+        lambda x: gamma_star,
+        model,
+        xi,
+    )
+
+
 def _interior_points(rng, size: int, count: int, floor: float = 0.04) -> list[np.ndarray]:
     points = []
     while len(points) < count:
@@ -508,11 +486,7 @@ def _interior_points(rng, size: int, count: int, floor: float = 0.04) -> list[np
 def _checks_geometry(w_max: int, points: int, seed: int) -> list[dict]:
     checks = []
     rng = np.random.default_rng(seed)
-    metric_cases = (
-        ("kl", divergence.kl_functional()),
-        ("sm(0.5,0.7)", divergence.sm_div_functional(0.5, 0.7)),
-    )
-    for label, functional in metric_cases:
+    for functional in (_divergence("kl"), _divergence("sm:alpha=0.5,beta=0.7")):
         worst = 0.0
         for size in range(1, w_max + 1):
             model = geometry.simplex_model(size)
@@ -525,14 +499,14 @@ def _checks_geometry(w_max: int, points: int, seed: int) -> list[dict]:
                 worst = max(worst, rel)
         checks.append(
             _check(
-                f"metric-closed-form[{label}]",
+                f"metric-closed-form[{functional.name}]",
                 worst <= _METRIC_REL_TOL,
                 max_rel_error=worst,
                 tol=_METRIC_REL_TOL,
             )
         )
 
-    functional = divergence.hf_div_functional(divergence.power_pair(2.0))
+    functional = _divergence("power:a=2")
     pair = functional.pair
     size = 2
     model = geometry.simplex_model(size)
@@ -555,14 +529,8 @@ def _checks_geometry(w_max: int, points: int, seed: int) -> list[dict]:
         )
     )
 
-    kl_div = divergence.kl_functional()
-    residual = geometry.duality_residual(
-        lambda x: geometry.div_metric(kl_div, model, x),
-        lambda x: geometry.div_connections(kl_div, model, x)[0],
-        lambda x: geometry.div_connections(kl_div, model, x)[1],
-        model,
-        xi,
-    )
+    kl_div = _divergence("kl")
+    residual = _duality_residual(kl_div, model, xi, *geometry.div_connections(kl_div, model, xi))
     checks.append(
         _check(
             "duality[kl]",
@@ -576,6 +544,14 @@ def _checks_geometry(w_max: int, points: int, seed: int) -> list[dict]:
 
 def _cmd_verify(args) -> tuple[int, dict]:
     seed = _resolve_seed(args.seed)
+    for flag, value, least in (
+        ("--samples", args.samples, 1),
+        ("--pairs", args.pairs, 1),
+        ("--points", args.points, 1),
+        ("--w-max", args.w_max, 2),
+    ):
+        if value < least:
+            raise InvalidArgument(f"{flag} must be at least {least}, got {value}")
     what = args.what
     checks: list[dict] = []
     if what in ("group-law", "all"):
@@ -583,9 +559,9 @@ def _cmd_verify(args) -> tuple[int, dict]:
         checks.extend(_checks_group_law(qs, args.samples, seed))
     if what in ("sk", "all"):
         if what == "sk" and args.family:
-            panel = [(args.family, _parse_params(args.params))]
+            panel = [_entropy(args.family, args.params)]
         else:
-            panel = list(_SK_PANEL)
+            panel = [_entropy(spec) for spec in _SK_PANEL]
         checks.extend(_checks_sk(panel, args.w_max, args.samples, seed))
     if what in ("composability", "all"):
         checks.extend(_checks_composability(args.pairs, seed))
@@ -623,8 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_entropy)
 
     p = sub.add_parser("divergence", help="evaluate a divergence D(p || q)")
-    p.add_argument("--family", required=True, help="kl|sm|hf|composed")
-    p.add_argument("--params", nargs="*", metavar="K=V", help="family parameters (sm)")
+    p.add_argument("--family", required=True, help="kl|sm|power|tsallis-rel spec, hf or composed")
+    p.add_argument("--params", nargs="*", metavar="K=V", help="family parameters")
     p.add_argument("--pair", help="(h,f) pair spec for --family hf, e.g. power:a=2")
     p.add_argument("--of", action="append", metavar="SPEC", help="constituent for --family composed (repeatable)")
     p.add_argument("--coeffs", help="comma-separated weights for --family composed")

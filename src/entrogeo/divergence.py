@@ -21,16 +21,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .composition import Composer
-from .errors import (
-    ArityMismatch,
-    DomainError,
-    LengthMismatch,
-    ParamOutOfRange,
-    ZetaRangeViolation,
-)
+from .errors import ArityMismatch, DomainError, LengthMismatch, ZetaRangeViolation
 from .hf_entropy import (
-    PARAM_GUARD,
+    _IDENTITY_H,
     HFPair,
+    _guard_param,
+    _sm_rescale,
     custom_pair,
     require_divergence_shape,
     zero_preserving,
@@ -96,9 +92,7 @@ def kl_pair() -> HFPair:
     return custom_pair(
         name="kl",
         f=zero_preserving(lambda t: t * np.log(t)),
-        h=lambda x: x,
-        h_inverse=lambda x: x,
-        h_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        **_IDENTITY_H,
         f_prime=zero_preserving(lambda t: np.log(t) + 1.0),
         derivs=(1.0, 1.0, -1.0),
         f_shape="convex",
@@ -131,11 +125,7 @@ def power_pair(a: float) -> HFPair:
     Both are anchored at h(1) = 0 and induce the metric scale a(a-1) resp.
     a(1-a).
     """
-    a = float(a)
-    if not (math.isfinite(a) and a > 0.0):
-        raise ParamOutOfRange(f"power exponent must be positive, got {a}")
-    if abs(a - 1.0) < PARAM_GUARD:
-        raise ParamOutOfRange(f"|a - 1| must be at least {PARAM_GUARD:g}")
+    a = _guard_param(a, "a")
     convex = a > 1.0
     sign = 1.0 if convex else -1.0
     return custom_pair(
@@ -153,17 +143,11 @@ def power_pair(a: float) -> HFPair:
 
 def tsallis_relative_pair(alpha: float) -> HFPair:
     """f = (t^alpha - t)/(alpha - 1) with h = x: the Tsallis relative pair."""
-    a = float(alpha)
-    if not (math.isfinite(a) and a > 0.0):
-        raise ParamOutOfRange(f"alpha must be positive, got {a}")
-    if abs(a - 1.0) < PARAM_GUARD:
-        raise ParamOutOfRange(f"|alpha - 1| must be at least {PARAM_GUARD:g}")
+    a = _guard_param(alpha, "alpha")
     return custom_pair(
         name=f"tsallis-relative({a:g})",
         f=lambda t: (np.power(t, a) - t) / (a - 1.0),
-        h=lambda x: x,
-        h_inverse=lambda x: x,
-        h_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        **_IDENTITY_H,
         f_prime=lambda t: (a * np.power(t, a - 1.0) - 1.0) / (a - 1.0),
         derivs=(1.0, a, a * (a - 2.0)),
         f_shape="convex",
@@ -178,28 +162,9 @@ def sm_divergence_pair(alpha: float, beta: float) -> HFPair:
     f(t) = t^alpha and h(x) = (x^((1-beta)/(1-alpha)) - 1)/(beta - 1); the
     pairing mirrors the S-M entropy one (alpha > 1: convex f, increasing h).
     """
-    a = float(alpha)
-    b = float(beta)
-    for label, value in (("alpha", a), ("beta", b)):
-        if not math.isfinite(value):
-            raise ParamOutOfRange(f"{label} must be finite, got {value}")
-        if abs(value - 1.0) < PARAM_GUARD:
-            raise ParamOutOfRange(f"|{label} - 1| must be at least {PARAM_GUARD:g}")
-    if a <= 0.0:
-        raise ParamOutOfRange(f"alpha must be positive, got {a}")
-    r = (1.0 - b) / (1.0 - a)
-
-    def h(x):
-        return np.expm1(r * np.log(x)) / (b - 1.0)
-
-    def h_inverse(y):
-        # 1 + (b-1) y <= 0 yields nan, which callers turn into DomainError
-        with np.errstate(invalid="ignore"):
-            return np.exp(np.log1p((b - 1.0) * np.asarray(y, dtype=float)) / r)
-
-    def h_prime(x):
-        return np.exp((r - 1.0) * np.log(x)) / (a - 1.0)
-
+    a = _guard_param(alpha, "alpha")
+    b = _guard_param(beta, "beta", positive=False)
+    h, h_inverse, h_prime = _sm_rescale(a, b, sign=-1.0)
     return custom_pair(
         name=f"sm-div({a:g},{b:g})",
         f=lambda t: np.power(t, a),
@@ -221,13 +186,11 @@ def sm_div_functional(alpha: float, beta: float) -> DivergenceFunctional:
     """
     pair = sm_divergence_pair(alpha, beta)  # validates parameters
     a, b = float(alpha), float(beta)
-    r = (1.0 - b) / (1.0 - a)
 
     def fn(p, q):
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
-        trace = (np.power(p, a) * np.power(q, 1.0 - a)).sum(axis=-1)
-        return np.expm1(r * np.log(trace)) / (b - 1.0)
+        return pair.h((np.power(p, a) * np.power(q, 1.0 - a)).sum(axis=-1))
 
     return DivergenceFunctional(fn=fn, name=f"sm({a:g},{b:g})", pair=pair)
 

@@ -10,6 +10,10 @@ class EntrogeoError(Exception):
     """Base class for all errors raised by entrogeo."""
 
 
+class InvalidArgument(EntrogeoError, ValueError):
+    """An argument (a count, step, weight or constraint) is out of range."""
+
+
 # --- probability vectors ---------------------------------------------------
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ArityMismatch, DomainEscape, InversionFailure, ParamOutOfRange
+from .errors import ArityMismatch, DomainEscape, InvalidArgument, InversionFailure, ParamOutOfRange
 
 AXIOM_TOL = 1e-10
 PERM_TOL = 1e-9
@@ -39,7 +39,7 @@ class Interval:
 
     def __post_init__(self) -> None:
         if not self.lo <= self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+            raise InvalidArgument(f"empty interval [{self.lo}, {self.hi}]")
 
     @classmethod
     def reals(cls) -> "Interval":
@@ -167,9 +167,9 @@ def check_group_axioms(
     if not isinstance(domain, Interval):
         domain = Interval(float(domain[0]), float(domain[1]))
     if not (math.isfinite(domain.lo) and math.isfinite(domain.hi)):
-        raise ValueError("sampling interval must be finite")
+        raise InvalidArgument("sampling interval must be finite")
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise InvalidArgument("need at least one sample")
     if not law.domain.contains([domain.lo, domain.hi]):
         raise DomainEscape(
             f"sampling interval [{domain.lo}, {domain.hi}] leaves the domain of {law.name}"
@@ -209,7 +209,7 @@ def iterate_pow2(law: BinaryLaw, m: int) -> Callable:
     equal-shape arrays and raises ArityMismatch for a wrong argument count.
     """
     if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+        raise InvalidArgument(f"m must be >= 0, got {m}")
     arity = 2**m
 
     def composed(*args):

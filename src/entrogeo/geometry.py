@@ -37,6 +37,7 @@ from .errors import (
     AllZeroGradient,
     ArityMismatch,
     DegenerateSecondDerivative,
+    InvalidArgument,
     ParamOutOfRange,
     StepTooLarge,
 )
@@ -86,10 +87,10 @@ class MetricTensor:
     def __post_init__(self) -> None:
         g = np.array(self.entries, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError(f"metric entries must be square, got shape {g.shape}")
+            raise InvalidArgument(f"metric entries must be square, got shape {g.shape}")
         skew = float(np.max(np.abs(g - g.T))) if g.size else 0.0
         if skew > SYMMETRY_TOL:
-            raise ValueError(f"metric asymmetric by {skew:.3e} (tol {SYMMETRY_TOL:.1e})")
+            raise InvalidArgument(f"metric asymmetric by {skew:.3e} (tol {SYMMETRY_TOL:.1e})")
         g.setflags(write=False)
         object.__setattr__(self, "entries", g)
 
@@ -114,10 +115,10 @@ class ConnCoeffs:
     def __post_init__(self) -> None:
         c = np.array(self.entries, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
-            raise ValueError(f"connection entries must be (n, n, n), got {c.shape}")
+            raise InvalidArgument(f"connection entries must be (n, n, n), got {c.shape}")
         skew = float(np.max(np.abs(c - c.transpose(1, 0, 2)))) if c.size else 0.0
         if skew > CONN_SYMMETRY_TOL:
-            raise ValueError(
+            raise InvalidArgument(
                 f"connection asymmetric in (i, j) by {skew:.3e} (tol {CONN_SYMMETRY_TOL:.1e})"
             )
         c.setflags(write=False)
@@ -157,7 +158,7 @@ def simplex_model(size: int, margin: float = SIMPLEX_MARGIN) -> StatModel:
 def _scaled(step: float | None, default: float, xi: np.ndarray) -> float:
     if step is not None:
         if step <= 0.0:
-            raise ValueError(f"step must be positive, got {step}")
+            raise InvalidArgument(f"step must be positive, got {step}")
         return float(step)
     return default * max(1.0, float(np.max(np.abs(xi))) if xi.size else 1.0)
 
@@ -373,7 +374,7 @@ def combine_geometry(
     if w.size == 0:
         raise ArityMismatch("nothing to combine")
     if np.any(w < 0.0):
-        raise ValueError(f"combination weights must be non-negative, got {w.tolist()}")
+        raise InvalidArgument(f"combination weights must be non-negative, got {w.tolist()}")
     if np.all(w == 0.0):
         raise AllZeroGradient("every combination weight vanishes")
     g = sum(wi * np.asarray(m.entries) for wi, m in zip(w, metrics))

@@ -32,12 +32,13 @@ import numpy as np
 from .errors import (
     AnchorViolation,
     DomainError,
+    InvalidArgument,
     InversionFailure,
     ParamOutOfRange,
     ShapeMismatch,
 )
 from .formal_group import BinaryLaw, Interval, additive_law, q_sum
-from .probability import ProbDist, product
+from .probability import ProbDist
 
 #: Do not approach the removable singularities closer than this.
 PARAM_GUARD = 1e-8
@@ -161,14 +162,19 @@ def require_divergence_shape(pair: HFPair) -> None:
 
 # --- built-in families ------------------------------------------------------
 
+#: h = x with its inverse and derivative: the rescale of every trace-form pair.
+_IDENTITY_H = {
+    "h": lambda x: x,
+    "h_inverse": lambda x: x,
+    "h_prime": lambda x: np.ones_like(np.asarray(x, dtype=float)),
+}
+
 
 def shannon() -> HFPair:
     return HFPair(
         name="shannon",
         f=zero_preserving(lambda t: -t * np.log(t)),
-        h=lambda x: x,
-        h_inverse=lambda x: x,
-        h_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        **_IDENTITY_H,
         df1=-1.0,
         d2f1=-1.0,
         d3f1=1.0,
@@ -180,7 +186,7 @@ def shannon() -> HFPair:
 
 
 def renyi(alpha: float) -> HFPair:
-    alpha = _checked(alpha, "alpha", forbid_one=True)
+    alpha = _guard_param(alpha, "alpha")
     a = alpha
 
     def h(x):
@@ -202,14 +208,12 @@ def renyi(alpha: float) -> HFPair:
 
 
 def tsallis(q: float) -> HFPair:
-    q = _checked(q, "q", forbid_one=True)
+    q = _guard_param(q, "q")
 
     return HFPair(
         name=f"tsallis({q:g})",
         f=lambda t: (t - np.power(t, q)) / (q - 1.0),
-        h=lambda x: x,
-        h_inverse=lambda x: x,
-        h_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        **_IDENTITY_H,
         df1=-1.0,
         d2f1=-q,
         d3f1=-q * (q - 2.0),
@@ -222,25 +226,11 @@ def tsallis(q: float) -> HFPair:
 
 def sharma_mittal(alpha: float, beta: float) -> HFPair:
     """The two-parameter family; beta -> 1 recovers Renyi, beta = alpha Tsallis."""
-    alpha = _checked(alpha, "alpha", forbid_one=True)
-    beta = _checked(beta, "beta", forbid_one=True, positive=False)
-    a, b = alpha, beta
-    r = (1.0 - b) / (1.0 - a)
-
-    def h(x):
-        # x^r written as expm1(r ln x) to stay exact through r -> 0 and r = 1.
-        return np.expm1(r * np.log(x)) / (1.0 - b)
-
-    def h_inverse(y):
-        # 1 + (1-b) y <= 0 yields nan, which callers turn into DomainError
-        with np.errstate(invalid="ignore"):
-            return np.exp(np.log1p((1.0 - b) * np.asarray(y, dtype=float)) / r)
-
-    def h_prime(x):
-        return np.exp((r - 1.0) * np.log(x)) / (1.0 - a)
-
+    a = _guard_param(alpha, "alpha")
+    b = _guard_param(beta, "beta", positive=False)
+    h, h_inverse, h_prime = _sm_rescale(a, b, sign=1.0)
     return HFPair(
-        name=f"sharma-mittal({alpha:g},{beta:g})",
+        name=f"sharma-mittal({a:g},{b:g})",
         f=lambda t: np.power(t, a),
         h=h,
         h_inverse=h_inverse,
@@ -265,9 +255,7 @@ def kaniadakis(kappa: float) -> HFPair:
     return HFPair(
         name=f"kaniadakis({kappa:g})",
         f=lambda t: (np.power(t, 1.0 - k) - np.power(t, 1.0 + k)) / (2.0 * k),
-        h=lambda x: x,
-        h_inverse=lambda x: x,
-        h_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        **_IDENTITY_H,
         df1=-1.0,
         d2f1=-1.0,
         d3f1=1.0 - k * k,
@@ -280,13 +268,14 @@ def kaniadakis(kappa: float) -> HFPair:
     )
 
 
-def _checked(value: float, label: str, forbid_one: bool, positive: bool = True) -> float:
+def _guard_param(value: float, label: str, positive: bool = True) -> float:
+    """Family parameter check: finite, positive if asked, at least PARAM_GUARD from 1."""
     value = float(value)
     if not math.isfinite(value):
         raise ParamOutOfRange(f"{label} must be finite, got {value}")
     if positive and value <= 0.0:
         raise ParamOutOfRange(f"{label} must be positive, got {value}")
-    if forbid_one and abs(value - 1.0) < PARAM_GUARD:
+    if abs(value - 1.0) < PARAM_GUARD:
         raise ParamOutOfRange(
             f"|{label} - 1| must be at least {PARAM_GUARD:g}; "
             f"got {label} = {value} (use the limiting family instead)"
@@ -294,13 +283,50 @@ def _checked(value: float, label: str, forbid_one: bool, positive: bool = True) 
     return value
 
 
-_BUILTINS: dict[str, Callable[..., HFPair]] = {
-    "shannon": shannon,
-    "renyi": renyi,
-    "tsallis": tsallis,
-    "sharma_mittal": sharma_mittal,
-    "kaniadakis": kaniadakis,
+def _sm_rescale(alpha: float, beta: float, sign: float) -> tuple[Callable, Callable, Callable]:
+    """h, h^-1, h' of h(x) = (x^r - 1) / (sign (1 - beta)), r = (1 - beta)/(1 - alpha).
+
+    sign 1 gives the entropy pair, -1 the divergence pair; negating 1 - beta is exact.
+    """
+    r = (1.0 - beta) / (1.0 - alpha)
+    cb = sign * (1.0 - beta)
+    ca = sign * (1.0 - alpha)
+
+    def h(x):
+        # x^r written as expm1(r ln x) to stay exact through r -> 0 and r = 1.
+        return np.expm1(r * np.log(x)) / cb
+
+    def h_inverse(y):
+        # 1 + cb y <= 0 yields nan, which callers turn into DomainError
+        with np.errstate(invalid="ignore"):
+            return np.exp(np.log1p(cb * np.asarray(y, dtype=float)) / r)
+
+    def h_prime(x):
+        return np.exp((r - 1.0) * np.log(x)) / ca
+
+    return h, h_inverse, h_prime
+
+
+#: Family name -> (pair builder, builder of its natural composition law).
+_BUILTINS: dict[str, tuple[Callable[..., HFPair], Callable[..., BinaryLaw | None]]] = {
+    "shannon": (shannon, lambda: additive_law()),
+    "renyi": (renyi, lambda alpha: additive_law()),
+    "tsallis": (tsallis, lambda q: q_sum(q)),
+    "sharma_mittal": (sharma_mittal, lambda alpha, beta: q_sum(beta)),
+    "kaniadakis": (kaniadakis, lambda kappa: None),  # provably not strictly composable
 }
+
+
+def _builtin(family: str, params: dict) -> tuple[HFPair, Callable[..., BinaryLaw | None]]:
+    entry = _BUILTINS.get(family.strip().lower().replace("-", "_"))
+    if entry is None:
+        raise ParamOutOfRange(
+            f"unknown family {family!r}; expected one of {sorted(_BUILTINS)}"
+        )
+    try:
+        return entry[0](**params), entry[1]
+    except TypeError as exc:
+        raise ParamOutOfRange(f"bad parameters for {family!r}: {exc}") from exc
 
 
 def make_builtin(family: str, **params: float) -> HFPair:
@@ -309,16 +335,7 @@ def make_builtin(family: str, **params: float) -> HFPair:
     Accepts 'sharma-mittal' as an alias for 'sharma_mittal'.  Unknown names
     and invalid parameters raise ParamOutOfRange.
     """
-    key = family.strip().lower().replace("-", "_")
-    builder = _BUILTINS.get(key)
-    if builder is None:
-        raise ParamOutOfRange(
-            f"unknown family {family!r}; expected one of {sorted(_BUILTINS)}"
-        )
-    try:
-        return builder(**params)
-    except TypeError as exc:
-        raise ParamOutOfRange(f"bad parameters for {family!r}: {exc}") from exc
+    return _builtin(family, params)[0]
 
 
 def custom_pair(
@@ -423,11 +440,7 @@ def hf_sum(pair: HFPair, weights) -> np.ndarray:
 
 def eval_entropy(pair: HFPair, p: ProbDist) -> float:
     """S(p) = h(sum_i f(p_i)) for an entropy-shaped pair."""
-    require_entropy_shape(pair)
-    value = float(pair.h(hf_sum(pair, p.weights)))
-    if not math.isfinite(value):
-        raise DomainError(f"{pair.name} is not finite at the given distribution")
-    return value
+    return entropy_functional(pair).eval(p)
 
 
 def entropy_functional(
@@ -449,21 +462,10 @@ def entropy_functional(
     return EntropyFunctional(fn=fn, name=name or pair.name, law=law, gradient=gradient)
 
 
-_NATURAL_LAWS: dict[str, Callable[..., BinaryLaw | None]] = {
-    "shannon": lambda: additive_law(),
-    "renyi": lambda alpha: additive_law(),
-    "tsallis": lambda q: q_sum(q),
-    "sharma_mittal": lambda alpha, beta: q_sum(beta),
-    "kaniadakis": lambda kappa: None,  # provably not strictly composable
-}
-
-
 def builtin_functional(family: str, **params: float) -> EntropyFunctional:
     """A built-in entropy with its natural composition law attached (if any)."""
-    pair = make_builtin(family, **params)
-    key = family.strip().lower().replace("-", "_")
-    law = _NATURAL_LAWS[key](**params)
-    return entropy_functional(pair, law=law)
+    pair, natural_law = _builtin(family, params)
+    return entropy_functional(pair, law=natural_law(**params))
 
 
 # --- Shannon-Khinchin suite ---------------------------------------------------
@@ -536,7 +538,7 @@ def sk_suite(
     if isinstance(entropy, HFPair):
         entropy = entropy_functional(entropy)
     if w_max < 2:
-        raise ValueError("w_max must be at least 2")
+        raise InvalidArgument("w_max must be at least 2")
     rng = np.random.default_rng(seed)
 
     maximality = -math.inf
@@ -620,8 +622,20 @@ def phi_from_chi(pair: HFPair, chi: ChiLaw, domain: Interval | None = None) -> B
     return BinaryLaw(fn=fn, domain=domain, name=f"induced[{pair.name};{chi.name}]")
 
 
+def product_residuals(fn: Callable, law: BinaryLaw, p, q) -> np.ndarray:
+    """|S(p (x) q) - Phi(S(p), S(q))| row by row for (n, W1) and (n, W2) weights.
+
+    `fn` is a batch entropy map such as `EntropyFunctional.fn`; each joint
+    row is the row-major flattening of the outer product of p and q rows.
+    """
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    joint = np.asarray(fn(np.einsum("ni,nj->nij", p, q).reshape(p.shape[0], -1)))
+    split = law(np.asarray(fn(p)), np.asarray(fn(q)))
+    return np.abs(joint - split)
+
+
 def composability_residual(pair: HFPair, law: BinaryLaw, p: ProbDist, q: ProbDist) -> float:
     """|S(p (x) q) - Phi(S(p), S(q))| for one concrete product distribution."""
-    joint = eval_entropy(pair, product(p, q))
-    composed = float(law(eval_entropy(pair, p), eval_entropy(pair, q)))
-    return abs(joint - composed)
+    functional = entropy_functional(pair)
+    return float(product_residuals(functional.fn, law, p.weights[None], q.weights[None])[0])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, LengthMismatch
+from .errors import Infeasible, InvalidArgument, LengthMismatch
 from .hf_entropy import EntropyFunctional
 from .probability import ProbDist
 
@@ -49,9 +49,9 @@ class ConstraintSet:
                 f"{a.shape[0]} constraint rows but {b.size} targets"
             )
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("constraint data must be finite")
+            raise InvalidArgument("constraint data must be finite")
         if a.shape[0] > 0 and np.linalg.matrix_rank(a) < a.shape[0]:
-            raise ValueError("constraint rows are linearly dependent")
+            raise InvalidArgument("constraint rows are linearly dependent")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "coefficients", a)
@@ -145,7 +145,7 @@ def maximize(
             f"constraints are over {constraints.coefficients.shape[1]} outcomes, expected {size}"
         )
     if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+        raise InvalidArgument("restarts must be at least 1")
 
     ones = np.ones((1, size))
     if constraints is not None and constraints.count > 0:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, LengthMismatch, NegativeWeight, SumNotOne
+from .errors import IndexOutOfRange, InvalidArgument, LengthMismatch, NegativeWeight, SumNotOne
 
 #: |sum(p) - 1| allowed when constructing in memory.
 SIMPLEX_TOL = 1e-12
@@ -117,7 +117,7 @@ def mix(p: ProbDist, q: ProbDist, lam: float) -> ProbDist:
         raise LengthMismatch(f"cannot mix lengths {p.size} and {q.size}")
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"mixing weight {lam} outside [0, 1]")
+        raise InvalidArgument(f"mixing weight {lam} outside [0, 1]")
     return ProbDist(lam * p.weights + (1.0 - lam) * q.weights)
 
 
@@ -135,7 +135,11 @@ def loads_distribution(text: str, tol: float = FILE_TOL) -> ProbDist:
     weights = doc["weights"]
     if not isinstance(weights, list):
         raise LengthMismatch('"weights" must be a list of numbers')
-    return validate(np.asarray(weights, dtype=float), tol)
+    try:
+        array = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError) as exc:  # non-numeric entries or a ragged nest
+        raise LengthMismatch('"weights" must be a list of numbers') from exc
+    return validate(array, tol)
 
 
 def load_distribution(path: str | Path, tol: float = FILE_TOL) -> ProbDist:

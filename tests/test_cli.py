@@ -314,6 +314,61 @@ def test_bad_point_grammar_exits_two():
     assert code == 2
 
 
+_INVALID_ARGUMENTS = {
+    "maxent-restarts-0": ["maxent", "--family", "shannon", "--w", "3", "--restarts", "0"],
+    "maxent-dependent-rows": ["maxent", "--family", "shannon", "--w", "3",
+                              "--constraint", "0,1,2:1", "--constraint", "0,2,4:2"],
+    "maxent-nan-row": ["maxent", "--family", "shannon", "--w", "3",
+                       "--constraint", "nan,1,2:1.2"],
+    "metric-negative-step": ["metric", "--model", "simplex:2", "--divergence", "kl",
+                             "--point", "0.3,0.25", "--step", "-1"],
+    "connection-negative-step": ["connection", "--model", "simplex:2", "--divergence", "kl",
+                                 "--point", "0.3,0.25", "--step", "-1"],
+    "verify-sk-w-max-1": ["verify", "sk", "--w-max", "1"],
+    "compose-samples-0": ["compose", "--constituent", "tsallis:q=1.5", "--dist", "p.json",
+                          "--samples", "0"],
+    "verify-group-law-samples-0": ["verify", "group-law", "--samples", "0"],
+    "non-numeric-weights": ["entropy", "--family", "shannon", "--dist", "non-numeric.json"],
+    "ragged-weights": ["entropy", "--family", "shannon", "--dist", "ragged.json"],
+    "verify-geometry-points-0": ["verify", "geometry", "--points", "0"],
+    "verify-geometry-points-negative": ["verify", "geometry", "--points", "-3"],
+    "verify-geometry-w-max-0": ["verify", "geometry", "--w-max", "0"],
+    "verify-composability-pairs-0": ["verify", "composability", "--pairs", "0"],
+}
+
+
+@pytest.mark.parametrize("case", list(_INVALID_ARGUMENTS))
+def test_invalid_arguments_exit_two_without_output(case, tmp_path, monkeypatch):
+    files = {
+        "p.json": [0.2, 0.3, 0.5],
+        "non-numeric.json": ["x", 1],
+        "ragged.json": [[0.5], [0.2, 0.3]],
+    }
+    for name, weights in files.items():
+        (tmp_path / name).write_text(json.dumps({"weights": weights}))
+    monkeypatch.chdir(tmp_path)
+    assert execute(_INVALID_ARGUMENTS[case]) == (2, "")
+
+
+def test_inline_spec_parameters_match_params_option(dist_file):
+    p = dist_file("p.json", [0.2, 0.3, 0.5])
+    q = dist_file("q.json", [0.25, 0.25, 0.5])
+    pairs = [
+        (["maxent", "--family", "tsallis:q=1.5", "--w", "3"],
+         ["maxent", "--family", "tsallis", "--params", "q=1.5", "--w", "3"]),
+        (["divergence", "--family", "sm:alpha=0.5,beta=0.7", "--p", p, "--q", q],
+         ["divergence", "--family", "sm", "--params", "alpha=0.5", "beta=0.7", "--p", p,
+          "--q", q]),
+        (["verify", "sk", "--family", "tsallis:q=1.5", "--samples", "50", "--w-max", "3"],
+         ["verify", "sk", "--family", "tsallis", "--params", "q=1.5", "--samples", "50",
+          "--w-max", "3"]),
+    ]
+    for inline, separate in pairs:
+        code, text = execute(inline)
+        assert code == 0, inline
+        assert (code, text) == execute(separate)
+
+
 def test_unknown_subcommand_exits_two():
     code, _ = execute(["frobnicate"])
     assert code == 2
