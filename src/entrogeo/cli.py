@@ -201,6 +201,13 @@ def _point_from_text(text: str) -> np.ndarray:
         raise ParamOutOfRange(f"bad point {text!r}") from exc
 
 
+def _reject_inapplicable(args, applies: dict[str, bool], where: str) -> None:
+    """Raise InvalidArgument for an option that was given where it is not read."""
+    for name, ok in applies.items():
+        if getattr(args, name) is not None and not ok:
+            raise InvalidArgument(f"--{name} does not apply to {where}")
+
+
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return int(value)
@@ -230,6 +237,12 @@ def _cmd_entropy(args) -> tuple[int, dict]:
 
 def _cmd_divergence(args) -> tuple[int, dict]:
     fam = args.family.strip().lower()
+    _reject_inapplicable(
+        args,
+        {"pair": fam == "hf", "of": fam == "composed", "coeffs": fam == "composed",
+         "params": fam != "composed"},
+        f"divergence --family {fam}",
+    )
     if fam == "hf":
         if not args.pair:
             raise ParamOutOfRange("--family hf requires --pair")
@@ -312,6 +325,7 @@ def _cmd_connection(args) -> tuple[int, dict]:
         "model": model.name,
         "point": point.tolist(),
     }
+    _reject_inapplicable(args, {"divergence": args.alpha is None}, "connection --alpha")
     if args.alpha is not None:
         conn = geometry.alpha_connection(model, point, args.alpha, step=args.step)
         doc["alpha"] = float(args.alpha)
@@ -553,6 +567,13 @@ def _cmd_verify(args) -> tuple[int, dict]:
         if value < least:
             raise InvalidArgument(f"{flag} must be at least {least}, got {value}")
     what = args.what
+    _reject_inapplicable(
+        args,
+        {"family": what == "sk", "params": what == "sk", "q": what in ("group-law", "all")},
+        f"verify {what}",
+    )
+    if args.params is not None and args.family is None:
+        raise InvalidArgument("--params needs --family")
     checks: list[dict] = []
     if what in ("group-law", "all"):
         qs = args.q if args.q else [0.0, 0.5, 1.0, 2.0]

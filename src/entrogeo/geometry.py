@@ -5,6 +5,9 @@ distributions; the canonical instance is the full open simplex, where
 xi = (p_1, ..., p_W) and p_0 = 1 - sum(xi) is the dependent coordinate.
 Everything here works on finite supports, so expectations are exact sums;
 only the parameter derivatives are numerical (central finite differences).
+Each tensor maps its whole stencil to weights in one `prob_fn` call, checks
+it in one `in_domain` call, and evaluates a divergence once per point held
+fixed in the other slot, over all stencil rows at once.
 
 From a divergence D(p_xi || p_xi') three tensors arise at the diagonal:
 
@@ -26,7 +29,6 @@ constituents' tensors with weights grad zeta(0) (`combine_geometry`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,7 +60,12 @@ CONN_SYMMETRY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class StatModel:
-    """A parametric family of strictly positive finite distributions."""
+    """A parametric family of strictly positive finite distributions.
+
+    `prob_fn` and `in_domain` take one parameter point or a stack of them
+    along the leading axes (shape (..., n_params)) and return the weights
+    (..., support_size) or the domain test (...) of each point.
+    """
 
     n_params: int
     support_size: int
@@ -68,14 +75,17 @@ class StatModel:
 
     def point(self, xi) -> np.ndarray:
         """Weights at xi; raises ParamOutOfRange outside the open domain."""
-        xi = np.asarray(xi, dtype=float).reshape(-1)
-        if xi.size != self.n_params:
-            raise ParamOutOfRange(
-                f"{self.name} takes {self.n_params} parameters, got {xi.size}"
-            )
+        xi = _params_of(self, xi)
         if not self.in_domain(xi):
             raise ParamOutOfRange(f"parameter {xi.tolist()} outside the domain of {self.name}")
         return np.asarray(self.prob_fn(xi), dtype=float)
+
+
+def _params_of(model: StatModel, xi) -> np.ndarray:
+    xi = np.asarray(xi, dtype=float).reshape(-1)
+    if xi.size != model.n_params:
+        raise ParamOutOfRange(f"{model.name} takes {model.n_params} parameters, got {xi.size}")
+    return xi
 
 
 @dataclass(frozen=True)
@@ -140,11 +150,13 @@ def simplex_model(size: int, margin: float = SIMPLEX_MARGIN) -> StatModel:
     if not 0.0 < margin < 1.0 / (size + 1):
         raise ParamOutOfRange(f"margin {margin} leaves no interior for W = {size}")
 
-    def in_domain(xi: np.ndarray) -> bool:
-        return bool(np.all(xi >= margin) and 1.0 - float(xi.sum()) >= margin)
+    def in_domain(xi):
+        xi = np.asarray(xi, dtype=float)
+        return np.all(xi >= margin, axis=-1) & (1.0 - xi.sum(axis=-1) >= margin)
 
-    def prob_fn(xi: np.ndarray) -> np.ndarray:
-        return np.concatenate(([1.0 - float(xi.sum())], xi))
+    def prob_fn(xi):
+        xi = np.asarray(xi, dtype=float)
+        return np.concatenate((1.0 - xi.sum(axis=-1, keepdims=True), xi), axis=-1)
 
     return StatModel(
         n_params=size,
@@ -163,14 +175,58 @@ def _scaled(step: float | None, default: float, xi: np.ndarray) -> float:
     return default * max(1.0, float(np.max(np.abs(xi))) if xi.size else 1.0)
 
 
-def _stencil_point(model: StatModel, xi: np.ndarray) -> np.ndarray:
-    try:
-        return model.point(xi)
-    except ParamOutOfRange as exc:
+def _stencil(model: StatModel, xi: np.ndarray, h: float, mixed: bool = True) -> np.ndarray:
+    """Weights at every point of the central-difference stencil around xi.
+
+    Rows: xi; xi + h e_i and xi - h e_i for each i; then, if `mixed`,
+    xi +- h e_i +- h e_j for each j < i in the sign order ++, +-, -+, --.
+    The whole table is checked against the domain in one call and mapped to
+    weights in one call; a point outside raises StepTooLarge naming it.
+    """
+    xi = _params_of(model, xi)
+    n = xi.size
+    axes = np.arange(n)
+    i, j = np.nonzero(np.tri(n, k=-1, dtype=bool) & mixed)  # j < i row by row, if mixed
+    offsets = np.zeros((1 + 2 * n + 4 * i.size, n))
+    offsets[1 + 2 * axes, axes] = h
+    offsets[2 + 2 * axes, axes] = -h
+    rows = 1 + 2 * n + 4 * np.arange(i.size)[:, None] + np.arange(4)
+    offsets[rows, i[:, None]] = [h, h, -h, -h]
+    offsets[rows, j[:, None]] = [h, -h, h, -h]
+    points = xi + offsets
+    inside = np.asarray(model.in_domain(points))
+    if not inside.all():
+        model.point(xi)  # ParamOutOfRange when xi itself is outside
         raise StepTooLarge(
-            f"stencil point {xi.tolist()} leaves the domain of {model.name}; "
-            "reduce the step or move inward"
-        ) from exc
+            f"stencil point {points[int(np.argmin(inside))].tolist()} leaves the domain of "
+            f"{model.name}; reduce the step or move inward"
+        )
+    return np.asarray(model.prob_fn(points), dtype=float)
+
+
+def _fd_first(table: np.ndarray, n: int, h: float) -> np.ndarray:
+    """Central first differences along the stencil axis (axis 0): shape (n, ...)."""
+    return (table[1 : 2 * n + 1 : 2] - table[2 : 2 * n + 1 : 2]) / (2.0 * h)
+
+
+def _fd_second(table: np.ndarray, n: int, h: float) -> np.ndarray:
+    """Central second differences along the stencil axis (axis 0): shape (n, n, ...)."""
+    axes = np.arange(n)
+    i, j = np.nonzero(np.tri(n, k=-1, dtype=bool))
+    plus, minus = table[1 : 2 * n + 1 : 2], table[2 : 2 * n + 1 : 2]
+    out = np.empty((n, n) + table.shape[1:])
+    out[axes, axes] = (plus - 2.0 * table[0] + minus) / (h * h)
+    quad = table[2 * n + 1 :]
+    out[i, j] = out[j, i] = (quad[0::4] - quad[1::4] - quad[2::4] + quad[3::4]) / (4.0 * h * h)
+    return out
+
+
+def _values(divergence: DivergenceFunctional, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    values = np.asarray(divergence.fn(p, q), dtype=float)
+    rows = np.broadcast_shapes(p.shape, q.shape)[:-1]
+    if values.shape != rows:  # fn must reduce the outcome axis only
+        raise InvalidArgument(f"{divergence.name} gave shape {values.shape} for rows {rows}")
+    return values
 
 
 def fisher_metric(model: StatModel, xi, step: float | None = None) -> MetricTensor:
@@ -181,46 +237,10 @@ def fisher_metric(model: StatModel, xi, step: float | None = None) -> MetricTens
     """
     xi = np.asarray(xi, dtype=float).reshape(-1)
     h = _scaled(step, METRIC_STEP, xi)
-    p0 = model.point(xi)
-    n = model.n_params
-    dlog = np.empty((n, model.support_size))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        dlog[i] = (
-            np.log(_stencil_point(model, xi + e)) - np.log(_stencil_point(model, xi - e))
-        ) / (2.0 * h)
-    g = (dlog * p0) @ dlog.T
+    weights = _stencil(model, xi, h, mixed=False)
+    dlog = _fd_first(np.log(weights), xi.size, h)
+    g = (dlog * weights[0]) @ dlog.T
     return MetricTensor(0.5 * (g + g.T))
-
-
-def _second_diff(
-    dfn: Callable, model: StatModel, base: np.ndarray, parked: np.ndarray, h: float, slot: int
-) -> np.ndarray:
-    """Second partials of D w.r.t. one argument slot, the other held fixed."""
-    parked_w = _stencil_point(model, parked)
-
-    if slot == 0:
-        def f(u):
-            return float(dfn(_stencil_point(model, u), parked_w))
-    else:
-        def f(u):
-            return float(dfn(parked_w, _stencil_point(model, u)))
-
-    n = base.size
-    center = f(base)
-    out = np.empty((n, n))
-    eye = np.eye(n)
-    for i in range(n):
-        ei = h * eye[i]
-        out[i, i] = (f(base + ei) - 2.0 * center + f(base - ei)) / (h * h)
-        for j in range(i):
-            ej = h * eye[j]
-            mixed = (
-                f(base + ei + ej) - f(base + ei - ej) - f(base - ei + ej) + f(base - ei - ej)
-            ) / (4.0 * h * h)
-            out[i, j] = out[j, i] = mixed
-    return out
 
 
 def div_metric(
@@ -229,7 +249,8 @@ def div_metric(
     """Metric from the second-order expansion of a divergence at the diagonal."""
     xi = np.asarray(xi, dtype=float).reshape(-1)
     h = _scaled(step, METRIC_STEP, xi)
-    g = _second_diff(divergence.fn, model, xi, xi, h, slot=0)
+    weights = _stencil(model, xi, h)
+    g = _fd_second(_values(divergence, weights, weights[0]), xi.size, h)
     return MetricTensor(0.5 * (g + g.T))
 
 
@@ -240,22 +261,20 @@ def div_connections(
 
     Gamma_ij,k differentiates twice in the first slot and once in the second;
     Gamma*_ij,k swaps the roles.  Entries land in arrays indexed [i, j, k].
+    One divergence call per parked point xi +- h e_k and slot evaluates the
+    whole stencil of the other slot.
     """
     xi = np.asarray(xi, dtype=float).reshape(-1)
     h = _scaled(step, CONN_STEP, xi)
     n = xi.size
-    gamma = np.empty((n, n, n))
-    gamma_star = np.empty((n, n, n))
-    eye = np.eye(n)
-    for k in range(n):
-        ek = h * eye[k]
-        first_plus = _second_diff(divergence.fn, model, xi, xi + ek, h, slot=0)
-        first_minus = _second_diff(divergence.fn, model, xi, xi - ek, h, slot=0)
-        gamma[:, :, k] = -(first_plus - first_minus) / (2.0 * h)
-        second_plus = _second_diff(divergence.fn, model, xi, xi + ek, h, slot=1)
-        second_minus = _second_diff(divergence.fn, model, xi, xi - ek, h, slot=1)
-        gamma_star[:, :, k] = -(second_plus - second_minus) / (2.0 * h)
-    return ConnCoeffs(gamma), ConnCoeffs(gamma_star)
+    weights = _stencil(model, xi, h)
+    parked = weights[1 : 2 * n + 1]  # xi + h e_0, xi - h e_0, xi + h e_1, ...
+    out = []
+    for args in (((weights, q) for q in parked), ((q, weights) for q in parked)):
+        values = np.stack([_values(divergence, p, q) for p, q in args], axis=-1)
+        d2 = _fd_second(values, n, h)  # [i, j, parked point]
+        out.append(ConnCoeffs(-(d2[..., 0::2] - d2[..., 1::2]) / (2.0 * h)))
+    return out[0], out[1]
 
 
 def alpha_connection(
@@ -269,36 +288,13 @@ def alpha_connection(
     xi = np.asarray(xi, dtype=float).reshape(-1)
     h = _scaled(step, METRIC_STEP, xi)
     n = xi.size
-    p0 = model.point(xi)
-    log0 = np.log(p0)
-    eye = np.eye(n)
-
-    logs_plus = []
-    logs_minus = []
-    for i in range(n):
-        ei = h * eye[i]
-        logs_plus.append(np.log(_stencil_point(model, xi + ei)))
-        logs_minus.append(np.log(_stencil_point(model, xi - ei)))
-
-    dl = np.empty((n, model.support_size))
-    d2l = np.empty((n, n, model.support_size))
-    for i in range(n):
-        dl[i] = (logs_plus[i] - logs_minus[i]) / (2.0 * h)
-        d2l[i, i] = (logs_plus[i] - 2.0 * log0 + logs_minus[i]) / (h * h)
-        for j in range(i):
-            ei, ej = h * eye[i], h * eye[j]
-            mixed = (
-                np.log(_stencil_point(model, xi + ei + ej))
-                - np.log(_stencil_point(model, xi + ei - ej))
-                - np.log(_stencil_point(model, xi - ei + ej))
-                + np.log(_stencil_point(model, xi - ei - ej))
-            ) / (4.0 * h * h)
-            d2l[i, j] = d2l[j, i] = mixed
-
+    weights = _stencil(model, xi, h)
+    logs = np.log(weights)
+    dl = _fd_first(logs, n, h)
+    d2l = _fd_second(logs, n, h)
     integrand = d2l + 0.5 * (1.0 - float(alpha)) * np.einsum("ix,jx->ijx", dl, dl)
-    gamma = np.einsum("ijx,kx,x->ijk", integrand, dl, p0)
-    gamma = 0.5 * (gamma + gamma.transpose(1, 0, 2))
-    return ConnCoeffs(gamma)
+    gamma = np.einsum("ijx,kx,x->ijk", integrand, dl, weights[0])
+    return ConnCoeffs(0.5 * (gamma + gamma.transpose(1, 0, 2)))
 
 
 def hf_closed_metric(pair: HFPair, xi, size: int, margin: float = SIMPLEX_MARGIN) -> MetricTensor:

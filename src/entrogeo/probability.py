@@ -139,6 +139,8 @@ def loads_distribution(text: str, tol: float = FILE_TOL) -> ProbDist:
         array = np.asarray(weights, dtype=float)
     except (TypeError, ValueError) as exc:  # non-numeric entries or a ragged nest
         raise LengthMismatch('"weights" must be a list of numbers') from exc
+    if array.ndim != 1:
+        raise LengthMismatch(f'"weights" must be a flat list of numbers, got shape {array.shape}')
     return validate(array, tol)
 
 

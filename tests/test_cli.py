@@ -330,10 +330,27 @@ _INVALID_ARGUMENTS = {
     "verify-group-law-samples-0": ["verify", "group-law", "--samples", "0"],
     "non-numeric-weights": ["entropy", "--family", "shannon", "--dist", "non-numeric.json"],
     "ragged-weights": ["entropy", "--family", "shannon", "--dist", "ragged.json"],
+    "nested-weights": ["entropy", "--family", "shannon", "--dist", "nested.json"],
     "verify-geometry-points-0": ["verify", "geometry", "--points", "0"],
     "verify-geometry-points-negative": ["verify", "geometry", "--points", "-3"],
     "verify-geometry-w-max-0": ["verify", "geometry", "--w-max", "0"],
     "verify-composability-pairs-0": ["verify", "composability", "--pairs", "0"],
+    "divergence-composed-params": ["divergence", "--family", "composed", "--of", "kl",
+                                   "--of", "power:a=2", "--params", "a=3",
+                                   "--p", "p.json", "--q", "p.json"],
+    "divergence-kl-pair": ["divergence", "--family", "kl", "--pair", "power:a=2",
+                           "--p", "p.json", "--q", "p.json"],
+    "divergence-kl-of": ["divergence", "--family", "kl", "--of", "power:a=2",
+                         "--p", "p.json", "--q", "p.json"],
+    "divergence-hf-coeffs": ["divergence", "--family", "hf", "--pair", "power:a=2",
+                             "--coeffs", "1", "--p", "p.json", "--q", "p.json"],
+    "connection-alpha-divergence": ["connection", "--model", "simplex:2", "--alpha", "0.5",
+                                    "--divergence", "kl", "--point", "0.3,0.25"],
+    "verify-all-family": ["verify", "all", "--family", "tsallis:q=1.5"],
+    "verify-geometry-params": ["verify", "geometry", "--params", "q=1.5"],
+    "verify-group-law-family": ["verify", "group-law", "--family", "tsallis", "--params", "q=2"],
+    "verify-sk-params-without-family": ["verify", "sk", "--params", "q=1.5"],
+    "verify-sk-q": ["verify", "sk", "--q", "0.5"],
 }
 
 
@@ -343,6 +360,7 @@ def test_invalid_arguments_exit_two_without_output(case, tmp_path, monkeypatch):
         "p.json": [0.2, 0.3, 0.5],
         "non-numeric.json": ["x", 1],
         "ragged.json": [[0.5], [0.2, 0.3]],
+        "nested.json": [[0.5], [0.5]],
     }
     for name, weights in files.items():
         (tmp_path / name).write_text(json.dumps({"weights": weights}))

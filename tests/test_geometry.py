@@ -1,5 +1,8 @@
 """Finite-difference information geometry against closed forms."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -25,14 +28,18 @@ from entrogeo import (
     tsallis_relative_pair,
     hf_div_functional,
 )
+from entrogeo.composition import linear_composer
+from entrogeo.divergence import zeta_compose_div
 from entrogeo.errors import (
     AllZeroGradient,
     ArityMismatch,
     DegenerateSecondDerivative,
+    InvalidArgument,
     ParamOutOfRange,
     ShapeMismatch,
     StepTooLarge,
 )
+from entrogeo.geometry import CONN_STEP, METRIC_STEP
 from entrogeo.hf_entropy import custom_pair
 
 
@@ -62,6 +69,18 @@ def test_simplex_model_enforces_the_margin():
         simplex_model(0)
     with pytest.raises(ParamOutOfRange):
         simplex_model(3, margin=0.5)
+
+
+def test_simplex_model_maps_stacks_of_points():
+    model = simplex_model(3)
+    stack = np.array([[[0.2, 0.3, 0.1], [0.5, 0.6, 0.1]], [[0.0005, 0.2, 0.2], [0.1, 0.1, 0.1]]])
+    weights = model.prob_fn(stack)
+    inside = model.in_domain(stack)
+    assert weights.shape == (2, 2, 4) and inside.shape == (2, 2)
+    np.testing.assert_array_equal(inside, [[True, False], [False, True]])
+    for idx in np.ndindex(2, 2):
+        np.testing.assert_array_equal(weights[idx], model.prob_fn(stack[idx]))
+        assert inside[idx] == model.in_domain(stack[idx])
 
 
 def test_fisher_metric_against_the_closed_form():
@@ -243,3 +262,159 @@ def test_stencils_refuse_to_cross_the_boundary():
 def test_step_override_must_be_positive():
     with pytest.raises(ValueError):
         fisher_metric(simplex_model(1), [0.5], step=-1e-4)
+
+
+# --- the stencil engine against per-point loops -----------------------------------------
+
+
+def _loop_hessian(f, base, h):
+    """Central second differences of f around base, one call per stencil point."""
+    n = base.size
+    e = h * np.eye(n)
+    center = f(base)
+    out = np.empty((n, n) + np.shape(center))
+    for i in range(n):
+        out[i, i] = (f(base + e[i]) - 2.0 * center + f(base - e[i])) / (h * h)
+        for j in range(i):
+            out[i, j] = out[j, i] = (
+                f(base + e[i] + e[j]) - f(base + e[i] - e[j])
+                - f(base - e[i] + e[j]) + f(base - e[i] - e[j])
+            ) / (4.0 * h * h)
+    return out
+
+
+def _loop_slot_hessian(d, model, xi, parked, h, slot):
+    fixed = model.point(parked)
+    if slot == 0:
+        return _loop_hessian(lambda u: float(d.fn(model.point(u), fixed)), xi, h)
+    return _loop_hessian(lambda u: float(d.fn(fixed, model.point(u))), xi, h)
+
+
+def _loop_dlog(model, xi, h):
+    return np.array(
+        [(np.log(model.point(xi + e)) - np.log(model.point(xi - e))) / (2.0 * h)
+         for e in h * np.eye(xi.size)]
+    )
+
+
+def _loop_div_metric(d, model, xi, h):
+    g = _loop_slot_hessian(d, model, xi, xi, h, 0)
+    return 0.5 * (g + g.T)
+
+
+def _loop_div_connections(d, model, xi, h):
+    n = xi.size
+    out = np.empty((2, n, n, n))
+    for k, e in enumerate(h * np.eye(n)):
+        for slot in (0, 1):
+            plus = _loop_slot_hessian(d, model, xi, xi + e, h, slot)
+            minus = _loop_slot_hessian(d, model, xi, xi - e, h, slot)
+            out[slot, :, :, k] = -(plus - minus) / (2.0 * h)
+    return out
+
+
+def _loop_fisher(model, xi, h):
+    dlog = _loop_dlog(model, xi, h)
+    g = (dlog * model.point(xi)) @ dlog.T
+    return 0.5 * (g + g.T)
+
+
+def _loop_alpha(model, xi, alpha, h):
+    dl = _loop_dlog(model, xi, h)
+    d2l = _loop_hessian(lambda u: np.log(model.point(u)), xi, h)
+    integrand = d2l + 0.5 * (1.0 - alpha) * np.einsum("ix,jx->ijx", dl, dl)
+    gamma = np.einsum("ijx,kx,x->ijk", integrand, dl, model.point(xi))
+    return 0.5 * (gamma + gamma.transpose(1, 0, 2))
+
+
+_ENGINE_DIVERGENCES = {
+    "kl": kl_functional(),
+    "sm": sm_div_functional(0.5, 0.7),
+    "power": hf_div_functional(power_pair(2.0)),
+    "composed": zeta_compose_div(
+        [kl_functional(), hf_div_functional(power_pair(2.0))], linear_composer([1.0, 0.5])
+    ),
+}
+
+
+@pytest.mark.parametrize("step", [None, 3e-4])
+@pytest.mark.parametrize("w", [1, 2, 5, 8])
+def test_stencil_engine_is_bit_identical_to_per_point_loops(w, step):
+    rng = np.random.default_rng(100 + w)
+    p = rng.dirichlet(np.full(w + 1, 6.0))
+    xi = p[1:]
+    model = simplex_model(w)
+    metric_h = METRIC_STEP if step is None else step
+    conn_h = CONN_STEP if step is None else step
+    for d in _ENGINE_DIVERGENCES.values():
+        got = div_metric(d, model, xi, step=step).entries
+        assert np.array_equal(got, _loop_div_metric(d, model, xi, metric_h)), d.name
+        gamma, gamma_star = div_connections(d, model, xi, step=step)
+        want = _loop_div_connections(d, model, xi, conn_h)
+        assert np.array_equal(gamma.entries, want[0]), d.name
+        assert np.array_equal(gamma_star.entries, want[1]), d.name
+    got = fisher_metric(model, xi, step=step).entries
+    assert np.array_equal(got, _loop_fisher(model, xi, metric_h))
+    for alpha in (-1.0, 0.0, 3.0):
+        got = alpha_connection(model, xi, alpha, step=step).entries
+        assert np.array_equal(got, _loop_alpha(model, xi, alpha, metric_h)), alpha
+
+
+@pytest.mark.parametrize("w", [1, 3, 6])
+def test_divergence_calls_grow_linearly_with_dimension(w):
+    kl = kl_functional()
+    calls = []
+
+    def counted(p, q):
+        calls.append(np.broadcast_shapes(np.shape(p), np.shape(q)))
+        return kl.fn(p, q)
+
+    d = dataclasses.replace(kl, fn=counted)
+    model = simplex_model(w)
+    xi = np.full(w, 1.0 / (w + 1))
+    div_metric(d, model, xi)
+    assert len(calls) == 1
+    calls.clear()
+    div_connections(d, model, xi)
+    assert len(calls) <= 4 * w
+    assert all(shape == (2 * w * w + 1, w + 1) for shape in calls)  # one stencil block each
+
+
+def test_connections_refuse_a_parked_point_outside_the_domain():
+    model = simplex_model(1)
+    xi = np.array([0.0012])  # 0.0002 inside the margin: xi - CONN_STEP leaves it
+    div_metric(kl_functional(), model, xi)  # the metric stencil still fits
+    with pytest.raises(StepTooLarge, match=re.escape(str((xi - CONN_STEP).tolist()))):
+        div_connections(kl_functional(), model, xi)
+
+
+def test_log_stencils_refuse_to_cross_the_boundary():
+    model = simplex_model(1)
+    with pytest.raises(StepTooLarge, match=re.escape("[1.005")):
+        fisher_metric(model, [0.995], step=0.01)
+    # p_0 = 0.01 leaves room for one step of 0.005 but not for two
+    model = simplex_model(2)
+    xi = np.array([0.3, 0.69])
+    fisher_metric(model, xi, step=0.005)
+    with pytest.raises(StepTooLarge, match=re.escape(str((xi + 0.005).tolist()))):
+        alpha_connection(model, xi, 1.0, step=0.005)
+
+
+def test_stencils_reject_points_outside_the_domain_and_wrong_arity():
+    model = simplex_model(2)
+    for fn in (
+        lambda x: div_metric(kl_functional(), model, x),
+        lambda x: div_connections(kl_functional(), model, x),
+        lambda x: fisher_metric(model, x),
+        lambda x: alpha_connection(model, x, 0.0),
+    ):
+        with pytest.raises(ParamOutOfRange):
+            fn([0.6, 0.5])
+        with pytest.raises(ParamOutOfRange):
+            fn([0.3])
+
+
+def test_divergence_must_reduce_only_the_outcome_axis():
+    lumped = dataclasses.replace(kl_functional(), fn=lambda p, q: float(np.sum(p * np.log(p / q))))
+    with pytest.raises(InvalidArgument):
+        div_metric(lumped, simplex_model(2), [0.3, 0.25])

@@ -149,6 +149,9 @@ def test_loads_rejects_garbage():
         loads_distribution('{"values": [1.0]}')
     with pytest.raises(LengthMismatch):
         loads_distribution('{"weights": 0.5}')
+    for nested in ("[[0.5], [0.5]]", "[[0.25, 0.25], [0.25, 0.25]]", "[[1.0]]"):
+        with pytest.raises(LengthMismatch):
+            loads_distribution(f'{{"weights": {nested}}}')
     with pytest.raises(LengthMismatch):
         loads_distribution("a,b\n1,2\n")
     with pytest.raises(LengthMismatch):
