@@ -97,7 +97,6 @@ def kl_pair() -> HFPair:
         derivs=(1.0, 1.0, -1.0),
         f_shape="convex",
         h_direction="increasing",
-        trace_form=True,
     )
 
 
@@ -152,7 +151,6 @@ def tsallis_relative_pair(alpha: float) -> HFPair:
         derivs=(1.0, a, a * (a - 2.0)),
         f_shape="convex",
         h_direction="increasing",
-        trace_form=True,
     )
 
 

@@ -49,6 +49,9 @@ ANCHOR_TOL = 1e-12
 #: S(p) >= -NONNEG_TOL for valid pairs.
 NONNEG_TOL = 1e-12
 
+#: Largest factor h' may change by across the construction probes.
+_H_SPREAD = math.exp(4.0)
+
 _ENTROPY_PAIRINGS = {("concave", "increasing"), ("convex", "decreasing")}
 _DIVERGENCE_PAIRINGS = {("convex", "increasing"), ("concave", "decreasing")}
 
@@ -79,8 +82,8 @@ class HFPair:
     must carry an explicit inverse (no root-finding happens at evaluation
     time) and its derivative.  df1, d2f1, d3f1 are f', f'', f''' at t = 1;
     built-in families fill them analytically, `custom_pair` by central
-    differences.  `trace_form` marks h as the identity, which unlocks
-    analytic gradients downstream.
+    differences.  `f_prime`, when given, makes the entropy gradient
+    h'(sum f(p)) f'(p) analytic downstream.
     """
 
     name: str
@@ -94,7 +97,6 @@ class HFPair:
     f_shape: str
     h_direction: str
     f_prime: Callable | None = None
-    trace_form: bool = False
 
     def __post_init__(self) -> None:
         if self.f_shape not in ("concave", "convex"):
@@ -109,8 +111,9 @@ class HFPair:
         if not abs(anchor) <= ANCHOR_TOL:
             raise AnchorViolation(f"{self.name}: h(f(1)) = {anchor:.3e}, must vanish")
         self._check_f_shape()
-        self._check_h_direction()
-        self._check_h_inverse()
+        width = self._probe_width()
+        self._check_h_direction(min(1e-3, width))
+        self._check_h_inverse(width)
 
     @property
     def f1(self) -> float:
@@ -126,16 +129,32 @@ class HFPair:
         if self.f_shape == "convex" and np.any(second < -1e-10):
             raise ShapeMismatch(f"{self.name}: f is not convex on (0, 1)")
 
-    def _check_h_direction(self) -> None:
-        d = 1e-3
+    def _probe_width(self) -> float:
+        """Half-width around f(1), at most 0.4, on which h' stays within e^4 of h'(f(1)).
+
+        Farther out a steep h such as x^r with |r| ~ 1/PARAM_GUARD overflows
+        or underflows, and a probe there would test floating point, not h.
+        """
+        f1 = self.f1
+        ref = abs(float(self.h_prime(f1)))
+        width = 0.4
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            while width > 1e-12:
+                ends = np.abs(np.asarray(self.h_prime(f1 + np.array([-width, width]))))
+                if np.all(ends <= _H_SPREAD * ref) and np.all(ends * _H_SPREAD >= ref):
+                    break
+                width *= 0.5
+        return width
+
+    def _check_h_direction(self, d: float) -> None:
         step = float(self.h(self.f1 + d)) - float(self.h(self.f1 - d))
         if self.h_direction == "increasing" and step <= 0.0:
             raise ShapeMismatch(f"{self.name}: h is not increasing near f(1)")
         if self.h_direction == "decreasing" and step >= 0.0:
             raise ShapeMismatch(f"{self.name}: h is not decreasing near f(1)")
 
-    def _check_h_inverse(self) -> None:
-        xs = self.f1 + np.linspace(-0.4, 0.4, 5)
+    def _check_h_inverse(self, width: float) -> None:
+        xs = self.f1 + np.linspace(-width, width, 5)
         back = self.h_inverse(self.h(xs))
         worst = float(np.max(np.abs(back - xs)))
         if not (np.all(np.isfinite(back)) and worst <= 1e-10):
@@ -181,7 +200,6 @@ def shannon() -> HFPair:
         f_shape="concave",
         h_direction="increasing",
         f_prime=zero_preserving(lambda t: -np.log(t) - 1.0),
-        trace_form=True,
     )
 
 
@@ -220,7 +238,6 @@ def tsallis(q: float) -> HFPair:
         f_shape="concave",
         h_direction="increasing",
         f_prime=lambda t: (1.0 - q * np.power(t, q - 1.0)) / (q - 1.0),
-        trace_form=True,
     )
 
 
@@ -264,7 +281,6 @@ def kaniadakis(kappa: float) -> HFPair:
         f_prime=zero_preserving(
             lambda t: ((1.0 - k) * np.power(t, -k) - (1.0 + k) * np.power(t, k)) / (2.0 * k)
         ),
-        trace_form=True,
     )
 
 
@@ -349,7 +365,6 @@ def custom_pair(
     h_prime: Callable | None = None,
     f_prime: Callable | None = None,
     derivs: tuple[float, float, float] | None = None,
-    trace_form: bool = False,
     fd_step: float = 1e-4,
 ) -> HFPair:
     """Build a pair from user-supplied maps, filling derivative data by FD.
@@ -375,7 +390,6 @@ def custom_pair(
         f_shape=f_shape,
         h_direction=h_direction,
         f_prime=f_prime,
-        trace_form=trace_form,
     )
 
 
@@ -453,11 +467,13 @@ def entropy_functional(
         return pair.h(hf_sum(pair, weights))
 
     gradient = None
-    if pair.trace_form and pair.f_prime is not None:
+    if pair.f_prime is not None:
         f_prime = pair.f_prime
 
         def gradient(weights):  # noqa: F811 - deliberate rebind
-            return np.asarray(f_prime(np.asarray(weights, dtype=float)))
+            weights = np.asarray(weights, dtype=float)
+            outer = np.asarray(pair.h_prime(hf_sum(pair, weights)), dtype=float)
+            return outer[..., None] * np.asarray(f_prime(weights))
 
     return EntropyFunctional(fn=fn, name=name or pair.name, law=law, gradient=gradient)
 

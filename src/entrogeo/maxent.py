@@ -2,10 +2,11 @@
 
 Given an entropy functional S and constraints A p = b (the simplex sum
 constraint is implicit, never a row of A), `maximize` runs projected gradient
-ascent: each iterate is pulled back onto the feasible set by the Euclidean
-projection onto {p >= 0} intersect {A p = b, sum p = 1}, computed with
-Dykstra's alternating-projection scheme between the affine set and the
-non-negative orthant.  Backtracking keeps the ascent monotone.
+ascent: each iterate is pulled back onto the feasible set by the exact
+Euclidean projection onto {p >= 0} intersect {A p = b, sum p = 1}.  That
+projection is max(x - A^T nu, 0), with the multiplier nu found by semismooth
+Newton on a convex dual of m + 1 variables.  Backtracking keeps the ascent
+monotone.
 
 For concave functionals (every strictly shaped built-in) the stationary
 point found is the global maximizer.  For anything else the solver makes no
@@ -30,8 +31,13 @@ EVAL_CLIP = 1e-12
 #: Feasibility declared when the affine residual is below this.
 FEAS_TOL = 1e-9
 
-_PROJ_ROUNDS = 500
-_PROJ_TOL = 1e-13
+_NEWTON_ROUNDS = 100
+#: Projection residual |A p - b| accepted, per unit of the largest |A| entry.
+_PROJ_TOL = 1e-12
+_BISECTIONS = 100
+
+#: Coordinates per block of the finite-difference stencil (2 rows each).
+_FD_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -89,12 +95,15 @@ class MaxentResult:
 
 
 class _Feasible:
-    """Euclidean projection onto {p >= 0, A_full p = b_full} via Dykstra."""
+    """Exact Euclidean projection onto {p >= 0, A_full p = b_full}."""
 
     def __init__(self, a_full: np.ndarray, b_full: np.ndarray):
         self.a = a_full
         self.b = b_full
-        self.pullback = a_full.T @ np.linalg.pinv(a_full @ a_full.T)
+        self.gram_pinv = np.linalg.pinv(a_full @ a_full.T)
+        self.rank = int(np.linalg.matrix_rank(a_full))
+        self.tol = _PROJ_TOL * max(1.0, float(np.max(np.abs(a_full))))
+        self.pullback = a_full.T @ self.gram_pinv
 
     def affine(self, x: np.ndarray) -> np.ndarray:
         return x - self.pullback @ (self.a @ x - self.b)
@@ -103,21 +112,83 @@ class _Feasible:
         return float(np.max(np.abs(self.a @ x - self.b)))
 
     def project(self, x: np.ndarray) -> np.ndarray:
+        """max(x - A^T nu, 0), where nu minimizes the convex dual
+        theta(nu) = |max(x - A^T nu, 0)|^2 / 2 + b^T nu.
+
+        Semismooth Newton (Qi & Sun 1993) from the affine multiplier: the
+        generalized Hessian is the Gram matrix of the active columns, solved
+        by least squares, and Armijo backtracking keeps theta decreasing.  A
+        full step that keeps the active set is exact up to rounding, so it
+        stops once |A p - b| is at rounding level.  When the constraints miss
+        the simplex theta is unbounded below, and the point returned keeps a
+        residual.
+        """
         y = self.affine(x)
-        if y.min() >= 0.0:
+        if y.min() >= 0.0 and self.residual(y) <= self.tol:
             return y
-        p_corr = np.zeros_like(x)
-        q_corr = np.zeros_like(x)
-        current = x
-        for _ in range(_PROJ_ROUNDS):
-            u = self.affine(current + p_corr)
-            p_corr = current + p_corr - u
-            v = np.maximum(u + q_corr, 0.0)
-            q_corr = u + q_corr - v
-            if float(np.max(np.abs(v - current))) <= _PROJ_TOL:
-                return v
-            current = v
-        return current
+        nu = self.gram_pinv @ (self.a @ x - self.b)
+        z = x - self.a.T @ nu
+        p = np.maximum(z, 0.0)
+        for _ in range(_NEWTON_ROUNDS):
+            gap = self.a @ p - self.b  # minus the dual gradient
+            if np.max(np.abs(gap)) <= self.tol:
+                return p
+            active = z > 0.0
+            cols = self.a[:, active]
+            gram = cols @ cols.T
+            step, _, rank, _ = np.linalg.lstsq(gram, gap, rcond=None)
+            rest = gap - gram @ step
+            if rank < self.rank and np.max(np.abs(rest)) > 0.5 * np.max(np.abs(gap)):
+                # The active columns cannot meet most of gap.  Along the part
+                # they leave, theta falls linearly until inactive coordinates
+                # turn positive: go to its minimum on that ray.
+                t = _ray_minimum(z, self.a.T @ rest, float(self.b @ rest))
+                if t is None:
+                    return p  # theta is unbounded below: no feasible point
+                nu = nu + t * rest
+                z = x - self.a.T @ nu
+                p = np.maximum(z, 0.0)
+                continue
+            slope = float(gap @ step)
+            if not slope > 0.0:
+                return p
+            t = 1.0
+            while True:
+                z_t = x - self.a.T @ (nu + t * step)
+                p_t = np.maximum(z_t, 0.0)
+                change = 0.5 * float((p_t - p) @ (p_t + p)) + t * float(self.b @ step)
+                if change <= -1e-4 * t * slope:
+                    break
+                t *= 0.5
+                if t < 1e-12:
+                    return p
+            nu, z, p = nu + t * step, z_t, p_t
+        return p
+
+
+def _ray_minimum(z: np.ndarray, r: np.ndarray, c: float) -> float | None:
+    """argmin over t >= 0 of |max(z - t r, 0)|^2 / 2 + c t, or None if unbounded.
+
+    The derivative c - r . max(z - t r, 0) is non-decreasing: double an upper
+    bracket until it is non-negative, then bisect, keeping the upper end.
+    """
+
+    def slope(t: float) -> float:
+        return c - float(r @ np.maximum(z - t * r, 0.0))
+
+    hi = 1.0
+    while slope(hi) < 0.0:
+        hi *= 2.0
+        if hi > 1e300:
+            return None
+    lo = 0.0
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def maximize(
@@ -133,8 +204,8 @@ def maximize(
 ) -> MaxentResult:
     """Maximize S over the simplex slice cut out by the constraints.
 
-    Gradients are analytic when the functional carries one (trace-form
-    built-ins) and central differences with `grad_step` otherwise.  Raises
+    Gradients are analytic when the functional carries one (every (h, f)
+    pair with f') and central differences with `grad_step` otherwise.  Raises
     Infeasible when no probability vector satisfies the constraints; failure
     to reach `tol` within `max_iter` only clears the `converged` flag.
     """
@@ -174,12 +245,7 @@ def maximize(
     else:
 
         def grad(x: np.ndarray) -> np.ndarray:
-            g = np.empty(size)
-            for i in range(size):
-                e = np.zeros(size)
-                e[i] = grad_step
-                g[i] = (value(x + e) - value(x - e)) / (2.0 * grad_step)
-            return g
+            return _fd_gradient(entropy.fn, x, grad_step)
 
     rng = np.random.default_rng(seed)
     runs = []
@@ -202,6 +268,24 @@ def maximize(
         restart_values=restart_values,
         restart_spread=max(restart_values) - min(restart_values),
     )
+
+
+def _fd_gradient(fn, x: np.ndarray, step: float) -> np.ndarray:
+    """Central differences of fn at x, evaluated in blocks of stacked rows.
+
+    Rows x + step e_i and x - step e_i of each block go through one `fn`
+    call; the result equals the per-coordinate loop bit for bit.
+    """
+    g = np.empty(x.size)
+    for lo in range(0, x.size, _FD_BLOCK):
+        idx = np.arange(lo, min(lo + _FD_BLOCK, x.size))
+        k = np.arange(idx.size)
+        rows = np.repeat(x[None, :], 2 * idx.size, axis=0)
+        rows[k, idx] += step
+        rows[idx.size + k, idx] -= step
+        vals = np.asarray(fn(np.maximum(rows, EVAL_CLIP)), dtype=float)
+        g[idx] = (vals[: idx.size] - vals[idx.size :]) / (2.0 * step)
+    return g
 
 
 def _ascend(x0, value, grad, feasible, max_iter, tol):

@@ -1,5 +1,6 @@
 """Entropy pairs: anchoring, shapes, built-in families, and the trace bridge."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,15 @@ from entrogeo import (
     uniform,
     validate,
 )
-from entrogeo.errors import AnchorViolation, DomainError, ParamOutOfRange, ShapeMismatch
+from entrogeo.composition import sm_pair_entropy
+from entrogeo.divergence import sm_divergence_pair
+from entrogeo.errors import (
+    AnchorViolation,
+    DomainError,
+    InversionFailure,
+    ParamOutOfRange,
+    ShapeMismatch,
+)
 from entrogeo.hf_entropy import EntropyFunctional, require_divergence_shape, zero_preserving
 
 # reference values on p = (0.2, 0.3, 0.5), computed at 50-digit precision
@@ -121,6 +130,41 @@ def test_zero_preserving_wraps_nan_at_zero():
     out = f(np.array([0.0, 0.5]))
     assert out[0] == 0.0
     assert out[1] == pytest.approx(0.5 * LN2)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta", [(0.999, 2.0), (1.001, 0.5), (1.01, 2.0), (0.99, 0.5), (1 + 2e-8, 2.0)]
+)
+def test_sharma_mittal_builds_near_alpha_one(alpha, beta):
+    # r = (1 - beta)/(1 - alpha) reaches 5e7: the probes shrink to where x^r is finite
+    value = eval_entropy(sharma_mittal(alpha, beta), P)
+    assert math.isfinite(value) and value > 0.0
+    sm_divergence_pair(alpha, beta)
+
+
+def test_wrong_h_inverse_still_raises():
+    steep = sharma_mittal(0.999, 2.0)
+    with pytest.raises(InversionFailure):
+        dataclasses.replace(steep, h_inverse=lambda y: steep.h_inverse(y) * (1.0 + 1e-6))
+    with pytest.raises(InversionFailure):
+        custom_pair(
+            name="off-by-a-bit",
+            f=lambda t: np.asarray(t) ** 2,
+            h=lambda x: np.asarray(x) - 1.0,
+            h_inverse=lambda y: np.asarray(y) + 1.001,
+            f_shape="convex",
+            h_direction="increasing",
+        )
+    # exact to third order at f(1): only a probe window of useful width sees it
+    with pytest.raises(InversionFailure):
+        custom_pair(
+            name="cubic-error",
+            f=lambda t: np.asarray(t) ** 2,
+            h=lambda x: np.asarray(x) - 1.0,
+            h_inverse=lambda y: np.asarray(y) + 1.0 + np.asarray(y) ** 3,
+            f_shape="convex",
+            h_direction="increasing",
+        )
 
 
 def test_fd_derivative_fallback_matches_analytic():
@@ -218,10 +262,40 @@ def test_builtin_functionals_carry_their_laws():
     assert builtin_functional("kaniadakis", kappa=0.3).law is None
 
 
-def test_analytic_gradient_only_on_trace_forms():
-    assert builtin_functional("shannon").gradient is not None
-    assert builtin_functional("tsallis", q=2.0).gradient is not None
-    assert builtin_functional("renyi", alpha=2.0).gradient is None
+def test_analytic_gradient_on_every_builtin():
+    for family, params in (
+        ("shannon", {}),
+        ("renyi", {"alpha": 2.0}),
+        ("tsallis", {"q": 2.0}),
+        ("sharma_mittal", {"alpha": 0.5, "beta": 0.7}),
+        ("kaniadakis", {"kappa": 0.3}),
+    ):
+        assert builtin_functional(family, **params).gradient is not None
+    # composed functionals carry no pair, hence no gradient
+    assert sm_pair_entropy(0.3, 0.7, 0.5).gradient is None
+
+
+@pytest.mark.parametrize(
+    "pair", [renyi(0.5), renyi(2.0), sharma_mittal(0.5, 0.7), sharma_mittal(2.0, 3.0)]
+)
+def test_chain_rule_gradient_matches_central_differences(pair):
+    functional = entropy_functional(pair)
+    w = np.array([0.1, 0.2, 0.3, 0.4])
+    step = 1e-6
+    fd = np.empty(4)
+    for i in range(4):
+        e = np.zeros(4)
+        e[i] = step
+        fd[i] = (functional.fn(w + e) - functional.fn(w - e)) / (2 * step)
+    np.testing.assert_allclose(functional.gradient(w), fd, rtol=0.0, atol=1e-8)
+    batch = np.vstack([w, w[::-1]])
+    np.testing.assert_array_equal(functional.gradient(batch)[1], functional.gradient(w[::-1]))
+
+
+def test_identity_rescaled_gradients_are_f_prime():
+    w = np.array([0.1, 0.2, 0.3, 0.4])
+    for pair in (shannon(), tsallis(0.5), kaniadakis(0.3)):
+        assert np.array_equal(entropy_functional(pair).gradient(w), pair.f_prime(w))
 
 
 def test_shannon_gradient_matches_finite_differences():

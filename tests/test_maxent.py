@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from entrogeo import ConstraintSet, builtin_functional, maximize
+from entrogeo import ConstraintSet, EntropyFunctional, builtin_functional, maximize
+from entrogeo.composition import sm_pair_entropy
 from entrogeo.errors import Infeasible, LengthMismatch
+from entrogeo.maxent import _FD_BLOCK, EVAL_CLIP, _fd_gradient, _Feasible
 
 # one linear expectation constraint: values (0, 1, 2), mean pinned to 1.2.
 # Reference solution from scalar root finding at high precision.
@@ -48,15 +51,15 @@ def test_pinned_coordinate():
 
 
 def test_finite_difference_gradient_path():
-    # renyi carries no analytic gradient, so this exercises the FD branch
-    result = maximize(builtin_functional("renyi", alpha=2.0), size=4, tol=1e-7)
+    # a functional without a gradient, so this exercises the FD branch
+    renyi = builtin_functional("renyi", alpha=2.0)
+    blind = EntropyFunctional(fn=renyi.fn, name="renyi-no-grad")
+    result = maximize(blind, size=4, tol=1e-7)
     assert result.converged
     np.testing.assert_allclose(result.dist.weights, 0.25, atol=1e-6)
 
 
 def test_fd_and_analytic_gradients_agree_on_the_optimum():
-    from entrogeo import EntropyFunctional
-
     tsallis = builtin_functional("tsallis", q=2.0)
     blind = EntropyFunctional(fn=tsallis.fn, name="tsallis-no-grad")
     constraints = ConstraintSet([[0.0, 1.0, 2.0]], [0.8])
@@ -72,6 +75,103 @@ def test_infeasible_target_raises():
             size=3,
             constraints=ConstraintSet(GIBBS_A, [3.0]),  # mean of {0,1,2} cannot reach 3
         )
+
+
+def test_two_row_infeasible_constraints_raise():
+    # p0 = 0.9 leaves 0.1 for p1 + p2, so the mean of {0,1,2} is at most 0.2
+    constraints = ConstraintSet([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]], [1.2, 0.9])
+    with pytest.raises(Infeasible):
+        maximize(builtin_functional("shannon"), size=3, constraints=constraints)
+
+
+def _dykstra(feasible, x, rounds=100_000):
+    """Dykstra's alternating projection between the affine set and the orthant."""
+    p_corr = np.zeros_like(x)
+    q_corr = np.zeros_like(x)
+    current = x
+    for _ in range(rounds):
+        u = feasible.affine(current + p_corr)
+        p_corr = current + p_corr - u
+        v = np.maximum(u + q_corr, 0.0)
+        q_corr = u + q_corr - v
+        if np.max(np.abs(v - current)) <= 1e-14 and feasible.residual(v) <= 1e-9:
+            return v
+        current = v
+    raise AssertionError("the Dykstra reference did not converge")
+
+
+def _projection_case(m, spare, log_scale, seed):
+    """A feasible slice {p >= 0, A p = b} of the simplex and a point to project.
+
+    w >= m + 2 keeps a segment or more feasible; a square system pins one
+    point, where the affine map alone already rounds to ~1e-11.
+    """
+    w = m + spare
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(size=(m, w))
+    inside = rng.dirichlet(np.ones(w))
+    a_full = np.vstack([np.ones((1, w)), coeffs])
+    b_full = np.concatenate(([1.0], coeffs @ inside))
+    return _Feasible(a_full, b_full), inside + rng.normal(size=w) * 10.0**log_scale
+
+
+def _assert_kkt(feasible, x, p):
+    assert p.min() >= 0.0
+    assert np.max(np.abs(feasible.a @ p - feasible.b)) <= 1e-12
+    # x - p = A^T nu on the support and x - A^T nu <= 0 off it
+    support = p > 0.0
+    nu = np.linalg.lstsq(feasible.a[:, support].T, (x - p)[support], rcond=None)[0]
+    shifted = x - feasible.a.T @ nu
+    np.testing.assert_allclose(shifted[support], p[support], rtol=0.0, atol=1e-12)
+    assert np.all(shifted[~support] <= 1e-12)
+
+
+@pytest.mark.parametrize(
+    "m, spare, log_scale, seed",
+    [
+        (2, 3, 0.0, 0),  # too few active columns on the way
+        (2, 2, 0.0, 5),  # the same
+        (1, 2, -1.0, 4485),  # the affine map alone rounds to 1.5e-11
+        (1, 2, 0.0, 4485),  # cond(A) 1.7e3: one Newton step rounds to 1.2e-12
+    ],
+)
+def test_projection_meets_kkt_on_hard_cases(m, spare, log_scale, seed):
+    feasible, x = _projection_case(m, spare, log_scale, seed)
+    _assert_kkt(feasible, x, feasible.project(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2),
+    st.integers(2, 6),
+    st.floats(-2.0, 0.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_projection_meets_kkt_and_matches_dykstra(m, spare, log_scale, seed):
+    feasible, x = _projection_case(m, spare, log_scale, seed)
+    p = feasible.project(x)
+    _assert_kkt(feasible, x, p)
+    np.testing.assert_allclose(p, _dykstra(feasible, x), rtol=0.0, atol=1e-10)
+
+
+def test_batched_fd_gradient_equals_the_coordinate_loop():
+    size = 2 * _FD_BLOCK + 22  # three row blocks, the last one partial
+    x = np.random.default_rng(3).dirichlet(np.ones(size))
+    x[0] = 0.0  # clipped to EVAL_CLIP in both
+    step = 1e-6
+    for functional in (
+        sm_pair_entropy(0.3, 0.7, 0.5),
+        builtin_functional("renyi", alpha=0.5),
+        builtin_functional("sharma_mittal", alpha=0.5, beta=0.7),
+    ):
+        loop = np.empty(size)
+        for i in range(size):
+            e = np.zeros(size)
+            e[i] = step
+            plus = float(functional.fn(np.maximum(x + e, EVAL_CLIP)))
+            minus = float(functional.fn(np.maximum(x - e, EVAL_CLIP)))
+            loop[i] = (plus - minus) / (2.0 * step)
+        assert np.array_equal(_fd_gradient(functional.fn, x, step), loop)
 
 
 def test_constraint_validation():
