@@ -7,7 +7,10 @@ Everything here works on finite supports, so expectations are exact sums;
 only the parameter derivatives are numerical (central finite differences).
 Each tensor maps its whole stencil to weights in one `prob_fn` call, checks
 it in one `in_domain` call, and evaluates a divergence once per point held
-fixed in the other slot, over all stencil rows at once.
+fixed in the other slot, over all stencil rows at once.  `div_metric` also
+takes a stack of points (k, n) and returns entries of shape (k, n, n), each
+bit-identical to its own call; `duality_residual` differentiates its
+`metric_field` through one such stack of four points per axis.
 
 From a divergence D(p_xi || p_xi') three tensors arise at the diagonal:
 
@@ -29,6 +32,7 @@ constituents' tensors with weights grad zeta(0) (`combine_geometry`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -75,30 +79,29 @@ class StatModel:
 
     def point(self, xi) -> np.ndarray:
         """Weights at xi; raises ParamOutOfRange outside the open domain."""
-        xi = _params_of(self, xi)
+        xi = np.asarray(xi, dtype=float).reshape(-1)
+        if xi.size != self.n_params:
+            raise ParamOutOfRange(f"{self.name} takes {self.n_params} parameters, got {xi.size}")
         if not self.in_domain(xi):
             raise ParamOutOfRange(f"parameter {xi.tolist()} outside the domain of {self.name}")
         return np.asarray(self.prob_fn(xi), dtype=float)
 
 
-def _params_of(model: StatModel, xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.size != model.n_params:
-        raise ParamOutOfRange(f"{model.name} takes {model.n_params} parameters, got {xi.size}")
-    return xi
-
-
 @dataclass(frozen=True)
 class MetricTensor:
-    """A symmetric bilinear form; positive definiteness is queryable."""
+    """A symmetric bilinear form (n, n), or a stack of them (k, n, n).
+
+    Symmetry is checked over the last two axes; a stack is positive definite
+    only if every member is.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         g = np.array(self.entries, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        if g.ndim not in (2, 3) or g.shape[-2] != g.shape[-1]:
             raise InvalidArgument(f"metric entries must be square, got shape {g.shape}")
-        skew = float(np.max(np.abs(g - g.T))) if g.size else 0.0
+        skew = float(np.max(np.abs(g - g.swapaxes(-1, -2)))) if g.size else 0.0
         if skew > SYMMETRY_TOL:
             raise InvalidArgument(f"metric asymmetric by {skew:.3e} (tol {SYMMETRY_TOL:.1e})")
         g.setflags(write=False)
@@ -106,7 +109,7 @@ class MetricTensor:
 
     @property
     def dim(self) -> int:
-        return int(self.entries.shape[0])
+        return int(self.entries.shape[-1])
 
     def is_positive_definite(self) -> bool:
         try:
@@ -167,52 +170,79 @@ def simplex_model(size: int, margin: float = SIMPLEX_MARGIN) -> StatModel:
     )
 
 
-def _scaled(step: float | None, default: float, xi: np.ndarray) -> float:
+def _scaled(step: float | None, default: float, xi: np.ndarray) -> np.ndarray:
+    """The step of each point in xi (shape (n,) or (k, n)): given, or default times max(1, |xi|)."""
     if step is not None:
         if step <= 0.0:
             raise InvalidArgument(f"step must be positive, got {step}")
-        return float(step)
-    return default * max(1.0, float(np.max(np.abs(xi))) if xi.size else 1.0)
+        return np.full(xi.shape[:-1], float(step))
+    return np.asarray(default * np.maximum(1.0, np.max(np.abs(xi), axis=-1, initial=0.0)))
 
 
-def _stencil(model: StatModel, xi: np.ndarray, h: float, mixed: bool = True) -> np.ndarray:
-    """Weights at every point of the central-difference stencil around xi.
+@functools.lru_cache(maxsize=32)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index pairs (i, j) with j < i, row by row."""
+    i, j = np.nonzero(np.tri(n, k=-1, dtype=bool))
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
-    Rows: xi; xi + h e_i and xi - h e_i for each i; then, if `mixed`,
-    xi +- h e_i +- h e_j for each j < i in the sign order ++, +-, -+, --.
-    The whole table is checked against the domain in one call and mapped to
-    weights in one call; a point outside raises StepTooLarge naming it.
-    """
-    xi = _params_of(model, xi)
-    n = xi.size
+
+@functools.lru_cache(maxsize=32)
+def _unit_offsets(n: int) -> np.ndarray:
+    """Read-only stencil offsets for h = 1, in the row order `_stencil` documents."""
     axes = np.arange(n)
-    i, j = np.nonzero(np.tri(n, k=-1, dtype=bool) & mixed)  # j < i row by row, if mixed
+    i, j = _pairs(n)
     offsets = np.zeros((1 + 2 * n + 4 * i.size, n))
-    offsets[1 + 2 * axes, axes] = h
-    offsets[2 + 2 * axes, axes] = -h
+    offsets[1 + 2 * axes, axes] = 1.0
+    offsets[2 + 2 * axes, axes] = -1.0
     rows = 1 + 2 * n + 4 * np.arange(i.size)[:, None] + np.arange(4)
-    offsets[rows, i[:, None]] = [h, h, -h, -h]
-    offsets[rows, j[:, None]] = [h, -h, h, -h]
-    points = xi + offsets
+    offsets[rows, i[:, None]] = [1.0, 1.0, -1.0, -1.0]
+    offsets[rows, j[:, None]] = [1.0, -1.0, 1.0, -1.0]
+    offsets.setflags(write=False)
+    return offsets
+
+
+def _stencil(model: StatModel, xi: np.ndarray, h: np.ndarray, mixed: bool = True) -> np.ndarray:
+    """Weights at every point of the central-difference stencil around each xi.
+
+    xi is one point (n,) or a stack (k, n) with steps h of shape xi.shape[:-1];
+    the result is (rows, support) or (k, rows, support).  Rows: xi; xi + h e_i
+    and xi - h e_i for each i; then, if `mixed`, xi +- h e_i +- h e_j for each
+    j < i in the sign order ++, +-, -+, --.  The whole table is checked
+    against the domain in one call and mapped to weights in one call.  The
+    first centre (in stack order) whose stencil leaves the domain raises
+    ParamOutOfRange if it lies outside itself, else StepTooLarge naming the
+    first point that leaves.
+    """
+    n = xi.shape[-1]
+    if n != model.n_params:
+        raise ParamOutOfRange(f"{model.name} takes {model.n_params} parameters, got {n}")
+    offsets = _unit_offsets(n) if mixed else _unit_offsets(n)[: 2 * n + 1]
+    points = xi[..., None, :] + h[..., None, None] * offsets
     inside = np.asarray(model.in_domain(points))
     if not inside.all():
-        model.point(xi)  # ParamOutOfRange when xi itself is outside
+        bad = np.unravel_index(np.argmin(inside), inside.shape)
+        model.point(xi[bad[:-1]])  # ParamOutOfRange when that centre is outside
         raise StepTooLarge(
-            f"stencil point {points[int(np.argmin(inside))].tolist()} leaves the domain of "
+            f"stencil point {points[bad].tolist()} leaves the domain of "
             f"{model.name}; reduce the step or move inward"
         )
     return np.asarray(model.prob_fn(points), dtype=float)
 
 
-def _fd_first(table: np.ndarray, n: int, h: float) -> np.ndarray:
+def _fd_first(table: np.ndarray, n: int, h: np.ndarray) -> np.ndarray:
     """Central first differences along the stencil axis (axis 0): shape (n, ...)."""
     return (table[1 : 2 * n + 1 : 2] - table[2 : 2 * n + 1 : 2]) / (2.0 * h)
 
 
-def _fd_second(table: np.ndarray, n: int, h: float) -> np.ndarray:
-    """Central second differences along the stencil axis (axis 0): shape (n, n, ...)."""
+def _fd_second(table: np.ndarray, n: int, h: np.ndarray) -> np.ndarray:
+    """Central second differences along the stencil axis (axis 0): shape (n, n, ...).
+
+    h is a step per point, broadcasting against the trailing axes.
+    """
     axes = np.arange(n)
-    i, j = np.nonzero(np.tri(n, k=-1, dtype=bool))
+    i, j = _pairs(n)
     plus, minus = table[1 : 2 * n + 1 : 2], table[2 : 2 * n + 1 : 2]
     out = np.empty((n, n) + table.shape[1:])
     out[axes, axes] = (plus - 2.0 * table[0] + minus) / (h * h)
@@ -246,12 +276,21 @@ def fisher_metric(model: StatModel, xi, step: float | None = None) -> MetricTens
 def div_metric(
     divergence: DivergenceFunctional, model: StatModel, xi, step: float | None = None
 ) -> MetricTensor:
-    """Metric from the second-order expansion of a divergence at the diagonal."""
-    xi = np.asarray(xi, dtype=float).reshape(-1)
+    """Metric from the second-order expansion of a divergence at the diagonal.
+
+    xi is one point (n,) or a stack of points (k, n); a stack gives entries
+    of shape (k, n, n) from one divergence call, each member bit-identical
+    to the metric of its own point.
+    """
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim > 2:
+        raise InvalidArgument(f"expected one point or a (k, n) stack of points, got {xi.shape}")
+    xi = xi if xi.ndim == 2 else xi.reshape(-1)
     h = _scaled(step, METRIC_STEP, xi)
     weights = _stencil(model, xi, h)
-    g = _fd_second(_values(divergence, weights, weights[0]), xi.size, h)
-    return MetricTensor(0.5 * (g + g.T))
+    values = _values(divergence, weights, weights[..., :1, :])  # (..., stencil rows)
+    g = _fd_second(values.T, xi.shape[-1], h).T  # (..., n, n): the FD Hessian is symmetric
+    return MetricTensor(0.5 * (g + g.swapaxes(-1, -2)))
 
 
 def div_connections(
@@ -303,12 +342,33 @@ def hf_closed_metric(pair: HFPair, xi, size: int, margin: float = SIMPLEX_MARGIN
     g_ij = c (delta_ij / p_i + 1 / p_0) with c = h'(f(1)) f''(1); the pair
     must be divergence-shaped, which makes c positive.
     """
+    c, p = _closed_form_data(pair, xi, size, margin)
+    return MetricTensor(c * (np.diag(1.0 / p[1:]) + 1.0 / p[0]))
+
+
+def hf_closed_connections(
+    pair: HFPair, xi, size: int, margin: float = SIMPLEX_MARGIN
+) -> tuple[ConnCoeffs, ConnCoeffs]:
+    """Closed-form dual connections (c Gamma^(-a), c Gamma^(+a)) on the simplex model.
+
+    The simplex parameters are mixture coordinates (d_i d_j p = 0), so
+    Gamma^(alpha)_ij,k = -(1 + alpha)/2 (delta_ijk / p_i^2 - 1 / p_0^2)
+    (Amari & Nagaoka, Methods of Information Geometry); c and a are those
+    of `hf_closed_metric` and `hf_alpha_of`.
+    """
+    c, p = _closed_form_data(pair, xi, size, margin)
+    a = hf_alpha_of(pair)
+    t = np.full((size, size, size), -1.0 / p[0] ** 2)
+    axes = np.arange(size)
+    t[axes, axes, axes] += 1.0 / p[1:] ** 2
+    return ConnCoeffs(-0.5 * c * (1.0 - a) * t), ConnCoeffs(-0.5 * c * (1.0 + a) * t)
+
+
+def _closed_form_data(pair: HFPair, xi, size: int, margin: float) -> tuple[float, np.ndarray]:
+    """(c, weights at xi) for the closed forms; c = h'(f(1)) f''(1)."""
     require_divergence_shape(pair)
-    model = simplex_model(size, margin)
-    p = model.point(xi)
-    c = float(pair.h_prime(pair.f1)) * pair.d2f1
-    g = c * (np.diag(1.0 / p[1:]) + 1.0 / p[0])
-    return MetricTensor(g)
+    p = simplex_model(size, margin).point(xi)
+    return float(pair.h_prime(pair.f1)) * pair.d2f1, p
 
 
 def hf_alpha_of(pair: HFPair) -> float:
@@ -330,20 +390,26 @@ def duality_residual(
 ) -> float:
     """Max violation of d_k g_ij = Gamma_ki,j + Gamma*_kj,i at xi.
 
-    `metric_field` maps a parameter point to a MetricTensor (it is
-    differentiated by a five-point central stencil with the given step,
-    so a smooth bias in the field itself survives but the stencil's own
-    truncation does not); the two connection fields are evaluated at xi.
+    `metric_field` maps a stack of parameter points (k, n) to a MetricTensor
+    with entries (k, n, n), as `div_metric` does.  It is differentiated by a
+    five-point central stencil with the given step, called once per axis k
+    on the stack xi + t h e_k, t = -2, -1, 1, 2 (so a smooth bias in the
+    field itself survives but the stencil's own truncation does not); the
+    two connection fields are evaluated at xi.
     """
     xi = np.asarray(xi, dtype=float).reshape(-1)
     h = _scaled(step, 1e-3, xi)
     n = xi.size
     model.point(xi)  # domain check up front
     eye = np.eye(n)
+    shifts = np.array([-2.0, -1.0, 1.0, 2.0])[:, None]
     dg = np.empty((n, n, n))
     for k in range(n):
-        ek = h * eye[k]
-        vals = [np.asarray(metric_field(xi + t * ek).entries) for t in (-2.0, -1.0, 1.0, 2.0)]
+        vals = np.asarray(metric_field(xi + shifts * (h * eye[k])).entries)
+        if vals.shape != (4, n, n):
+            raise InvalidArgument(
+                f"metric_field gave entries of shape {vals.shape} for a (4, {n}) stack of points"
+            )
         dg[k] = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
     gamma = np.asarray(conn_field(xi).entries)
     gamma_star = np.asarray(dual_field(xi).entries)
@@ -385,7 +451,9 @@ def raised_connection(metric: MetricTensor, conn: ConnCoeffs) -> np.ndarray:
     Solves g_{lk} Gamma^l_ij = Gamma_ij,k against the metric; raises
     numpy.linalg.LinAlgError if the metric is singular.
     """
-    n = metric.dim
+    n = conn.dim
+    if metric.entries.shape != (n, n):
+        raise InvalidArgument(f"need one ({n}, {n}) metric, got entries {metric.entries.shape}")
     flat = np.asarray(conn.entries).reshape(n * n, n)
     solved = np.linalg.solve(np.asarray(metric.entries), flat.T)
     return solved.T.reshape(n, n, n)

@@ -16,6 +16,7 @@ from entrogeo import (
     duality_residual,
     fisher_metric,
     hf_alpha_of,
+    hf_closed_connections,
     hf_closed_metric,
     kl_functional,
     kl_pair,
@@ -39,7 +40,7 @@ from entrogeo.errors import (
     ShapeMismatch,
     StepTooLarge,
 )
-from entrogeo.geometry import CONN_STEP, METRIC_STEP
+from entrogeo.geometry import CONN_STEP, METRIC_STEP, StatModel
 from entrogeo.hf_entropy import custom_pair
 
 
@@ -418,3 +419,266 @@ def test_divergence_must_reduce_only_the_outcome_axis():
     lumped = dataclasses.replace(kl_functional(), fn=lambda p, q: float(np.sum(p * np.log(p / q))))
     with pytest.raises(InvalidArgument):
         div_metric(lumped, simplex_model(2), [0.3, 0.25])
+
+
+# --- stacked metric fields and the duality residual ------------------------------------
+
+
+_STACK_DIVERGENCES = {
+    **_ENGINE_DIVERGENCES,
+    "tsallis-rel": hf_div_functional(tsallis_relative_pair(1.5)),
+}
+
+
+def _interior_stack(rng, w, count):
+    return np.array([rng.dirichlet(np.full(w + 1, 6.0))[1:] for _ in range(count)])
+
+
+def _stretched_simplex(w, scale):
+    """The simplex model in coordinates xi = scale * p, so |xi| > 1 and steps differ per point."""
+    base = simplex_model(w)
+    return StatModel(
+        n_params=w,
+        support_size=w + 1,
+        prob_fn=lambda xi: base.prob_fn(np.asarray(xi) / scale),
+        in_domain=lambda xi: base.in_domain(np.asarray(xi) / scale),
+        name=f"stretched({w})",
+    )
+
+
+@pytest.mark.parametrize("step", [None, 3e-4])
+@pytest.mark.parametrize("w", [1, 2, 5, 12])
+def test_metric_of_a_stack_is_bit_identical_to_per_point_calls(w, step):
+    rng = np.random.default_rng(200 + w)
+    models = [(simplex_model(w), _interior_stack(rng, w, 4))]
+    models.append((_stretched_simplex(w, 4.0), 4.0 * _interior_stack(rng, w, 3)))
+    for model, stack in models:
+        for name, d in _STACK_DIVERGENCES.items():
+            got = div_metric(d, model, stack, step=step)
+            assert got.entries.shape == (len(stack), w, w)
+            want = np.stack([div_metric(d, model, xi, step=step).entries for xi in stack])
+            assert np.array_equal(got.entries, want), (model.name, name)
+
+
+def _loop_duality_residual(metric_at, gamma, gamma_star, model, xi, h):
+    """The duality residual with one metric call per five-point stencil centre."""
+    n = xi.size
+    model.point(xi)
+    dg = np.empty((n, n, n))
+    for k, ek in enumerate(h * np.eye(n)):
+        vals = [metric_at(xi + t * ek) for t in (-2.0, -1.0, 1.0, 2.0)]
+        dg[k] = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
+    return float(np.max(np.abs(dg - (gamma + gamma_star.transpose(0, 2, 1)))))
+
+
+@pytest.mark.parametrize("step", [None, 2e-3])
+@pytest.mark.parametrize("w", [1, 2, 5, 12])
+def test_duality_residual_is_bit_identical_to_the_per_point_loop(w, step):
+    rng = np.random.default_rng(300 + w)
+    model = simplex_model(w)
+    xi = _interior_stack(rng, w, 1)[0]
+    h = 1e-3 if step is None else step
+    for name, d in _STACK_DIVERGENCES.items():
+        gamma, gamma_star = div_connections(d, model, xi)
+        got = duality_residual(
+            lambda x: div_metric(d, model, x),
+            lambda x: gamma,
+            lambda x: gamma_star,
+            model,
+            xi,
+            step=step,
+        )
+        want = _loop_duality_residual(
+            lambda x: div_metric(d, model, x).entries,
+            gamma.entries,
+            gamma_star.entries,
+            model,
+            xi,
+            h,
+        )
+        assert got == want, name
+
+
+@pytest.mark.parametrize("w", [1, 3, 6])
+def test_duality_residual_calls_its_metric_field_once_per_axis(w):
+    model = simplex_model(w)
+    xi = np.full(w, 1.0 / (w + 1))
+    gamma, gamma_star = div_connections(kl_functional(), model, xi)
+    shapes = []
+
+    def field(x):
+        shapes.append(np.shape(x))
+        return div_metric(kl_functional(), model, x)
+
+    duality_residual(field, lambda x: gamma, lambda x: gamma_star, model, xi)
+    assert shapes == [(4, w)] * w
+    per_point = lambda x: div_metric(kl_functional(), model, np.asarray(x)[0])  # noqa: E731
+    with pytest.raises(InvalidArgument, match=re.escape(f"shape {(w, w)}")):
+        duality_residual(per_point, lambda x: gamma, lambda x: gamma_star, model, xi)
+
+
+@pytest.mark.parametrize(
+    "xi, error",
+    [
+        ([0.0021], ParamOutOfRange),  # the t = -2 centre leaves the margin
+        ([0.00305, 0.4], StepTooLarge),  # the t = -2 centre fits, its metric stencil does not
+        ([0.4, 0.00305], StepTooLarge),  # the same on axis 1, after a clean axis 0
+        ([0.0025, 0.0025], ParamOutOfRange),  # both axes fail; axis 0 is named
+        ([0.3, 0.6969], StepTooLarge),  # p_0 = 0.0031: the t = +2 centre's stencil leaves
+        ([0.3, 0.6975], ParamOutOfRange),  # p_0 = 0.0025: the t = +2 centre leaves
+    ],
+)
+def test_duality_residual_names_the_first_failing_centre_like_the_loop(xi, error):
+    xi = np.array(xi)
+    model = simplex_model(xi.size)
+    gamma = ConnCoeffs(np.zeros((xi.size,) * 3))
+    with pytest.raises(error) as want:
+        _loop_duality_residual(
+            lambda x: div_metric(kl_functional(), model, x).entries,
+            gamma.entries,
+            gamma.entries,
+            model,
+            xi,
+            1e-3,
+        )
+    with pytest.raises(error) as got:
+        duality_residual(
+            lambda x: div_metric(kl_functional(), model, x),
+            lambda x: gamma,
+            lambda x: gamma,
+            model,
+            xi,
+        )
+    assert str(got.value) == str(want.value)
+
+
+def test_metric_tensor_checks_stacks_over_the_last_two_axes():
+    sym = np.array([[2.0, 1.0], [1.0, 3.0]])
+    stack = MetricTensor(np.stack([sym, np.eye(2), 4.0 * sym]))
+    assert stack.entries.shape == (3, 2, 2)
+    assert not stack.entries.flags.writeable
+    skewed = np.stack([sym, np.array([[1.0, 2.0], [2.5, 1.0]])])
+    with pytest.raises(InvalidArgument, match="asymmetric by 5.000e-01"):
+        MetricTensor(skewed)
+    # symmetric in the first two axes of a (2, 2, 2) array is not enough
+    lead_sym = np.zeros((2, 2, 2))
+    lead_sym[0, 1, 0] = lead_sym[1, 0, 0] = 1.0
+    with pytest.raises(InvalidArgument, match="asymmetric"):
+        MetricTensor(lead_sym)
+    for shape in ((2, 2, 3), (3,), (1, 2, 2, 2)):
+        with pytest.raises(InvalidArgument, match=re.escape(f"must be square, got shape {shape}")):
+            MetricTensor(np.zeros(shape))
+    with pytest.raises(InvalidArgument, match=re.escape("must be square, got shape (2, 3)")):
+        MetricTensor(np.ones((2, 3)))
+
+
+def test_metric_tensor_dim_is_the_last_axis():
+    assert MetricTensor(np.zeros((5, 3, 3))).dim == 3
+    assert MetricTensor(np.eye(4)).dim == 4
+    assert MetricTensor(np.zeros((0, 2, 2))).dim == 2
+
+
+def test_a_stack_is_positive_definite_only_if_every_member_is():
+    pd = np.array([[2.0, 1.0], [1.0, 3.0]])
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    assert MetricTensor(np.stack([pd, np.eye(2)])).is_positive_definite()
+    assert not MetricTensor(np.stack([pd, indefinite, np.eye(2)])).is_positive_definite()
+    assert not MetricTensor(np.stack([pd, -np.eye(2)])).is_positive_definite()
+    assert not MetricTensor(indefinite).is_positive_definite()
+    stack = _interior_stack(np.random.default_rng(5), 3, 4)
+    assert div_metric(kl_functional(), simplex_model(3), stack).is_positive_definite()
+
+
+def test_raised_connection_takes_one_metric_of_the_connection_dimension():
+    conn = ConnCoeffs(np.zeros((2, 2, 2)))
+    for entries in (np.stack([np.eye(2)] * 3), np.eye(3)):
+        with pytest.raises(InvalidArgument, match=re.escape(f"got entries {entries.shape}")):
+            raised_connection(MetricTensor(entries), conn)
+
+
+def test_div_metric_rejects_deeper_stacks():
+    with pytest.raises(InvalidArgument, match=re.escape("(1, 2, 2)")):
+        div_metric(kl_functional(), simplex_model(2), np.full((1, 2, 2), 0.3))
+    with pytest.raises(ParamOutOfRange, match="takes 2 parameters, got 3"):
+        div_metric(kl_functional(), simplex_model(2), np.full((2, 3), 0.2))
+
+
+# --- closed-form dual connections ------------------------------------------------------
+
+
+_CLOSED_PAIRS = {
+    "kl": (kl_pair(), kl_functional()),
+    "power": (power_pair(2.0), hf_div_functional(power_pair(2.0))),
+    "sm": (sm_divergence_pair(0.5, 0.7), sm_div_functional(0.5, 0.7)),
+}
+
+
+def _closed_cases():
+    for w in (1, 2, 3, 5):
+        rng = np.random.default_rng(300 + w)
+        for _ in range(3):
+            yield w, rng.dirichlet(np.full(w + 1, 8.0))
+
+
+def _closed_scale(pair, p):
+    """|c| max(1 / p^2), the size of the largest closed-form entry."""
+    return abs(float(pair.h_prime(pair.f1)) * pair.d2f1) * float(np.max(1.0 / p**2))
+
+
+def test_closed_connections_match_the_fd_alpha_connection():
+    pairs = [pair for pair, _ in _CLOSED_PAIRS.values()] + [tsallis_relative_pair(1.5)]
+    for w, p in _closed_cases():
+        model = simplex_model(w)
+        for pair in pairs:
+            c = float(pair.h_prime(pair.f1)) * pair.d2f1
+            a = hf_alpha_of(pair)
+            gamma, gamma_star = hf_closed_connections(pair, p[1:], w)
+            scale = _closed_scale(pair, p)
+            fd = c * alpha_connection(model, p[1:], -a).entries
+            assert np.max(np.abs(gamma.entries - fd)) <= 1e-5 * scale, (pair.name, w)
+            fd = c * alpha_connection(model, p[1:], a).entries
+            assert np.max(np.abs(gamma_star.entries - fd)) <= 1e-5 * scale, (pair.name, w)
+
+
+def test_closed_connections_match_div_connections():
+    for w, p in _closed_cases():
+        model = simplex_model(w)
+        for name, (pair, functional) in _CLOSED_PAIRS.items():
+            closed = hf_closed_connections(pair, p[1:], w)
+            fd = div_connections(functional, model, p[1:])
+            for want, got in zip(closed, fd):
+                err = np.max(np.abs(got.entries - want.entries))
+                assert err <= 3e-4 * _closed_scale(pair, p), (name, w)
+
+
+def test_closed_forms_satisfy_the_duality_identity():
+    # d_k g_ij = -c T_ijk and c Gamma^(-a) + c Gamma^(+a) = -c T: only FD truncation remains
+    for w, p in _closed_cases():
+        model = simplex_model(w)
+        for name, (pair, _) in _CLOSED_PAIRS.items():
+            gamma, gamma_star = hf_closed_connections(pair, p[1:], w)
+
+            def field(stack):
+                return MetricTensor(np.stack([hf_closed_metric(pair, y, w).entries for y in stack]))
+
+            residual = duality_residual(
+                field, lambda x: gamma, lambda x: gamma_star, model, p[1:]
+            )
+            assert residual <= 1e-6 * _closed_scale(pair, p), (name, w)
+
+
+def test_closed_connections_of_kl_are_mixture_flat_and_exponential_dual():
+    p = np.array([0.45, 0.3, 0.25])
+    gamma, gamma_star = hf_closed_connections(kl_pair(), p[1:], 2)
+    assert np.array_equal(gamma.entries, np.zeros((2, 2, 2)))
+    t = np.full((2, 2, 2), -1.0 / 0.45**2)
+    t[0, 0, 0] += 1.0 / 0.3**2
+    t[1, 1, 1] += 1.0 / 0.25**2
+    np.testing.assert_allclose(gamma_star.entries, -t, rtol=1e-14)
+
+
+def test_closed_connections_require_divergence_shape_and_an_interior_point():
+    with pytest.raises(ShapeMismatch):
+        hf_closed_connections(shannon(), [0.3, 0.25], size=2)
+    with pytest.raises(ParamOutOfRange):
+        hf_closed_connections(kl_pair(), [0.6, 0.5], size=2)
