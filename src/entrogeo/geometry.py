@@ -5,12 +5,12 @@ distributions; the canonical instance is the full open simplex, where
 xi = (p_1, ..., p_W) and p_0 = 1 - sum(xi) is the dependent coordinate.
 Everything here works on finite supports, so expectations are exact sums;
 only the parameter derivatives are numerical (central finite differences).
-Each tensor maps its whole stencil to weights in one `prob_fn` call, checks
-it in one `in_domain` call, and evaluates a divergence once per point held
-fixed in the other slot, over all stencil rows at once.  `div_metric` also
-takes a stack of points (k, n) and returns entries of shape (k, n, n), each
-bit-identical to its own call; `duality_residual` differentiates its
-`metric_field` through one such stack of four points per axis.
+Each tensor maps its whole stencil to weights in one `prob_fn` call and
+checks it in one `in_domain` call.  Divergence calls are stacked, up to a
+budget of 1024 stencil rows a call: `div_connections` evaluates the stencil
+against several parked points at once, and `div_metric` takes a stack of
+points (k, n), each bit-identical to its own call, which `duality_residual`
+fills with the five-point centres of several axes at once.
 
 From a divergence D(p_xi || p_xi') three tensors arise at the diagonal:
 
@@ -60,6 +60,9 @@ SIMPLEX_MARGIN = 1e-3
 
 SYMMETRY_TOL = 1e-10
 CONN_SYMMETRY_TOL = 1e-8
+
+#: Most stencil rows one stacked divergence or metric-field call holds.
+_ROW_BUDGET = 1024
 
 
 @dataclass(frozen=True)
@@ -231,6 +234,12 @@ def _stencil(model: StatModel, xi: np.ndarray, h: np.ndarray, mixed: bool = True
     return np.asarray(model.prob_fn(points), dtype=float)
 
 
+def _blocks(items: np.ndarray, rows: int) -> list[np.ndarray]:
+    """items cut along axis 0 into runs of as many `rows`-row items as fit _ROW_BUDGET (>= 1)."""
+    size = max(1, _ROW_BUDGET // rows)
+    return [items[lo : lo + size] for lo in range(0, len(items), size)]
+
+
 def _fd_first(table: np.ndarray, n: int, h: np.ndarray) -> np.ndarray:
     """Central first differences along the stencil axis (axis 0): shape (n, ...)."""
     return (table[1 : 2 * n + 1 : 2] - table[2 : 2 * n + 1 : 2]) / (2.0 * h)
@@ -300,18 +309,18 @@ def div_connections(
 
     Gamma_ij,k differentiates twice in the first slot and once in the second;
     Gamma*_ij,k swaps the roles.  Entries land in arrays indexed [i, j, k].
-    One divergence call per parked point xi +- h e_k and slot evaluates the
-    whole stencil of the other slot.
+    Each divergence call evaluates the whole stencil in one slot against as
+    many parked points xi +- h e_k in the other as fit the row budget.
     """
     xi = np.asarray(xi, dtype=float).reshape(-1)
     h = _scaled(step, CONN_STEP, xi)
     n = xi.size
     weights = _stencil(model, xi, h)
-    parked = weights[1 : 2 * n + 1]  # xi + h e_0, xi - h e_0, xi + h e_1, ...
+    parked = _blocks(weights[1 : 2 * n + 1, None], len(weights))  # xi + h e_0, xi - h e_0, ...
     out = []
-    for args in (((weights, q) for q in parked), ((q, weights) for q in parked)):
-        values = np.stack([_values(divergence, p, q) for p, q in args], axis=-1)
-        d2 = _fd_second(values, n, h)  # [i, j, parked point]
+    for args in (lambda q: (weights, q), lambda q: (q, weights)):
+        values = np.concatenate([_values(divergence, *args(q)) for q in parked])
+        d2 = _fd_second(values.T, n, h)  # [i, j, parked point]
         out.append(ConnCoeffs(-(d2[..., 0::2] - d2[..., 1::2]) / (2.0 * h)))
     return out[0], out[1]
 
@@ -392,25 +401,25 @@ def duality_residual(
 
     `metric_field` maps a stack of parameter points (k, n) to a MetricTensor
     with entries (k, n, n), as `div_metric` does.  It is differentiated by a
-    five-point central stencil with the given step, called once per axis k
-    on the stack xi + t h e_k, t = -2, -1, 1, 2 (so a smooth bias in the
-    field itself survives but the stencil's own truncation does not); the
-    two connection fields are evaluated at xi.
+    five-point central stencil with the given step at xi + t h e_k, t = -2,
+    -1, 1, 2 (so a smooth bias in the field itself survives but the stencil's
+    own truncation does not), fed axis-major, as many centres per call as fit
+    the row budget at 2n^2 + 1 rows each.  The connection fields get xi.
     """
     xi = np.asarray(xi, dtype=float).reshape(-1)
     h = _scaled(step, 1e-3, xi)
     n = xi.size
     model.point(xi)  # domain check up front
-    eye = np.eye(n)
     shifts = np.array([-2.0, -1.0, 1.0, 2.0])[:, None]
-    dg = np.empty((n, n, n))
-    for k in range(n):
-        vals = np.asarray(metric_field(xi + shifts * (h * eye[k])).entries)
-        if vals.shape != (4, n, n):
-            raise InvalidArgument(
-                f"metric_field gave entries of shape {vals.shape} for a (4, {n}) stack of points"
-            )
-        dg[k] = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
+    centres = (xi + shifts * (h * np.eye(n))[:, None]).reshape(4 * n, n)
+    vals = []
+    for stack in _blocks(centres, 2 * n * n + 1):
+        v = np.asarray(metric_field(stack).entries)
+        if v.shape != (len(stack), n, n):
+            raise InvalidArgument(f"metric_field gave entries of shape {v.shape} for {stack.shape}")
+        vals.append(v)
+    vals = np.concatenate(vals).reshape(n, 4, n, n)
+    dg = (vals[:, 0] - 8.0 * vals[:, 1] + 8.0 * vals[:, 2] - vals[:, 3]) / (12.0 * h)
     gamma = np.asarray(conn_field(xi).entries)
     gamma_star = np.asarray(dual_field(xi).entries)
     # dg[k, i, j] vs Gamma_{ki, j} + Gamma*_{kj, i}

@@ -229,8 +229,14 @@ def maximize(
 
     start = feasible.project(np.full(size, 1.0 / size))
     if feasible.residual(start) > FEAS_TOL:
+        a, b = a_full[1:], b_full[1:]  # on the simplex a_i . p spans [min a_i, max a_i]
+        gap = np.maximum(a.min(axis=1) - b, b - a.max(axis=1))
+        i = int(np.argmax(gap))
         raise Infeasible(
-            f"constraints miss the simplex by {feasible.residual(start):.3e}"
+            f"constraint row {i} targets {b[i]:.15g}, outside the range [{a[i].min():.15g}, "
+            f"{a[i].max():.15g}] it spans on the simplex: misses by {gap[i]:.3e}"
+            if gap[i] > 0.0
+            else "constraints miss the simplex jointly; each row alone is reachable"
         )
 
     def value(x: np.ndarray) -> float:

@@ -40,7 +40,7 @@ from entrogeo.errors import (
     ShapeMismatch,
     StepTooLarge,
 )
-from entrogeo.geometry import CONN_STEP, METRIC_STEP, StatModel
+from entrogeo.geometry import _ROW_BUDGET, CONN_STEP, METRIC_STEP, StatModel
 from entrogeo.hf_entropy import custom_pair
 
 
@@ -339,7 +339,7 @@ _ENGINE_DIVERGENCES = {
 
 
 @pytest.mark.parametrize("step", [None, 3e-4])
-@pytest.mark.parametrize("w", [1, 2, 5, 8])
+@pytest.mark.parametrize("w", [1, 2, 5, 8, 12])  # 8 and 12: parked points split over calls
 def test_stencil_engine_is_bit_identical_to_per_point_loops(w, step):
     rng = np.random.default_rng(100 + w)
     p = rng.dirichlet(np.full(w + 1, 6.0))
@@ -361,7 +361,7 @@ def test_stencil_engine_is_bit_identical_to_per_point_loops(w, step):
         assert np.array_equal(got, _loop_alpha(model, xi, alpha, metric_h)), alpha
 
 
-@pytest.mark.parametrize("w", [1, 3, 6])
+@pytest.mark.parametrize("w", [1, 3, 6, 7, 12])
 def test_divergence_calls_grow_linearly_with_dimension(w):
     kl = kl_functional()
     calls = []
@@ -377,8 +377,15 @@ def test_divergence_calls_grow_linearly_with_dimension(w):
     assert len(calls) == 1
     calls.clear()
     div_connections(d, model, xi)
-    assert len(calls) <= 4 * w
-    assert all(shape == (2 * w * w + 1, w + 1) for shape in calls)  # one stencil block each
+    rows = 2 * w * w + 1
+    per_call = _ROW_BUDGET // rows  # whole parked stencils that fit one call
+    assert all(shape[1:] == (rows, w + 1) for shape in calls)  # one stencil per parked point
+    assert [shape[0] for shape in calls] == 2 * [min(per_call, 2 * w - lo)
+                                                 for lo in range(0, 2 * w, per_call)]
+    assert all(shape[0] * rows <= _ROW_BUDGET for shape in calls)
+    if 2 * w * rows <= _ROW_BUDGET:
+        assert len(calls) == 2  # one call per slot
+    assert _ROW_BUDGET <= 4 * (2 * 12 * 12 + 1)  # no larger than one axis of W = 12 metrics
 
 
 def test_connections_refuse_a_parked_point_outside_the_domain():
@@ -472,7 +479,7 @@ def _loop_duality_residual(metric_at, gamma, gamma_star, model, xi, h):
 
 
 @pytest.mark.parametrize("step", [None, 2e-3])
-@pytest.mark.parametrize("w", [1, 2, 5, 12])
+@pytest.mark.parametrize("w", [1, 2, 5, 8, 12])  # 8 and 12: centres split over calls
 def test_duality_residual_is_bit_identical_to_the_per_point_loop(w, step):
     rng = np.random.default_rng(300 + w)
     model = simplex_model(w)
@@ -499,8 +506,8 @@ def test_duality_residual_is_bit_identical_to_the_per_point_loop(w, step):
         assert got == want, name
 
 
-@pytest.mark.parametrize("w", [1, 3, 6])
-def test_duality_residual_calls_its_metric_field_once_per_axis(w):
+@pytest.mark.parametrize("w", [1, 3, 5, 6, 12])
+def test_duality_residual_stacks_its_metric_field_within_the_row_budget(w):
     model = simplex_model(w)
     xi = np.full(w, 1.0 / (w + 1))
     gamma, gamma_star = div_connections(kl_functional(), model, xi)
@@ -511,7 +518,12 @@ def test_duality_residual_calls_its_metric_field_once_per_axis(w):
         return div_metric(kl_functional(), model, x)
 
     duality_residual(field, lambda x: gamma, lambda x: gamma_star, model, xi)
-    assert shapes == [(4, w)] * w
+    rows = 2 * w * w + 1  # div_metric's stencil per centre
+    assert sum(shape[0] for shape in shapes) == 4 * w
+    assert all(shape[1:] == (w,) and shape[0] * rows <= _ROW_BUDGET for shape in shapes)
+    assert len(shapes) == -(-4 * w // (_ROW_BUDGET // rows))  # as few calls as the budget allows
+    if w <= 5:
+        assert shapes == [(4 * w, w)]  # every axis in one call
     per_point = lambda x: div_metric(kl_functional(), model, np.asarray(x)[0])  # noqa: E731
     with pytest.raises(InvalidArgument, match=re.escape(f"shape {(w, w)}")):
         duality_residual(per_point, lambda x: gamma, lambda x: gamma_star, model, xi)
@@ -526,6 +538,10 @@ def test_duality_residual_calls_its_metric_field_once_per_axis(w):
         ([0.0025, 0.0025], ParamOutOfRange),  # both axes fail; axis 0 is named
         ([0.3, 0.6969], StepTooLarge),  # p_0 = 0.0031: the t = +2 centre's stencil leaves
         ([0.3, 0.6975], ParamOutOfRange),  # p_0 = 0.0025: the t = +2 centre leaves
+        # W = 6 stacks 14 centres per call: axes 0-2 and the t < 0 side of axis 3, then the rest
+        ([0.15, 0.15, 0.00305, 0.15, 0.15, 0.15], StepTooLarge),  # axis 2, in the first stack
+        ([0.15, 0.15, 0.15, 0.15, 0.0025, 0.15], ParamOutOfRange),  # axis 4, in the second
+        ([0.15, 0.15, 0.15, 0.00305, 0.0025, 0.15], StepTooLarge),  # axis 3 named before axis 4
     ],
 )
 def test_duality_residual_names_the_first_failing_centre_like_the_loop(xi, error):

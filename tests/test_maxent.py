@@ -77,10 +77,35 @@ def test_infeasible_target_raises():
         )
 
 
+@pytest.mark.parametrize(
+    "target, miss",
+    [(2.0 + 1e-6, "1.000e-06"), (2.5, "5.000e-01"), (-0.1, "1.000e-01")],
+)
+def test_infeasible_target_reports_its_distance_from_the_reachable_range(target, miss):
+    # on the simplex the mean of {0, 1, 2} spans exactly [0, 2]
+    constraints = ConstraintSet(GIBBS_A, [target])
+    with pytest.raises(Infeasible) as err:
+        maximize(builtin_functional("shannon"), size=3, constraints=constraints)
+    assert str(err.value) == (
+        f"constraint row 0 targets {target!r}, outside the range [0, 2] "
+        f"it spans on the simplex: misses by {miss}"
+    )
+
+
+def test_the_row_that_misses_most_is_named():
+    constraints = ConstraintSet([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]], [2.5, 1.75])
+    with pytest.raises(Infeasible, match=r"^constraint row 1 targets 1\.75, .* by 7\.500e-01$"):
+        maximize(builtin_functional("shannon"), size=3, constraints=constraints)
+
+
 def test_two_row_infeasible_constraints_raise():
     # p0 = 0.9 leaves 0.1 for p1 + p2, so the mean of {0,1,2} is at most 0.2
     constraints = ConstraintSet([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]], [1.2, 0.9])
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible, match="^constraints miss the simplex jointly; each row alone"):
+        maximize(builtin_functional("shannon"), size=3, constraints=constraints)
+    # a mean of exactly 2 is reachable alone (p = e_2), but not with p0 = 0.5: no zero miss
+    constraints = ConstraintSet([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0]], [2.0, 0.5])
+    with pytest.raises(Infeasible, match="^constraints miss the simplex jointly; each row alone"):
         maximize(builtin_functional("shannon"), size=3, constraints=constraints)
 
 
