@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ArityMismatch, InvalidArgument, LawMismatch, MonotonicityViolation
 from .formal_group import BinaryLaw, Conjugator, conjugate, iterate_pow2, q_sum
-from .hf_entropy import EntropyFunctional, _guard_param, product_residuals
+from .hf_entropy import EntropyFunctional, _guard_param, _power, _trace, product_residuals
 
 MONO_SLACK = 1e-12
 
@@ -252,8 +252,8 @@ def sm_pair_value(alpha1: float, alpha2: float, beta: float, weights) -> np.ndar
     a2 = _guard_param(alpha2, "alpha2")
     b = _guard_param(beta, "beta", positive=False)
     p = np.asarray(weights, dtype=float)
-    s1 = np.power(p, a1).sum(axis=-1)
-    s2 = np.power(p, a2).sum(axis=-1)
+    s1 = _trace(_power(a1), p)
+    s2 = _trace(_power(a2), p)
     prod = np.power(s1, (b - 1.0) / (a1 - 1.0)) * np.power(s2, (b - 1.0) / (a2 - 1.0))
     return (1.0 - prod) / (b - 1.0)
 
@@ -278,8 +278,8 @@ def sm_tsallis_value(alpha: float, q: float, weights) -> np.ndarray:
     a = _guard_param(alpha, "alpha")
     qq = _guard_param(q, "q")
     p = np.asarray(weights, dtype=float)
-    sq = np.power(p, qq).sum(axis=-1)
-    sa = np.power(p, a).sum(axis=-1)
+    sq = _trace(_power(qq), p)
+    sa = _trace(_power(a), p)
     return (1.0 - sq * np.power(sa, (qq - 1.0) / (a - 1.0))) / (qq - 1.0)
 
 

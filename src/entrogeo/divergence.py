@@ -26,7 +26,10 @@ from .hf_entropy import (
     _IDENTITY_H,
     HFPair,
     _guard_param,
+    _power,
     _sm_rescale,
+    _trace,
+    _zero_ok,
     custom_pair,
     require_divergence_shape,
     zero_preserving,
@@ -68,13 +71,15 @@ class DivergenceFunctional:
 
 
 def hf_div_functional(pair: HFPair) -> DivergenceFunctional:
-    """Wrap a divergence-shaped pair as h(sum q f(p/q))."""
+    """Wrap a divergence-shaped pair as h(sum q f(p/q)).
+
+    A term with p_i exactly 0 is q_i f(0) = 0; a nan in p makes its row nan.
+    """
     require_divergence_shape(pair)
 
     def fn(p, q):
-        p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
-        return pair.h((np.asarray(pair.f(p / q)) * q).sum(axis=-1))
+        return pair.h(_trace(pair.f, np.asarray(p, dtype=float) / q, q))
 
     return DivergenceFunctional(fn=fn, name=f"D[{pair.name}]", pair=pair)
 
@@ -87,11 +92,17 @@ def hf_divergence(pair: HFPair, p: ProbDist, q: ProbDist) -> float:
 # --- built-in pairs and families -----------------------------------------------
 
 
+def _t_log_t(t: np.ndarray) -> np.ndarray:
+    out = np.log(t)
+    out *= t
+    return out
+
+
 def kl_pair() -> HFPair:
     """f = t ln t with h = x: the Kullback-Leibler pair."""
     return custom_pair(
         name="kl",
-        f=zero_preserving(lambda t: t * np.log(t)),
+        f=zero_preserving(_t_log_t),
         **_IDENTITY_H,
         f_prime=zero_preserving(lambda t: np.log(t) + 1.0),
         derivs=(1.0, 1.0, -1.0),
@@ -101,13 +112,17 @@ def kl_pair() -> HFPair:
 
 
 def kl_functional() -> DivergenceFunctional:
-    """Kullback-Leibler divergence, computed directly as sum p ln(p/q)."""
+    """Kullback-Leibler divergence, computed directly as sum p ln(p/q).
+
+    A term with p_i exactly 0 is 0; a nan or negative p_i makes its row nan.
+    """
+
+    # ln(p/q) in place on the ratio; p ln(p/q) is 0 at p = 0, whatever ln 0 reads as
+    log = zero_preserving(lambda ratio: np.log(ratio, out=ratio))
 
     def fn(p, q):
         p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        ratio = np.where(p > 0.0, p / q, 1.0)
-        return np.where(p > 0.0, p * np.log(ratio), 0.0).sum(axis=-1)
+        return _trace(log, p / np.asarray(q, dtype=float), p)
 
     return DivergenceFunctional(fn=fn, name="kl", pair=kl_pair())
 
@@ -129,7 +144,7 @@ def power_pair(a: float) -> HFPair:
     sign = 1.0 if convex else -1.0
     return custom_pair(
         name=f"power({a:g})",
-        f=lambda t: np.power(t, a),
+        f=_power(a),
         h=lambda x: sign * (np.asarray(x, dtype=float) - 1.0),
         h_inverse=lambda y: sign * np.asarray(y, dtype=float) + 1.0,
         h_prime=lambda x: np.full_like(np.asarray(x, dtype=float), sign),
@@ -143,9 +158,16 @@ def power_pair(a: float) -> HFPair:
 def tsallis_relative_pair(alpha: float) -> HFPair:
     """f = (t^alpha - t)/(alpha - 1) with h = x: the Tsallis relative pair."""
     a = _guard_param(alpha, "alpha")
+
+    def f(t):  # (t^a - t) / (a - 1) with one temporary
+        out = np.power(t, a)
+        out -= t
+        out /= a - 1.0
+        return out
+
     return custom_pair(
         name=f"tsallis-relative({a:g})",
-        f=lambda t: (np.power(t, a) - t) / (a - 1.0),
+        f=_zero_ok(f, a),
         **_IDENTITY_H,
         f_prime=lambda t: (a * np.power(t, a - 1.0) - 1.0) / (a - 1.0),
         derivs=(1.0, a, a * (a - 2.0)),
@@ -165,7 +187,7 @@ def sm_divergence_pair(alpha: float, beta: float) -> HFPair:
     h, h_inverse, h_prime = _sm_rescale(a, b, sign=-1.0)
     return custom_pair(
         name=f"sm-div({a:g},{b:g})",
-        f=lambda t: np.power(t, a),
+        f=_power(a),
         h=h,
         h_inverse=h_inverse,
         h_prime=h_prime,
@@ -186,9 +208,7 @@ def sm_div_functional(alpha: float, beta: float) -> DivergenceFunctional:
     a, b = float(alpha), float(beta)
 
     def fn(p, q):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        return pair.h((np.power(p, a) * np.power(q, 1.0 - a)).sum(axis=-1))
+        return pair.h(_trace(pair.f, p, np.power(np.asarray(q, dtype=float), 1.0 - a)))
 
     return DivergenceFunctional(fn=fn, name=f"sm({a:g},{b:g})", pair=pair)
 

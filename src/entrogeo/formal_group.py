@@ -244,7 +244,7 @@ def check_phi4_symmetry(
     base = phi4(*args)
     worst = 0.0
     for perm in itertools.permutations(range(4)):
-        worst = max(worst, float(np.max(np.abs(phi4(*args[list(perm)]) - base))))
+        worst = max(worst, float(np.max(np.abs(phi4(*(args[i] for i in perm)) - base))))
     return worst
 
 

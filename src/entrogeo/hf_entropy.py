@@ -18,7 +18,10 @@ then the entropy itself composes through Phi(x, y) = h(chi(h^-1 x, h^-1 y))
 (`phi_from_chi`), and `composability_residual` measures how far a candidate
 law is from that identity on concrete product distributions.
 
-Conventions: 0 ln 0 = 0 by explicit branching, never by evaluating at 0.
+Conventions: f(0) = 0 exactly.  Traces keep exact zeros off the slow path
+that log and pow take at 0 by passing them to f as 1 and multiplying their
+terms by 0 (`_trace`).  Only an exact 0 reads as 0; a nan weight makes its
+row nan.
 """
 
 from __future__ import annotations
@@ -60,18 +63,81 @@ def zero_preserving(raw: Callable) -> Callable:
     """Extend a map on positive reals to t = 0 with value exactly 0.
 
     Needed for integrands like t ln t whose naive evaluation at 0 is nan.
-    The wrapper accepts scalars or arrays and never calls `raw` at or below 0.
+    The wrapper accepts scalars or arrays and never calls `raw` at an exact
+    0: an array with no entry <= 0 goes to `raw` whole, in one call;
+    otherwise every exact 0 goes to `raw` as 1 and its value is multiplied
+    by 0.  Any other entry, nan or negative included, goes to `raw` as it
+    is.  `raw` always gets an array of at least one dimension.
     """
 
     def f(t):
         arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(arr.shape)
-        pos = arr > 0.0
-        if pos.any():
-            out[pos] = raw(arr[pos])
+        if arr.min(initial=np.inf) > 0.0:  # no 0, negative or nan
+            out = np.asarray(raw(arr), dtype=float)
+        else:
+            out = _substituted(raw, arr)
         return float(out[0]) if np.ndim(t) == 0 else out
 
+    f.zero_ok = True
     return f
+
+
+def _substituted(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f(x) elementwise, with each exact 0 of x passed to f as 1 and its value multiplied by 0.
+
+    Float arithmetic, several times cheaper than a masked gather or write;
+    f(1) is finite for every anchored pair, so each such value is 0.
+    """
+    zero = x == 0.0
+    terms = np.asarray(f(x + zero), dtype=float)
+    terms *= ~zero
+    return terms
+
+
+#: Exponents that np.power routes to sqrt and square: t^a costs no more at
+#: t = 0 than elsewhere, where log and general powers take a slow path.
+_FAST_EXPONENTS = frozenset({0.5, 2.0})
+
+
+def _zero_ok(f: Callable, *exponents: float) -> Callable:
+    """Mark f, whose only nonlinearities are t^a at these exponents, as cheap at 0.
+
+    `_trace` passes exact zeros straight to a marked f, which is faster
+    where np.power takes no slow path at 0.
+    """
+    f.zero_ok = _FAST_EXPONENTS.issuperset(exponents)
+    return f
+
+
+def _power(a: float) -> Callable:
+    """t -> t^a, the f of the power families."""
+    return _zero_ok(lambda t: np.power(t, a), a)
+
+
+def _trace(f: Callable, x, weight=None) -> np.ndarray:
+    """sum_i f(x_i), or sum_i weight_i f(x_i), along the last axis.
+
+    The one trace behind every (h, f) entropy and divergence.  f must give
+    exactly 0 at 0, as every anchored pair's f does (a map like t ln t gets
+    there through `zero_preserving`).  log and general powers take a slow
+    path at 0, so when the first row of x holds a 0 (or any entry that is
+    not positive) the zeros go to f as 1 and their values are multiplied
+    by 0.  Otherwise x goes to f whole: reading one row costs a dense batch
+    nothing, and zeros further down cost f what they cost before.  f marked
+    `zero_ok` always gets x whole.  The values are scaled by `weight` in
+    place, so f must return a new array, or x itself when x is the
+    caller's own temporary.
+    """
+    x = np.asarray(x, dtype=float)
+    first = x[(0,) * (x.ndim - 1)] if x.ndim > 1 and x.size else x
+    if getattr(f, "zero_ok", False) or first.min(initial=np.inf) > 0.0:
+        terms = np.asarray(f(x), dtype=float)
+    else:
+        terms = _substituted(f, x)
+    if weight is not None:
+        full = np.broadcast(terms, weight).shape == terms.shape
+        terms = np.multiply(terms, weight, out=terms if full else None)
+    return terms.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -189,10 +255,16 @@ _IDENTITY_H = {
 }
 
 
+def _neg_t_log_t(t: np.ndarray) -> np.ndarray:
+    out = np.log(t)
+    out *= t
+    return np.negative(out, out=out)
+
+
 def shannon() -> HFPair:
     return HFPair(
         name="shannon",
-        f=zero_preserving(lambda t: -t * np.log(t)),
+        f=zero_preserving(_neg_t_log_t),
         **_IDENTITY_H,
         df1=-1.0,
         d2f1=-1.0,
@@ -212,7 +284,7 @@ def renyi(alpha: float) -> HFPair:
 
     return HFPair(
         name=f"renyi({alpha:g})",
-        f=lambda t: np.power(t, a),
+        f=_power(a),
         h=h,
         h_inverse=lambda y: np.exp((1.0 - a) * np.asarray(y, dtype=float)),
         h_prime=lambda x: 1.0 / ((1.0 - a) * np.asarray(x, dtype=float)),
@@ -228,9 +300,15 @@ def renyi(alpha: float) -> HFPair:
 def tsallis(q: float) -> HFPair:
     q = _guard_param(q, "q")
 
+    def f(t):  # (t - t^q) / (q - 1) with one temporary
+        out = np.power(t, q)
+        out -= t
+        out /= 1.0 - q
+        return out
+
     return HFPair(
         name=f"tsallis({q:g})",
-        f=lambda t: (t - np.power(t, q)) / (q - 1.0),
+        f=_zero_ok(f, q),
         **_IDENTITY_H,
         df1=-1.0,
         d2f1=-q,
@@ -248,7 +326,7 @@ def sharma_mittal(alpha: float, beta: float) -> HFPair:
     h, h_inverse, h_prime = _sm_rescale(a, b, sign=1.0)
     return HFPair(
         name=f"sharma-mittal({a:g},{b:g})",
-        f=lambda t: np.power(t, a),
+        f=_power(a),
         h=h,
         h_inverse=h_inverse,
         h_prime=h_prime,
@@ -269,9 +347,15 @@ def kaniadakis(kappa: float) -> HFPair:
         )
     k = kappa
 
+    def f(t):
+        out = np.power(t, 1.0 - k)
+        out -= np.power(t, 1.0 + k)
+        out /= 2.0 * k
+        return out
+
     return HFPair(
         name=f"kaniadakis({kappa:g})",
-        f=lambda t: (np.power(t, 1.0 - k) - np.power(t, 1.0 + k)) / (2.0 * k),
+        f=f,
         **_IDENTITY_H,
         df1=-1.0,
         d2f1=-1.0,
@@ -448,8 +532,13 @@ class EntropyFunctional:
 
 
 def hf_sum(pair: HFPair, weights) -> np.ndarray:
-    """The raw trace sum_i f(p_i) along the last axis."""
-    return np.asarray(pair.f(np.asarray(weights, dtype=float))).sum(axis=-1)
+    """The raw trace sum_i f(p_i) along the last axis.
+
+    An exact zero weight contributes exactly f(0) = 0 (see `_trace` for how
+    it is kept off the slow path of log and pow); a nan weight makes its
+    row nan.
+    """
+    return _trace(pair.f, weights)
 
 
 def eval_entropy(pair: HFPair, p: ProbDist) -> float:
