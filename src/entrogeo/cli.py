@@ -82,10 +82,10 @@ def _escape(s: str) -> str:
     return json.dumps(s, ensure_ascii=True)
 
 
-def render_pretty(doc, indent: int = 0) -> str:
+def render_pretty(doc) -> str:
     """Human-readable aligned listing of the same document."""
     lines: list[str] = []
-    _write_pretty(doc, indent, lines, key=None)
+    _write_pretty(doc, 0, lines, key=None)
     return "\n".join(lines)
 
 
@@ -239,15 +239,10 @@ def _cmd_divergence(args) -> tuple[int, dict]:
     fam = args.family.strip().lower()
     _reject_inapplicable(
         args,
-        {"pair": fam == "hf", "of": fam == "composed", "coeffs": fam == "composed",
-         "params": fam != "composed"},
+        {"of": fam == "composed", "coeffs": fam == "composed", "params": fam != "composed"},
         f"divergence --family {fam}",
     )
-    if fam == "hf":
-        if not args.pair:
-            raise ParamOutOfRange("--family hf requires --pair")
-        functional = _divergence(args.pair, args.params)
-    elif fam == "composed":
+    if fam == "composed":
         if not args.of:
             raise ParamOutOfRange("--family composed requires at least one --of")
         coeffs = _point_from_text(args.coeffs) if args.coeffs else np.ones(len(args.of))
@@ -620,9 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_entropy)
 
     p = sub.add_parser("divergence", help="evaluate a divergence D(p || q)")
-    p.add_argument("--family", required=True, help="kl|sm|power|tsallis-rel spec, hf or composed")
+    p.add_argument("--family", required=True, help="kl|sm|power|tsallis-rel spec or composed")
     p.add_argument("--params", nargs="*", metavar="K=V", help="family parameters")
-    p.add_argument("--pair", help="(h,f) pair spec for --family hf, e.g. power:a=2")
     p.add_argument("--of", action="append", metavar="SPEC", help="constituent for --family composed (repeatable)")
     p.add_argument("--coeffs", help="comma-separated weights for --family composed")
     p.add_argument("--p", required=True, help="first distribution file")

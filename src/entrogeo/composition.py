@@ -34,9 +34,12 @@ import numpy as np
 
 from .errors import ArityMismatch, InvalidArgument, LawMismatch, MonotonicityViolation
 from .formal_group import BinaryLaw, Conjugator, conjugate, iterate_pow2, q_sum
-from .hf_entropy import EntropyFunctional, _guard_param, _power, _trace, product_residuals
+from .hf_entropy import EntropyFunctional, _f_power, _guard_param, _trace, product_residuals
 
 MONO_SLACK = 1e-12
+
+#: Largest product residual a constituent may show against the shared law.
+PROBE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -189,7 +192,6 @@ def group_compose(
     entropies: Sequence[EntropyFunctional],
     xi: Conjugator,
     m: int,
-    probe_tol: float = 1e-9,
     seed: int = 0,
 ) -> tuple[EntropyFunctional, BinaryLaw]:
     """Combine 2^m law-sharing entropies through the iterated law and xi.
@@ -197,7 +199,7 @@ def group_compose(
     Returns (Z, omega): the composed entropy and the law it provably composes
     with over product distributions.  Before composing, every constituent is
     checked on seeded probe pairs at W in {2, 3} against the shared law of
-    the first constituent; a residual above `probe_tol` raises LawMismatch.
+    the first constituent; a residual above PROBE_TOL raises LawMismatch.
     """
     entropies = list(entropies)
     arity = 2**m
@@ -209,7 +211,7 @@ def group_compose(
     for s in entropies:
         if s.law is None:
             raise LawMismatch(f"{s.name} carries no composition law")
-        _probe_law(s, law, probe_tol, seed)
+        _probe_law(s, law, seed)
 
     phi_n = iterate_pow2(law, m)
     fns = [s.fn for s in entropies]
@@ -224,18 +226,16 @@ def group_compose(
     return EntropyFunctional(fn=fn, name=name, law=omega), omega
 
 
-def _probe_law(
-    entropy: EntropyFunctional, law: BinaryLaw, tol: float, seed: int
-) -> None:
+def _probe_law(entropy: EntropyFunctional, law: BinaryLaw, seed: int) -> None:
     rng = np.random.default_rng(seed)
     for w1, w2 in ((2, 3), (3, 2), (2, 2)):
         p = rng.dirichlet(np.ones(w1))
         q = rng.dirichlet(np.ones(w2))
         residual = float(product_residuals(entropy.fn, law, p[None], q[None])[0])
-        if not residual <= tol:
+        if not residual <= PROBE_TOL:
             raise LawMismatch(
                 f"{entropy.name} misses {law.name} by {residual:.3e} on a "
-                f"{w1}x{w2} probe pair (tol {tol:.1e})"
+                f"{w1}x{w2} probe pair (tol {PROBE_TOL:.1e})"
             )
 
 
@@ -252,8 +252,8 @@ def sm_pair_value(alpha1: float, alpha2: float, beta: float, weights) -> np.ndar
     a2 = _guard_param(alpha2, "alpha2")
     b = _guard_param(beta, "beta", positive=False)
     p = np.asarray(weights, dtype=float)
-    s1 = _trace(_power(a1), p)
-    s2 = _trace(_power(a2), p)
+    s1 = _trace(_f_power(a1)["f"], p)
+    s2 = _trace(_f_power(a2)["f"], p)
     prod = np.power(s1, (b - 1.0) / (a1 - 1.0)) * np.power(s2, (b - 1.0) / (a2 - 1.0))
     return (1.0 - prod) / (b - 1.0)
 
@@ -273,14 +273,13 @@ def sm_tsallis_value(alpha: float, q: float, weights) -> np.ndarray:
     """A Sharma-Mittal entropy combined with the Tsallis entropy of the same q.
 
     Direct formula:
-        (1 - (sum p^q) * (sum p^alpha)^((q-1)/(alpha-1))) / (q - 1).
+        (1 - (sum p^q) * (sum p^alpha)^((q-1)/(alpha-1))) / (q - 1),
+    which is `sm_pair_value(alpha, q, q, weights)`: Tsallis(q) is
+    Sharma-Mittal(q, q), and its factor (sum p^q)^1 is exact.
     """
-    a = _guard_param(alpha, "alpha")
-    qq = _guard_param(q, "q")
-    p = np.asarray(weights, dtype=float)
-    sq = _trace(_power(qq), p)
-    sa = _trace(_power(a), p)
-    return (1.0 - sq * np.power(sa, (qq - 1.0) / (a - 1.0))) / (qq - 1.0)
+    _guard_param(alpha, "alpha")  # the errors name this function's parameters
+    _guard_param(q, "q")
+    return sm_pair_value(alpha, q, q, weights)
 
 
 def sm_tsallis_entropy(alpha: float, q: float) -> EntropyFunctional:

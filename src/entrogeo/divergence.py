@@ -25,14 +25,14 @@ from .errors import ArityMismatch, DomainError, LengthMismatch, ZetaRangeViolati
 from .hf_entropy import (
     _IDENTITY_H,
     HFPair,
+    _f_power,
+    _f_t_log_t,
+    _f_tsallis,
     _guard_param,
-    _power,
+    _log_in_place,
     _sm_rescale,
     _trace,
-    _zero_ok,
-    custom_pair,
     require_divergence_shape,
-    zero_preserving,
 )
 from .probability import ProbDist
 
@@ -84,31 +84,12 @@ def hf_div_functional(pair: HFPair) -> DivergenceFunctional:
     return DivergenceFunctional(fn=fn, name=f"D[{pair.name}]", pair=pair)
 
 
-def hf_divergence(pair: HFPair, p: ProbDist, q: ProbDist) -> float:
-    """Evaluate the (h, f)-divergence of one pair of distributions."""
-    return hf_div_functional(pair).eval(p, q)
-
-
 # --- built-in pairs and families -----------------------------------------------
-
-
-def _t_log_t(t: np.ndarray) -> np.ndarray:
-    out = np.log(t)
-    out *= t
-    return out
 
 
 def kl_pair() -> HFPair:
     """f = t ln t with h = x: the Kullback-Leibler pair."""
-    return custom_pair(
-        name="kl",
-        f=zero_preserving(_t_log_t),
-        **_IDENTITY_H,
-        f_prime=zero_preserving(lambda t: np.log(t) + 1.0),
-        derivs=(1.0, 1.0, -1.0),
-        f_shape="convex",
-        h_direction="increasing",
-    )
+    return HFPair(name="kl", **_f_t_log_t(1.0), **_IDENTITY_H, h_direction="increasing")
 
 
 def kl_functional() -> DivergenceFunctional:
@@ -117,19 +98,11 @@ def kl_functional() -> DivergenceFunctional:
     A term with p_i exactly 0 is 0; a nan or negative p_i makes its row nan.
     """
 
-    # ln(p/q) in place on the ratio; p ln(p/q) is 0 at p = 0, whatever ln 0 reads as
-    log = zero_preserving(lambda ratio: np.log(ratio, out=ratio))
-
     def fn(p, q):
         p = np.asarray(p, dtype=float)
-        return _trace(log, p / np.asarray(q, dtype=float), p)
+        return _trace(_log_in_place, p / np.asarray(q, dtype=float), p)
 
     return DivergenceFunctional(fn=fn, name="kl", pair=kl_pair())
-
-
-def kl(p: ProbDist, q: ProbDist) -> float:
-    """Kullback-Leibler divergence of p from strictly positive q."""
-    return kl_functional().eval(p, q)
 
 
 def power_pair(a: float) -> HFPair:
@@ -142,15 +115,12 @@ def power_pair(a: float) -> HFPair:
     a = _guard_param(a, "a")
     convex = a > 1.0
     sign = 1.0 if convex else -1.0
-    return custom_pair(
+    return HFPair(
         name=f"power({a:g})",
-        f=_power(a),
+        **_f_power(a),
         h=lambda x: sign * (np.asarray(x, dtype=float) - 1.0),
         h_inverse=lambda y: sign * np.asarray(y, dtype=float) + 1.0,
         h_prime=lambda x: np.full_like(np.asarray(x, dtype=float), sign),
-        f_prime=lambda t: a * np.power(t, a - 1.0),
-        derivs=(a, a * (a - 1.0), a * (a - 1.0) * (a - 2.0)),
-        f_shape="convex" if convex else "concave",
         h_direction="increasing" if convex else "decreasing",
     )
 
@@ -158,20 +128,10 @@ def power_pair(a: float) -> HFPair:
 def tsallis_relative_pair(alpha: float) -> HFPair:
     """f = (t^alpha - t)/(alpha - 1) with h = x: the Tsallis relative pair."""
     a = _guard_param(alpha, "alpha")
-
-    def f(t):  # (t^a - t) / (a - 1) with one temporary
-        out = np.power(t, a)
-        out -= t
-        out /= a - 1.0
-        return out
-
-    return custom_pair(
+    return HFPair(
         name=f"tsallis-relative({a:g})",
-        f=_zero_ok(f, a),
+        **_f_tsallis(a, 1.0),
         **_IDENTITY_H,
-        f_prime=lambda t: (a * np.power(t, a - 1.0) - 1.0) / (a - 1.0),
-        derivs=(1.0, a, a * (a - 2.0)),
-        f_shape="convex",
         h_direction="increasing",
     )
 
@@ -185,15 +145,12 @@ def sm_divergence_pair(alpha: float, beta: float) -> HFPair:
     a = _guard_param(alpha, "alpha")
     b = _guard_param(beta, "beta", positive=False)
     h, h_inverse, h_prime = _sm_rescale(a, b, sign=-1.0)
-    return custom_pair(
+    return HFPair(
         name=f"sm-div({a:g},{b:g})",
-        f=_power(a),
+        **_f_power(a),
         h=h,
         h_inverse=h_inverse,
         h_prime=h_prime,
-        f_prime=lambda t: a * np.power(t, a - 1.0),
-        derivs=(a, a * (a - 1.0), a * (a - 1.0) * (a - 2.0)),
-        f_shape="convex" if a > 1.0 else "concave",
         h_direction="increasing" if a > 1.0 else "decreasing",
     )
 
@@ -211,11 +168,6 @@ def sm_div_functional(alpha: float, beta: float) -> DivergenceFunctional:
         return pair.h(_trace(pair.f, p, np.power(np.asarray(q, dtype=float), 1.0 - a)))
 
     return DivergenceFunctional(fn=fn, name=f"sm({a:g},{b:g})", pair=pair)
-
-
-def sm_divergence(alpha: float, beta: float, p: ProbDist, q: ProbDist) -> float:
-    """Evaluate the Sharma-Mittal divergence at one pair of distributions."""
-    return sm_div_functional(alpha, beta).eval(p, q)
 
 
 # --- composition -----------------------------------------------------------------

@@ -78,14 +78,14 @@ class Conjugator:
     inverse: Callable
     name: str
 
-    def check_roundtrip(self, points, tol: float = AXIOM_TOL) -> None:
-        """Verify inverse(forward(x)) = x on the given points."""
+    def check_roundtrip(self, points) -> None:
+        """Verify inverse(forward(x)) = x to AXIOM_TOL on the given points."""
         arr = np.asarray(points, dtype=float)
         back = self.inverse(self.forward(arr))
         worst = float(np.max(np.abs(back - arr))) if arr.size else 0.0
-        if not np.isfinite(worst) or worst > tol:
+        if not np.isfinite(worst) or worst > AXIOM_TOL:
             raise InversionFailure(
-                f"{self.name}: inverse fails round-trip by {worst:.3e} (tol {tol:.1e})"
+                f"{self.name}: inverse fails round-trip by {worst:.3e} (tol {AXIOM_TOL:.1e})"
             )
 
 

@@ -345,19 +345,17 @@ def alpha_connection(
     return ConnCoeffs(0.5 * (gamma + gamma.transpose(1, 0, 2)))
 
 
-def hf_closed_metric(pair: HFPair, xi, size: int, margin: float = SIMPLEX_MARGIN) -> MetricTensor:
+def hf_closed_metric(pair: HFPair, xi, size: int) -> MetricTensor:
     """Closed-form metric of an (h, f) divergence on the simplex model.
 
     g_ij = c (delta_ij / p_i + 1 / p_0) with c = h'(f(1)) f''(1); the pair
     must be divergence-shaped, which makes c positive.
     """
-    c, p = _closed_form_data(pair, xi, size, margin)
+    c, p = _closed_form_data(pair, xi, size)
     return MetricTensor(c * (np.diag(1.0 / p[1:]) + 1.0 / p[0]))
 
 
-def hf_closed_connections(
-    pair: HFPair, xi, size: int, margin: float = SIMPLEX_MARGIN
-) -> tuple[ConnCoeffs, ConnCoeffs]:
+def hf_closed_connections(pair: HFPair, xi, size: int) -> tuple[ConnCoeffs, ConnCoeffs]:
     """Closed-form dual connections (c Gamma^(-a), c Gamma^(+a)) on the simplex model.
 
     The simplex parameters are mixture coordinates (d_i d_j p = 0), so
@@ -365,7 +363,7 @@ def hf_closed_connections(
     (Amari & Nagaoka, Methods of Information Geometry); c and a are those
     of `hf_closed_metric` and `hf_alpha_of`.
     """
-    c, p = _closed_form_data(pair, xi, size, margin)
+    c, p = _closed_form_data(pair, xi, size)
     a = hf_alpha_of(pair)
     t = np.full((size, size, size), -1.0 / p[0] ** 2)
     axes = np.arange(size)
@@ -373,10 +371,10 @@ def hf_closed_connections(
     return ConnCoeffs(-0.5 * c * (1.0 - a) * t), ConnCoeffs(-0.5 * c * (1.0 + a) * t)
 
 
-def _closed_form_data(pair: HFPair, xi, size: int, margin: float) -> tuple[float, np.ndarray]:
+def _closed_form_data(pair: HFPair, xi, size: int) -> tuple[float, np.ndarray]:
     """(c, weights at xi) for the closed forms; c = h'(f(1)) f''(1)."""
     require_divergence_shape(pair)
-    p = simplex_model(size, margin).point(xi)
+    p = simplex_model(size).point(xi)
     return float(pair.h_prime(pair.f1)) * pair.d2f1, p
 
 

@@ -18,6 +18,12 @@ then the entropy itself composes through Phi(x, y) = h(chi(h^-1 x, h^-1 y))
 (`phi_from_chi`), and `composability_residual` measures how far a candidate
 law is from that identity on concrete product distributions.
 
+Each f of the built-in pairs is written once, in the f table (t ln t, t^a
+and the Tsallis f, the last two with their divergence mirror); the entropy
+families here and the divergence pairs all build from it.  `HFPair` takes
+any other (h, f) and fills a missing h' and f', f'', f''' at 1 by central
+differences.
+
 Conventions: f(0) = 0 exactly.  Traces keep exact zeros off the slow path
 that log and pow take at 0 by passing them to f as 1 and multiplying their
 terms by 0 (`_trace`).  Only an exact 0 reads as 0; a nan weight makes its
@@ -51,6 +57,9 @@ ANCHOR_TOL = 1e-12
 
 #: S(p) >= -NONNEG_TOL for valid pairs.
 NONNEG_TOL = 1e-12
+
+#: Step of the 5-point stencils that fill a pair's missing derivative data.
+DERIV_STEP = 1e-4
 
 #: Largest factor h' may change by across the construction probes.
 _H_SPREAD = math.exp(4.0)
@@ -109,11 +118,6 @@ def _zero_ok(f: Callable, *exponents: float) -> Callable:
     return f
 
 
-def _power(a: float) -> Callable:
-    """t -> t^a, the f of the power families."""
-    return _zero_ok(lambda t: np.power(t, a), a)
-
-
 def _trace(f: Callable, x, weight=None) -> np.ndarray:
     """sum_i f(x_i), or sum_i weight_i f(x_i), along the last axis.
 
@@ -146,25 +150,34 @@ class HFPair:
 
     `f` maps [0, inf) to the reals with f(0) = 0; `h` rescales the sum and
     must carry an explicit inverse (no root-finding happens at evaluation
-    time) and its derivative.  df1, d2f1, d3f1 are f', f'', f''' at t = 1;
-    built-in families fill them analytically, `custom_pair` by central
-    differences.  `f_prime`, when given, makes the entropy gradient
-    h'(sum f(p)) f'(p) analytic downstream.
+    time).  `h_prime` is h', and df1, d2f1, d3f1 are f', f'', f''' at t = 1.
+    The built-in families give them analytically; any left out are filled
+    from 5-point central stencils at step DERIV_STEP, so f must then be
+    evaluable on [1 - 2 DERIV_STEP, 1 + 2 DERIV_STEP], and the stencil's
+    f''' carries rounding noise of order 1e-4.  `f_prime`, when given, makes
+    the entropy gradient h'(sum f(p)) f'(p) analytic downstream.
     """
 
     name: str
     f: Callable
     h: Callable
     h_inverse: Callable
-    h_prime: Callable
-    df1: float
-    d2f1: float
-    d3f1: float
     f_shape: str
     h_direction: str
+    h_prime: Callable | None = None
+    df1: float | None = None
+    d2f1: float | None = None
+    d3f1: float | None = None
     f_prime: Callable | None = None
 
     def __post_init__(self) -> None:
+        if self.h_prime is None:
+            object.__setattr__(self, "h_prime", _fd_first_derivative(self.h, DERIV_STEP))
+        if None in (self.df1, self.d2f1, self.d3f1):
+            filled = _derivs_at_one(self.f, DERIV_STEP)
+            for field, value in zip(("df1", "d2f1", "d3f1"), filled):
+                if getattr(self, field) is None:
+                    object.__setattr__(self, field, value)
         if self.f_shape not in ("concave", "convex"):
             raise ShapeMismatch(f"f_shape must be 'concave' or 'convex', got {self.f_shape!r}")
         if self.h_direction not in ("increasing", "decreasing"):
@@ -245,6 +258,67 @@ def require_divergence_shape(pair: HFPair) -> None:
         )
 
 
+# --- the f table ---------------------------------------------------------------
+#
+# Each f of a built-in pair, written once with f', f'(1), f''(1), f'''(1) and
+# its shape, as HFPair keyword arguments.  `sign` -1 gives the f of the
+# entropy role and +1 its mirror in the divergence role.
+
+
+def _f_t_log_t(sign: float) -> dict:
+    """f = sign t ln t: -1 for shannon, +1 for kl."""
+
+    def raw(t):
+        out = np.log(t)
+        out *= t
+        return np.negative(out, out=out) if sign < 0.0 else out
+
+    return {
+        "f": zero_preserving(raw),
+        "f_prime": lambda t: sign * np.log(t) + sign,
+        "df1": sign,
+        "d2f1": sign,
+        "d3f1": -sign,
+        "f_shape": "convex" if sign > 0.0 else "concave",
+    }
+
+
+def _f_power(a: float) -> dict:
+    """f = t^a: renyi, sharma_mittal, power and the sm divergence."""
+    return {
+        "f": _zero_ok(lambda t: np.power(t, a), a),
+        "f_prime": lambda t: a * np.power(t, a - 1.0),
+        "df1": a,
+        "d2f1": a * (a - 1.0),
+        "d3f1": a * (a - 1.0) * (a - 2.0),
+        "f_shape": "concave" if a < 1.0 else "convex",
+    }
+
+
+def _f_tsallis(q: float, sign: float) -> dict:
+    """f = sign (t^q - t)/(q - 1): -1 for tsallis, +1 for tsallis-relative."""
+
+    def f(t):  # with one temporary
+        out = np.power(t, q)
+        out -= t
+        out /= sign * (q - 1.0)
+        return out
+
+    return {
+        "f": _zero_ok(f, q),
+        "f_prime": lambda t: (sign * q * np.power(t, q - 1.0) - sign) / (q - 1.0),
+        "df1": sign,
+        "d2f1": sign * q,
+        "d3f1": sign * q * (q - 2.0),
+        "f_shape": "convex" if sign > 0.0 else "concave",
+    }
+
+
+#: ln t, 0 at t = 0, written in place over its argument: the kl integrand
+#: t ln t over t, which `kl_functional` weights by p instead of q.
+_log_in_place = zero_preserving(lambda t: np.log(t, out=t))
+
+
 # --- built-in families ------------------------------------------------------
 
 #: h = x with its inverse and derivative: the rescale of every trace-form pair.
@@ -255,67 +329,30 @@ _IDENTITY_H = {
 }
 
 
-def _neg_t_log_t(t: np.ndarray) -> np.ndarray:
-    out = np.log(t)
-    out *= t
-    return np.negative(out, out=out)
-
-
 def shannon() -> HFPair:
-    return HFPair(
-        name="shannon",
-        f=zero_preserving(_neg_t_log_t),
-        **_IDENTITY_H,
-        df1=-1.0,
-        d2f1=-1.0,
-        d3f1=1.0,
-        f_shape="concave",
-        h_direction="increasing",
-        f_prime=zero_preserving(lambda t: -np.log(t) - 1.0),
-    )
+    return HFPair(name="shannon", **_f_t_log_t(-1.0), **_IDENTITY_H, h_direction="increasing")
 
 
 def renyi(alpha: float) -> HFPair:
-    alpha = _guard_param(alpha, "alpha")
-    a = alpha
+    a = _guard_param(alpha, "alpha")
 
     def h(x):
         return np.log(x) / (1.0 - a)
 
     return HFPair(
-        name=f"renyi({alpha:g})",
-        f=_power(a),
+        name=f"renyi({a:g})",
+        **_f_power(a),
         h=h,
         h_inverse=lambda y: np.exp((1.0 - a) * np.asarray(y, dtype=float)),
         h_prime=lambda x: 1.0 / ((1.0 - a) * np.asarray(x, dtype=float)),
-        df1=a,
-        d2f1=a * (a - 1.0),
-        d3f1=a * (a - 1.0) * (a - 2.0),
-        f_shape="concave" if a < 1.0 else "convex",
         h_direction="increasing" if a < 1.0 else "decreasing",
-        f_prime=lambda t: a * np.power(t, a - 1.0),
     )
 
 
 def tsallis(q: float) -> HFPair:
     q = _guard_param(q, "q")
-
-    def f(t):  # (t - t^q) / (q - 1) with one temporary
-        out = np.power(t, q)
-        out -= t
-        out /= 1.0 - q
-        return out
-
     return HFPair(
-        name=f"tsallis({q:g})",
-        f=_zero_ok(f, q),
-        **_IDENTITY_H,
-        df1=-1.0,
-        d2f1=-q,
-        d3f1=-q * (q - 2.0),
-        f_shape="concave",
-        h_direction="increasing",
-        f_prime=lambda t: (1.0 - q * np.power(t, q - 1.0)) / (q - 1.0),
+        name=f"tsallis({q:g})", **_f_tsallis(q, -1.0), **_IDENTITY_H, h_direction="increasing"
     )
 
 
@@ -326,16 +363,11 @@ def sharma_mittal(alpha: float, beta: float) -> HFPair:
     h, h_inverse, h_prime = _sm_rescale(a, b, sign=1.0)
     return HFPair(
         name=f"sharma-mittal({a:g},{b:g})",
-        f=_power(a),
+        **_f_power(a),
         h=h,
         h_inverse=h_inverse,
         h_prime=h_prime,
-        df1=a,
-        d2f1=a * (a - 1.0),
-        d3f1=a * (a - 1.0) * (a - 2.0),
-        f_shape="concave" if a < 1.0 else "convex",
         h_direction="increasing" if a < 1.0 else "decreasing",
-        f_prime=lambda t: a * np.power(t, a - 1.0),
     )
 
 
@@ -362,9 +394,7 @@ def kaniadakis(kappa: float) -> HFPair:
         d3f1=1.0 - k * k,
         f_shape="concave",
         h_direction="increasing",
-        f_prime=zero_preserving(
-            lambda t: ((1.0 - k) * np.power(t, -k) - (1.0 + k) * np.power(t, k)) / (2.0 * k)
-        ),
+        f_prime=lambda t: ((1.0 - k) * np.power(t, -k) - (1.0 + k) * np.power(t, k)) / (2.0 * k),
     )
 
 
@@ -436,45 +466,6 @@ def make_builtin(family: str, **params: float) -> HFPair:
     and invalid parameters raise ParamOutOfRange.
     """
     return _builtin(family, params)[0]
-
-
-def custom_pair(
-    name: str,
-    f: Callable,
-    h: Callable,
-    h_inverse: Callable,
-    f_shape: str,
-    h_direction: str,
-    *,
-    h_prime: Callable | None = None,
-    f_prime: Callable | None = None,
-    derivs: tuple[float, float, float] | None = None,
-    fd_step: float = 1e-4,
-) -> HFPair:
-    """Build a pair from user-supplied maps, filling derivative data by FD.
-
-    When `derivs` is omitted, f', f'', f''' at t = 1 come from 5-point central
-    stencils with step `fd_step`, so f must be evaluable on [1 - 2s, 1 + 2s].
-    The third-derivative estimate carries rounding noise of order 1e-4 at the
-    default step; pass `derivs` explicitly where that matters.
-    """
-    if derivs is None:
-        derivs = _derivs_at_one(f, fd_step)
-    if h_prime is None:
-        h_prime = _fd_first_derivative(h, fd_step)
-    return HFPair(
-        name=name,
-        f=f,
-        h=h,
-        h_inverse=h_inverse,
-        h_prime=h_prime,
-        df1=derivs[0],
-        d2f1=derivs[1],
-        d3f1=derivs[2],
-        f_shape=f_shape,
-        h_direction=h_direction,
-        f_prime=f_prime,
-    )
 
 
 def _derivs_at_one(f: Callable, s: float) -> tuple[float, float, float]:
@@ -562,7 +553,8 @@ def entropy_functional(
         def gradient(weights):  # noqa: F811 - deliberate rebind
             weights = np.asarray(weights, dtype=float)
             outer = np.asarray(pair.h_prime(hf_sum(pair, weights)), dtype=float)
-            return outer[..., None] * np.asarray(f_prime(weights))
+            with np.errstate(divide="ignore"):  # an exact 0 weight gets h' f'(0+)
+                return outer[..., None] * np.asarray(f_prime(weights))
 
     return EntropyFunctional(fn=fn, name=name or pair.name, law=law, gradient=gradient)
 
@@ -680,36 +672,23 @@ def sk_suite(
 # --- composability ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChiLaw:
-    """How raw trace sums compose over products: sum f(pq) = chi(sum f(p), sum f(q))."""
-
-    fn: Callable
-    name: str
-
-    def __call__(self, x, y):
-        return self.fn(x, y)
-
-
-def product_chi() -> ChiLaw:
+def product_chi() -> BinaryLaw:
     """chi(x, y) = x y, the law of the pure power traces f = t^alpha."""
-    return ChiLaw(fn=lambda x, y: np.multiply(x, y), name="product")
+    return BinaryLaw(
+        fn=lambda x, y: np.multiply(x, y), domain=Interval(0.0, math.inf), name="product"
+    )
 
 
-def q_sum_chi(q: float) -> ChiLaw:
-    """chi equal to the deformed sum itself (the Tsallis trace law)."""
-    law = q_sum(q)
-    return ChiLaw(fn=law.fn, name=law.name)
-
-
-def phi_from_chi(pair: HFPair, chi: ChiLaw, domain: Interval | None = None) -> BinaryLaw:
+def phi_from_chi(pair: HFPair, chi: BinaryLaw, domain: Interval | None = None) -> BinaryLaw:
     """The entropy-level law induced by a trace-level one.
 
-    Phi(x, y) = h(chi(h^-1(x), h^-1(y))).  If chi is commutative, associative,
-    and has f(1) as neutral element, Phi inherits all three axioms with 0 as
-    neutral element, because h(f(1)) = 0.  The default domain is [0, inf),
-    where entropy values live; evaluations that fall where h or h^-1 are
-    undefined raise DomainError.
+    chi composes the raw trace sums over products, sum f(pq) = chi(sum f(p),
+    sum f(q)): `product_chi` for the power traces, `q_sum(q)` itself for the
+    Tsallis ones.  Then Phi(x, y) = h(chi(h^-1(x), h^-1(y))).  If chi is
+    commutative, associative, and has f(1) as neutral element, Phi inherits
+    all three axioms with 0 as neutral element, because h(f(1)) = 0.  The
+    default domain is [0, inf), where entropy values live; evaluations that
+    fall where h or h^-1 are undefined raise DomainError.
     """
     if domain is None:
         domain = Interval(0.0, math.inf)

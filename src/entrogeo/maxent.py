@@ -31,6 +31,9 @@ EVAL_CLIP = 1e-12
 #: Feasibility declared when the affine residual is below this.
 FEAS_TOL = 1e-9
 
+#: Step of the central differences for functionals without a gradient.
+GRAD_STEP = 1e-6
+
 _NEWTON_ROUNDS = 100
 #: Projection residual |A p - b| accepted, per unit of the largest |A| entry.
 _PROJ_TOL = 1e-12
@@ -200,12 +203,11 @@ def maximize(
     tol: float = 1e-8,
     seed: int = 0,
     restarts: int = 1,
-    grad_step: float = 1e-6,
 ) -> MaxentResult:
     """Maximize S over the simplex slice cut out by the constraints.
 
     Gradients are analytic when the functional carries one (every (h, f)
-    pair with f') and central differences with `grad_step` otherwise.  Raises
+    pair with f') and central differences with step GRAD_STEP otherwise.  Raises
     Infeasible when no probability vector satisfies the constraints; failure
     to reach `tol` within `max_iter` only clears the `converged` flag.
     """
@@ -251,7 +253,7 @@ def maximize(
     else:
 
         def grad(x: np.ndarray) -> np.ndarray:
-            return _fd_gradient(entropy.fn, x, grad_step)
+            return _fd_gradient(entropy.fn, x, GRAD_STEP)
 
     rng = np.random.default_rng(seed)
     runs = []

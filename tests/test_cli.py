@@ -94,10 +94,10 @@ def test_divergence_from_csv_and_json(dist_file):
     assert doc["value"] == pytest.approx(0.5 * math.log(4.0 / 3.0), rel=1e-14)
 
 
-def test_divergence_hf_pair_spec(dist_file):
+def test_divergence_pair_spec(dist_file):
     p = dist_file("p.json", [0.5, 0.5])
     q = dist_file("q.json", [0.25, 0.75])
-    code, doc = run(["divergence", "--family", "hf", "--pair", "power:a=2", "--p", p, "--q", q])
+    code, doc = run(["divergence", "--family", "power:a=2", "--p", p, "--q", q])
     assert code == 0
     assert doc["value"] == pytest.approx(1.0 / 3.0, rel=1e-14)
 

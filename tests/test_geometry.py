@@ -41,7 +41,7 @@ from entrogeo.errors import (
     StepTooLarge,
 )
 from entrogeo.geometry import _ROW_BUDGET, CONN_STEP, METRIC_STEP, StatModel
-from entrogeo.hf_entropy import custom_pair
+from entrogeo.hf_entropy import HFPair
 
 
 def closed_fisher(point):
@@ -164,14 +164,16 @@ def test_connection_exponent_from_curvature_data(pair, expected):
 
 
 def test_degenerate_curvature_is_rejected():
-    flat = custom_pair(
+    flat = HFPair(
         name="flat",
         f=lambda t: np.asarray(t, dtype=float),
         h=lambda x: np.asarray(x) - 1.0,
         h_inverse=lambda y: np.asarray(y) + 1.0,
         f_shape="convex",
         h_direction="increasing",
-        derivs=(1.0, 0.0, 0.0),
+        df1=1.0,
+        d2f1=0.0,
+        d3f1=0.0,
     )
     with pytest.raises(DegenerateSecondDerivative):
         hf_alpha_of(flat)

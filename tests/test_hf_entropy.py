@@ -11,7 +11,6 @@ from entrogeo import (
     builtin_functional,
     certainty,
     composability_residual,
-    custom_pair,
     entropy_functional,
     eval_entropy,
     hf_sum,
@@ -20,7 +19,6 @@ from entrogeo import (
     phi_from_chi,
     product_chi,
     q_sum,
-    q_sum_chi,
     renyi,
     shannon,
     sharma_mittal,
@@ -38,7 +36,12 @@ from entrogeo.errors import (
     ParamOutOfRange,
     ShapeMismatch,
 )
-from entrogeo.hf_entropy import EntropyFunctional, require_divergence_shape, zero_preserving
+from entrogeo.hf_entropy import (
+    EntropyFunctional,
+    HFPair,
+    require_divergence_shape,
+    zero_preserving,
+)
 
 # reference values on p = (0.2, 0.3, 0.5), computed at 50-digit precision
 P = validate([0.2, 0.3, 0.5])
@@ -147,7 +150,7 @@ def test_wrong_h_inverse_still_raises():
     with pytest.raises(InversionFailure):
         dataclasses.replace(steep, h_inverse=lambda y: steep.h_inverse(y) * (1.0 + 1e-6))
     with pytest.raises(InversionFailure):
-        custom_pair(
+        HFPair(
             name="off-by-a-bit",
             f=lambda t: np.asarray(t) ** 2,
             h=lambda x: np.asarray(x) - 1.0,
@@ -157,7 +160,7 @@ def test_wrong_h_inverse_still_raises():
         )
     # exact to third order at f(1): only a probe window of useful width sees it
     with pytest.raises(InversionFailure):
-        custom_pair(
+        HFPair(
             name="cubic-error",
             f=lambda t: np.asarray(t) ** 2,
             h=lambda x: np.asarray(x) - 1.0,
@@ -170,7 +173,7 @@ def test_wrong_h_inverse_still_raises():
 def test_fd_derivative_fallback_matches_analytic():
     # build tsallis(1.5) by hand without supplying derivatives
     q = 1.5
-    made = custom_pair(
+    made = HFPair(
         name="handmade",
         f=zero_preserving(lambda t: (t - t**q) / (q - 1.0)),
         h=lambda x: x,
@@ -183,11 +186,15 @@ def test_fd_derivative_fallback_matches_analytic():
     assert made.d2f1 == pytest.approx(reference.d2f1, abs=1e-6)
     # the third-derivative stencil carries noise of order 1e-4 at this step
     assert made.d3f1 == pytest.approx(reference.d3f1, abs=5e-4)
+    assert made.h_prime(np.array([0.5, 2.0])) == pytest.approx([1.0, 1.0], abs=1e-10)
+    # a value given is kept; only the missing ones are filled
+    partial = dataclasses.replace(made, df1=-1.0, d3f1=None)
+    assert (partial.df1, partial.d2f1, partial.d3f1) == (-1.0, made.d2f1, made.d3f1)
 
 
 def test_declared_shape_must_match_sampled_shape():
     with pytest.raises(ShapeMismatch):
-        custom_pair(
+        HFPair(
             name="mislabeled",
             f=lambda t: np.asarray(t) ** 2,  # convex, f(0)=0
             h=lambda x: np.asarray(x) - 1.0,
@@ -199,7 +206,7 @@ def test_declared_shape_must_match_sampled_shape():
 
 def test_entropy_shape_requires_the_right_pairing():
     # convex f with increasing h is a divergence pairing, not an entropy one
-    squared = custom_pair(
+    squared = HFPair(
         name="squared",
         f=lambda t: np.asarray(t) ** 2,
         h=lambda x: np.asarray(x) - 1.0,
@@ -214,7 +221,7 @@ def test_entropy_shape_requires_the_right_pairing():
 
 def test_anchor_values_are_enforced():
     with pytest.raises(AnchorViolation):
-        custom_pair(
+        HFPair(
             name="unanchored",
             f=lambda t: np.asarray(t) ** 2 + 0.1,  # f(0) != 0
             h=lambda x: np.asarray(x) - 1.1,
@@ -223,7 +230,7 @@ def test_anchor_values_are_enforced():
             h_direction="increasing",
         )
     with pytest.raises(AnchorViolation):
-        custom_pair(
+        HFPair(
             name="uncentered",
             f=lambda t: np.asarray(t) ** 2,
             h=lambda x: np.asarray(x) - 0.5,  # h(f(1)) = 0.5
@@ -369,7 +376,7 @@ def test_induced_law_from_product_chi_is_addition():
 
 def test_induced_law_from_deformed_chi_is_the_deformed_sum():
     q = 1.5
-    law = phi_from_chi(tsallis(q), q_sum_chi(q))
+    law = phi_from_chi(tsallis(q), q_sum(q))
     grid = np.linspace(0.0, 1.2, 7)
     for x in grid:
         for y in grid:
@@ -379,7 +386,7 @@ def test_induced_law_from_deformed_chi_is_the_deformed_sum():
 def test_induced_law_raises_outside_h_range():
     # renyi h^-1 = exp((1-alpha) x) is entire, but sharma-mittal h^-1 needs
     # 1 + (1-beta) y > 0; feeding a huge value through must not return nan
-    law = phi_from_chi(sharma_mittal(0.5, 3.0), q_sum_chi(3.0))
+    law = phi_from_chi(sharma_mittal(0.5, 3.0), q_sum(3.0))
     with pytest.raises(DomainError):
         law(5.0, 5.0)
 
