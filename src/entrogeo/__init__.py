@@ -8,6 +8,8 @@ constraints, and a CLI (`entrogeo`) that exposes evaluation plus built-in
 verification of the structural identities at desk scale.
 """
 
+from types import ModuleType as _ModuleType
+
 from .composition import (
     Composer,
     ConcavityReport,
@@ -99,83 +101,9 @@ from .probability import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryLaw",
-    "Composer",
-    "ConcavityReport",
-    "ConnCoeffs",
-    "Conjugator",
-    "ConstraintSet",
-    "DivergenceFunctional",
-    "EntrogeoError",
-    "EntropyFunctional",
-    "HFPair",
-    "Interval",
-    "LawReport",
-    "MaxentResult",
-    "MetricTensor",
-    "PositiveProbDist",
-    "ProbDist",
-    "SKReport",
-    "StatModel",
-    "additive_law",
-    "alpha_connection",
-    "builtin_functional",
-    "certainty",
-    "check_group_axioms",
-    "check_phi4_symmetry",
-    "combine_geometry",
-    "composability_residual",
-    "concavity_probe",
-    "conjugate",
-    "div_connections",
-    "div_metric",
-    "duality_residual",
-    "entropy_functional",
-    "eval_entropy",
-    "expand",
-    "expm1_conjugator",
-    "fisher_metric",
-    "group_compose",
-    "hf_alpha_of",
-    "hf_closed_connections",
-    "hf_closed_metric",
-    "hf_div_functional",
-    "hf_sum",
-    "identity_composer",
-    "identity_conjugator",
-    "iterate_pow2",
-    "kaniadakis",
-    "kl_functional",
-    "kl_pair",
-    "linear_composer",
-    "load_distribution",
-    "make_builtin",
-    "maximize",
-    "mix",
-    "phi_from_chi",
-    "polynomial_composer",
-    "power_pair",
-    "product",
-    "product_chi",
-    "q_sum",
-    "raised_connection",
-    "renyi",
-    "scale_conjugator",
-    "shannon",
-    "sharma_mittal",
-    "simplex_model",
-    "sk_suite",
-    "sm_div_functional",
-    "sm_divergence_pair",
-    "sm_pair_entropy",
-    "sm_pair_value",
-    "sm_tsallis_entropy",
-    "sm_tsallis_value",
-    "tsallis",
-    "tsallis_relative_pair",
-    "uniform",
-    "validate",
-    "zeta_compose",
-    "zeta_compose_div",
-]
+#: Every name bound above except the submodules: the public surface, stated once.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import composition, divergence, formal_group, geometry, hf_entropy, maxent
 from .errors import EntrogeoError, InvalidArgument, ParamOutOfRange
-from .probability import FILE_TOL, ProbDist, load_distribution
+from .probability import FILE_TOL, load_distribution
 
 _METRIC_REL_TOL = 1e-5
 _CONN_TOL = 1e-4
@@ -291,24 +291,20 @@ def _cmd_metric(args) -> tuple[int, dict]:
         "model": model.name,
         "point": point.tolist(),
     }
+    functional = None
     if args.divergence.strip().lower() == "fisher":
         tensor = geometry.fisher_metric(model, point, step=args.step)
         doc["divergence"] = "fisher"
-        doc["entries"] = tensor.entries.tolist()
-        doc["positive_definite"] = tensor.is_positive_definite()
-        return 0, doc
-    functional = _divergence(args.divergence)
-    tensor = geometry.div_metric(functional, model, point, step=args.step)
-    doc["divergence"] = functional.name
+    else:
+        functional = _divergence(args.divergence)
+        tensor = geometry.div_metric(functional, model, point, step=args.step)
+        doc["divergence"] = functional.name
     doc["entries"] = tensor.entries.tolist()
     doc["positive_definite"] = tensor.is_positive_definite()
-    if functional.pair is not None:
+    if functional is not None and functional.pair is not None:
         closed = geometry.hf_closed_metric(functional.pair, point, model.n_params)
-        rel = np.max(
-            np.abs(tensor.entries - closed.entries) / np.maximum(np.abs(closed.entries), 1e-300)
-        )
         doc["closed_form_entries"] = closed.entries.tolist()
-        doc["closed_form_max_rel_error"] = float(rel)
+        doc["closed_form_max_rel_error"] = _max_rel_error(tensor, closed)
     return 0, doc
 
 
@@ -376,14 +372,14 @@ def _cmd_maxent(args) -> tuple[int, dict]:
 
 
 def _check(name: str, passed: bool, details: dict | None = None, **extra) -> dict:
-    merged = dict(details or {})
-    merged.update(extra)
-    merged.pop("name", None)
-    merged.pop("passed", None)
-    doc = {"name": name}
-    doc.update(merged)
-    doc["passed"] = bool(passed)
-    return doc
+    """One check entry: name, then a report's as_dict or keyword fields, then passed."""
+    return {"name": name, **(details or {}), **extra, "passed": bool(passed)}
+
+
+def _max_rel_error(fd: geometry.MetricTensor, closed: geometry.MetricTensor) -> float:
+    """Largest |fd - closed| / |closed| over the entries, guarded against a 0 entry."""
+    diff = np.abs(fd.entries - closed.entries)
+    return float(np.max(diff / np.maximum(np.abs(closed.entries), 1e-300)))
 
 
 def _checks_group_law(qs: Sequence[float], samples: int, seed: int) -> list[dict]:
@@ -502,10 +498,7 @@ def _checks_geometry(w_max: int, points: int, seed: int) -> list[dict]:
             for xi in _interior_points(rng, size, points):
                 fd = geometry.div_metric(functional, model, xi)
                 closed = geometry.hf_closed_metric(functional.pair, xi, size)
-                rel = float(
-                    np.max(np.abs(fd.entries - closed.entries) / np.abs(closed.entries))
-                )
-                worst = max(worst, rel)
+                worst = max(worst, _max_rel_error(fd, closed))
         checks.append(
             _check(
                 f"metric-closed-form[{functional.name}]",
@@ -686,10 +679,7 @@ def execute(argv: Sequence[str]) -> tuple[int, str]:
         return (exc.code if isinstance(exc.code, int) else 2), ""
     try:
         code, doc = args.handler(args)
-    except EntrogeoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2, ""
-    except OSError as exc:
+    except (EntrogeoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""
     text = render_pretty(doc) if args.pretty else render_json(doc)

@@ -39,10 +39,13 @@ from .probability import ProbDist
 #: |D(p, p)| allowed for a true divergence.
 DIAGONAL_TOL = 1e-12
 
+#: Seeded points per batch on which `zeta_compose_div` spot-checks zeta.
+ZETA_SAMPLES = 50
+
 
 @dataclass(frozen=True)
 class DivergenceFunctional:
-    """A callable divergence with optional provenance attached.
+    """A divergence with optional provenance attached.
 
     `fn(p, q)` consumes weight arrays with outcomes along the last axis and
     assumes q strictly positive; `eval` adds the validation layer for
@@ -65,9 +68,6 @@ class DivergenceFunctional:
         if not math.isfinite(value):
             raise DomainError(f"{self.name} is not finite at the given pair")
         return value
-
-    def __call__(self, p: ProbDist, q: ProbDist) -> float:
-        return self.eval(p, q)
 
 
 def hf_div_functional(pair: HFPair) -> DivergenceFunctional:
@@ -174,15 +174,13 @@ def sm_div_functional(alpha: float, beta: float) -> DivergenceFunctional:
 
 
 def zeta_compose_div(
-    divergences: Sequence[DivergenceFunctional],
-    composer: Composer,
-    samples: int = 50,
-    seed: int = 0,
+    divergences: Sequence[DivergenceFunctional], composer: Composer
 ) -> DivergenceFunctional:
     """Compose divergences through zeta >= 0 with zeta(x) = 0 iff x = 0.
 
-    Both properties are spot-checked on seeded samples of the non-negative
-    orthant (including points on its faces): violations raise
+    zeta(0) must vanish to DIAGONAL_TOL, and zeta must be strictly positive
+    on ZETA_SAMPLES points per batch drawn with seed 0 from the orthant's
+    interior and, for m >= 2, from each of its faces; violations raise
     ZetaRangeViolation.  The result records its constituents and the gradient
     of zeta at the origin, which downstream geometry uses as mixture weights.
     """
@@ -191,7 +189,7 @@ def zeta_compose_div(
         raise ArityMismatch(
             f"{composer.name} takes {composer.arity} divergences, got {len(divergences)}"
         )
-    _spot_check_zeta(composer, samples, seed)
+    _spot_check_zeta(composer)
 
     fns = [d.fn for d in divergences]
 
@@ -208,18 +206,18 @@ def zeta_compose_div(
     )
 
 
-def _spot_check_zeta(composer: Composer, samples: int, seed: int) -> None:
+def _spot_check_zeta(composer: Composer) -> None:
     m = composer.arity
     origin = float(composer.fn(np.zeros(m)))
     if abs(origin) > DIAGONAL_TOL:
         raise ZetaRangeViolation(f"{composer.name}(0) = {origin:.3e}, must vanish")
-    rng = np.random.default_rng(seed)
-    interior = rng.uniform(0.01, 5.0, size=(samples, m))
+    rng = np.random.default_rng(0)
+    interior = rng.uniform(0.01, 5.0, size=(ZETA_SAMPLES, m))
     batches = [interior]
     # Points on the faces of the orthant: nonzero input, one coordinate dead.
     if m >= 2:
         for j in range(m):
-            face = rng.uniform(0.01, 5.0, size=(samples, m))
+            face = rng.uniform(0.01, 5.0, size=(ZETA_SAMPLES, m))
             face[:, j] = 0.0
             batches.append(face)
     for batch in batches:

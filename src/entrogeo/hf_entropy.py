@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -495,7 +495,7 @@ def _fd_first_derivative(g: Callable, s: float) -> Callable:
 
 @dataclass(frozen=True)
 class EntropyFunctional:
-    """A callable entropy S with an optional composition law attached.
+    """An entropy S with an optional composition law attached.
 
     `fn` maps a weights array (outcomes along the last axis) to values, so
     the same object evaluates a single distribution or a stacked batch.
@@ -513,9 +513,6 @@ class EntropyFunctional:
         if not math.isfinite(value):
             raise DomainError(f"{self.name} is not finite at the given distribution")
         return value
-
-    def __call__(self, p: ProbDist) -> float:
-        return self.eval(p)
 
     def eval_batch(self, weights) -> np.ndarray:
         """Evaluate on an (..., W) array of weight rows."""
@@ -537,9 +534,7 @@ def eval_entropy(pair: HFPair, p: ProbDist) -> float:
     return entropy_functional(pair).eval(p)
 
 
-def entropy_functional(
-    pair: HFPair, law: BinaryLaw | None = None, name: str | None = None
-) -> EntropyFunctional:
+def entropy_functional(pair: HFPair, law: BinaryLaw | None = None) -> EntropyFunctional:
     """Wrap an entropy-shaped pair as a batch-evaluable functional."""
     require_entropy_shape(pair)
 
@@ -556,7 +551,7 @@ def entropy_functional(
             with np.errstate(divide="ignore"):  # an exact 0 weight gets h' f'(0+)
                 return outer[..., None] * np.asarray(f_prime(weights))
 
-    return EntropyFunctional(fn=fn, name=name or pair.name, law=law, gradient=gradient)
+    return EntropyFunctional(fn=fn, name=pair.name, law=law, gradient=gradient)
 
 
 def builtin_functional(family: str, **params: float) -> EntropyFunctional:
@@ -618,7 +613,7 @@ class SKReport:
 
 
 def sk_suite(
-    entropy: EntropyFunctional | HFPair,
+    entropy: EntropyFunctional,
     w_max: int = 6,
     samples: int = 1000,
     seed: int = 0,
@@ -627,13 +622,12 @@ def sk_suite(
 ) -> SKReport:
     """Check maximality at uniform, expansibility, and non-negativity.
 
+    `entropy` is a functional; wrap a bare pair with `entropy_functional`.
     For each W in 2..w_max the batch holds `samples` flat-Dirichlet draws plus
     every certainty corner; the uniform distribution is the reference.  With
     `strict=True` the maximum must be attained only at uniform among the
     sampled non-uniform rows (the strictly-shaped case).
     """
-    if isinstance(entropy, HFPair):
-        entropy = entropy_functional(entropy)
     if w_max < 2:
         raise InvalidArgument("w_max must be at least 2")
     rng = np.random.default_rng(seed)
@@ -679,7 +673,7 @@ def product_chi() -> BinaryLaw:
     )
 
 
-def phi_from_chi(pair: HFPair, chi: BinaryLaw, domain: Interval | None = None) -> BinaryLaw:
+def phi_from_chi(pair: HFPair, chi: BinaryLaw) -> BinaryLaw:
     """The entropy-level law induced by a trace-level one.
 
     chi composes the raw trace sums over products, sum f(pq) = chi(sum f(p),
@@ -687,11 +681,9 @@ def phi_from_chi(pair: HFPair, chi: BinaryLaw, domain: Interval | None = None) -
     Tsallis ones.  Then Phi(x, y) = h(chi(h^-1(x), h^-1(y))).  If chi is
     commutative, associative, and has f(1) as neutral element, Phi inherits
     all three axioms with 0 as neutral element, because h(f(1)) = 0.  The
-    default domain is [0, inf), where entropy values live; evaluations that
+    law's domain is [0, inf), where entropy values live; evaluations that
     fall where h or h^-1 are undefined raise DomainError.
     """
-    if domain is None:
-        domain = Interval(0.0, math.inf)
 
     def fn(x, y):
         u = pair.h_inverse(np.asarray(x, dtype=float))
@@ -703,7 +695,8 @@ def phi_from_chi(pair: HFPair, chi: BinaryLaw, domain: Interval | None = None) -
             )
         return out if out.ndim else float(out)
 
-    return BinaryLaw(fn=fn, domain=domain, name=f"induced[{pair.name};{chi.name}]")
+    name = f"induced[{pair.name};{chi.name}]"
+    return BinaryLaw(fn=fn, domain=Interval(0.0, math.inf), name=name)
 
 
 def product_residuals(fn: Callable, law: BinaryLaw, p, q) -> np.ndarray:

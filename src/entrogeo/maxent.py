@@ -207,9 +207,10 @@ def maximize(
     """Maximize S over the simplex slice cut out by the constraints.
 
     Gradients are analytic when the functional carries one (every (h, f)
-    pair with f') and central differences with step GRAD_STEP otherwise.  Raises
-    Infeasible when no probability vector satisfies the constraints; failure
-    to reach `tol` within `max_iter` only clears the `converged` flag.
+    pair with f') and central differences with step GRAD_STEP otherwise.
+    Raises InvalidArgument unless max_iter >= 1 and tol >= 0, and Infeasible
+    when no probability vector satisfies the constraints; failure to reach
+    `tol` within `max_iter` only clears the `converged` flag.
     """
     if size < 1:
         raise LengthMismatch(f"need at least one outcome, got {size}")
@@ -219,6 +220,10 @@ def maximize(
         )
     if restarts < 1:
         raise InvalidArgument("restarts must be at least 1")
+    if max_iter < 1:
+        raise InvalidArgument(f"max_iter must be at least 1, got {max_iter}")
+    if not tol >= 0.0:
+        raise InvalidArgument(f"tol must be non-negative, got {tol}")
 
     ones = np.ones((1, size))
     if constraints is not None and constraints.count > 0:

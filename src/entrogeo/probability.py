@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import Sequence
 

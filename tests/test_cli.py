@@ -59,6 +59,25 @@ def test_pretty_rendering_is_line_based():
     assert "name: t" in text
     assert "passed: yes" in text
     assert "vals: [1, 2]" in text
+    # shaped like compose's law_report, verify's checks and connection's gamma
+    nested = render_pretty({
+        "law_report": {"law": "q-sum(0.5)", "passed": True},
+        "checks": [{"name": "a", "passed": False}],
+        "gamma": [[[1.0, 2.0], [3.0, 4.5]]],
+    })
+    assert nested.splitlines() == [
+        "law_report:",
+        "  law: q-sum(0.5)",
+        "  passed: yes",
+        "checks:",
+        "  -:",
+        "    name: a",
+        "    passed: no",
+        "gamma:",
+        "  -:",
+        "    -: [1, 2]",
+        "    -: [3, 4.5]",
+    ]
 
 
 def test_cli_output_is_deterministic(dist_file):
@@ -316,6 +335,22 @@ def test_bad_point_grammar_exits_two():
 
 _INVALID_ARGUMENTS = {
     "maxent-restarts-0": ["maxent", "--family", "shannon", "--w", "3", "--restarts", "0"],
+    "maxent-max-iter-negative": ["maxent", "--family", "shannon", "--w", "3", "--max-iter", "-4"],
+    "maxent-max-iter-0": ["maxent", "--family", "shannon", "--w", "3", "--max-iter", "0"],
+    "maxent-tol-negative": ["maxent", "--family", "shannon", "--w", "3", "--tol", "-1"],
+    "maxent-constraint-without-target": ["maxent", "--family", "shannon", "--w", "3",
+                                         "--constraint", "0,1,2"],
+    "maxent-constraint-non-numeric-target": ["maxent", "--family", "shannon", "--w", "3",
+                                             "--constraint", "0,1,2:x"],
+    "spec-without-value": ["entropy", "--family", "tsallis:q", "--dist", "p.json"],
+    "spec-non-numeric-value": ["entropy", "--family", "tsallis:q=x", "--dist", "p.json"],
+    "spec-missing-parameters": ["entropy", "--family", "sm-pair:alpha1=0.3", "--dist", "p.json"],
+    "metric-bad-simplex-size": ["metric", "--model", "simplex:x", "--divergence", "kl",
+                                "--point", "0.3,0.25"],
+    "divergence-composed-without-of": ["divergence", "--family", "composed",
+                                       "--p", "p.json", "--q", "p.json"],
+    "connection-without-divergence-or-alpha": ["connection", "--model", "simplex:2",
+                                               "--point", "0.3,0.25"],
     "maxent-dependent-rows": ["maxent", "--family", "shannon", "--w", "3",
                               "--constraint", "0,1,2:1", "--constraint", "0,2,4:2"],
     "maxent-nan-row": ["maxent", "--family", "shannon", "--w", "3",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entrogeo import (
+    Composer,
     EntropyFunctional,
     builtin_functional,
     concavity_probe,
@@ -16,6 +17,7 @@ from entrogeo import (
     linear_composer,
     polynomial_composer,
     scale_conjugator,
+    shannon,
     sm_pair_entropy,
     sm_pair_value,
     sm_tsallis_entropy,
@@ -24,7 +26,14 @@ from entrogeo import (
     validate,
     zeta_compose,
 )
-from entrogeo.errors import ArityMismatch, LawMismatch, MonotonicityViolation, ParamOutOfRange
+from entrogeo.errors import (
+    ArityMismatch,
+    InvalidArgument,
+    LawMismatch,
+    MonotonicityViolation,
+    ParamOutOfRange,
+)
+from entrogeo.hf_entropy import entropy_functional
 
 # 50-digit reference values
 SM_PAIR_03_07_05 = 3.7943432922226759864  # alpha 0.3/0.7, beta 0.5, p=(.2,.3,.5)
@@ -58,6 +67,17 @@ def test_polynomial_composer_gradient_collects_degree_one():
         polynomial_composer([(1.0, (1, 0, 0))], arity=2)
 
 
+def test_composer_builders_check_arity():
+    with pytest.raises(ArityMismatch, match="arity must be >= 1"):
+        Composer(fn=np.sum, arity=0, name="empty")
+    with pytest.raises(ArityMismatch, match="grad0 has 1 entries for arity 2"):
+        Composer(fn=np.sum, arity=2, name="short", grad0=(1.0,))
+    with pytest.raises(ArityMismatch, match="non-empty"):
+        linear_composer([])
+    with pytest.raises(ArityMismatch, match="arity must be >= 1"):
+        polynomial_composer([(1.0, ())], arity=0)
+
+
 def test_zeta_linear_combination_of_entropies():
     s = builtin_functional("shannon")
     t = builtin_functional("tsallis", q=2.0)
@@ -80,6 +100,16 @@ def test_zeta_rejects_decreasing_maps():
     humped = polynomial_composer([(1.0, (1,)), (-1.0, (2,))], arity=1)
     with pytest.raises(MonotonicityViolation):
         zeta_compose([s], humped)
+
+
+def test_zeta_spot_check_catches_maps_flagged_monotone():
+    s = builtin_functional("shannon")
+    falling = Composer(fn=lambda v: 10.0 - v[..., 0], arity=1, name="falling")
+    with pytest.raises(MonotonicityViolation, match="decreases along the componentwise order"):
+        zeta_compose([s], falling)
+    lowered = Composer(fn=lambda v: v[..., 0] - 1.0, arity=1, name="lowered")
+    with pytest.raises(MonotonicityViolation, match="leaves the non-negative range"):
+        zeta_compose([s], lowered)
 
 
 def test_zeta_rejects_wrong_arity():
@@ -147,12 +177,22 @@ def test_group_compose_rejects_lawless_constituents():
     k = builtin_functional("kaniadakis", kappa=0.4)
     with pytest.raises(LawMismatch):
         group_compose([k], identity_conjugator(), m=0)
+    # a later constituent without a law is caught as well
+    lawless = entropy_functional(shannon())
+    with pytest.raises(LawMismatch, match="shannon carries no composition law"):
+        group_compose([builtin_functional("shannon"), lawless], identity_conjugator(), m=1)
 
 
 def test_group_compose_rejects_wrong_count():
     s = builtin_functional("shannon")
     with pytest.raises(ArityMismatch):
         group_compose([s, s, s], identity_conjugator(), m=1)
+
+
+def test_group_compose_rejects_negative_depth_before_counting():
+    s = builtin_functional("shannon")
+    with pytest.raises(InvalidArgument, match=r"m must be >= 0, got -1"):
+        group_compose([s], identity_conjugator(), m=-1)
 
 
 def test_closed_forms_are_symmetric_in_the_exponents():
@@ -204,3 +244,8 @@ def test_concavity_probe_catches_a_convex_function():
     assert set(witness) == {"w", "p", "q", "lam", "margin"}
     doc = report.as_dict()
     assert doc["passed"] is False
+
+
+def test_concavity_probe_needs_two_outcomes():
+    with pytest.raises(InvalidArgument):
+        concavity_probe(builtin_functional("shannon"), w_max=1)

@@ -233,6 +233,8 @@ def test_combine_geometry_guards():
         combine_geometry([0.0, 0.0], [g, g], [c, c], [c, c])
     with pytest.raises(ValueError):
         combine_geometry([1.0, -1.0], [g, g], [c, c], [c, c])
+    with pytest.raises(ArityMismatch, match="nothing to combine"):
+        combine_geometry([], [], [], [])
 
 
 def test_raised_connection_solves_against_the_metric():

@@ -32,6 +32,7 @@ from entrogeo.divergence import sm_divergence_pair
 from entrogeo.errors import (
     AnchorViolation,
     DomainError,
+    InvalidArgument,
     InversionFailure,
     ParamOutOfRange,
     ShapeMismatch,
@@ -204,6 +205,38 @@ def test_declared_shape_must_match_sampled_shape():
         )
 
 
+def _squared_pair(**changes) -> HFPair:
+    """(t^2, x - 1): convex f with increasing h, with any field changed."""
+    fields = dict(
+        name="squared",
+        f=lambda t: np.asarray(t) ** 2,
+        h=lambda x: np.asarray(x) - 1.0,
+        h_inverse=lambda y: np.asarray(y) + 1.0,
+        f_shape="convex",
+        h_direction="increasing",
+    )
+    return HFPair(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"f_shape": "flat"}, "f_shape must be 'concave' or 'convex'"),
+        ({"h_direction": "sideways"}, "h_direction must be 'increasing' or 'decreasing'"),
+        ({"f": lambda t: np.sqrt(t)}, "f is not convex"),
+        ({"h_direction": "decreasing"}, "h is not decreasing"),
+        (
+            {"h": lambda x: 1.0 - np.asarray(x), "h_inverse": lambda y: 1.0 - np.asarray(y)},
+            "h is not increasing",
+        ),
+    ],
+)
+def test_pair_claims_are_checked(changes, message):
+    _squared_pair()  # the unchanged pair builds
+    with pytest.raises(ShapeMismatch, match=message):
+        _squared_pair(**changes)
+
+
 def test_entropy_shape_requires_the_right_pairing():
     # convex f with increasing h is a divergence pairing, not an entropy one
     squared = HFPair(
@@ -336,9 +369,9 @@ def test_sk_suite_passes_for_builtins():
         assert report.min_value >= 0.0
 
 
-def test_sk_suite_accepts_a_bare_pair():
-    report = sk_suite(tsallis(2.0), w_max=3, samples=100)
-    assert report.passed
+def test_sk_suite_needs_two_outcomes():
+    with pytest.raises(InvalidArgument):
+        sk_suite(builtin_functional("shannon"), w_max=1)
 
 
 def test_sk_suite_flags_a_convex_impostor():
@@ -352,7 +385,7 @@ def test_sk_suite_flags_a_convex_impostor():
 
 
 def test_sk_report_as_dict_keys():
-    doc = sk_suite(shannon(), w_max=2, samples=50).as_dict()
+    doc = sk_suite(entropy_functional(shannon()), w_max=2, samples=50).as_dict()
     assert doc["passed"] is True
     assert {"maximality_violation", "expansibility_residual", "min_value"} <= set(doc)
 

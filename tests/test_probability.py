@@ -85,6 +85,8 @@ def test_certainty_is_one_based():
         certainty(3, 0)
     with pytest.raises(IndexOutOfRange):
         certainty(3, 4)
+    with pytest.raises(IndexOutOfRange):
+        certainty(0, 1)
 
 
 def test_product_is_row_major():
@@ -156,6 +158,8 @@ def test_loads_rejects_garbage():
         loads_distribution("a,b\n1,2\n")
     with pytest.raises(LengthMismatch):
         loads_distribution("not-a-number\n")
+    with pytest.raises(LengthMismatch, match="no numeric rows"):
+        loads_distribution(",\n,,\n")
 
 
 def test_load_roundtrip(tmp_path):
