@@ -88,7 +88,6 @@ from .hf_entropy import (
 )
 from .maxent import ConstraintSet, MaxentResult, maximize
 from .probability import (
-    PositiveProbDist,
     ProbDist,
     certainty,
     expand,

@@ -283,14 +283,15 @@ def _cmd_compose(args) -> tuple[int, dict]:
     return (0 if report.passed else 1), doc
 
 
-def _cmd_metric(args) -> tuple[int, dict]:
+def _at_point(args, command: str) -> tuple[geometry.StatModel, np.ndarray, dict]:
+    """The model and point of a geometry command, and its output header."""
     model = _model_from_spec(args.model)
     point = _point_from_text(args.point)
-    doc = {
-        "command": "metric",
-        "model": model.name,
-        "point": point.tolist(),
-    }
+    return model, point, {"command": command, "model": model.name, "point": point.tolist()}
+
+
+def _cmd_metric(args) -> tuple[int, dict]:
+    model, point, doc = _at_point(args, "metric")
     functional = None
     if args.divergence.strip().lower() == "fisher":
         tensor = geometry.fisher_metric(model, point, step=args.step)
@@ -309,13 +310,7 @@ def _cmd_metric(args) -> tuple[int, dict]:
 
 
 def _cmd_connection(args) -> tuple[int, dict]:
-    model = _model_from_spec(args.model)
-    point = _point_from_text(args.point)
-    doc = {
-        "command": "connection",
-        "model": model.name,
-        "point": point.tolist(),
-    }
+    model, point, doc = _at_point(args, "connection")
     _reject_inapplicable(args, {"divergence": args.alpha is None}, "connection --alpha")
     if args.alpha is not None:
         conn = geometry.alpha_connection(model, point, args.alpha, step=args.step)

@@ -27,7 +27,7 @@ to rounding accuracy, which is what the acceptance suite checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,7 +52,8 @@ class Composer:
     `fn` consumes values along the last axis.  `grad0` is the gradient at the
     origin when it is known in closed form; geometry needs it to weight the
     constituent metrics.  `monotone` records whether the builder could
-    certify the componentwise order on the non-negative orthant.
+    certify the componentwise order on the non-negative orthant.  `over`
+    applies the map to m entropies or divergences.
     """
 
     fn: Callable
@@ -68,6 +69,23 @@ class Composer:
             raise ArityMismatch(
                 f"grad0 has {len(self.grad0)} entries for arity {self.arity}"
             )
+
+    def over(self, functionals: Sequence, kind: str) -> tuple[list, Callable, str]:
+        """Check there are `arity` functionals; return (them as a list, composed fn, its name).
+
+        The composed fn passes its arguments to every functional and applies this map to their
+        values stacked along a last axis.  `kind` ("entropies", "divergences") names them in errors.
+        """
+        functionals = list(functionals)
+        if len(functionals) != self.arity:
+            raise ArityMismatch(f"{self.name} takes {self.arity} {kind}, got {len(functionals)}")
+        fns = [member.fn for member in functionals]
+
+        def fn(*args):
+            return self.fn(np.stack([np.asarray(f(*args), dtype=float) for f in fns], axis=-1))
+
+        inner = ", ".join(member.name for member in functionals)
+        return functionals, fn, f"{self.name}({inner})"
 
 
 def identity_composer() -> Composer:
@@ -133,31 +151,17 @@ def polynomial_composer(
 def zeta_compose(entropies: Sequence[EntropyFunctional], composer: Composer) -> EntropyFunctional:
     """Compose entropies through a monotone map; the result is an entropy again.
 
-    The composer must be flagged monotone and survives a spot check:
-    MONO_SAMPLES componentwise-ordered pairs in [0, 5]^m, drawn with seed 0,
-    must map to ordered values, and the sampled values must stay
-    non-negative.  Violations raise MonotonicityViolation rather than
-    producing a silent pseudo-entropy.
+    The composer must take m entropies (`Composer.over`), be flagged
+    monotone, and survive a spot check: MONO_SAMPLES componentwise-ordered
+    pairs in [0, 5]^m, drawn with seed 0, must map to ordered values, and
+    the sampled values must stay non-negative.  Violations raise
+    MonotonicityViolation rather than producing a silent pseudo-entropy.
     """
-    entropies = list(entropies)
-    if len(entropies) != composer.arity:
-        raise ArityMismatch(
-            f"{composer.name} takes {composer.arity} entropies, got {len(entropies)}"
-        )
+    _, fn, name = composer.over(entropies, "entropies")
     if not composer.monotone:
         raise MonotonicityViolation(f"{composer.name} is not flagged monotone")
     _spot_check_monotone(composer)
-
-    fns = [s.fn for s in entropies]
-
-    def fn(weights):
-        vals = np.stack(
-            [np.asarray(f(weights), dtype=float) for f in fns], axis=-1
-        )
-        return composer.fn(vals)
-
-    inner = ", ".join(s.name for s in entropies)
-    return EntropyFunctional(fn=fn, name=f"{composer.name}({inner})")
+    return EntropyFunctional(fn=fn, name=name)
 
 
 def _spot_check_monotone(composer: Composer) -> None:
@@ -291,7 +295,7 @@ def sm_tsallis_entropy(alpha: float, q: float) -> EntropyFunctional:
 
 @dataclass(frozen=True)
 class ConcavityReport:
-    """Outcome of a sampled concavity probe."""
+    """A sampled concavity probe's outcome, in output order; passed iff no counterexample."""
 
     entropy: str
     w_max: int
@@ -299,21 +303,10 @@ class ConcavityReport:
     tol: float
     min_margin: float
     counterexample: dict | None
-
-    @property
-    def passed(self) -> bool:
-        return self.counterexample is None
+    passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "entropy": self.entropy,
-            "w_max": self.w_max,
-            "samples": self.samples,
-            "tol": self.tol,
-            "min_margin": self.min_margin,
-            "counterexample": self.counterexample,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def concavity_probe(
@@ -327,10 +320,13 @@ def concavity_probe(
 
     The margin S(lam p + (1-lam) q) - lam S(p) - (1-lam) S(q) must stay above
     -tol; the most negative sampled margin and, if it crosses the line, the
-    witnessing triple are reported.  Samples are spread over W = 2..w_max.
+    witnessing triple are reported.  Samples are spread over W = 2..w_max,
+    at least one each.
     """
     if w_max < 2:
         raise InvalidArgument("w_max must be at least 2")
+    if samples < w_max - 1:
+        raise InvalidArgument(f"need at least one sample per W in 2..{w_max}, got {samples}")
     rng = np.random.default_rng(seed)
     sizes = list(range(2, w_max + 1))
     per = [samples // len(sizes)] * len(sizes)
@@ -339,8 +335,6 @@ def concavity_probe(
     min_margin = math.inf
     counterexample = None
     for w, count in zip(sizes, per):
-        if count < 1:
-            continue
         p = rng.dirichlet(np.ones(w), size=count)
         q = rng.dirichlet(np.ones(w), size=count)
         lam = rng.uniform(0.0, 1.0, size=(count, 1))
@@ -368,4 +362,5 @@ def concavity_probe(
         tol=tol,
         min_margin=min_margin,
         counterexample=counterexample,
+        passed=counterexample is None,
     )

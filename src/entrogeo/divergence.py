@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .composition import Composer
-from .errors import ArityMismatch, DomainError, LengthMismatch, ZetaRangeViolation
+from .errors import DomainError, LengthMismatch, ZetaRangeViolation
 from .hf_entropy import (
     _IDENTITY_H,
     HFPair,
@@ -32,7 +32,7 @@ from .hf_entropy import (
     _log_in_place,
     _sm_rescale,
     _trace,
-    require_divergence_shape,
+    require_shape,
 )
 from .probability import ProbDist
 
@@ -75,7 +75,7 @@ def hf_div_functional(pair: HFPair) -> DivergenceFunctional:
 
     A term with p_i exactly 0 is q_i f(0) = 0; a nan in p makes its row nan.
     """
-    require_divergence_shape(pair)
+    require_shape(pair, "divergence")
 
     def fn(p, q):
         q = np.asarray(q, dtype=float)
@@ -144,15 +144,7 @@ def sm_divergence_pair(alpha: float, beta: float) -> HFPair:
     """
     a = _guard_param(alpha, "alpha")
     b = _guard_param(beta, "beta", positive=False)
-    h, h_inverse, h_prime = _sm_rescale(a, b, sign=-1.0)
-    return HFPair(
-        name=f"sm-div({a:g},{b:g})",
-        **_f_power(a),
-        h=h,
-        h_inverse=h_inverse,
-        h_prime=h_prime,
-        h_direction="increasing" if a > 1.0 else "decreasing",
-    )
+    return HFPair(name=f"sm-div({a:g},{b:g})", **_f_power(a), **_sm_rescale(a, b, -1.0))
 
 
 def sm_div_functional(alpha: float, beta: float) -> DivergenceFunctional:
@@ -178,31 +170,17 @@ def zeta_compose_div(
 ) -> DivergenceFunctional:
     """Compose divergences through zeta >= 0 with zeta(x) = 0 iff x = 0.
 
-    zeta(0) must vanish to DIAGONAL_TOL, and zeta must be strictly positive
-    on ZETA_SAMPLES points per batch drawn with seed 0 from the orthant's
+    The composer must take m divergences (`Composer.over`), zeta(0) must
+    vanish to DIAGONAL_TOL, and zeta must be strictly positive on
+    ZETA_SAMPLES points per batch drawn with seed 0 from the orthant's
     interior and, for m >= 2, from each of its faces; violations raise
     ZetaRangeViolation.  The result records its constituents and the gradient
     of zeta at the origin, which downstream geometry uses as mixture weights.
     """
-    divergences = list(divergences)
-    if len(divergences) != composer.arity:
-        raise ArityMismatch(
-            f"{composer.name} takes {composer.arity} divergences, got {len(divergences)}"
-        )
+    divergences, fn, name = composer.over(divergences, "divergences")
     _spot_check_zeta(composer)
-
-    fns = [d.fn for d in divergences]
-
-    def fn(p, q):
-        vals = np.stack([np.asarray(f(p, q), dtype=float) for f in fns], axis=-1)
-        return composer.fn(vals)
-
-    inner = ", ".join(d.name for d in divergences)
     return DivergenceFunctional(
-        fn=fn,
-        name=f"{composer.name}({inner})",
-        constituents=tuple(divergences),
-        grad0=composer.grad0,
+        fn=fn, name=name, constituents=tuple(divergences), grad0=composer.grad0
     )
 
 

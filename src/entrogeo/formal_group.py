@@ -231,6 +231,8 @@ def check_phi4_symmetry(law: BinaryLaw, samples: int = 1000, seed: int = 0) -> f
     its four arguments, so the returned residual is rounding-level; a
     genuinely asymmetric law shows up at O(1).
     """
+    if samples < 1:
+        raise InvalidArgument("need at least one sample")
     rng = np.random.default_rng(seed)
     args = rng.uniform(0.0, 1.0, size=(4, samples))
     phi4 = iterate_pow2(law, 2)

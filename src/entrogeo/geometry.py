@@ -47,7 +47,7 @@ from .errors import (
     ParamOutOfRange,
     StepTooLarge,
 )
-from .hf_entropy import HFPair, require_divergence_shape
+from .hf_entropy import HFPair, require_shape
 
 #: Relative step for second-derivative stencils (metrics).
 METRIC_STEP = 1e-4
@@ -71,11 +71,10 @@ class StatModel:
 
     `prob_fn` and `in_domain` take one parameter point or a stack of them
     along the leading axes (shape (..., n_params)) and return the weights
-    (..., support_size) or the domain test (...) of each point.
+    (..., W) or the domain test (...) of each point.
     """
 
     n_params: int
-    support_size: int
     prob_fn: Callable
     in_domain: Callable
     name: str
@@ -166,7 +165,6 @@ def simplex_model(size: int, margin: float = SIMPLEX_MARGIN) -> StatModel:
 
     return StatModel(
         n_params=size,
-        support_size=size + 1,
         prob_fn=prob_fn,
         in_domain=in_domain,
         name=f"simplex({size})",
@@ -373,7 +371,7 @@ def hf_closed_connections(pair: HFPair, xi, size: int) -> tuple[ConnCoeffs, Conn
 
 def _closed_form_data(pair: HFPair, xi, size: int) -> tuple[float, np.ndarray]:
     """(c, weights at xi) for the closed forms; c = h'(f(1)) f''(1)."""
-    require_divergence_shape(pair)
+    require_shape(pair, "divergence")
     p = simplex_model(size).point(xi)
     return float(pair.h_prime(pair.f1)) * pair.d2f1, p
 

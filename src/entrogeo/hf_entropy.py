@@ -21,7 +21,7 @@ law is from that identity on concrete product distributions.
 Each f of the built-in pairs is written once, in the f table (t ln t, t^a
 and the Tsallis f, the last two with their divergence mirror); the entropy
 families here and the divergence pairs all build from it.  `HFPair` takes
-any other (h, f) and fills a missing h' and f', f'', f''' at 1 by central
+any other (h, f) and fills a missing h' and f'', f''' at 1 by central
 differences.
 
 Conventions: f(0) = 0 exactly.  Traces keep exact zeros off the slow path
@@ -33,7 +33,7 @@ row nan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -64,8 +64,11 @@ DERIV_STEP = 1e-4
 #: Largest factor h' may change by across the construction probes.
 _H_SPREAD = math.exp(4.0)
 
-_ENTROPY_PAIRINGS = {("concave", "increasing"), ("convex", "decreasing")}
-_DIVERGENCE_PAIRINGS = {("convex", "increasing"), ("concave", "decreasing")}
+#: The sign of f'' for an f shape and of h' for an h direction.
+_SIGN = {"convex": 1.0, "concave": -1.0, "increasing": 1.0, "decreasing": -1.0}
+
+#: Role -> (its name in errors, the sign of f'' h' that fills it).
+_ROLES = {"entropy": ("an entropy", -1.0), "divergence": ("a divergence", 1.0)}
 
 
 def zero_preserving(raw: Callable) -> Callable:
@@ -150,9 +153,10 @@ class HFPair:
 
     `f` maps [0, inf) to the reals with f(0) = 0; `h` rescales the sum and
     must carry an explicit inverse (no root-finding happens at evaluation
-    time).  `h_prime` is h', and df1, d2f1, d3f1 are f', f'', f''' at t = 1.
-    The built-in families give them analytically; any left out are filled
-    from 5-point central stencils at step DERIV_STEP, so f must then be
+    time).  `h_prime` is h', and d2f1, d3f1 are f'', f''' at t = 1, the only
+    derivatives of f at 1 the geometry reads (f'(1) enters no tensor).  The
+    built-in families give them analytically; any left out are filled from
+    5-point central stencils at step DERIV_STEP, so f must then be
     evaluable on [1 - 2 DERIV_STEP, 1 + 2 DERIV_STEP], and the stencil's
     f''' carries rounding noise of order 1e-4.  `f_prime`, when given, makes
     the entropy gradient h'(sum f(p)) f'(p) analytic downstream.
@@ -165,7 +169,6 @@ class HFPair:
     f_shape: str
     h_direction: str
     h_prime: Callable | None = None
-    df1: float | None = None
     d2f1: float | None = None
     d3f1: float | None = None
     f_prime: Callable | None = None
@@ -173,9 +176,9 @@ class HFPair:
     def __post_init__(self) -> None:
         if self.h_prime is None:
             object.__setattr__(self, "h_prime", _fd_first_derivative(self.h, DERIV_STEP))
-        if None in (self.df1, self.d2f1, self.d3f1):
+        if None in (self.d2f1, self.d3f1):
             filled = _derivs_at_one(self.f, DERIV_STEP)
-            for field, value in zip(("df1", "d2f1", "d3f1"), filled):
+            for field, value in zip(("d2f1", "d3f1"), filled):
                 if getattr(self, field) is None:
                     object.__setattr__(self, field, value)
         if self.f_shape not in ("concave", "convex"):
@@ -203,10 +206,8 @@ class HFPair:
         t = np.linspace(0.1, 0.9, 9)
         d = 1e-3
         second = self.f(t + d) - 2.0 * np.asarray(self.f(t)) + self.f(t - d)
-        if self.f_shape == "concave" and np.any(second > 1e-10):
-            raise ShapeMismatch(f"{self.name}: f is not concave on (0, 1)")
-        if self.f_shape == "convex" and np.any(second < -1e-10):
-            raise ShapeMismatch(f"{self.name}: f is not convex on (0, 1)")
+        if np.any(_SIGN[self.f_shape] * second < -1e-10):
+            raise ShapeMismatch(f"{self.name}: f is not {self.f_shape} on (0, 1)")
 
     def _probe_width(self) -> float:
         """Half-width around f(1), at most 0.4, on which h' stays within e^4 of h'(f(1)).
@@ -227,10 +228,8 @@ class HFPair:
 
     def _check_h_direction(self, d: float) -> None:
         step = float(self.h(self.f1 + d)) - float(self.h(self.f1 - d))
-        if self.h_direction == "increasing" and step <= 0.0:
-            raise ShapeMismatch(f"{self.name}: h is not increasing near f(1)")
-        if self.h_direction == "decreasing" and step >= 0.0:
-            raise ShapeMismatch(f"{self.name}: h is not decreasing near f(1)")
+        if _SIGN[self.h_direction] * step <= 0.0:
+            raise ShapeMismatch(f"{self.name}: h is not {self.h_direction} near f(1)")
 
     def _check_h_inverse(self, width: float) -> None:
         xs = self.f1 + np.linspace(-width, width, 5)
@@ -242,26 +241,25 @@ class HFPair:
             )
 
 
-def require_entropy_shape(pair: HFPair) -> None:
-    """Entropy role: concave f with increasing h, or convex f with decreasing h."""
-    if (pair.f_shape, pair.h_direction) not in _ENTROPY_PAIRINGS:
-        raise ShapeMismatch(
-            f"{pair.name}: ({pair.f_shape} f, {pair.h_direction} h) cannot be an entropy"
-        )
+def require_shape(pair: HFPair, role: str) -> None:
+    """Raise ShapeMismatch unless the pair's shape pairing fills `role`.
 
-
-def require_divergence_shape(pair: HFPair) -> None:
-    """Divergence role: the mirror pairing of the entropy one."""
-    if (pair.f_shape, pair.h_direction) not in _DIVERGENCE_PAIRINGS:
+    'entropy': concave f with increasing h, or convex f with decreasing h;
+    'divergence': the mirror pairings.
+    """
+    if role not in _ROLES:
+        raise InvalidArgument(f"role must be one of {sorted(_ROLES)}, got {role!r}")
+    article, sign = _ROLES[role]
+    if _SIGN[pair.f_shape] * _SIGN[pair.h_direction] != sign:
         raise ShapeMismatch(
-            f"{pair.name}: ({pair.f_shape} f, {pair.h_direction} h) cannot be a divergence"
+            f"{pair.name}: ({pair.f_shape} f, {pair.h_direction} h) cannot be {article}"
         )
 
 
 # --- the f table ---------------------------------------------------------------
 #
-# Each f of a built-in pair, written once with f', f'(1), f''(1), f'''(1) and
-# its shape, as HFPair keyword arguments.  `sign` -1 gives the f of the
+# Each f of a built-in pair, written once with f', f''(1), f'''(1) and its
+# shape, as HFPair keyword arguments.  `sign` -1 gives the f of the
 # entropy role and +1 its mirror in the divergence role.
 
 
@@ -276,7 +274,6 @@ def _f_t_log_t(sign: float) -> dict:
     return {
         "f": zero_preserving(raw),
         "f_prime": lambda t: sign * np.log(t) + sign,
-        "df1": sign,
         "d2f1": sign,
         "d3f1": -sign,
         "f_shape": "convex" if sign > 0.0 else "concave",
@@ -288,7 +285,6 @@ def _f_power(a: float) -> dict:
     return {
         "f": _zero_ok(lambda t: np.power(t, a), a),
         "f_prime": lambda t: a * np.power(t, a - 1.0),
-        "df1": a,
         "d2f1": a * (a - 1.0),
         "d3f1": a * (a - 1.0) * (a - 2.0),
         "f_shape": "concave" if a < 1.0 else "convex",
@@ -307,7 +303,6 @@ def _f_tsallis(q: float, sign: float) -> dict:
     return {
         "f": _zero_ok(f, q),
         "f_prime": lambda t: (sign * q * np.power(t, q - 1.0) - sign) / (q - 1.0),
-        "df1": sign,
         "d2f1": sign * q,
         "d3f1": sign * q * (q - 2.0),
         "f_shape": "convex" if sign > 0.0 else "concave",
@@ -360,24 +355,15 @@ def sharma_mittal(alpha: float, beta: float) -> HFPair:
     """The two-parameter family; beta -> 1 recovers Renyi, beta = alpha Tsallis."""
     a = _guard_param(alpha, "alpha")
     b = _guard_param(beta, "beta", positive=False)
-    h, h_inverse, h_prime = _sm_rescale(a, b, sign=1.0)
-    return HFPair(
-        name=f"sharma-mittal({a:g},{b:g})",
-        **_f_power(a),
-        h=h,
-        h_inverse=h_inverse,
-        h_prime=h_prime,
-        h_direction="increasing" if a < 1.0 else "decreasing",
-    )
+    return HFPair(name=f"sharma-mittal({a:g},{b:g})", **_f_power(a), **_sm_rescale(a, b, 1.0))
 
 
 def kaniadakis(kappa: float) -> HFPair:
-    kappa = float(kappa)
-    if not (math.isfinite(kappa) and PARAM_GUARD <= abs(kappa) < 1.0):
+    k = float(kappa)
+    if not (math.isfinite(k) and PARAM_GUARD <= abs(k) < 1.0):
         raise ParamOutOfRange(
-            f"kappa must satisfy {PARAM_GUARD:g} <= |kappa| < 1, got {kappa}"
+            f"kappa must satisfy {PARAM_GUARD:g} <= |kappa| < 1, got {k}"
         )
-    k = kappa
 
     def f(t):
         out = np.power(t, 1.0 - k)
@@ -386,10 +372,9 @@ def kaniadakis(kappa: float) -> HFPair:
         return out
 
     return HFPair(
-        name=f"kaniadakis({kappa:g})",
+        name=f"kaniadakis({k:g})",
         f=f,
         **_IDENTITY_H,
-        df1=-1.0,
         d2f1=-1.0,
         d3f1=1.0 - k * k,
         f_shape="concave",
@@ -413,10 +398,11 @@ def _guard_param(value: float, label: str, positive: bool = True) -> float:
     return value
 
 
-def _sm_rescale(alpha: float, beta: float, sign: float) -> tuple[Callable, Callable, Callable]:
-    """h, h^-1, h' of h(x) = (x^r - 1) / (sign (1 - beta)), r = (1 - beta)/(1 - alpha).
+def _sm_rescale(alpha: float, beta: float, sign: float) -> dict:
+    """h, h^-1, h' and h_direction of h(x) = (x^r - 1) / (sign (1 - beta)), as HFPair arguments.
 
-    sign 1 gives the entropy pair, -1 the divergence pair; negating 1 - beta is exact.
+    r = (1 - beta)/(1 - alpha).  sign 1 gives the entropy pair, -1 the divergence pair;
+    negating 1 - beta is exact.  h' has the sign of sign (1 - alpha), which fixes h_direction.
     """
     r = (1.0 - beta) / (1.0 - alpha)
     cb = sign * (1.0 - beta)
@@ -434,7 +420,8 @@ def _sm_rescale(alpha: float, beta: float, sign: float) -> tuple[Callable, Calla
     def h_prime(x):
         return np.exp((r - 1.0) * np.log(x)) / ca
 
-    return h, h_inverse, h_prime
+    direction = "increasing" if ca > 0.0 else "decreasing"
+    return {"h": h, "h_inverse": h_inverse, "h_prime": h_prime, "h_direction": direction}
 
 
 #: Family name -> (pair builder, builder of its natural composition law).
@@ -468,12 +455,11 @@ def make_builtin(family: str, **params: float) -> HFPair:
     return _builtin(family, params)[0]
 
 
-def _derivs_at_one(f: Callable, s: float) -> tuple[float, float, float]:
+def _derivs_at_one(f: Callable, s: float) -> tuple[float, float]:
     v = [float(f(1.0 + k * s)) for k in (-2, -1, 0, 1, 2)]
-    first = (v[0] - 8.0 * v[1] + 8.0 * v[3] - v[4]) / (12.0 * s)
     second = (-v[0] + 16.0 * v[1] - 30.0 * v[2] + 16.0 * v[3] - v[4]) / (12.0 * s * s)
     third = (-v[0] + 2.0 * v[1] - 2.0 * v[3] + v[4]) / (2.0 * s**3)
-    return first, second, third
+    return second, third
 
 
 def _fd_first_derivative(g: Callable, s: float) -> Callable:
@@ -536,7 +522,7 @@ def eval_entropy(pair: HFPair, p: ProbDist) -> float:
 
 def entropy_functional(pair: HFPair, law: BinaryLaw | None = None) -> EntropyFunctional:
     """Wrap an entropy-shaped pair as a batch-evaluable functional."""
-    require_entropy_shape(pair)
+    require_shape(pair, "entropy")
 
     def fn(weights):
         return pair.h(hf_sum(pair, weights))
@@ -565,7 +551,11 @@ def builtin_functional(family: str, **params: float) -> EntropyFunctional:
 
 @dataclass(frozen=True)
 class SKReport:
-    """Residuals of the Shannon-Khinchin checks over seeded samples."""
+    """Residuals and verdicts of the Shannon-Khinchin checks over seeded samples.
+
+    The fields are in output order.  `strict_ok` is True when the strict
+    check was not asked for, so `passed` is the conjunction of the four oks.
+    """
 
     entropy: str
     w_max: int
@@ -574,42 +564,15 @@ class SKReport:
     maximality_violation: float
     expansibility_residual: float
     min_value: float
+    maximality_ok: bool
+    expansibility_ok: bool
+    nonneg_ok: bool
     strict_checked: bool
     strict_ok: bool
-
-    @property
-    def maximality_ok(self) -> bool:
-        return self.maximality_violation <= self.tol
-
-    @property
-    def expansibility_ok(self) -> bool:
-        return self.expansibility_residual <= self.tol
-
-    @property
-    def nonneg_ok(self) -> bool:
-        return self.min_value >= -NONNEG_TOL
-
-    @property
-    def passed(self) -> bool:
-        ok = self.maximality_ok and self.expansibility_ok and self.nonneg_ok
-        return ok and (self.strict_ok or not self.strict_checked)
+    passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "entropy": self.entropy,
-            "w_max": self.w_max,
-            "samples": self.samples,
-            "tol": self.tol,
-            "maximality_violation": self.maximality_violation,
-            "expansibility_residual": self.expansibility_residual,
-            "min_value": self.min_value,
-            "maximality_ok": self.maximality_ok,
-            "expansibility_ok": self.expansibility_ok,
-            "nonneg_ok": self.nonneg_ok,
-            "strict_checked": self.strict_checked,
-            "strict_ok": self.strict_ok,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def sk_suite(
@@ -650,6 +613,10 @@ def sk_suite(
         expansibility = max(expansibility, float(gap.max()))
         min_value = min(min_value, float(vals.min()), u_val)
 
+    maximality_ok = maximality <= tol
+    expansibility_ok = expansibility <= tol
+    nonneg_ok = min_value >= -NONNEG_TOL
+    strict_ok = strict_ok if strict else True
     return SKReport(
         entropy=entropy.name,
         w_max=w_max,
@@ -658,8 +625,12 @@ def sk_suite(
         maximality_violation=maximality,
         expansibility_residual=expansibility,
         min_value=min_value,
+        maximality_ok=maximality_ok,
+        expansibility_ok=expansibility_ok,
+        nonneg_ok=nonneg_ok,
         strict_checked=strict,
-        strict_ok=strict_ok if strict else True,
+        strict_ok=strict_ok,
+        passed=maximality_ok and expansibility_ok and nonneg_ok and strict_ok,
     )
 
 

@@ -61,19 +61,6 @@ class ProbDist:
         return self.size
 
 
-@dataclass(frozen=True)
-class PositiveProbDist(ProbDist):
-    """A distribution with every weight strictly positive."""
-
-    def __post_init__(self, tol: float) -> None:
-        super().__post_init__(tol)
-        if np.any(self.weights <= 0.0):
-            raise NegativeWeight(
-                f"weight {float(self.weights.min())} at index "
-                f"{int(np.argmin(self.weights))} is not strictly positive"
-            )
-
-
 def validate(weights: Sequence[float] | np.ndarray, tol: float = SIMPLEX_TOL) -> ProbDist:
     """Validate a weight sequence at tolerance `tol` and wrap it."""
     return ProbDist(np.asarray(weights, dtype=float), tol)

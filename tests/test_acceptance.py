@@ -118,7 +118,7 @@ def test_every_builtin_entropy_passes_the_axiom_battery(capsys):
             w_max=6, samples=1_000, seed=77, tol=1e-10, strict=False,
         )
         if not rep.passed:
-            failures.append(rep.name)
+            failures.append(rep.entropy)
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 5.0
     _report(

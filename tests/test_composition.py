@@ -84,6 +84,10 @@ def test_zeta_linear_combination_of_entropies():
     combo = zeta_compose([s, t], linear_composer([0.25, 0.75]))
     expected = 0.25 * s.eval(P) + 0.75 * t.eval(P)
     assert combo.eval(P) == pytest.approx(expected, rel=1e-15)
+    assert combo.name == "linear(0.25,0.75)(shannon, tsallis(2))"
+    # a generator of constituents composes the same
+    streamed = zeta_compose((e for e in (s, t)), linear_composer([0.25, 0.75]))
+    assert (streamed.name, streamed.eval(P)) == (combo.name, combo.eval(P))
 
 
 def test_zeta_polynomial_on_shannon():
@@ -114,8 +118,11 @@ def test_zeta_spot_check_catches_maps_flagged_monotone():
 
 def test_zeta_rejects_wrong_arity():
     s = builtin_functional("shannon")
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ArityMismatch, match=r"^identity takes 1 entropies, got 2$"):
         zeta_compose([s, s], identity_composer())
+    # arity is checked before the monotone flag
+    with pytest.raises(ArityMismatch):
+        zeta_compose([s, s], linear_composer([-1.0]))
 
 
 def test_group_compose_matches_the_two_family_closed_form():
@@ -225,11 +232,17 @@ def test_closed_form_batch_evaluation():
     assert vals[7] == pytest.approx(one, rel=1e-15)
 
 
+CONCAVITY_KEYS = ["entropy", "w_max", "samples", "tol", "min_margin", "counterexample", "passed"]
+
+
 def test_concavity_probe_passes_for_the_pair_family():
     report = concavity_probe(sm_pair_entropy(0.3, 0.7, 0.5), w_max=4, samples=2000, seed=3)
     assert report.passed
     assert report.min_margin >= -1e-9
     assert report.counterexample is None
+    doc = report.as_dict()
+    assert list(doc) == CONCAVITY_KEYS
+    assert doc["counterexample"] is None and doc["passed"] is True
 
 
 def test_concavity_probe_catches_a_convex_function():
@@ -244,8 +257,18 @@ def test_concavity_probe_catches_a_convex_function():
     assert set(witness) == {"w", "p", "q", "lam", "margin"}
     doc = report.as_dict()
     assert doc["passed"] is False
+    assert list(doc) == CONCAVITY_KEYS
+    assert list(doc["counterexample"]) == ["w", "p", "q", "lam", "margin"]
 
 
 def test_concavity_probe_needs_two_outcomes():
     with pytest.raises(InvalidArgument):
         concavity_probe(builtin_functional("shannon"), w_max=1)
+
+
+@pytest.mark.parametrize("samples", [0, 4])
+def test_concavity_probe_needs_a_sample_at_every_size(samples):
+    # W = 2..6 is five sizes; fewer samples would leave some W unprobed
+    with pytest.raises(InvalidArgument, match="at least one sample per W"):
+        concavity_probe(builtin_functional("shannon"), w_max=6, samples=samples)
+    assert concavity_probe(builtin_functional("shannon"), w_max=6, samples=5).passed

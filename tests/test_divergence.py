@@ -141,6 +141,10 @@ def test_linear_composition_of_divergences():
     assert combo.grad0 == (0.6, 0.4)
     assert len(combo.constituents) == 2
     assert combo.eval(Q, Q) == pytest.approx(0.0, abs=1e-14)
+    # a generator of constituents composes the same
+    streamed = zeta_compose_div(iter(combo.constituents), linear_composer([0.6, 0.4]))
+    assert streamed.constituents == combo.constituents
+    assert (streamed.name, streamed.eval(P, Q)) == (combo.name, combo.eval(P, Q))
 
 
 def test_taylor_composition_keeps_positivity():
@@ -173,7 +177,7 @@ def test_composition_rejects_a_map_that_kills_a_face():
 def test_composition_rejects_wrong_arity():
     from entrogeo.errors import ArityMismatch
 
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ArityMismatch, match=r"takes 2 divergences, got 1$"):
         zeta_compose_div([kl_functional()], linear_composer([0.5, 0.5]))
 
 

@@ -80,6 +80,18 @@ def test_axiom_report_as_dict():
         "associativity_ok",
         "identity_ok",
     }
+    assert list(doc) == [
+        "law",
+        "samples",
+        "tol",
+        "commutativity_residual",
+        "associativity_residual",
+        "identity_residual",
+        "commutativity_ok",
+        "associativity_ok",
+        "identity_ok",
+        "passed",
+    ]
 
 
 def test_non_associative_law_is_caught():
@@ -175,6 +187,11 @@ def test_asymmetric_operation_fails_symmetry_probe():
         fn=lambda x, y: x + 0.5 * y, domain=Interval.reals(), name="lopsided"
     )
     assert check_phi4_symmetry(lopsided, samples=200) > 1e-2
+
+
+def test_symmetry_probe_needs_a_sample():
+    with pytest.raises(InvalidArgument, match="need at least one sample"):
+        check_phi4_symmetry(q_sum(0.5), samples=0)
 
 
 def test_conjugator_roundtrip_check():

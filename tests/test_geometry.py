@@ -55,7 +55,7 @@ def test_simplex_model_puts_the_dependent_weight_first():
     model = simplex_model(2)
     np.testing.assert_allclose(model.point([0.3, 0.25]), [0.45, 0.3, 0.25])
     assert model.n_params == 2
-    assert model.support_size == 3
+    assert model.prob_fn(np.array([0.3, 0.25])).shape == (3,)
 
 
 def test_simplex_model_enforces_the_margin():
@@ -171,7 +171,6 @@ def test_degenerate_curvature_is_rejected():
         h_inverse=lambda y: np.asarray(y) + 1.0,
         f_shape="convex",
         h_direction="increasing",
-        df1=1.0,
         d2f1=0.0,
         d3f1=0.0,
     )
@@ -450,7 +449,6 @@ def _stretched_simplex(w, scale):
     base = simplex_model(w)
     return StatModel(
         n_params=w,
-        support_size=w + 1,
         prob_fn=lambda xi: base.prob_fn(np.asarray(xi) / scale),
         in_domain=lambda xi: base.in_domain(np.asarray(xi) / scale),
         name=f"stretched({w})",

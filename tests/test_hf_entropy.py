@@ -40,7 +40,7 @@ from entrogeo.errors import (
 from entrogeo.hf_entropy import (
     EntropyFunctional,
     HFPair,
-    require_divergence_shape,
+    require_shape,
     zero_preserving,
 )
 
@@ -183,14 +183,13 @@ def test_fd_derivative_fallback_matches_analytic():
         h_direction="increasing",
     )
     reference = tsallis(q)
-    assert made.df1 == pytest.approx(reference.df1, abs=1e-8)
     assert made.d2f1 == pytest.approx(reference.d2f1, abs=1e-6)
     # the third-derivative stencil carries noise of order 1e-4 at this step
     assert made.d3f1 == pytest.approx(reference.d3f1, abs=5e-4)
     assert made.h_prime(np.array([0.5, 2.0])) == pytest.approx([1.0, 1.0], abs=1e-10)
     # a value given is kept; only the missing ones are filled
-    partial = dataclasses.replace(made, df1=-1.0, d3f1=None)
-    assert (partial.df1, partial.d2f1, partial.d3f1) == (-1.0, made.d2f1, made.d3f1)
+    partial = dataclasses.replace(made, d2f1=-1.5, d3f1=None)
+    assert (partial.d2f1, partial.d3f1) == (-1.5, made.d3f1)
 
 
 def test_declared_shape_must_match_sampled_shape():
@@ -247,9 +246,13 @@ def test_entropy_shape_requires_the_right_pairing():
         f_shape="convex",
         h_direction="increasing",
     )
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match=r"\(convex f, increasing h\) cannot be an entropy$"):
         entropy_functional(squared)
-    require_divergence_shape(squared)  # the mirror use is fine
+    require_shape(squared, "divergence")  # the mirror use is fine
+    with pytest.raises(ShapeMismatch, match=r"\(concave f, increasing h\) cannot be a divergence$"):
+        require_shape(shannon(), "divergence")
+    with pytest.raises(InvalidArgument, match="role must be one of"):
+        require_shape(squared, "metric")
 
 
 def test_anchor_values_are_enforced():
@@ -384,10 +387,32 @@ def test_sk_suite_flags_a_convex_impostor():
     assert report.maximality_violation > 0.1
 
 
+SK_KEYS = [
+    "entropy",
+    "w_max",
+    "samples",
+    "tol",
+    "maximality_violation",
+    "expansibility_residual",
+    "min_value",
+    "maximality_ok",
+    "expansibility_ok",
+    "nonneg_ok",
+    "strict_checked",
+    "strict_ok",
+    "passed",
+]
+
+
 def test_sk_report_as_dict_keys():
     doc = sk_suite(entropy_functional(shannon()), w_max=2, samples=50).as_dict()
     assert doc["passed"] is True
     assert {"maximality_violation", "expansibility_residual", "min_value"} <= set(doc)
+    assert list(doc) == SK_KEYS
+    # without the strict check, strict_ok reads True and passed ignores it
+    loose = sk_suite(entropy_functional(shannon()), w_max=2, samples=50, strict=False).as_dict()
+    assert list(loose) == SK_KEYS
+    assert (loose["strict_checked"], loose["strict_ok"], loose["passed"]) == (False, True, True)
 
 
 # --- the trace bridge between chi and the entropy law -------------------------

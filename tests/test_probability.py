@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entrogeo import (
-    PositiveProbDist,
     ProbDist,
     certainty,
     expand,
@@ -60,13 +59,6 @@ def test_non_finite_rejected():
 def test_empty_rejected():
     with pytest.raises(LengthMismatch):
         validate([])
-
-
-def test_positive_dist_rejects_zero():
-    with pytest.raises(NegativeWeight):
-        PositiveProbDist(np.array([0.0, 1.0]))
-    q = PositiveProbDist(np.array([0.25, 0.75]))
-    assert q.size == 2
 
 
 def test_uniform():
