@@ -15,7 +15,6 @@ from .composition import (
     ConcavityReport,
     concavity_probe,
     group_compose,
-    identity_composer,
     linear_composer,
     polynomial_composer,
     sm_pair_entropy,
@@ -64,7 +63,6 @@ from .geometry import (
     hf_alpha_of,
     hf_closed_connections,
     hf_closed_metric,
-    raised_connection,
     simplex_model,
 )
 from .hf_entropy import (
@@ -77,7 +75,6 @@ from .hf_entropy import (
     eval_entropy,
     hf_sum,
     kaniadakis,
-    make_builtin,
     phi_from_chi,
     product_chi,
     renyi,
@@ -89,10 +86,7 @@ from .hf_entropy import (
 from .maxent import ConstraintSet, MaxentResult, maximize
 from .probability import (
     ProbDist,
-    certainty,
-    expand,
     load_distribution,
-    mix,
     product,
     uniform,
     validate,

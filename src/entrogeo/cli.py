@@ -147,8 +147,8 @@ def _hf_div(pair_builder: Callable) -> Callable[..., divergence.DivergenceFuncti
 #: Entropy families by CLI name; each builder takes the spec's parameters.
 _ENTROPIES: dict[str, Callable[..., hf_entropy.EntropyFunctional]] = {
     **{
-        name: functools.partial(hf_entropy.builtin_functional, name)
-        for name in ("shannon", "renyi", "tsallis", "sharma-mittal", "kaniadakis")
+        name.replace("_", "-"): functools.partial(hf_entropy.builtin_functional, name)
+        for name in hf_entropy._BUILTINS
     },
     "sm-pair": composition.sm_pair_entropy,
     "sm-tsallis": composition.sm_tsallis_entropy,
@@ -509,7 +509,7 @@ def _checks_geometry(w_max: int, points: int, seed: int) -> list[dict]:
     model = geometry.simplex_model(size)
     xi = _interior_points(rng, size, 1)[0]
     gamma, gamma_star = geometry.div_connections(functional, model, xi)
-    c = float(pair.h_prime(pair.f1)) * pair.d2f1
+    c, _ = geometry._closed_form_data(pair, xi, size)
     a = geometry.hf_alpha_of(pair)
     ref = c * geometry.alpha_connection(model, xi, -a).entries
     ref_star = c * geometry.alpha_connection(model, xi, a).entries

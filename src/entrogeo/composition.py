@@ -88,16 +88,6 @@ class Composer:
         return functionals, fn, f"{self.name}({inner})"
 
 
-def identity_composer() -> Composer:
-    """The 1-ary identity."""
-    return Composer(
-        fn=lambda v: np.asarray(v, dtype=float)[..., 0],
-        arity=1,
-        name="identity",
-        grad0=(1.0,),
-    )
-
-
 def linear_composer(coeffs: Sequence[float]) -> Composer:
     """zeta(x) = sum_j c_j x_j; monotone iff every coefficient is >= 0."""
     c = np.asarray(coeffs, dtype=float)
@@ -171,13 +161,12 @@ def _spot_check_monotone(composer: Composer) -> None:
     zx = np.asarray(composer.fn(x), dtype=float)
     zy = np.asarray(composer.fn(y), dtype=float)
     worst = float(np.max(zx - zy))
-    if worst > MONO_SLACK:
+    if not worst <= MONO_SLACK:  # a nan fails too
         raise MonotonicityViolation(
             f"{composer.name} decreases along the componentwise order by {worst:.3e}"
         )
-    low = min(float(zx.min()), float(zy.min()))
     origin = float(composer.fn(np.zeros(composer.arity)))
-    if min(low, origin) < -MONO_SLACK:
+    if not float(np.min((zx.min(), zy.min(), origin))) >= -MONO_SLACK:
         raise MonotonicityViolation(
             f"{composer.name} leaves the non-negative range on sampled points"
         )

@@ -187,7 +187,7 @@ def zeta_compose_div(
 def _spot_check_zeta(composer: Composer) -> None:
     m = composer.arity
     origin = float(composer.fn(np.zeros(m)))
-    if abs(origin) > DIAGONAL_TOL:
+    if not abs(origin) <= DIAGONAL_TOL:  # a nan fails too
         raise ZetaRangeViolation(f"{composer.name}(0) = {origin:.3e}, must vanish")
     rng = np.random.default_rng(0)
     interior = rng.uniform(0.01, 5.0, size=(ZETA_SAMPLES, m))
@@ -200,7 +200,7 @@ def _spot_check_zeta(composer: Composer) -> None:
             batches.append(face)
     for batch in batches:
         vals = np.asarray(composer.fn(batch), dtype=float)
-        if float(vals.min()) <= 0.0:
+        if not float(vals.min()) > 0.0:
             raise ZetaRangeViolation(
                 f"{composer.name} is not strictly positive away from the origin"
             )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -91,44 +91,21 @@ class Conjugator:
 
 @dataclass(frozen=True)
 class LawReport:
-    """Max axiom residuals of a law over a seeded sample."""
+    """Max axiom residuals of a law over a seeded sample and their verdicts, in output order."""
 
     law: str
-    commutativity: float
-    associativity: float
-    identity: float
     samples: int
     tol: float
-
-    @property
-    def commutativity_ok(self) -> bool:
-        return self.commutativity <= self.tol
-
-    @property
-    def associativity_ok(self) -> bool:
-        return self.associativity <= self.tol
-
-    @property
-    def identity_ok(self) -> bool:
-        return self.identity <= self.tol
-
-    @property
-    def passed(self) -> bool:
-        return self.commutativity_ok and self.associativity_ok and self.identity_ok
+    commutativity_residual: float
+    associativity_residual: float
+    identity_residual: float
+    commutativity_ok: bool
+    associativity_ok: bool
+    identity_ok: bool
+    passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "samples": self.samples,
-            "tol": self.tol,
-            "commutativity_residual": self.commutativity,
-            "associativity_residual": self.associativity,
-            "identity_residual": self.identity,
-            "commutativity_ok": self.commutativity_ok,
-            "associativity_ok": self.associativity_ok,
-            "identity_ok": self.identity_ok,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def q_sum(q: float) -> BinaryLaw:
@@ -190,11 +167,15 @@ def check_group_axioms(
     ident = float(np.max(np.abs(law(x, np.zeros_like(x)) - x)))
     return LawReport(
         law=law.name,
-        commutativity=comm,
-        associativity=assoc,
-        identity=ident,
         samples=samples,
         tol=tol,
+        commutativity_residual=comm,
+        associativity_residual=assoc,
+        identity_residual=ident,
+        commutativity_ok=comm <= tol,
+        associativity_ok=assoc <= tol,
+        identity_ok=ident <= tol,
+        passed=comm <= tol and assoc <= tol and ident <= tol,
     )
 
 
@@ -218,8 +199,6 @@ def iterate_pow2(law: BinaryLaw, m: int) -> Callable:
         while len(vals) > 1:
             vals = [law(a, b) for a, b in zip(vals[0::2], vals[1::2])]
         return vals[0]
-
-    composed.arity = arity  # type: ignore[attr-defined]
     return composed
 
 

@@ -109,10 +109,6 @@ class MetricTensor:
         g.setflags(write=False)
         object.__setattr__(self, "entries", g)
 
-    @property
-    def dim(self) -> int:
-        return int(self.entries.shape[-1])
-
     def is_positive_definite(self) -> bool:
         try:
             np.linalg.cholesky(self.entries)
@@ -138,10 +134,6 @@ class ConnCoeffs:
             )
         c.setflags(write=False)
         object.__setattr__(self, "entries", c)
-
-    @property
-    def dim(self) -> int:
-        return int(self.entries.shape[0])
 
 
 def simplex_model(size: int, margin: float = SIMPLEX_MARGIN) -> StatModel:
@@ -448,17 +440,3 @@ def combine_geometry(
     c = sum(wi * np.asarray(t.entries) for wi, t in zip(w, connections))
     cs = sum(wi * np.asarray(t.entries) for wi, t in zip(w, dual_connections))
     return MetricTensor(g), ConnCoeffs(c), ConnCoeffs(cs)
-
-
-def raised_connection(metric: MetricTensor, conn: ConnCoeffs) -> np.ndarray:
-    """Raise the last index: returns Gamma^k_ij as an array indexed [i, j, k].
-
-    Solves g_{lk} Gamma^l_ij = Gamma_ij,k against the metric; raises
-    numpy.linalg.LinAlgError if the metric is singular.
-    """
-    n = conn.dim
-    if metric.entries.shape != (n, n):
-        raise InvalidArgument(f"need one ({n}, {n}) metric, got entries {metric.entries.shape}")
-    flat = np.asarray(conn.entries).reshape(n * n, n)
-    solved = np.linalg.solve(np.asarray(metric.entries), flat.T)
-    return solved.T.reshape(n, n, n)

@@ -434,27 +434,6 @@ _BUILTINS: dict[str, tuple[Callable[..., HFPair], Callable[..., BinaryLaw | None
 }
 
 
-def _builtin(family: str, params: dict) -> tuple[HFPair, Callable[..., BinaryLaw | None]]:
-    entry = _BUILTINS.get(family.strip().lower().replace("-", "_"))
-    if entry is None:
-        raise ParamOutOfRange(
-            f"unknown family {family!r}; expected one of {sorted(_BUILTINS)}"
-        )
-    try:
-        return entry[0](**params), entry[1]
-    except TypeError as exc:
-        raise ParamOutOfRange(f"bad parameters for {family!r}: {exc}") from exc
-
-
-def make_builtin(family: str, **params: float) -> HFPair:
-    """Construct a built-in pair by family name.
-
-    Accepts 'sharma-mittal' as an alias for 'sharma_mittal'.  Unknown names
-    and invalid parameters raise ParamOutOfRange.
-    """
-    return _builtin(family, params)[0]
-
-
 def _derivs_at_one(f: Callable, s: float) -> tuple[float, float]:
     v = [float(f(1.0 + k * s)) for k in (-2, -1, 0, 1, 2)]
     second = (-v[0] + 16.0 * v[1] - 30.0 * v[2] + 16.0 * v[3] - v[4]) / (12.0 * s * s)
@@ -541,8 +520,21 @@ def entropy_functional(pair: HFPair, law: BinaryLaw | None = None) -> EntropyFun
 
 
 def builtin_functional(family: str, **params: float) -> EntropyFunctional:
-    """A built-in entropy with its natural composition law attached (if any)."""
-    pair, natural_law = _builtin(family, params)
+    """A built-in entropy with its natural composition law attached (if any).
+
+    Accepts 'sharma-mittal' as an alias for 'sharma_mittal'.  Unknown names
+    and invalid parameters raise ParamOutOfRange.
+    """
+    entry = _BUILTINS.get(family.strip().lower().replace("-", "_"))
+    if entry is None:
+        raise ParamOutOfRange(
+            f"unknown family {family!r}; expected one of {sorted(_BUILTINS)}"
+        )
+    build_pair, natural_law = entry
+    try:
+        pair = build_pair(**params)
+    except TypeError as exc:
+        raise ParamOutOfRange(f"bad parameters for {family!r}: {exc}") from exc
     return entropy_functional(pair, law=natural_law(**params))
 
 

@@ -3,8 +3,8 @@
 A distribution on W outcomes is a vector p = (p_1, ..., p_W) with p_i >= 0 and
 sum p_i = 1.  Validation is strict and never renormalizes: a vector either is a
 distribution at the stated tolerance or construction fails.  The module also
-provides the product p (x) q (independent joint, row-major), zero-padding
-expansion, convex mixing, and JSON/CSV loading for the CLI.
+provides the product p (x) q (independent joint, row-major) and JSON/CSV
+loading for the CLI.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidArgument, LengthMismatch, NegativeWeight, SumNotOne
+from .errors import IndexOutOfRange, LengthMismatch, NegativeWeight, SumNotOne
 
 #: |sum(p) - 1| allowed when constructing in memory.
 SIMPLEX_TOL = 1e-12
@@ -73,17 +73,6 @@ def uniform(size: int) -> ProbDist:
     return ProbDist(np.full(size, 1.0 / size))
 
 
-def certainty(size: int, index: int) -> ProbDist:
-    """The distribution concentrated on outcome `index` (1-based)."""
-    if size < 1:
-        raise IndexOutOfRange(f"need at least one outcome, got {size}")
-    if not 1 <= index <= size:
-        raise IndexOutOfRange(f"index {index} outside 1..{size}")
-    w = np.zeros(size)
-    w[index - 1] = 1.0
-    return ProbDist(w)
-
-
 def product(p: ProbDist, q: ProbDist) -> ProbDist:
     """Independent joint distribution p (x) q, flattened row-major.
 
@@ -91,21 +80,6 @@ def product(p: ProbDist, q: ProbDist) -> ProbDist:
     through q for each fixed outcome of p.
     """
     return ProbDist(np.outer(p.weights, q.weights).reshape(-1))
-
-
-def expand(p: ProbDist) -> ProbDist:
-    """Append one zero-probability outcome (the expansibility construction)."""
-    return ProbDist(np.append(p.weights, 0.0))
-
-
-def mix(p: ProbDist, q: ProbDist, lam: float) -> ProbDist:
-    """Convex combination lam*p + (1-lam)*q of two same-length distributions."""
-    if p.size != q.size:
-        raise LengthMismatch(f"cannot mix lengths {p.size} and {q.size}")
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidArgument(f"mixing weight {lam} outside [0, 1]")
-    return ProbDist(lam * p.weights + (1.0 - lam) * q.weights)
 
 
 def loads_distribution(text: str, tol: float = FILE_TOL) -> ProbDist:

@@ -86,7 +86,12 @@ def test_deformed_addition_passes_group_axioms(capsys):
     worst_axiom = 0.0
     for q in (0.0, 0.5, 1.0, 2.0):
         rep = check_group_axioms(q_sum(q), samples=10_000, seed=31, tol=1e-10)
-        worst_axiom = max(worst_axiom, rep.commutativity, rep.associativity, rep.identity)
+        worst_axiom = max(
+            worst_axiom,
+            rep.commutativity_residual,
+            rep.associativity_residual,
+            rep.identity_residual,
+        )
     worst_phi4 = max(
         check_phi4_symmetry(q_sum(q), samples=1_000, seed=32) for q in (0.0, 0.5, 1.0, 2.0)
     )

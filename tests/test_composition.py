@@ -12,7 +12,6 @@ from entrogeo import (
     concavity_probe,
     expm1_conjugator,
     group_compose,
-    identity_composer,
     identity_conjugator,
     linear_composer,
     polynomial_composer,
@@ -41,13 +40,6 @@ SM_TSALLIS_03_07 = 2.9771595458568808  # alpha 0.3, q 0.7, same p
 LN2_PLUS_LN2_SQ = 1.1736001944781467  # x + x^2 at x = ln 2
 
 P = validate([0.2, 0.3, 0.5])
-
-
-def test_identity_composer_passes_through():
-    c = identity_composer()
-    assert c.arity == 1
-    assert float(c.fn(np.array([2.5]))) == 2.5
-    assert c.grad0 == (1.0,)
 
 
 def test_linear_composer_flags():
@@ -116,10 +108,25 @@ def test_zeta_spot_check_catches_maps_flagged_monotone():
         zeta_compose([s], lowered)
 
 
+def test_zeta_spot_check_catches_nan_values():
+    # every comparison with nan is False, so each range check must fail on it
+    s = builtin_functional("shannon")
+    undefined = Composer(fn=lambda v: np.full(v.shape[:-1], np.nan), arity=1, name="undefined")
+    with pytest.raises(MonotonicityViolation, match="undefined decreases"):
+        zeta_compose([s], undefined)
+    hole = Composer(
+        fn=lambda v: np.where(np.any(v > 0.0, axis=-1), v.sum(axis=-1), np.nan),
+        arity=1,
+        name="hole",
+    )
+    with pytest.raises(MonotonicityViolation, match="hole leaves the non-negative range"):
+        zeta_compose([s], hole)
+
+
 def test_zeta_rejects_wrong_arity():
     s = builtin_functional("shannon")
-    with pytest.raises(ArityMismatch, match=r"^identity takes 1 entropies, got 2$"):
-        zeta_compose([s, s], identity_composer())
+    with pytest.raises(ArityMismatch, match=r"^linear\(1\) takes 1 entropies, got 2$"):
+        zeta_compose([s, s], linear_composer([1.0]))
     # arity is checked before the monotone flag
     with pytest.raises(ArityMismatch):
         zeta_compose([s, s], linear_composer([-1.0]))

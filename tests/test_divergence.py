@@ -174,6 +174,13 @@ def test_composition_rejects_a_map_that_kills_a_face():
         )
 
 
+def test_composition_rejects_a_nan_map():
+    # every comparison with nan is False, so each range check must fail on it
+    nan_weighted = linear_composer([1.0, np.nan])
+    with pytest.raises(ZetaRangeViolation, match=r"\(0\) = nan, must vanish"):
+        zeta_compose_div([kl_functional(), kl_functional()], nan_weighted)
+
+
 def test_composition_rejects_wrong_arity():
     from entrogeo.errors import ArityMismatch
 

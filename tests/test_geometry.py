@@ -21,7 +21,6 @@ from entrogeo import (
     kl_functional,
     kl_pair,
     power_pair,
-    raised_connection,
     shannon,
     simplex_model,
     sm_div_functional,
@@ -234,24 +233,6 @@ def test_combine_geometry_guards():
         combine_geometry([1.0, -1.0], [g, g], [c, c], [c, c])
     with pytest.raises(ArityMismatch, match="nothing to combine"):
         combine_geometry([], [], [], [])
-
-
-def test_raised_connection_solves_against_the_metric():
-    rng = np.random.default_rng(13)
-    base = rng.standard_normal((3, 3))
-    g = MetricTensor(base @ base.T + 3.0 * np.eye(3))
-    c = rng.standard_normal((3, 3, 3))
-    conn = ConnCoeffs(0.5 * (c + c.transpose(1, 0, 2)))
-    raised = raised_connection(g, conn)
-    rebuilt = np.einsum("ijl,lk->ijk", raised, np.asarray(g.entries))
-    np.testing.assert_allclose(rebuilt, conn.entries, atol=1e-12)
-
-
-def test_raised_connection_with_identity_metric_is_identity():
-    c = np.zeros((2, 2, 2))
-    c[0, 0, 0] = 1.5
-    conn = ConnCoeffs(c)
-    np.testing.assert_allclose(raised_connection(MetricTensor(np.eye(2)), conn), c)
 
 
 def test_stencils_refuse_to_cross_the_boundary():
@@ -590,12 +571,6 @@ def test_metric_tensor_checks_stacks_over_the_last_two_axes():
         MetricTensor(np.ones((2, 3)))
 
 
-def test_metric_tensor_dim_is_the_last_axis():
-    assert MetricTensor(np.zeros((5, 3, 3))).dim == 3
-    assert MetricTensor(np.eye(4)).dim == 4
-    assert MetricTensor(np.zeros((0, 2, 2))).dim == 2
-
-
 def test_a_stack_is_positive_definite_only_if_every_member_is():
     pd = np.array([[2.0, 1.0], [1.0, 3.0]])
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -605,13 +580,6 @@ def test_a_stack_is_positive_definite_only_if_every_member_is():
     assert not MetricTensor(indefinite).is_positive_definite()
     stack = _interior_stack(np.random.default_rng(5), 3, 4)
     assert div_metric(kl_functional(), simplex_model(3), stack).is_positive_definite()
-
-
-def test_raised_connection_takes_one_metric_of_the_connection_dimension():
-    conn = ConnCoeffs(np.zeros((2, 2, 2)))
-    for entries in (np.stack([np.eye(2)] * 3), np.eye(3)):
-        with pytest.raises(InvalidArgument, match=re.escape(f"got entries {entries.shape}")):
-            raised_connection(MetricTensor(entries), conn)
 
 
 def test_div_metric_rejects_deeper_stacks():

@@ -6,9 +6,6 @@ from hypothesis import given, strategies as st
 
 from entrogeo import (
     ProbDist,
-    certainty,
-    expand,
-    mix,
     product,
     uniform,
     validate,
@@ -68,38 +65,9 @@ def test_uniform():
         uniform(0)
 
 
-def test_certainty_is_one_based():
-    e = certainty(3, 1)
-    np.testing.assert_array_equal(e.weights, [1.0, 0.0, 0.0])
-    e = certainty(3, 3)
-    np.testing.assert_array_equal(e.weights, [0.0, 0.0, 1.0])
-    with pytest.raises(IndexOutOfRange):
-        certainty(3, 0)
-    with pytest.raises(IndexOutOfRange):
-        certainty(3, 4)
-    with pytest.raises(IndexOutOfRange):
-        certainty(0, 1)
-
-
 def test_product_is_row_major():
     joint = product(validate([0.5, 0.5]), validate([0.3, 0.7]))
     np.testing.assert_allclose(joint.weights, [0.15, 0.35, 0.15, 0.35])
-
-
-def test_expand_appends_zero_outcome():
-    p = expand(validate([0.4, 0.6]))
-    np.testing.assert_array_equal(p.weights, [0.4, 0.6, 0.0])
-
-
-def test_mix_endpoints_and_range():
-    p, q = validate([1.0, 0.0]), validate([0.0, 1.0])
-    np.testing.assert_array_equal(mix(p, q, 1.0).weights, p.weights)
-    np.testing.assert_array_equal(mix(p, q, 0.0).weights, q.weights)
-    np.testing.assert_allclose(mix(p, q, 0.25).weights, [0.25, 0.75])
-    with pytest.raises(ValueError):
-        mix(p, q, 1.5)
-    with pytest.raises(LengthMismatch):
-        mix(p, uniform(3), 0.5)
 
 
 @given(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=8))

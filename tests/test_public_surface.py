@@ -1,0 +1,62 @@
+"""Every public name has a consumer outside the unit tests.
+
+A name in `entrogeo.__all__` must be referenced (as a name, an attribute or
+an import) by the library's own modules, the benchmark scripts, the
+acceptance battery or the README's python code.  A name that only its unit
+tests call goes, or is listed below with the reason it stays.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import entrogeo
+
+ROOT = Path(__file__).resolve().parents[1]
+
+EXEMPT = {
+    # the paper's induced-law construction Phi = h . chi . (h^-1, h^-1)
+    "phi_from_chi",
+    # the trace-level law chi(x, y) = x y that phi_from_chi lifts for the power families
+    "product_chi",
+    # the exact dual connections that the FD connection tests are measured against
+    "hf_closed_connections",
+}
+
+
+def _consumer_sources() -> dict[str, str]:
+    paths = [p for p in sorted((ROOT / "src" / "entrogeo").glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    paths.append(ROOT / "tests" / "test_acceptance.py")
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in paths}
+    readme = (ROOT / "README.md").read_text()
+    for k, block in enumerate(re.findall(r"```python\n(.*?)```", readme, re.S)):
+        sources[f"README.md[python {k}]"] = block
+    return sources
+
+
+def _referenced_names(source: str, filename: str) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+REFERENCED = set().union(
+    *(_referenced_names(text, name) for name, text in _consumer_sources().items())
+)
+
+
+def test_every_public_name_has_a_consumer():
+    unused = sorted(set(entrogeo.__all__) - EXEMPT - REFERENCED)
+    assert unused == [], f"public names with no consumer outside tests/: {unused}"
+
+
+def test_every_exemption_is_public_and_still_needed():
+    assert EXEMPT <= set(entrogeo.__all__)
+    assert EXEMPT.isdisjoint(REFERENCED), "an exempt name gained a consumer; drop its exemption"
