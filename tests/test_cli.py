@@ -311,6 +311,17 @@ def test_unknown_family_exits_two(dist_file):
     assert text == ""
 
 
+def test_entropy_families_are_the_builtin_table_then_the_compositions():
+    from entrogeo import cli, hf_entropy
+
+    assert list(cli._ENTROPIES) == [
+        "shannon", "renyi", "tsallis", "sharma-mittal", "kaniadakis", "sm-pair", "sm-tsallis",
+    ]
+    assert [name.replace("_", "-") for name in hf_entropy._BUILTINS] == list(cli._ENTROPIES)[:5]
+    built = cli._entropy("sharma-mittal:alpha=0.5,beta=0.7")
+    assert built.name == hf_entropy.builtin_functional("sharma_mittal", alpha=0.5, beta=0.7).name
+
+
 def test_missing_file_exits_two():
     code, _ = execute(["entropy", "--family", "shannon", "--dist", "/nonexistent.json"])
     assert code == 2

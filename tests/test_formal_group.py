@@ -108,6 +108,19 @@ def test_law_without_identity_is_caught():
     assert not report.identity_ok
 
 
+def test_nan_residual_fails_its_verdict():
+    # finite on the samples, nan once a composed value passes 0.6: only the
+    # associativity residual sees nan, and nan <= tol is False
+    holed = BinaryLaw(
+        fn=lambda x, y: np.where(x <= 0.6, x + y, np.nan), domain=Interval.reals(), name="holed"
+    )
+    report = check_group_axioms(holed, domain=(0.0, 0.5), samples=200)
+    assert math.isnan(report.associativity_residual)
+    assert not report.associativity_ok
+    assert report.commutativity_ok and report.identity_ok
+    assert not report.passed
+
+
 def test_domain_escape_when_samples_leave_domain():
     boxed = BinaryLaw(fn=lambda x, y: x + y, domain=Interval(0.0, 1.0), name="boxed")
     with pytest.raises(DomainEscape):

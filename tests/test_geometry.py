@@ -149,6 +149,27 @@ def test_metric_scale_constants():
 
 
 @pytest.mark.parametrize(
+    "pair",
+    [kl_pair(), power_pair(2.0), power_pair(0.5), tsallis_relative_pair(1.5),
+     sm_divergence_pair(0.5, 0.7)],
+    ids=lambda pair: pair.name,
+)
+def test_closed_form_data_against_stencils_of_h_and_f(pair):
+    # c = h'(f(1)) f''(1) from central differences of h and f themselves
+    from entrogeo.geometry import _closed_form_data
+
+    step = 1e-4
+    f1 = float(pair.f(1.0))
+    h_prime = (float(pair.h(f1 + step)) - float(pair.h(f1 - step))) / (2 * step)
+    d2f = (float(pair.f(1.0 + step)) - 2 * f1 + float(pair.f(1.0 - step))) / step**2
+    xi = [0.3, 0.25]
+    c, p = _closed_form_data(pair, xi, size=2)
+    assert c == pytest.approx(h_prime * d2f, rel=1e-6)
+    assert c > 0.0
+    np.testing.assert_array_equal(p, simplex_model(2).point(xi))
+
+
+@pytest.mark.parametrize(
     "pair, expected",
     [
         (kl_pair(), 1.0),

@@ -65,6 +65,18 @@ def test_certainty_has_zero_entropy():
         assert eval_entropy(pair, validate([0, 1, 0, 0, 0])) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [shannon(), renyi(2.0), tsallis(0.5), sharma_mittal(0.5, 0.7), kaniadakis(0.3)],
+    ids=lambda pair: pair.name,
+)
+def test_zero_outcomes_leave_the_entropy_unchanged(pair):
+    # expansibility on literal padded weights, at every position of the zeros
+    base = eval_entropy(pair, P)
+    for padded in ([0.2, 0.3, 0.5, 0.0], [0.0, 0.2, 0.3, 0.5], [0.2, 0.0, 0.3, 0.0, 0.5]):
+        assert eval_entropy(pair, validate(padded)) == pytest.approx(base, rel=1e-14, abs=0.0)
+
+
 def test_renyi_reference_values():
     assert eval_entropy(renyi(2.0), uniform(4)) == pytest.approx(LN4, rel=1e-15)
     assert eval_entropy(renyi(0.5), P) == pytest.approx(RENYI_05_P, rel=1e-14)
