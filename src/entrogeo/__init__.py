@@ -55,14 +55,13 @@ from .geometry import (
     MetricTensor,
     StatModel,
     alpha_connection,
+    closed_geometry,
     combine_geometry,
     div_connections,
     div_metric,
     duality_residual,
     fisher_metric,
     hf_alpha_of,
-    hf_closed_connections,
-    hf_closed_metric,
     simplex_model,
 )
 from .hf_entropy import (

@@ -303,7 +303,7 @@ def _cmd_metric(args) -> tuple[int, dict]:
     doc["entries"] = tensor.entries.tolist()
     doc["positive_definite"] = tensor.is_positive_definite()
     if functional is not None and functional.pair is not None:
-        closed = geometry.hf_closed_metric(functional.pair, point, model.n_params)
+        closed = geometry.closed_geometry(functional.pair, point, model.n_params)[0]
         doc["closed_form_entries"] = closed.entries.tolist()
         doc["closed_form_max_rel_error"] = _max_rel_error(tensor, closed)
     return 0, doc
@@ -492,7 +492,7 @@ def _checks_geometry(w_max: int, points: int, seed: int) -> list[dict]:
             model = geometry.simplex_model(size)
             for xi in _interior_points(rng, size, points):
                 fd = geometry.div_metric(functional, model, xi)
-                closed = geometry.hf_closed_metric(functional.pair, xi, size)
+                closed = geometry.closed_geometry(functional.pair, xi, size)[0]
                 worst = max(worst, _max_rel_error(fd, closed))
         checks.append(
             _check(
@@ -509,10 +509,9 @@ def _checks_geometry(w_max: int, points: int, seed: int) -> list[dict]:
     model = geometry.simplex_model(size)
     xi = _interior_points(rng, size, 1)[0]
     gamma, gamma_star = geometry.div_connections(functional, model, xi)
-    c, _ = geometry._closed_form_data(pair, xi, size)
     a = geometry.hf_alpha_of(pair)
-    ref = c * geometry.alpha_connection(model, xi, -a).entries
-    ref_star = c * geometry.alpha_connection(model, xi, a).entries
+    ref = pair.c * geometry.alpha_connection(model, xi, -a).entries
+    ref_star = pair.c * geometry.alpha_connection(model, xi, a).entries
     err = float(np.max(np.abs(gamma.entries - ref) / (1.0 + np.abs(ref))))
     err_star = float(np.max(np.abs(gamma_star.entries - ref_star) / (1.0 + np.abs(ref_star))))
     checks.append(

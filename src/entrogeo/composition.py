@@ -44,6 +44,9 @@ MONO_SAMPLES = 100
 #: Largest product residual a constituent may show against the shared law.
 PROBE_TOL = 1e-9
 
+#: How far below the chord a sampled concavity margin may fall.
+CONCAVITY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Composer:
@@ -303,14 +306,13 @@ def concavity_probe(
     w_max: int = 6,
     samples: int = 10000,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> ConcavityReport:
     """Sample mixing triples (p, q, lambda) and test the concavity inequality.
 
     The margin S(lam p + (1-lam) q) - lam S(p) - (1-lam) S(q) must stay above
-    -tol; the most negative sampled margin and, if it crosses the line, the
-    witnessing triple are reported.  Samples are spread over W = 2..w_max,
-    at least one each.
+    -CONCAVITY_TOL; the most negative sampled margin and, if it crosses the
+    line, the witnessing triple are reported.  Samples are spread over
+    W = 2..w_max, at least one each.
     """
     if w_max < 2:
         raise InvalidArgument("w_max must be at least 2")
@@ -335,7 +337,7 @@ def concavity_probe(
         low = float(margin.min())
         if low < min_margin:
             min_margin = low
-            if low < -tol:
+            if low < -CONCAVITY_TOL:
                 i = int(np.argmin(margin))
                 counterexample = {
                     "w": w,
@@ -348,7 +350,7 @@ def concavity_probe(
         entropy=entropy.name,
         w_max=w_max,
         samples=samples,
-        tol=tol,
+        tol=CONCAVITY_TOL,
         min_margin=min_margin,
         counterexample=counterexample,
         passed=counterexample is None,

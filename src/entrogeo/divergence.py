@@ -1,9 +1,9 @@
 """Relative-entropy functionals D(p || q) = h(sum_i q_i f(p_i / q_i)).
 
-The shape pairing is the mirror of the entropy one: convex f goes with
-increasing h (Kullback-Leibler: f = t ln t, h = x) and concave f with
-decreasing h.  Either way D(p || q) >= 0 with equality at p = q, which is
-what makes the second-order expansion around the diagonal a metric.
+The shape pairing is the mirror of the entropy one, c = h'(f(1)) f''(1) > 0:
+convex f with increasing h (Kullback-Leibler: f = t ln t, h = x) or concave
+f with decreasing h.  Either way D(p || q) >= 0 with equality at p = q, which
+is what makes the second-order expansion around the diagonal a metric.
 
 The reference distribution q must be strictly positive; p may contain zeros
 (f(0) = 0 kills those terms).  Divergences can be composed through a map
@@ -89,7 +89,7 @@ def hf_div_functional(pair: HFPair) -> DivergenceFunctional:
 
 def kl_pair() -> HFPair:
     """f = t ln t with h = x: the Kullback-Leibler pair."""
-    return HFPair(name="kl", **_f_t_log_t(1.0), **_IDENTITY_H, h_direction="increasing")
+    return HFPair(name="kl", **_f_t_log_t(1.0), **_IDENTITY_H)
 
 
 def kl_functional() -> DivergenceFunctional:
@@ -113,27 +113,20 @@ def power_pair(a: float) -> HFPair:
     a(1-a).
     """
     a = _guard_param(a, "a")
-    convex = a > 1.0
-    sign = 1.0 if convex else -1.0
+    sign = 1.0 if a > 1.0 else -1.0
     return HFPair(
         name=f"power({a:g})",
         **_f_power(a),
         h=lambda x: sign * (np.asarray(x, dtype=float) - 1.0),
         h_inverse=lambda y: sign * np.asarray(y, dtype=float) + 1.0,
         h_prime=lambda x: np.full_like(np.asarray(x, dtype=float), sign),
-        h_direction="increasing" if convex else "decreasing",
     )
 
 
 def tsallis_relative_pair(alpha: float) -> HFPair:
     """f = (t^alpha - t)/(alpha - 1) with h = x: the Tsallis relative pair."""
     a = _guard_param(alpha, "alpha")
-    return HFPair(
-        name=f"tsallis-relative({a:g})",
-        **_f_tsallis(a, 1.0),
-        **_IDENTITY_H,
-        h_direction="increasing",
-    )
+    return HFPair(name=f"tsallis-relative({a:g})", **_f_tsallis(a, 1.0), **_IDENTITY_H)
 
 
 def sm_divergence_pair(alpha: float, beta: float) -> HFPair:

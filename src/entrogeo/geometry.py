@@ -24,8 +24,9 @@ forms are conformal to the Fisher ones:
 
     g = c g_F,   Gamma = c Gamma^(-a),   Gamma* = c Gamma^(+a),
 
-with c = h'(f(1)) f''(1) and a = (2 f'''(1) + 3 f''(1)) / f''(1), where
-Gamma^(a) is the classical alpha-connection computed by `alpha_connection`.
+with c = h'(f(1)) f''(1) > 0 (`HFPair.c`) and a = (2 f'''(1) + 3 f''(1)) /
+f''(1), where Gamma^(a) is the classical alpha-connection computed by
+`alpha_connection`; `closed_geometry` gives all three on the simplex model.
 Divergences composed through zeta inherit the weighted sums of their
 constituents' tensors with weights grad zeta(0) (`combine_geometry`).
 """
@@ -43,6 +44,7 @@ from .errors import (
     AllZeroGradient,
     ArityMismatch,
     DegenerateSecondDerivative,
+    DomainError,
     InvalidArgument,
     ParamOutOfRange,
     StepTooLarge,
@@ -55,7 +57,7 @@ METRIC_STEP = 1e-4
 #: Relative step for third-derivative stencils (connections).
 CONN_STEP = 5e-4
 
-#: Interior margin of the default simplex model.
+#: Interior margin of the simplex model.
 SIMPLEX_MARGIN = 1e-3
 
 SYMMETRY_TOL = 1e-10
@@ -94,7 +96,7 @@ class MetricTensor:
     """A symmetric bilinear form (n, n), or a stack of them (k, n, n).
 
     Symmetry is checked over the last two axes; a stack is positive definite
-    only if every member is.
+    only if every member is.  A nan entry raises DomainError.
     """
 
     entries: np.ndarray
@@ -106,6 +108,8 @@ class MetricTensor:
         skew = float(np.max(np.abs(g - g.swapaxes(-1, -2)))) if g.size else 0.0
         if skew > SYMMETRY_TOL:
             raise InvalidArgument(f"metric asymmetric by {skew:.3e} (tol {SYMMETRY_TOL:.1e})")
+        if not skew <= SYMMETRY_TOL:  # nan: an entry is nan or infinite
+            raise DomainError("metric entries are not finite")
         g.setflags(write=False)
         object.__setattr__(self, "entries", g)
 
@@ -119,7 +123,7 @@ class MetricTensor:
 
 @dataclass(frozen=True)
 class ConnCoeffs:
-    """Lowered connection coefficients Gamma_{ij,k}, symmetric in (i, j)."""
+    """Lowered connection coefficients Gamma_{ij,k}, symmetric in (i, j); nan raises DomainError."""
 
     entries: np.ndarray
 
@@ -132,24 +136,26 @@ class ConnCoeffs:
             raise InvalidArgument(
                 f"connection asymmetric in (i, j) by {skew:.3e} (tol {CONN_SYMMETRY_TOL:.1e})"
             )
+        if not skew <= CONN_SYMMETRY_TOL:  # nan: an entry is nan or infinite
+            raise DomainError("connection entries are not finite")
         c.setflags(write=False)
         object.__setattr__(self, "entries", c)
 
 
-def simplex_model(size: int, margin: float = SIMPLEX_MARGIN) -> StatModel:
+def simplex_model(size: int) -> StatModel:
     """The open W-simplex: xi are the last W weights, p_0 = 1 - sum(xi).
 
-    `margin` keeps every coordinate (including p_0) at least that far from
+    Every coordinate (including p_0) stays at least SIMPLEX_MARGIN from
     zero, so finite-difference stencils have room to move.
     """
     if size < 1:
         raise ParamOutOfRange(f"need at least one free parameter, got {size}")
-    if not 0.0 < margin < 1.0 / (size + 1):
-        raise ParamOutOfRange(f"margin {margin} leaves no interior for W = {size}")
+    if not SIMPLEX_MARGIN < 1.0 / (size + 1):
+        raise ParamOutOfRange(f"margin {SIMPLEX_MARGIN} leaves no interior for W = {size}")
 
     def in_domain(xi):
         xi = np.asarray(xi, dtype=float)
-        return np.all(xi >= margin, axis=-1) & (1.0 - xi.sum(axis=-1) >= margin)
+        return np.all(xi >= SIMPLEX_MARGIN, axis=-1) & (1.0 - xi.sum(axis=-1) >= SIMPLEX_MARGIN)
 
     def prob_fn(xi):
         xi = np.asarray(xi, dtype=float)
@@ -335,37 +341,23 @@ def alpha_connection(
     return ConnCoeffs(0.5 * (gamma + gamma.transpose(1, 0, 2)))
 
 
-def hf_closed_metric(pair: HFPair, xi, size: int) -> MetricTensor:
-    """Closed-form metric of an (h, f) divergence on the simplex model.
+def closed_geometry(pair: HFPair, xi, size: int) -> tuple[MetricTensor, ConnCoeffs, ConnCoeffs]:
+    """Exact (g, Gamma, Gamma*) of an (h, f) divergence on the simplex model.
 
-    g_ij = c (delta_ij / p_i + 1 / p_0) with c = h'(f(1)) f''(1); the pair
-    must be divergence-shaped, which makes c positive.
-    """
-    c, p = _closed_form_data(pair, xi, size)
-    return MetricTensor(c * (np.diag(1.0 / p[1:]) + 1.0 / p[0]))
-
-
-def hf_closed_connections(pair: HFPair, xi, size: int) -> tuple[ConnCoeffs, ConnCoeffs]:
-    """Closed-form dual connections (c Gamma^(-a), c Gamma^(+a)) on the simplex model.
-
-    The simplex parameters are mixture coordinates (d_i d_j p = 0), so
+    g_ij = c (delta_ij / p_i + 1 / p_0), Gamma = c Gamma^(-a) and Gamma* =
+    c Gamma^(+a), with c = `pair.c` > 0 and a = `hf_alpha_of(pair)`.  The
+    simplex parameters are mixture coordinates (d_i d_j p = 0), so
     Gamma^(alpha)_ij,k = -(1 + alpha)/2 (delta_ijk / p_i^2 - 1 / p_0^2)
-    (Amari & Nagaoka, Methods of Information Geometry); c and a are those
-    of `hf_closed_metric` and `hf_alpha_of`.
+    (Amari & Nagaoka, Methods of Information Geometry).
     """
-    c, p = _closed_form_data(pair, xi, size)
-    a = hf_alpha_of(pair)
+    require_shape(pair, "divergence")
+    p = simplex_model(size).point(xi)
+    c, a = pair.c, hf_alpha_of(pair)
     t = np.full((size, size, size), -1.0 / p[0] ** 2)
     axes = np.arange(size)
     t[axes, axes, axes] += 1.0 / p[1:] ** 2
-    return ConnCoeffs(-0.5 * c * (1.0 - a) * t), ConnCoeffs(-0.5 * c * (1.0 + a) * t)
-
-
-def _closed_form_data(pair: HFPair, xi, size: int) -> tuple[float, np.ndarray]:
-    """(c, weights at xi) for the closed forms; c = h'(f(1)) f''(1)."""
-    require_shape(pair, "divergence")
-    p = simplex_model(size).point(xi)
-    return float(pair.h_prime(pair.f1)) * pair.d2f1, p
+    g = MetricTensor(c * (np.diag(1.0 / p[1:]) + 1.0 / p[0]))
+    return g, ConnCoeffs(-0.5 * c * (1.0 - a) * t), ConnCoeffs(-0.5 * c * (1.0 + a) * t)
 
 
 def hf_alpha_of(pair: HFPair) -> float:
@@ -432,7 +424,7 @@ def combine_geometry(
         raise ArityMismatch("weights and tensor sequences must share a length")
     if w.size == 0:
         raise ArityMismatch("nothing to combine")
-    if np.any(w < 0.0):
+    if not np.all(w >= 0.0):  # a nan fails too
         raise InvalidArgument(f"combination weights must be non-negative, got {w.tolist()}")
     if np.all(w == 0.0):
         raise AllZeroGradient("every combination weight vanishes")

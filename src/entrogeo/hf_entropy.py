@@ -1,9 +1,10 @@
 """Generalized entropies of trace-plus-rescale form S(p) = h(sum_i f(p_i)).
 
 A pair (h, f) fixes an entropy once it is anchored (h(f(1)) = 0, f(0) = 0)
-and correctly shaped: concave f with increasing h, or convex f with
-decreasing h, so that S is maximized at the uniform distribution.  The
-classical families are all of this form:
+and correctly shaped: c = h'(f(1)) f''(1) < 0 (concave f with increasing h,
+or convex f with decreasing h), so that S is maximized at the uniform
+distribution; c > 0 makes a divergence.  The classical families are all of
+this form:
 
     shannon            f = -t ln t,                    h = x
     renyi(alpha)       f = t^alpha,                    h = ln(x) / (1 - alpha)
@@ -33,7 +34,7 @@ row nan.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -64,10 +65,7 @@ DERIV_STEP = 1e-4
 #: Largest factor h' may change by across the construction probes.
 _H_SPREAD = math.exp(4.0)
 
-#: The sign of f'' for an f shape and of h' for an h direction.
-_SIGN = {"convex": 1.0, "concave": -1.0, "increasing": 1.0, "decreasing": -1.0}
-
-#: Role -> (its name in errors, the sign of f'' h' that fills it).
+#: Role -> (its name in errors, the sign of c = h'(f(1)) f''(1) that fills it).
 _ROLES = {"entropy": ("an entropy", -1.0), "divergence": ("a divergence", 1.0)}
 
 
@@ -159,34 +157,33 @@ class HFPair:
     5-point central stencils at step DERIV_STEP, so f must then be
     evaluable on [1 - 2 DERIV_STEP, 1 + 2 DERIV_STEP], and the stencil's
     f''' carries rounding noise of order 1e-4.  `f_prime`, when given, makes
-    the entropy gradient h'(sum f(p)) f'(p) analytic downstream.
+    the entropy gradient h'(sum f(p)) f'(p) analytic downstream.  `c` =
+    h'(f(1)) f''(1), set at construction, must not vanish: its sign is the
+    role (`require_shape`), its size the metric scale, and the sampled f and
+    h must agree with the signs of f''(1) and h'(f(1)).
     """
 
     name: str
     f: Callable
     h: Callable
     h_inverse: Callable
-    f_shape: str
-    h_direction: str
     h_prime: Callable | None = None
     d2f1: float | None = None
     d3f1: float | None = None
     f_prime: Callable | None = None
+    c: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.h_prime is None:
             object.__setattr__(self, "h_prime", _fd_first_derivative(self.h, DERIV_STEP))
         if None in (self.d2f1, self.d3f1):
             filled = _derivs_at_one(self.f, DERIV_STEP)
-            for field, value in zip(("d2f1", "d3f1"), filled):
-                if getattr(self, field) is None:
-                    object.__setattr__(self, field, value)
-        if self.f_shape not in ("concave", "convex"):
-            raise ShapeMismatch(f"f_shape must be 'concave' or 'convex', got {self.f_shape!r}")
-        if self.h_direction not in ("increasing", "decreasing"):
-            raise ShapeMismatch(
-                f"h_direction must be 'increasing' or 'decreasing', got {self.h_direction!r}"
-            )
+            for name, value in zip(("d2f1", "d3f1"), filled):
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, value)
+        object.__setattr__(self, "c", float(self.h_prime(self.f1)) * self.d2f1)
+        if not abs(self.c) > 0.0:  # 0 or nan
+            raise ShapeMismatch(f"{self.name}: c = h'(f(1)) f''(1) = {self.c:.3e}, must not vanish")
         if float(self.f(0.0)) != 0.0:
             raise AnchorViolation(f"{self.name}: f(0) must be exactly 0")
         anchor = float(self.h(self.f1))
@@ -202,11 +199,19 @@ class HFPair:
         """f evaluated at 1 (the argument h must send to 0)."""
         return float(self.f(1.0))
 
+    @property
+    def f_shape(self) -> str:
+        return "convex" if self.d2f1 > 0.0 else "concave"
+
+    @property
+    def h_direction(self) -> str:  # the sign of h'(f(1)) = c / f''(1)
+        return "increasing" if self.c / self.d2f1 > 0.0 else "decreasing"
+
     def _check_f_shape(self) -> None:
         t = np.linspace(0.1, 0.9, 9)
         d = 1e-3
         second = self.f(t + d) - 2.0 * np.asarray(self.f(t)) + self.f(t - d)
-        if np.any(_SIGN[self.f_shape] * second < -1e-10):
+        if np.any(math.copysign(1.0, self.d2f1) * second < -1e-10):
             raise ShapeMismatch(f"{self.name}: f is not {self.f_shape} on (0, 1)")
 
     def _probe_width(self) -> float:
@@ -228,7 +233,7 @@ class HFPair:
 
     def _check_h_direction(self, d: float) -> None:
         step = float(self.h(self.f1 + d)) - float(self.h(self.f1 - d))
-        if _SIGN[self.h_direction] * step <= 0.0:
+        if math.copysign(1.0, self.c / self.d2f1) * step <= 0.0:
             raise ShapeMismatch(f"{self.name}: h is not {self.h_direction} near f(1)")
 
     def _check_h_inverse(self, width: float) -> None:
@@ -242,15 +247,15 @@ class HFPair:
 
 
 def require_shape(pair: HFPair, role: str) -> None:
-    """Raise ShapeMismatch unless the pair's shape pairing fills `role`.
+    """Raise ShapeMismatch unless the sign of `pair.c` fills `role`.
 
-    'entropy': concave f with increasing h, or convex f with decreasing h;
-    'divergence': the mirror pairings.
+    'entropy': c < 0 (concave f with increasing h, or convex f with
+    decreasing h); 'divergence': c > 0 (the mirror pairings).
     """
     if role not in _ROLES:
         raise InvalidArgument(f"role must be one of {sorted(_ROLES)}, got {role!r}")
     article, sign = _ROLES[role]
-    if _SIGN[pair.f_shape] * _SIGN[pair.h_direction] != sign:
+    if not sign * pair.c > 0.0:
         raise ShapeMismatch(
             f"{pair.name}: ({pair.f_shape} f, {pair.h_direction} h) cannot be {article}"
         )
@@ -258,9 +263,8 @@ def require_shape(pair: HFPair, role: str) -> None:
 
 # --- the f table ---------------------------------------------------------------
 #
-# Each f of a built-in pair, written once with f', f''(1), f'''(1) and its
-# shape, as HFPair keyword arguments.  `sign` -1 gives the f of the
-# entropy role and +1 its mirror in the divergence role.
+# Each f of a built-in pair, written once with f', f''(1) and f'''(1) as HFPair
+# keyword arguments; `sign` -1 gives the entropy f and +1 its divergence mirror.
 
 
 def _f_t_log_t(sign: float) -> dict:
@@ -276,7 +280,6 @@ def _f_t_log_t(sign: float) -> dict:
         "f_prime": lambda t: sign * np.log(t) + sign,
         "d2f1": sign,
         "d3f1": -sign,
-        "f_shape": "convex" if sign > 0.0 else "concave",
     }
 
 
@@ -287,7 +290,6 @@ def _f_power(a: float) -> dict:
         "f_prime": lambda t: a * np.power(t, a - 1.0),
         "d2f1": a * (a - 1.0),
         "d3f1": a * (a - 1.0) * (a - 2.0),
-        "f_shape": "concave" if a < 1.0 else "convex",
     }
 
 
@@ -305,7 +307,6 @@ def _f_tsallis(q: float, sign: float) -> dict:
         "f_prime": lambda t: (sign * q * np.power(t, q - 1.0) - sign) / (q - 1.0),
         "d2f1": sign * q,
         "d3f1": sign * q * (q - 2.0),
-        "f_shape": "convex" if sign > 0.0 else "concave",
     }
 
 
@@ -325,7 +326,7 @@ _IDENTITY_H = {
 
 
 def shannon() -> HFPair:
-    return HFPair(name="shannon", **_f_t_log_t(-1.0), **_IDENTITY_H, h_direction="increasing")
+    return HFPair(name="shannon", **_f_t_log_t(-1.0), **_IDENTITY_H)
 
 
 def renyi(alpha: float) -> HFPair:
@@ -340,15 +341,12 @@ def renyi(alpha: float) -> HFPair:
         h=h,
         h_inverse=lambda y: np.exp((1.0 - a) * np.asarray(y, dtype=float)),
         h_prime=lambda x: 1.0 / ((1.0 - a) * np.asarray(x, dtype=float)),
-        h_direction="increasing" if a < 1.0 else "decreasing",
     )
 
 
 def tsallis(q: float) -> HFPair:
     q = _guard_param(q, "q")
-    return HFPair(
-        name=f"tsallis({q:g})", **_f_tsallis(q, -1.0), **_IDENTITY_H, h_direction="increasing"
-    )
+    return HFPair(name=f"tsallis({q:g})", **_f_tsallis(q, -1.0), **_IDENTITY_H)
 
 
 def sharma_mittal(alpha: float, beta: float) -> HFPair:
@@ -377,8 +375,6 @@ def kaniadakis(kappa: float) -> HFPair:
         **_IDENTITY_H,
         d2f1=-1.0,
         d3f1=1.0 - k * k,
-        f_shape="concave",
-        h_direction="increasing",
         f_prime=lambda t: ((1.0 - k) * np.power(t, -k) - (1.0 + k) * np.power(t, k)) / (2.0 * k),
     )
 
@@ -399,10 +395,10 @@ def _guard_param(value: float, label: str, positive: bool = True) -> float:
 
 
 def _sm_rescale(alpha: float, beta: float, sign: float) -> dict:
-    """h, h^-1, h' and h_direction of h(x) = (x^r - 1) / (sign (1 - beta)), as HFPair arguments.
+    """h, h^-1 and h' of h(x) = (x^r - 1) / (sign (1 - beta)), as HFPair arguments.
 
     r = (1 - beta)/(1 - alpha).  sign 1 gives the entropy pair, -1 the divergence pair;
-    negating 1 - beta is exact.  h' has the sign of sign (1 - alpha), which fixes h_direction.
+    negating 1 - beta is exact.  h' has the sign of sign (1 - alpha).
     """
     r = (1.0 - beta) / (1.0 - alpha)
     cb = sign * (1.0 - beta)
@@ -420,8 +416,7 @@ def _sm_rescale(alpha: float, beta: float, sign: float) -> dict:
     def h_prime(x):
         return np.exp((r - 1.0) * np.log(x)) / ca
 
-    direction = "increasing" if ca > 0.0 else "decreasing"
-    return {"h": h, "h_inverse": h_inverse, "h_prime": h_prime, "h_direction": direction}
+    return {"h": h, "h_inverse": h_inverse, "h_prime": h_prime}
 
 
 #: Family name -> (pair builder, builder of its natural composition law).

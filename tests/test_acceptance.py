@@ -18,6 +18,7 @@ from entrogeo import (
     builtin_functional,
     check_group_axioms,
     check_phi4_symmetry,
+    closed_geometry,
     combine_geometry,
     composability_residual,
     concavity_probe,
@@ -28,7 +29,6 @@ from entrogeo import (
     expm1_conjugator,
     group_compose,
     hf_alpha_of,
-    hf_closed_metric,
     hf_div_functional,
     identity_conjugator,
     kaniadakis,
@@ -286,7 +286,7 @@ def test_divergence_metric_matches_closed_form(capsys):
         for xi in pts:
             for _, func, pair in _metric_cases():
                 got = div_metric(func, model, xi).entries
-                want = hf_closed_metric(pair, xi, w).entries
+                want = closed_geometry(pair, xi, w)[0].entries
                 worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-5 and elapsed < 5.0

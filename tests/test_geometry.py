@@ -10,14 +10,13 @@ from entrogeo import (
     ConnCoeffs,
     MetricTensor,
     alpha_connection,
+    closed_geometry,
     combine_geometry,
     div_connections,
     div_metric,
     duality_residual,
     fisher_metric,
     hf_alpha_of,
-    hf_closed_connections,
-    hf_closed_metric,
     kl_functional,
     kl_pair,
     power_pair,
@@ -34,6 +33,7 @@ from entrogeo.errors import (
     AllZeroGradient,
     ArityMismatch,
     DegenerateSecondDerivative,
+    DomainError,
     InvalidArgument,
     ParamOutOfRange,
     ShapeMismatch,
@@ -58,7 +58,7 @@ def test_simplex_model_puts_the_dependent_weight_first():
 
 
 def test_simplex_model_enforces_the_margin():
-    model = simplex_model(2, margin=1e-3)
+    model = simplex_model(2)
     with pytest.raises(ParamOutOfRange):
         model.point([0.9999, 0.00005])
     with pytest.raises(ParamOutOfRange):
@@ -68,7 +68,7 @@ def test_simplex_model_enforces_the_margin():
     with pytest.raises(ParamOutOfRange):
         simplex_model(0)
     with pytest.raises(ParamOutOfRange):
-        simplex_model(3, margin=0.5)
+        simplex_model(999)  # SIMPLEX_MARGIN leaves no interior at W = 999
 
 
 def test_simplex_model_maps_stacks_of_points():
@@ -112,6 +112,16 @@ def test_connection_coeffs_reject_index_asymmetry():
         ConnCoeffs(np.zeros((2, 2)))
 
 
+def test_tensors_reject_nan_entries():
+    # a nan makes the skew nan, which must not pass the symmetry test
+    with pytest.raises(DomainError, match="metric entries are not finite"):
+        MetricTensor(np.full((2, 2), np.nan))
+    with pytest.raises(DomainError, match="metric entries are not finite"):
+        MetricTensor(np.stack([np.eye(2), np.diag([1.0, np.nan])]))
+    with pytest.raises(DomainError, match="connection entries are not finite"):
+        ConnCoeffs(np.full((2, 2, 2), np.nan))
+
+
 def test_divergence_metric_recovers_fisher_for_kl():
     model = simplex_model(2)
     xi = np.array([0.3, 0.25])
@@ -133,19 +143,18 @@ def test_divergence_metric_is_a_multiple_of_fisher(pair, functional, scale):
     got = div_metric(functional, model, xi)
     expected = scale * closed_fisher(xi)
     np.testing.assert_allclose(got.entries, expected, rtol=2e-5)
-    closed = hf_closed_metric(pair, xi, size=2)
+    closed = closed_geometry(pair, xi, size=2)[0]
     np.testing.assert_allclose(closed.entries, expected, rtol=1e-12)
 
 
 def test_closed_metric_requires_divergence_shape():
     with pytest.raises(ShapeMismatch):
-        hf_closed_metric(shannon(), [0.3, 0.25], size=2)
+        closed_geometry(shannon(), [0.3, 0.25], size=2)
 
 
 def test_metric_scale_constants():
     # h'(f(1)) * f''(1): 1*1 for KL, 1*2 for t^2, (-2)*(-1/4) for SM(.5,.7)
-    pair = sm_divergence_pair(0.5, 0.7)
-    assert float(pair.h_prime(pair.f1)) * pair.d2f1 == pytest.approx(0.5, rel=1e-12)
+    assert sm_divergence_pair(0.5, 0.7).c == pytest.approx(0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -156,17 +165,17 @@ def test_metric_scale_constants():
 )
 def test_closed_form_data_against_stencils_of_h_and_f(pair):
     # c = h'(f(1)) f''(1) from central differences of h and f themselves
-    from entrogeo.geometry import _closed_form_data
-
     step = 1e-4
     f1 = float(pair.f(1.0))
     h_prime = (float(pair.h(f1 + step)) - float(pair.h(f1 - step))) / (2 * step)
     d2f = (float(pair.f(1.0 + step)) - 2 * f1 + float(pair.f(1.0 - step))) / step**2
+    assert pair.c == pytest.approx(h_prime * d2f, rel=1e-6)
+    assert pair.c > 0.0
+    # the closed metric is c times the Fisher metric at the model's weights
     xi = [0.3, 0.25]
-    c, p = _closed_form_data(pair, xi, size=2)
-    assert c == pytest.approx(h_prime * d2f, rel=1e-6)
-    assert c > 0.0
-    np.testing.assert_array_equal(p, simplex_model(2).point(xi))
+    p = simplex_model(2).point(xi)
+    g = closed_geometry(pair, xi, size=2)[0].entries
+    np.testing.assert_array_equal(g, pair.c * (np.diag(1.0 / p[1:]) + 1.0 / p[0]))
 
 
 @pytest.mark.parametrize(
@@ -184,18 +193,19 @@ def test_connection_exponent_from_curvature_data(pair, expected):
 
 
 def test_degenerate_curvature_is_rejected():
+    # c = 1e-13 is nonzero, so the pair builds, but f''(1) is too small for an alpha
     flat = HFPair(
         name="flat",
         f=lambda t: np.asarray(t, dtype=float),
         h=lambda x: np.asarray(x) - 1.0,
         h_inverse=lambda y: np.asarray(y) + 1.0,
-        f_shape="convex",
-        h_direction="increasing",
-        d2f1=0.0,
+        d2f1=1e-13,
         d3f1=0.0,
     )
     with pytest.raises(DegenerateSecondDerivative):
         hf_alpha_of(flat)
+    with pytest.raises(DegenerateSecondDerivative):
+        closed_geometry(flat, [0.3, 0.25], size=2)
 
 
 def test_kl_connections_match_the_alpha_family():
@@ -252,6 +262,8 @@ def test_combine_geometry_guards():
         combine_geometry([0.0, 0.0], [g, g], [c, c], [c, c])
     with pytest.raises(ValueError):
         combine_geometry([1.0, -1.0], [g, g], [c, c], [c, c])
+    with pytest.raises(InvalidArgument, match="non-negative"):
+        combine_geometry([np.nan, 1.0], [g, g], [c, c], [c, c])
     with pytest.raises(ArityMismatch, match="nothing to combine"):
         combine_geometry([], [], [], [])
 
@@ -628,8 +640,8 @@ def _closed_cases():
 
 
 def _closed_scale(pair, p):
-    """|c| max(1 / p^2), the size of the largest closed-form entry."""
-    return abs(float(pair.h_prime(pair.f1)) * pair.d2f1) * float(np.max(1.0 / p**2))
+    """c max(1 / p^2), the size of the largest closed-form entry."""
+    return pair.c * float(np.max(1.0 / p**2))
 
 
 def test_closed_connections_match_the_fd_alpha_connection():
@@ -637,13 +649,12 @@ def test_closed_connections_match_the_fd_alpha_connection():
     for w, p in _closed_cases():
         model = simplex_model(w)
         for pair in pairs:
-            c = float(pair.h_prime(pair.f1)) * pair.d2f1
             a = hf_alpha_of(pair)
-            gamma, gamma_star = hf_closed_connections(pair, p[1:], w)
+            _, gamma, gamma_star = closed_geometry(pair, p[1:], w)
             scale = _closed_scale(pair, p)
-            fd = c * alpha_connection(model, p[1:], -a).entries
+            fd = pair.c * alpha_connection(model, p[1:], -a).entries
             assert np.max(np.abs(gamma.entries - fd)) <= 1e-5 * scale, (pair.name, w)
-            fd = c * alpha_connection(model, p[1:], a).entries
+            fd = pair.c * alpha_connection(model, p[1:], a).entries
             assert np.max(np.abs(gamma_star.entries - fd)) <= 1e-5 * scale, (pair.name, w)
 
 
@@ -651,7 +662,7 @@ def test_closed_connections_match_div_connections():
     for w, p in _closed_cases():
         model = simplex_model(w)
         for name, (pair, functional) in _CLOSED_PAIRS.items():
-            closed = hf_closed_connections(pair, p[1:], w)
+            closed = closed_geometry(pair, p[1:], w)[1:]
             fd = div_connections(functional, model, p[1:])
             for want, got in zip(closed, fd):
                 err = np.max(np.abs(got.entries - want.entries))
@@ -663,10 +674,11 @@ def test_closed_forms_satisfy_the_duality_identity():
     for w, p in _closed_cases():
         model = simplex_model(w)
         for name, (pair, _) in _CLOSED_PAIRS.items():
-            gamma, gamma_star = hf_closed_connections(pair, p[1:], w)
+            _, gamma, gamma_star = closed_geometry(pair, p[1:], w)
 
             def field(stack):
-                return MetricTensor(np.stack([hf_closed_metric(pair, y, w).entries for y in stack]))
+                entries = [closed_geometry(pair, y, w)[0].entries for y in stack]
+                return MetricTensor(np.stack(entries))
 
             residual = duality_residual(
                 field, lambda x: gamma, lambda x: gamma_star, model, p[1:]
@@ -676,7 +688,7 @@ def test_closed_forms_satisfy_the_duality_identity():
 
 def test_closed_connections_of_kl_are_mixture_flat_and_exponential_dual():
     p = np.array([0.45, 0.3, 0.25])
-    gamma, gamma_star = hf_closed_connections(kl_pair(), p[1:], 2)
+    _, gamma, gamma_star = closed_geometry(kl_pair(), p[1:], 2)
     assert np.array_equal(gamma.entries, np.zeros((2, 2, 2)))
     t = np.full((2, 2, 2), -1.0 / 0.45**2)
     t[0, 0, 0] += 1.0 / 0.3**2
@@ -686,6 +698,6 @@ def test_closed_connections_of_kl_are_mixture_flat_and_exponential_dual():
 
 def test_closed_connections_require_divergence_shape_and_an_interior_point():
     with pytest.raises(ShapeMismatch):
-        hf_closed_connections(shannon(), [0.3, 0.25], size=2)
+        closed_geometry(shannon(), [0.3, 0.25], size=2)
     with pytest.raises(ParamOutOfRange):
-        hf_closed_connections(kl_pair(), [0.6, 0.5], size=2)
+        closed_geometry(kl_pair(), [0.6, 0.5], size=2)

@@ -167,8 +167,6 @@ def test_wrong_h_inverse_still_raises():
             f=lambda t: np.asarray(t) ** 2,
             h=lambda x: np.asarray(x) - 1.0,
             h_inverse=lambda y: np.asarray(y) + 1.001,
-            f_shape="convex",
-            h_direction="increasing",
         )
     # exact to third order at f(1): only a probe window of useful width sees it
     with pytest.raises(InversionFailure):
@@ -177,8 +175,6 @@ def test_wrong_h_inverse_still_raises():
             f=lambda t: np.asarray(t) ** 2,
             h=lambda x: np.asarray(x) - 1.0,
             h_inverse=lambda y: np.asarray(y) + 1.0 + np.asarray(y) ** 3,
-            f_shape="convex",
-            h_direction="increasing",
         )
 
 
@@ -190,8 +186,6 @@ def test_fd_derivative_fallback_matches_analytic():
         f=zero_preserving(lambda t: (t - t**q) / (q - 1.0)),
         h=lambda x: x,
         h_inverse=lambda y: y,
-        f_shape="concave",
-        h_direction="increasing",
     )
     reference = tsallis(q)
     assert made.d2f1 == pytest.approx(reference.d2f1, abs=1e-6)
@@ -204,26 +198,24 @@ def test_fd_derivative_fallback_matches_analytic():
 
 
 def test_declared_shape_must_match_sampled_shape():
-    with pytest.raises(ShapeMismatch):
+    # a given f''(1) of the wrong sign: t^2 is convex, -2 declares it concave
+    with pytest.raises(ShapeMismatch, match="f is not concave"):
         HFPair(
             name="mislabeled",
             f=lambda t: np.asarray(t) ** 2,  # convex, f(0)=0
             h=lambda x: np.asarray(x) - 1.0,
             h_inverse=lambda y: np.asarray(y) + 1.0,
-            f_shape="concave",
-            h_direction="increasing",
+            d2f1=-2.0,
         )
 
 
 def _squared_pair(**changes) -> HFPair:
-    """(t^2, x - 1): convex f with increasing h, with any field changed."""
+    """(t^2, x - 1): convex f with increasing h (c = 2), with any field changed."""
     fields = dict(
         name="squared",
         f=lambda t: np.asarray(t) ** 2,
         h=lambda x: np.asarray(x) - 1.0,
         h_inverse=lambda y: np.asarray(y) + 1.0,
-        f_shape="convex",
-        h_direction="increasing",
     )
     return HFPair(**{**fields, **changes})
 
@@ -231,14 +223,20 @@ def _squared_pair(**changes) -> HFPair:
 @pytest.mark.parametrize(
     "changes, message",
     [
-        ({"f_shape": "flat"}, "f_shape must be 'concave' or 'convex'"),
-        ({"h_direction": "sideways"}, "h_direction must be 'increasing' or 'decreasing'"),
-        ({"f": lambda t: np.sqrt(t)}, "f is not convex"),
-        ({"h_direction": "decreasing"}, "h is not decreasing"),
+        ({"f": lambda t: np.sqrt(t), "d2f1": 0.25}, "f is not convex"),
+        ({"d2f1": -2.0}, "f is not concave"),
+        ({"h_prime": lambda x: -np.ones_like(np.asarray(x))}, "h is not decreasing"),
         (
-            {"h": lambda x: 1.0 - np.asarray(x), "h_inverse": lambda y: 1.0 - np.asarray(y)},
+            {
+                "h": lambda x: 1.0 - np.asarray(x),
+                "h_inverse": lambda y: 1.0 - np.asarray(y),
+                "h_prime": lambda x: np.ones_like(np.asarray(x)),
+            },
             "h is not increasing",
         ),
+        ({"d2f1": 0.0}, r"c = h'\(f\(1\)\) f''\(1\) = 0\.000e\+00, must not vanish"),
+        ({"d2f1": np.nan}, "c = .* = nan, must not vanish"),
+        ({"h_prime": lambda x: np.zeros_like(np.asarray(x))}, "c = .* = 0.000e\\+00"),
     ],
 )
 def test_pair_claims_are_checked(changes, message):
@@ -248,14 +246,12 @@ def test_pair_claims_are_checked(changes, message):
 
 
 def test_entropy_shape_requires_the_right_pairing():
-    # convex f with increasing h is a divergence pairing, not an entropy one
+    # convex f with increasing h (c > 0) is a divergence pairing, not an entropy one
     squared = HFPair(
         name="squared",
         f=lambda t: np.asarray(t) ** 2,
         h=lambda x: np.asarray(x) - 1.0,
         h_inverse=lambda y: np.asarray(y) + 1.0,
-        f_shape="convex",
-        h_direction="increasing",
     )
     with pytest.raises(ShapeMismatch, match=r"\(convex f, increasing h\) cannot be an entropy$"):
         entropy_functional(squared)
@@ -273,8 +269,6 @@ def test_anchor_values_are_enforced():
             f=lambda t: np.asarray(t) ** 2 + 0.1,  # f(0) != 0
             h=lambda x: np.asarray(x) - 1.1,
             h_inverse=lambda y: np.asarray(y) + 1.1,
-            f_shape="convex",
-            h_direction="increasing",
         )
     with pytest.raises(AnchorViolation):
         HFPair(
@@ -282,8 +276,6 @@ def test_anchor_values_are_enforced():
             f=lambda t: np.asarray(t) ** 2,
             h=lambda x: np.asarray(x) - 0.5,  # h(f(1)) = 0.5
             h_inverse=lambda y: np.asarray(y) + 0.5,
-            f_shape="convex",
-            h_direction="increasing",
         )
 
 

@@ -21,6 +21,8 @@ from entrogeo import (
     tsallis,
     tsallis_relative_pair,
 )
+from entrogeo.errors import ShapeMismatch
+from entrogeo.hf_entropy import require_shape
 
 #: f is pinned on T (t = 0 included), f' on its positive entries.
 T = np.array([0.0, 1e-300, 1e-12, 0.01, 0.1, 0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 5.0])
@@ -179,6 +181,22 @@ def test_pair_data_is_bit_identical(build, reference, params):
     assert np.array_equal(pair.h(xs), h(xs))
     assert np.array_equal(pair.h_inverse(pair.h(xs)), h_inverse(h(xs)))
     assert np.array_equal(pair.h_prime(xs), h_prime(xs))
+
+
+DIVERGENCE_BUILDERS = (kl_pair, power_pair, tsallis_relative_pair, sm_divergence_pair)
+
+
+@pytest.mark.parametrize("build, reference, params", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_the_role_is_the_sign_of_c(build, reference, params):
+    # c = h'(f(1)) f''(1) as the reference writes it; require_shape accepts
+    # exactly the role its sign names: entropy for c < 0, divergence for c > 0
+    pair, ref = build(*params), reference(*params)
+    assert pair.c == float(ref["h"][2](pair.f1)) * ref["derivs"][1]
+    role, other = ("divergence", "entropy") if pair.c > 0.0 else ("entropy", "divergence")
+    assert (role == "divergence") == (build in DIVERGENCE_BUILDERS)
+    require_shape(pair, role)
+    with pytest.raises(ShapeMismatch, match=f"cannot be an? {other}$"):
+        require_shape(pair, other)
 
 
 #: (family, parameters, f'(0+) finite).  Each family at an exponent below 1,

@@ -1,16 +1,22 @@
-"""Every public name has a consumer outside the unit tests.
+"""Every public name has a consumer outside the unit tests, and settable values are counted.
 
 A name in `entrogeo.__all__` must be referenced (as a name, an attribute or
 an import) by the library's own modules, the benchmark scripts, the
 acceptance battery or the README's python code.  A name that only its unit
 tests call goes, or is listed below with the reason it stays.
+
+The parameters of the public callables and the CLI options are pinned
+counts, so a new knob shows up as a changed number in the diff.
 """
 
+import argparse
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import entrogeo
+from entrogeo.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,9 +25,14 @@ EXEMPT = {
     "phi_from_chi",
     # the trace-level law chi(x, y) = x y that phi_from_chi lifts for the power families
     "product_chi",
-    # the exact dual connections that the FD connection tests are measured against
-    "hf_closed_connections",
 }
+
+#: Parameters of every callable in `entrogeo.__all__`: functions, dataclass
+#: fields and public methods (without self); exceptions are not counted.
+PUBLIC_PARAMETERS = 206
+
+#: Options and positionals of the CLI parser and its subcommands, without --help.
+CLI_OPTIONS = 45
 
 
 def _consumer_sources() -> dict[str, str]:
@@ -60,3 +71,32 @@ def test_every_public_name_has_a_consumer():
 def test_every_exemption_is_public_and_still_needed():
     assert EXEMPT <= set(entrogeo.__all__)
     assert EXEMPT.isdisjoint(REFERENCED), "an exempt name gained a consumer; drop its exemption"
+
+
+def _parameters(obj) -> int:
+    if not isinstance(obj, type):
+        return len(inspect.signature(obj).parameters)
+    methods = [m for name, m in vars(obj).items() if not name.startswith("_")]
+    own = [len(inspect.signature(m).parameters) - 1 for m in methods if inspect.isfunction(m)]
+    return len(inspect.signature(obj).parameters) + sum(own)
+
+
+def _options(parser: argparse.ArgumentParser) -> int:
+    count = 0
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            count += sum(_options(sub) for sub in action.choices.values())
+        elif not isinstance(action, argparse._HelpAction):
+            count += 1
+    return count
+
+
+def test_settable_values_are_counted():
+    objects = [getattr(entrogeo, name) for name in entrogeo.__all__]
+    counted = [
+        obj
+        for obj in objects
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, BaseException))
+    ]
+    assert sum(_parameters(obj) for obj in counted) == PUBLIC_PARAMETERS
+    assert _options(build_parser()) == CLI_OPTIONS
