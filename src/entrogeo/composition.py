@@ -287,7 +287,11 @@ def sm_tsallis_entropy(alpha: float, q: float) -> EntropyFunctional:
 
 @dataclass(frozen=True)
 class ConcavityReport:
-    """A sampled concavity probe's outcome, in output order; passed iff no counterexample."""
+    """A sampled concavity probe's outcome, in output order.
+
+    passed iff `min_margin` >= -tol, which a nan margin fails; the counterexample
+    is the first triple whose margin set a new minimum below -tol.
+    """
 
     entropy: str
     w_max: int
@@ -311,8 +315,9 @@ def concavity_probe(
 
     The margin S(lam p + (1-lam) q) - lam S(p) - (1-lam) S(q) must stay above
     -CONCAVITY_TOL; the most negative sampled margin and, if it crosses the
-    line, the witnessing triple are reported.  Samples are spread over
-    W = 2..w_max, at least one each.
+    line, the witnessing triple are reported.  A nan margin is reported as
+    the minimum and fails the probe.  Samples are spread over W = 2..w_max,
+    at least one each.
     """
     if w_max < 2:
         raise InvalidArgument("w_max must be at least 2")
@@ -335,7 +340,7 @@ def concavity_probe(
             + (1.0 - lam[:, 0]) * entropy.eval_batch(q)
         )
         low = float(margin.min())
-        if low < min_margin:
+        if low < min_margin or math.isnan(low):  # a nan margin sticks
             min_margin = low
             if low < -CONCAVITY_TOL:
                 i = int(np.argmin(margin))
@@ -353,5 +358,5 @@ def concavity_probe(
         tol=CONCAVITY_TOL,
         min_margin=min_margin,
         counterexample=counterexample,
-        passed=counterexample is None,
+        passed=min_margin >= -CONCAVITY_TOL,
     )

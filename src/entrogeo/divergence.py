@@ -14,6 +14,7 @@ weight the constituent metrics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,6 +31,7 @@ from .hf_entropy import (
     _f_tsallis,
     _guard_param,
     _log_in_place,
+    _row_blocks,
     _sm_rescale,
     _trace,
     require_shape,
@@ -49,8 +51,11 @@ class DivergenceFunctional:
 
     `fn(p, q)` consumes weight arrays with outcomes along the last axis and
     assumes q strictly positive; `eval` adds the validation layer for
-    distribution objects.  `pair` is set when the divergence is of (h, f)
-    form, `constituents` and `grad0` when it was composed from others.
+    distribution objects.  The given fn must reduce the outcome axis only:
+    the stored `fn` evaluates large arguments in row blocks (`_row_blocks`),
+    and relies on each row's value depending on that row alone.  `pair` is
+    set when the divergence is of (h, f) form, `constituents` and `grad0`
+    when it was composed from others.
     """
 
     fn: Callable
@@ -58,6 +63,9 @@ class DivergenceFunctional:
     pair: HFPair | None = None
     constituents: tuple["DivergenceFunctional", ...] | None = None
     grad0: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fn", functools.partial(_row_blocks, self.fn))
 
     def eval(self, p: ProbDist, q: ProbDist) -> float:
         if p.size != q.size:

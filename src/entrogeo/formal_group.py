@@ -29,6 +29,12 @@ from .errors import ArityMismatch, DomainEscape, InvalidArgument, InversionFailu
 AXIOM_TOL = 1e-10
 PERM_TOL = 1e-9
 
+#: Float64 elements in one block of a bulk evaluation (256 KiB), so that the
+#: temporaries of a block stay in a 2 MiB L2 cache.  The two checkers compose
+#: their samples in chunks of this many; `hf_entropy` evaluates batches in row
+#: blocks of about this size.
+_BLOCK = 2**15
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -139,7 +145,9 @@ def check_group_axioms(
     interval, not necessarily the law's full validity domain.  Raises
     DomainEscape if the sampling interval leaves the law's domain, if 0 (the
     required neutral element) is outside it, or if a composed value escapes
-    it, since feeding such a value back into the law would be meaningless.
+    it, since feeding such a value back into the law would be meaningless;
+    an escaping Phi(x,y) is named ahead of an escaping Phi(y,z).  The samples
+    are composed in chunks of _BLOCK, with the same values as in one call.
     """
     domain = Interval(float(domain[0]), float(domain[1]))
     if not (math.isfinite(domain.lo) and math.isfinite(domain.hi)):
@@ -154,17 +162,25 @@ def check_group_axioms(
         raise DomainEscape(f"neutral element 0 lies outside the domain of {law.name}")
 
     rng = np.random.default_rng(seed)
-    x, y, z = rng.uniform(domain.lo, domain.hi, size=(3, samples))
-
-    xy = law(x, y)
-    yz = law(y, z)
-    for label, composed in (("Phi(x,y)", xy), ("Phi(y,z)", yz)):
-        if not law.domain.contains(composed):
-            raise DomainEscape(f"{label} escapes the domain of {law.name}")
-
-    comm = float(np.max(np.abs(xy - law(y, x))))
-    assoc = float(np.max(np.abs(law(xy, z) - law(x, yz))))
-    ident = float(np.max(np.abs(law(x, np.zeros_like(x)) - x)))
+    draws = rng.uniform(domain.lo, domain.hi, size=(3, samples))
+    residuals = []
+    yz_escapes = False  # raised after the loop, once every chunk's Phi(x,y) stayed inside
+    for start in range(0, samples, _BLOCK):
+        x, y, z = draws[:, start : start + _BLOCK]
+        xy = law(x, y)
+        yz = law(y, z)
+        if not law.domain.contains(xy):
+            raise DomainEscape(f"Phi(x,y) escapes the domain of {law.name}")
+        yz_escapes = yz_escapes or not law.domain.contains(yz)
+        if not yz_escapes:
+            residuals.append((
+                np.max(np.abs(xy - law(y, x))),
+                np.max(np.abs(law(xy, z) - law(x, yz))),
+                np.max(np.abs(law(x, np.zeros_like(x)) - x)),
+            ))
+    if yz_escapes:
+        raise DomainEscape(f"Phi(y,z) escapes the domain of {law.name}")
+    comm, assoc, ident = (float(r) for r in np.max(residuals, axis=0))  # a nan propagates
     return LawReport(
         law=law.name,
         samples=samples,
@@ -208,18 +224,26 @@ def check_phi4_symmetry(law: BinaryLaw, samples: int = 1000, seed: int = 0) -> f
     The four arguments are `samples` seeded draws from [0, 1).  For a
     commutative and associative law the iterate is a symmetric function of
     its four arguments, so the returned residual is rounding-level; a
-    genuinely asymmetric law shows up at O(1).
+    genuinely asymmetric law shows up at O(1), and a nan value makes it nan.
+    The samples are composed in chunks of _BLOCK, each of the 12 ordered
+    pairs Phi(x_i, x_j) once per chunk.
     """
     if samples < 1:
         raise InvalidArgument("need at least one sample")
     rng = np.random.default_rng(seed)
-    args = rng.uniform(0.0, 1.0, size=(4, samples))
-    phi4 = iterate_pow2(law, 2)
-    base = phi4(*args)
-    worst = 0.0
-    for perm in itertools.permutations(range(4)):
-        worst = max(worst, float(np.max(np.abs(phi4(*(args[i] for i in perm)) - base))))
-    return worst
+    draws = rng.uniform(0.0, 1.0, size=(4, samples))
+    residuals = []
+    for start in range(0, samples, _BLOCK):
+        args = draws[:, start : start + _BLOCK]
+        # iterate_pow2's bracketing Phi(Phi(a, b), Phi(c, d)), each inner pair composed once
+        inner = {(i, j): law(args[i], args[j]) for i, j in itertools.permutations(range(4), 2)}
+        base = law(inner[0, 1], inner[2, 3])
+        residuals += [
+            np.max(np.abs(law(inner[a, b], inner[c, d]) - base))
+            for a, b, c, d in itertools.permutations(range(4))
+            if (a, b, c, d) != (0, 1, 2, 3)
+        ]
+    return float(np.max(residuals))  # a nan propagates
 
 
 def conjugate(law: BinaryLaw, xi: Conjugator) -> BinaryLaw:

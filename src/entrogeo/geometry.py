@@ -96,7 +96,7 @@ class MetricTensor:
     """A symmetric bilinear form (n, n), or a stack of them (k, n, n).
 
     Symmetry is checked over the last two axes; a stack is positive definite
-    only if every member is.  A nan entry raises DomainError.
+    only if every member is.  A nan or infinite entry raises DomainError.
     """
 
     entries: np.ndarray
@@ -105,11 +105,11 @@ class MetricTensor:
         g = np.array(self.entries, dtype=float)
         if g.ndim not in (2, 3) or g.shape[-2] != g.shape[-1]:
             raise InvalidArgument(f"metric entries must be square, got shape {g.shape}")
-        skew = float(np.max(np.abs(g - g.swapaxes(-1, -2)))) if g.size else 0.0
+        if not np.isfinite(g).all():  # before the skew, whose inf - inf would warn
+            raise DomainError("metric entries are not finite")
+        skew = float(np.abs(g - g.swapaxes(-1, -2)).max()) if g.size else 0.0
         if skew > SYMMETRY_TOL:
             raise InvalidArgument(f"metric asymmetric by {skew:.3e} (tol {SYMMETRY_TOL:.1e})")
-        if not skew <= SYMMETRY_TOL:  # nan: an entry is nan or infinite
-            raise DomainError("metric entries are not finite")
         g.setflags(write=False)
         object.__setattr__(self, "entries", g)
 
@@ -123,7 +123,10 @@ class MetricTensor:
 
 @dataclass(frozen=True)
 class ConnCoeffs:
-    """Lowered connection coefficients Gamma_{ij,k}, symmetric in (i, j); nan raises DomainError."""
+    """Lowered connection coefficients Gamma_{ij,k}, symmetric in (i, j).
+
+    A nan or infinite entry raises DomainError.
+    """
 
     entries: np.ndarray
 
@@ -131,13 +134,13 @@ class ConnCoeffs:
         c = np.array(self.entries, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise InvalidArgument(f"connection entries must be (n, n, n), got {c.shape}")
-        skew = float(np.max(np.abs(c - c.transpose(1, 0, 2)))) if c.size else 0.0
+        if not np.isfinite(c).all():  # before the skew, whose inf - inf would warn
+            raise DomainError("connection entries are not finite")
+        skew = float(np.abs(c - c.transpose(1, 0, 2)).max()) if c.size else 0.0
         if skew > CONN_SYMMETRY_TOL:
             raise InvalidArgument(
                 f"connection asymmetric in (i, j) by {skew:.3e} (tol {CONN_SYMMETRY_TOL:.1e})"
             )
-        if not skew <= CONN_SYMMETRY_TOL:  # nan: an entry is nan or infinite
-            raise DomainError("connection entries are not finite")
         c.setflags(write=False)
         object.__setattr__(self, "entries", c)
 

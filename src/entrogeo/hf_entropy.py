@@ -28,7 +28,8 @@ differences.
 Conventions: f(0) = 0 exactly.  Traces keep exact zeros off the slow path
 that log and pow take at 0 by passing them to f as 1 and multiplying their
 terms by 0 (`_trace`).  Only an exact 0 reads as 0; a nan weight makes its
-row nan.
+row nan.  A batch larger than one block is evaluated in row blocks
+(`_row_blocks`), bit-identical to one call over the whole batch.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
     ParamOutOfRange,
     ShapeMismatch,
 )
-from .formal_group import BinaryLaw, Interval, additive_law, q_sum
+from .formal_group import _BLOCK, BinaryLaw, Interval, additive_law, q_sum
 from .probability import ProbDist
 
 #: Do not approach the removable singularities closer than this.
@@ -64,6 +65,9 @@ DERIV_STEP = 1e-4
 
 #: Largest factor h' may change by across the construction probes.
 _H_SPREAD = math.exp(4.0)
+
+#: A row block of a 2-d batch holds a whole number of groups of this many rows.
+_ROW_GROUP = 16
 
 #: Role -> (its name in errors, the sign of c = h'(f(1)) f''(1) that fills it).
 _ROLES = {"entropy": ("an entropy", -1.0), "divergence": ("a divergence", 1.0)}
@@ -143,6 +147,45 @@ def _trace(f: Callable, x, weight=None) -> np.ndarray:
         full = np.broadcast(terms, weight).shape == terms.shape
         terms = np.multiply(terms, weight, out=terms if full else None)
     return terms.sum(axis=-1)
+
+
+def _row_blocks(fn: Callable, *args):
+    """fn(*args), evaluated over blocks of leading rows once an array exceeds _BLOCK elements.
+
+    fn must reduce the outcome axis only, so that each row's value depends on
+    that row alone; the blocks' values, concatenated, are then those of one
+    call.  The arguments broadcast together; blocks run along axis 0 of the
+    broadcast shape and hold about _BLOCK elements each.  An argument with
+    that full ndim and leading extent is sliced, every other one (q of shape
+    (W,) or (1, W), points parked as (k, 1, W)) passes whole.  Along the only
+    row axis of a 2-d shape, a block holds whole groups of _ROW_GROUP rows and
+    the last one at least _ROW_GROUP rows: a BLAS product over the values, such
+    as a linear composer's, unrolls over rows and rounds a lone row apart.
+    """
+    for a in args:
+        if getattr(a, "size", 0) > _BLOCK:
+            break
+    else:  # no array above one block: one call, at the cost of a size read per argument
+        return fn(*args)
+    arrays = [np.asarray(a) for a in args]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    if len(shape) < 2:
+        return fn(*arrays)
+    n = shape[0]
+    group = _ROW_GROUP if len(shape) == 2 else 1
+    step = max(1, _BLOCK // max(1, math.prod(shape[1:])))
+    step += -step % group
+    starts = list(range(step, n, step))  # of every block but the first
+    if starts and n - starts[-1] < group:
+        starts.pop()
+    if not starts:
+        return fn(*arrays)
+    cut = [a.ndim == len(shape) and a.shape[0] == n for a in arrays]
+    edges = [0, *starts, n]
+    return np.concatenate([
+        fn(*(a[lo:hi] if c else a for a, c in zip(arrays, cut)))
+        for lo, hi in zip(edges, edges[1:])
+    ])
 
 
 @dataclass(frozen=True)
@@ -458,9 +501,11 @@ class EntropyFunctional:
     """An entropy S with an optional composition law attached.
 
     `fn` maps a weights array (outcomes along the last axis) to values, so
-    the same object evaluates a single distribution or a stacked batch.
-    `gradient`, when present, maps weights to dS/dp_i (same shape); it is
-    only attached where it is analytic.
+    the same object evaluates a single distribution or a stacked batch.  It
+    must reduce the outcome axis only: `eval_batch` evaluates a large batch
+    in row blocks (`_row_blocks`) and relies on each row's value depending
+    on that row alone.  `gradient`, when present, maps weights to dS/dp_i
+    (same shape); it is only attached where it is analytic.
     """
 
     fn: Callable
@@ -475,8 +520,8 @@ class EntropyFunctional:
         return value
 
     def eval_batch(self, weights) -> np.ndarray:
-        """Evaluate on an (..., W) array of weight rows."""
-        return np.asarray(self.fn(np.asarray(weights, dtype=float)), dtype=float)
+        """Evaluate on an (..., W) array of weight rows, in cache-sized row blocks."""
+        return np.asarray(_row_blocks(self.fn, np.asarray(weights, dtype=float)), dtype=float)
 
 
 def hf_sum(pair: HFPair, weights) -> np.ndarray:

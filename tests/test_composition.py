@@ -268,6 +268,19 @@ def test_concavity_probe_catches_a_convex_function():
     assert list(doc["counterexample"]) == ["w", "p", "q", "lam", "margin"]
 
 
+def test_concavity_probe_fails_a_nan_margin():
+    shannon = builtin_functional("shannon")
+
+    def fn(w):  # nan on W = 4 only, between finite sizes
+        values = shannon.fn(w)
+        return values * np.nan if np.shape(w)[-1] == 4 else values
+
+    report = concavity_probe(EntropyFunctional(fn=fn, name="holed"), w_max=6, samples=500)
+    assert math.isnan(report.min_margin)
+    assert report.counterexample is None
+    assert not report.passed
+
+
 def test_concavity_probe_needs_two_outcomes():
     with pytest.raises(InvalidArgument):
         concavity_probe(builtin_functional("shannon"), w_max=1)

@@ -1,5 +1,6 @@
 """Group axioms, iterated laws, and conjugation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from entrogeo.errors import (
     InversionFailure,
     ParamOutOfRange,
 )
-from entrogeo.formal_group import conjugator_by_name
+from entrogeo.formal_group import _BLOCK, conjugator_by_name
 
 E_SQUARED_MINUS_ONE = 6.3890560989306495
 
@@ -121,6 +122,59 @@ def test_nan_residual_fails_its_verdict():
     assert not report.passed
 
 
+#: A sample count that the checkers compose in three chunks, the last of 7.
+CHUNKED = 2 * _BLOCK + 7
+
+#: Laws whose chunked checker results must equal those of one call.
+CHUNK_LAWS = {
+    "q-sum": q_sum(0.5),
+    "expm1": conjugate(q_sum(0.3), expm1_conjugator()),
+    "scale": conjugate(q_sum(1.7), scale_conjugator(3.0)),
+}
+
+
+def _marked_law(marks, value):
+    """x + y on [0, 2], except `value` at each given (x, y) pair."""
+
+    def fn(x, y):
+        out = np.add(x, y)
+        for a, b in marks:
+            out[(x == a) & (y == b)] = value
+        return out
+
+    return BinaryLaw(fn=fn, domain=Interval(0.0, 2.0), name="marked")
+
+
+@pytest.mark.parametrize("law", CHUNK_LAWS.values(), ids=CHUNK_LAWS.keys())
+def test_chunked_axiom_residuals_are_those_of_one_call(law):
+    x, y, z = np.random.default_rng(4).uniform(0.0, 1.0, size=(3, CHUNKED))
+    xy, yz = law(x, y), law(y, z)
+    report = check_group_axioms(law, samples=CHUNKED, seed=4)
+    assert report.commutativity_residual == float(np.max(np.abs(xy - law(y, x))))
+    assert report.associativity_residual == float(np.max(np.abs(law(xy, z) - law(x, yz))))
+    assert report.identity_residual == float(np.max(np.abs(law(x, np.zeros_like(x)) - x)))
+
+
+def test_an_escaping_phi_xy_in_a_later_chunk_is_named_first():
+    x, y, z = np.random.default_rng(0).uniform(0.0, 1.0, size=(3, CHUNKED))
+    early, late = 5, CHUNKED - 3
+    with pytest.raises(DomainEscape, match=r"Phi\(y,z\)"):
+        check_group_axioms(_marked_law([(y[early], z[early])], 5.0), samples=CHUNKED)
+    both = _marked_law([(y[early], z[early]), (x[late], y[late])], 5.0)
+    with pytest.raises(DomainEscape, match=r"Phi\(x,y\)"):
+        check_group_axioms(both, samples=CHUNKED)
+
+
+def test_a_nan_residual_in_a_later_chunk_is_kept():
+    x, y, z = np.random.default_rng(0).uniform(0.0, 1.0, size=(3, CHUNKED))
+    late = CHUNKED - 3
+    holed = _marked_law([(x[late], y[late] + z[late])], np.nan)  # only Phi(x, Phi(y, z)) there
+    report = check_group_axioms(holed, samples=CHUNKED)
+    assert math.isnan(report.associativity_residual)
+    assert report.commutativity_ok and report.identity_ok
+    assert not report.passed
+
+
 def test_domain_escape_when_samples_leave_domain():
     boxed = BinaryLaw(fn=lambda x, y: x + y, domain=Interval(0.0, 1.0), name="boxed")
     with pytest.raises(DomainEscape):
@@ -198,6 +252,40 @@ def test_asymmetric_operation_fails_symmetry_probe():
         fn=lambda x, y: x + 0.5 * y, domain=Interval.reals(), name="lopsided"
     )
     assert check_phi4_symmetry(lopsided, samples=200) > 1e-2
+
+
+@pytest.mark.parametrize("law", CHUNK_LAWS.values(), ids=CHUNK_LAWS.keys())
+def test_symmetry_probe_is_the_max_over_all_permuted_iterates(law):
+    args = np.random.default_rng(2).uniform(0.0, 1.0, size=(4, CHUNKED))
+    phi4 = iterate_pow2(law, 2)
+    base = phi4(*args)
+    worst = max(
+        float(np.max(np.abs(phi4(*args[list(perm)]) - base)))
+        for perm in itertools.permutations(range(4))
+    )
+    assert check_phi4_symmetry(law, samples=CHUNKED, seed=2) == worst
+
+
+def test_symmetry_probe_composes_each_inner_pair_once():
+    calls = []
+
+    def fn(x, y):
+        calls.append(1)
+        return x + y
+
+    check_phi4_symmetry(BinaryLaw(fn=fn, domain=Interval.reals(), name="counted"), samples=10)
+    assert len(calls) == 12 + 24  # 12 ordered inner pairs, one outer call per permutation
+
+
+def test_symmetry_probe_reports_nan():
+    holed = BinaryLaw(
+        fn=lambda x, y: np.where(x < 0.9, x + y, np.nan), domain=Interval.reals(), name="holed"
+    )
+    assert math.isnan(check_phi4_symmetry(holed, samples=200))
+    args = np.random.default_rng(0).uniform(0.0, 1.0, size=(4, CHUNKED))
+    late = CHUNKED - 3  # nan in the last chunk only
+    holed = _marked_law([(args[0, late], args[1, late])], np.nan)
+    assert math.isnan(check_phi4_symmetry(holed, samples=CHUNKED))
 
 
 def test_symmetry_probe_needs_a_sample():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,21 @@ def test_tensors_reject_nan_entries():
         MetricTensor(np.stack([np.eye(2), np.diag([1.0, np.nan])]))
     with pytest.raises(DomainError, match="connection entries are not finite"):
         ConnCoeffs(np.full((2, 2, 2), np.nan))
+
+
+def test_tensors_reject_infinite_entries_without_a_warning():
+    # the finiteness test comes before the skew, so no inf - inf RuntimeWarning
+    # surfaces first, and a lone inf is not read as an asymmetry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="metric entries are not finite"):
+            MetricTensor(np.full((2, 2), np.inf))
+        with pytest.raises(DomainError, match="metric entries are not finite"):
+            MetricTensor(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        with pytest.raises(DomainError, match="metric entries are not finite"):
+            MetricTensor(np.stack([np.eye(2), np.diag([1.0, -np.inf])]))
+        with pytest.raises(DomainError, match="connection entries are not finite"):
+            ConnCoeffs(np.full((2, 2, 2), np.inf))
 
 
 def test_divergence_metric_recovers_fisher_for_kl():

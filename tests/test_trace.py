@@ -6,7 +6,14 @@ np.power and sum for the power families, np.where for Kullback-Leibler.  The
 kernel replaces exact zeros by 1 and multiplies their terms by 0, so every
 finite output must stay bit-identical (np.array_equal).  Only the reading of
 nan changes: a nan weight now makes its row nan for every family.
+
+The references evaluate a batch in one call.  `eval_batch` and a
+divergence's `fn` evaluate a batch above one block (`_BLOCK` elements) in
+row blocks, so the batches above one block check that the blocks' values
+are those of one call.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +42,8 @@ from entrogeo import (
     zeta_compose,
     zeta_compose_div,
 )
-from entrogeo.hf_entropy import zero_preserving
+from entrogeo import hf_entropy
+from entrogeo.hf_entropy import _BLOCK, zero_preserving
 
 
 def ref_zero_preserving(raw):
@@ -162,8 +170,16 @@ def _half_zero(rng, n, w):
 
 
 def weight_batches():
-    """Dense rows, half-zero rows, rows with one nonzero, single rows, (k, rows, W) stacks."""
+    """Dense rows, half-zero rows, rows with one nonzero, single rows, (k, rows, W) stacks.
+
+    The last two are above one block: a half-zero batch whose later blocks
+    begin on a dense row, as the kernel chooses its route per block, and a
+    (k, rows, W) stack, blocked along k.
+    """
     rng = np.random.default_rng(71)
+    block_rows = _BLOCK // 8  # rows of width 8 in one block, a whole number of row groups
+    blocked = _half_zero(rng, 3 * block_rows + 21, 8)
+    blocked[block_rows::block_rows] = rng.dirichlet(np.ones(8), size=3)
     return {
         "dense": rng.dirichlet(np.ones(7), size=40),
         "half-zero": _half_zero(rng, 40, 8),
@@ -173,19 +189,33 @@ def weight_batches():
         "single-row": np.array([0.0, 0.25, 0.0, 0.75]),
         "certain": np.array([1.0]),
         "stack": _half_zero(rng, 3 * 9, 4).reshape(3, 9, 4),
+        "blocks-begin-dense": blocked,
+        "blocked-stack": _half_zero(rng, 5 * (_BLOCK // 16), 8).reshape(5, -1, 8),
     }
 
 
 def divergence_pairs():
-    """(p, q) with q > 0: the batches above, and the two broadcasts div_connections makes."""
+    """(p, q) with q > 0: the batches above, and the two broadcasts div_connections makes.
+
+    Above one block as well: q of shape (W,) and (1, W) against a blocked p,
+    and both broadcasts with a stencil above one block.
+    """
     rng = np.random.default_rng(72)
     out = {}
-    for label, p in weight_batches().items():
+    batches = weight_batches()
+    for label, p in batches.items():
         out[label] = (p, rng.dirichlet(np.ones(p.shape[-1]), size=p.shape[:-1]))
     stencil = _half_zero(rng, 9, 4)  # (rows, W + 1)
     parked = rng.dirichlet(np.ones(4), size=(3, 1))  # (k, 1, W + 1)
     out["stencil-vs-parked"] = (stencil, parked)
     out["parked-vs-stencil"] = (parked, rng.dirichlet(np.ones(4), size=9))
+    blocked = batches["blocks-begin-dense"]
+    out["blocked-vs-q(W,)"] = (blocked, rng.dirichlet(np.ones(8)))
+    out["blocked-vs-q(1,W)"] = (blocked, rng.dirichlet(np.ones(8), size=1))
+    stencil = _half_zero(rng, _BLOCK // 4 + 3, 4)
+    parked = rng.dirichlet(np.ones(4), size=(3, 1))
+    out["blocked-stencil-vs-parked"] = (stencil, parked)
+    out["parked-vs-blocked-stencil"] = (parked, rng.dirichlet(np.ones(4), size=stencil.shape[0]))
     return out
 
 
@@ -248,12 +278,12 @@ def test_group_and_zeta_compositions_are_bit_identical(batch):
         identity_conjugator(),
         m=1,
     )
-    assert np.array_equal(got.eval_batch(w), ref.eval_batch(w))
+    assert np.array_equal(got.eval_batch(w), ref.fn(w))
     summed = [("shannon", ()), ("tsallis", (1.5,))]
     composer = linear_composer([1.0, 0.5])
     got = zeta_compose([builtin(*m) for m in summed], composer)
     ref = zeta_compose([_reference_functional(*m, ENTROPY_F[m]) for m in summed], composer)
-    assert np.array_equal(got.eval_batch(w), ref.eval_batch(w))
+    assert np.array_equal(got.eval_batch(w), ref.fn(w))
 
 
 # --- nan and the zero path --------------------------------------------------------
@@ -353,3 +383,55 @@ def test_zero_preserving_never_calls_raw_at_zero():
     assert not (raw.calls[0] == 0.0).any()
     assert np.array_equal(out, ref_zero_preserving(lambda t: t * np.log(t))(w))
     assert zero_preserving(raw)(0.0) == 0.0
+
+
+# --- row blocks ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_row_blocks_keep_a_linear_composer_bit_identical(m, monkeypatch):
+    # A linear composer's matmul goes to BLAS, which rounds a lone row, and
+    # rows off its unroll, apart from one call over the whole batch.
+    monkeypatch.setattr(hf_entropy, "_BLOCK", 64)
+    rng = np.random.default_rng(m)
+    composer = linear_composer(rng.uniform(0.1, 2.0, m))
+    shannon_fn, kl_fn = builtin("shannon", ()).fn, kl_functional().fn
+    entropy = zeta_compose([builtin("shannon", ())] * m, composer)
+    divergence = zeta_compose_div([kl_functional()] * m, composer)
+    for rows in (33, 49, 97, 161, 1001):
+        for width in (3, 8, 13):
+            p = _half_zero(rng, rows, width)
+            q = rng.dirichlet(np.ones(width), size=rows)
+            one_call = composer.fn(np.stack([shannon_fn(p)] * m, axis=-1))
+            assert np.array_equal(entropy.eval_batch(p), one_call)
+            one_call = composer.fn(np.stack([kl_fn(p, q)] * m, axis=-1))
+            assert np.array_equal(divergence.fn(p, q), one_call)
+
+
+#: Largest tracemalloc peak of one bulk call on a 10^4 x 100 batch.  One
+#: call over the whole batch allocates 8 MB per temporary; row blocks keep
+#: a few blocks' worth of temporaries.
+BULK_PEAK = 2 * 2**20
+
+
+def _bulk_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", sorted(ENTROPIES))
+def test_bulk_entropy_evaluation_stays_within_a_few_blocks(name):
+    w = _half_zero(np.random.default_rng(75), 10_000, 100)
+    assert _bulk_peak(lambda: ENTROPIES[name].eval_batch(w)) < BULK_PEAK
+
+
+@pytest.mark.parametrize("name", sorted(ALL_DIVERGENCES))
+def test_bulk_divergence_evaluation_stays_within_a_few_blocks(name):
+    rng = np.random.default_rng(76)
+    p = _half_zero(rng, 10_000, 100)
+    q = rng.dirichlet(np.ones(100), size=10_000)
+    assert _bulk_peak(lambda: ALL_DIVERGENCES[name].fn(p, q)) < BULK_PEAK
