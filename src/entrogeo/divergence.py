@@ -72,7 +72,8 @@ class DivergenceFunctional:
             raise LengthMismatch(f"lengths differ: {p.size} vs {q.size}")
         if np.any(q.weights <= 0.0):
             raise DomainError("reference distribution must be strictly positive")
-        value = float(self.fn(p.weights, q.weights))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            value = float(self.fn(p.weights, q.weights))  # a non-finite value raises below
         if not math.isfinite(value):
             raise DomainError(f"{self.name} is not finite at the given pair")
         return value

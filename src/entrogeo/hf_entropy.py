@@ -514,7 +514,8 @@ class EntropyFunctional:
     gradient: Callable | None = None
 
     def eval(self, p: ProbDist) -> float:
-        value = float(self.fn(p.weights))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            value = float(self.fn(p.weights))  # a non-finite value raises below
         if not math.isfinite(value):
             raise DomainError(f"{self.name} is not finite at the given distribution")
         return value

@@ -5,8 +5,10 @@ constraint is implicit, never a row of A), `maximize` runs projected gradient
 ascent: each iterate is pulled back onto the feasible set by the exact
 Euclidean projection onto {p >= 0} intersect {A p = b, sum p = 1}.  That
 projection is max(x - A^T nu, 0), with the multiplier nu found by semismooth
-Newton on a convex dual of m + 1 variables.  Backtracking keeps the ascent
-monotone.
+Newton on a convex dual of m + 1 variables.  It stops at a residual of
+`_PROJ_TOL`, or at the rounding floor eps |x| of forming x - A^T nu, which
+steep gradients near EVAL_CLIP lift above that (`_Feasible.project`).
+Backtracking keeps the ascent monotone.
 
 For concave functionals (every strictly shaped built-in) the stationary
 point found is the global maximizer.  For anything else the solver makes no
@@ -108,11 +110,8 @@ class _Feasible:
         self.tol = _PROJ_TOL * max(1.0, float(np.max(np.abs(a_full))))
         self.pullback = a_full.T @ self.gram_pinv
 
-    def affine(self, x: np.ndarray) -> np.ndarray:
-        return x - self.pullback @ (self.a @ x - self.b)
-
     def residual(self, x: np.ndarray) -> float:
-        return float(np.max(np.abs(self.a @ x - self.b)))
+        return float(np.abs(self.a @ x - self.b).max())
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """max(x - A^T nu, 0), where nu minimizes the convex dual
@@ -121,27 +120,33 @@ class _Feasible:
         Semismooth Newton (Qi & Sun 1993) from the affine multiplier: the
         generalized Hessian is the Gram matrix of the active columns, solved
         by least squares, and Armijo backtracking keeps theta decreasing.  A
-        full step that keeps the active set is exact up to rounding, so it
-        stops once |A p - b| is at rounding level.  When the constraints miss
-        the simplex theta is unbounded below, and the point returned keeps a
-        residual.
+        full step on active columns of full rank that keeps the active set is
+        exact up to rounding, so it stops once |A p - b| is at rounding level:
+        at the tolerance, or after one refinement step past the first such
+        step.  Forming x - A^T nu rounds at about eps |x|, so for |x| above
+        about 1e4 that floor lies over the tolerance and further rounds cannot
+        lower it.  When the constraints miss the simplex theta is unbounded
+        below, and the point returned keeps a residual.
         """
-        y = self.affine(x)
+        miss = self.a @ x - self.b
+        y = x - self.pullback @ miss
         if y.min() >= 0.0 and self.residual(y) <= self.tol:
             return y
-        nu = self.gram_pinv @ (self.a @ x - self.b)
+        nu = self.gram_pinv @ miss
         z = x - self.a.T @ nu
         p = np.maximum(z, 0.0)
+        full = None  # active set of the last full step on full-rank columns
         for _ in range(_NEWTON_ROUNDS):
             gap = self.a @ p - self.b  # minus the dual gradient
-            if np.max(np.abs(gap)) <= self.tol:
+            if np.abs(gap).max() <= self.tol:
                 return p
             active = z > 0.0
+            refine = full is not None and np.array_equal(active, full)
             cols = self.a[:, active]
             gram = cols @ cols.T
             step, _, rank, _ = np.linalg.lstsq(gram, gap, rcond=None)
             rest = gap - gram @ step
-            if rank < self.rank and np.max(np.abs(rest)) > 0.5 * np.max(np.abs(gap)):
+            if rank < self.rank and np.abs(rest).max() > 0.5 * np.abs(gap).max():
                 # The active columns cannot meet most of gap.  Along the part
                 # they leave, theta falls linearly until inactive coordinates
                 # turn positive: go to its minimum on that ray.
@@ -155,16 +160,20 @@ class _Feasible:
             slope = float(gap @ step)
             if not slope > 0.0:
                 return p
+            lift = float(self.b @ step)
             t = 1.0
             while True:
                 z_t = x - self.a.T @ (nu + t * step)
                 p_t = np.maximum(z_t, 0.0)
-                change = 0.5 * float((p_t - p) @ (p_t + p)) + t * float(self.b @ step)
+                change = 0.5 * float((p_t - p) @ (p_t + p)) + t * lift
                 if change <= -1e-4 * t * slope:
                     break
                 t *= 0.5
                 if t < 1e-12:
                     return p
+            if refine:
+                return p_t  # the last full step kept its active set
+            full = active if t == 1.0 and rank == self.rank else None
             nu, z, p = nu + t * step, z_t, p_t
         return p
 
@@ -308,7 +317,7 @@ def _ascend(x0, value, grad, feasible, max_iter, tol):
     stationarity = math.inf
     for it in range(1, max_iter + 1):
         g = grad(x)
-        stationarity = float(np.max(np.abs(feasible.project(x + g) - x)))
+        stationarity = float(np.abs(feasible.project(x + g) - x).max())
         if stationarity <= tol:
             return x, v, it, True, stationarity
         s = step

@@ -2,6 +2,8 @@
 
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,3 +446,31 @@ def test_main_prints_and_returns(capsys, dist_file):
     assert rc == 0
     out = capsys.readouterr().out
     assert json.loads(out)["value"] == pytest.approx(math.log(2.0))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (  # sum p^200 underflows to 0, and log(0) divides by zero
+            ["entropy", "--family", "renyi:alpha=200", "--dist", "u100.json"],
+            "error: renyi(200) is not finite at the given distribution",
+        ),
+        (  # q^(1 - 200) overflows, and inf * 0 is invalid
+            ["divergence", "--family", "sm", "--params", "alpha=200", "beta=0.5",
+             "--p", "p50.json", "--q", "u50.json"],
+            "error: sm(200,0.5) is not finite at the given pair",
+        ),
+    ],
+)
+def test_non_finite_value_prints_one_stderr_line(capsys, dist_file, monkeypatch, argv, message):
+    dist_file("u100.json", [0.01] * 100)
+    dist_file("u50.json", [0.02] * 50)
+    path = dist_file("p50.json", np.random.default_rng(0).dirichlet(np.ones(50)))
+    monkeypatch.chdir(Path(path).parent)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # outside pytest, each would print to stderr first
+        assert main(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"

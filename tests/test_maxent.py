@@ -115,8 +115,9 @@ def _dykstra(feasible, x, rounds=100_000):
     q_corr = np.zeros_like(x)
     current = x
     for _ in range(rounds):
-        u = feasible.affine(current + p_corr)
-        p_corr = current + p_corr - u
+        y = current + p_corr
+        u = y - feasible.pullback @ (feasible.a @ y - feasible.b)
+        p_corr = y - u
         v = np.maximum(u + q_corr, 0.0)
         q_corr = u + q_corr - v
         if np.max(np.abs(v - current)) <= 1e-14 and feasible.residual(v) <= 1e-9:
@@ -140,15 +141,15 @@ def _projection_case(m, spare, log_scale, seed):
     return _Feasible(a_full, b_full), inside + rng.normal(size=w) * 10.0**log_scale
 
 
-def _assert_kkt(feasible, x, p):
+def _assert_kkt(feasible, x, p, tol=1e-12):
     assert p.min() >= 0.0
-    assert np.max(np.abs(feasible.a @ p - feasible.b)) <= 1e-12
+    assert np.max(np.abs(feasible.a @ p - feasible.b)) <= tol
     # x - p = A^T nu on the support and x - A^T nu <= 0 off it
     support = p > 0.0
     nu = np.linalg.lstsq(feasible.a[:, support].T, (x - p)[support], rcond=None)[0]
     shifted = x - feasible.a.T @ nu
-    np.testing.assert_allclose(shifted[support], p[support], rtol=0.0, atol=1e-12)
-    assert np.all(shifted[~support] <= 1e-12)
+    np.testing.assert_allclose(shifted[support], p[support], rtol=0.0, atol=tol)
+    assert np.all(shifted[~support] <= tol)
 
 
 @pytest.mark.parametrize(
@@ -157,12 +158,49 @@ def _assert_kkt(feasible, x, p):
         (2, 3, 0.0, 0),  # too few active columns on the way
         (2, 2, 0.0, 5),  # the same
         (1, 2, -1.0, 4485),  # the affine map alone rounds to 1.5e-11
-        (1, 2, 0.0, 4485),  # cond(A) 1.7e3: one Newton step rounds to 1.2e-12
+        # cond(A) 1.7e3: the first full step keeps the active set but rounds
+        # to 1.2e-12; only the refinement step after it meets the tolerance,
+        # so this case rejects a stop right after that first step
+        (1, 2, 0.0, 4485),
+        (1, 2, 2.0, 686),  # the same, at 1.3e-12
+        (2, 2, 2.0, 492),  # the same after two earlier rounds, at 1.04e-12
     ],
 )
 def test_projection_meets_kkt_on_hard_cases(m, spare, log_scale, seed):
     feasible, x = _projection_case(m, spare, log_scale, seed)
     _assert_kkt(feasible, x, feasible.project(x))
+
+
+@pytest.mark.parametrize(
+    "m, spare, log_scale, seed",
+    [
+        (1, 10, 4.0, 0),
+        (1, 10, 4.0, 7),
+        (1, 10, 5.0, 1),
+        (1, 10, 5.0, 4),
+        (1, 10, 6.0, 5),
+        (1, 10, 6.0, 8),
+        # a full step keeps an active set of rank 2 < 3, which is not exact:
+        # stopping one step after it leaves |A p - b| at 2e-2
+        (2, 2, 4.0, 2),
+    ],
+)
+def test_projection_stops_at_its_rounding_floor(monkeypatch, m, spare, log_scale, seed):
+    # |x| of 1e4-1e6: x - A^T nu rounds at about eps |x|, above the 1e-12
+    # tolerance, and further Newton rounds cannot lower that floor
+    feasible, x = _projection_case(m, spare, log_scale, seed)
+    solves = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    p = feasible.project(x)
+    monkeypatch.undo()
+    assert len(solves) <= 6
+    _assert_kkt(feasible, x, p, tol=x.size * np.finfo(float).eps * max(1.0, np.abs(x).max()))
 
 
 @settings(max_examples=60, deadline=None)
