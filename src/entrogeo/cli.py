@@ -16,16 +16,21 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
 import sys
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from . import composition, divergence, formal_group, geometry, hf_entropy, maxent
+# composition, divergence, geometry, maxent: imported where used, so a run loads only its layers.
+from . import formal_group, hf_entropy
 from .errors import EntrogeoError, InvalidArgument, ParamOutOfRange
 from .probability import FILE_TOL, load_distribution
+
+if TYPE_CHECKING:
+    from . import divergence, geometry
 
 _METRIC_REL_TOL = 1e-5
 _CONN_TOL = 1e-4
@@ -50,7 +55,7 @@ def _write_json(x, out: list[str]) -> None:
         for i, (k, v) in enumerate(x.items()):
             if i:
                 out.append(",")
-            out.append(_escape(str(k)))
+            out.append(json.dumps(str(k)))
             out.append(":")
             _write_json(v, out)
         out.append("}")
@@ -71,15 +76,9 @@ def _write_json(x, out: list[str]) -> None:
     elif x is None:
         out.append("null")
     elif isinstance(x, str):
-        out.append(_escape(x))
+        out.append(json.dumps(x))
     else:
         raise TypeError(f"cannot render {type(x).__name__} as JSON")
-
-
-def _escape(s: str) -> str:
-    import json
-
-    return json.dumps(s, ensure_ascii=True)
 
 
 def render_pretty(doc) -> str:
@@ -140,8 +139,14 @@ def _parse_spec(text: str, extra_params: Sequence[str] | None = None) -> tuple[s
     return head.strip().lower().replace("_", "-"), params
 
 
-def _hf_div(pair_builder: Callable) -> Callable[..., divergence.DivergenceFunctional]:
-    return lambda **params: divergence.hf_div_functional(pair_builder(**params))
+def _sm_pair(**params) -> hf_entropy.EntropyFunctional:
+    from .composition import sm_pair_entropy
+    return sm_pair_entropy(**params)
+
+
+def _sm_tsallis(**params) -> hf_entropy.EntropyFunctional:
+    from .composition import sm_tsallis_entropy
+    return sm_tsallis_entropy(**params)
 
 
 #: Entropy families by CLI name; each builder takes the spec's parameters.
@@ -150,17 +155,8 @@ _ENTROPIES: dict[str, Callable[..., hf_entropy.EntropyFunctional]] = {
         name.replace("_", "-"): functools.partial(hf_entropy.builtin_functional, name)
         for name in hf_entropy._BUILTINS
     },
-    "sm-pair": composition.sm_pair_entropy,
-    "sm-tsallis": composition.sm_tsallis_entropy,
-}
-
-#: Divergence families by CLI name; each builder takes the spec's parameters.
-_DIVERGENCES: dict[str, Callable[..., divergence.DivergenceFunctional]] = {
-    "kl": divergence.kl_functional,
-    "sm": divergence.sm_div_functional,
-    "power": _hf_div(divergence.power_pair),
-    "tsallis-rel": _hf_div(divergence.tsallis_relative_pair),
-    "tsallis-relative": _hf_div(divergence.tsallis_relative_pair),
+    "sm-pair": _sm_pair,
+    "sm-tsallis": _sm_tsallis,
 }
 
 
@@ -180,10 +176,23 @@ def _entropy(text: str, extra_params=None) -> hf_entropy.EntropyFunctional:
 
 
 def _divergence(text: str, extra_params=None) -> divergence.DivergenceFunctional:
-    return _resolve(_DIVERGENCES, "divergence", text, extra_params)
+    from . import divergence
+
+    def hf(pair_builder: Callable) -> Callable[..., divergence.DivergenceFunctional]:
+        return lambda **params: divergence.hf_div_functional(pair_builder(**params))
+
+    families = {  # each builder takes the spec's parameters
+        "kl": divergence.kl_functional,
+        "sm": divergence.sm_div_functional,
+        "power": hf(divergence.power_pair),
+        "tsallis-rel": hf(divergence.tsallis_relative_pair),
+        "tsallis-relative": hf(divergence.tsallis_relative_pair),
+    }
+    return _resolve(families, "divergence", text, extra_params)
 
 
 def _model_from_spec(text: str) -> geometry.StatModel:
+    from .geometry import simplex_model
     fam, _, tail = text.partition(":")
     if fam.strip().lower() != "simplex":
         raise ParamOutOfRange(f"unknown model {text!r} (expected simplex:W)")
@@ -191,7 +200,7 @@ def _model_from_spec(text: str) -> geometry.StatModel:
         size = int(tail)
     except ValueError as exc:
         raise ParamOutOfRange(f"bad simplex size in {text!r}") from exc
-    return geometry.simplex_model(size)
+    return simplex_model(size)
 
 
 def _point_from_text(text: str) -> np.ndarray:
@@ -243,11 +252,13 @@ def _cmd_divergence(args) -> tuple[int, dict]:
         f"divergence --family {fam}",
     )
     if fam == "composed":
+        from .composition import linear_composer
+        from .divergence import zeta_compose_div
         if not args.of:
             raise ParamOutOfRange("--family composed requires at least one --of")
         coeffs = _point_from_text(args.coeffs) if args.coeffs else np.ones(len(args.of))
-        composer = composition.linear_composer(coeffs)
-        functional = divergence.zeta_compose_div([_divergence(s) for s in args.of], composer)
+        composer = linear_composer(coeffs)
+        functional = zeta_compose_div([_divergence(s) for s in args.of], composer)
     else:
         functional = _divergence(args.family, args.params)
     p = load_distribution(args.p, tol=args.tol)
@@ -262,10 +273,11 @@ def _cmd_divergence(args) -> tuple[int, dict]:
 
 
 def _cmd_compose(args) -> tuple[int, dict]:
+    from .composition import group_compose
     seed = _resolve_seed(args.seed)
     constituents = [_entropy(s) for s in args.constituent]
     xi = formal_group.conjugator_by_name(args.xi)
-    z, omega = composition.group_compose(constituents, xi, args.m, seed=seed)
+    z, omega = group_compose(constituents, xi, args.m, seed=seed)
     dist = load_distribution(args.dist, tol=args.tol)
     report = formal_group.check_group_axioms(
         omega, domain=(0.0, 1.0), samples=args.samples, seed=seed
@@ -291,6 +303,7 @@ def _at_point(args, command: str) -> tuple[geometry.StatModel, np.ndarray, dict]
 
 
 def _cmd_metric(args) -> tuple[int, dict]:
+    from . import geometry
     model, point, doc = _at_point(args, "metric")
     functional = None
     if args.divergence.strip().lower() == "fisher":
@@ -310,6 +323,7 @@ def _cmd_metric(args) -> tuple[int, dict]:
 
 
 def _cmd_connection(args) -> tuple[int, dict]:
+    from . import geometry
     model, point, doc = _at_point(args, "connection")
     _reject_inapplicable(args, {"divergence": args.alpha is None}, "connection --alpha")
     if args.alpha is not None:
@@ -331,6 +345,7 @@ def _cmd_connection(args) -> tuple[int, dict]:
 
 
 def _cmd_maxent(args) -> tuple[int, dict]:
+    from .maxent import ConstraintSet, maximize
     seed = _resolve_seed(args.seed)
     functional = _entropy(args.family, args.params)
     constraints = None
@@ -348,8 +363,8 @@ def _cmd_maxent(args) -> tuple[int, dict]:
                 targets.append(float(target_text))
             except ValueError as exc:
                 raise ParamOutOfRange(f"bad constraint target in {item!r}") from exc
-        constraints = maxent.ConstraintSet(np.vstack(rows), np.asarray(targets))
-    result = maxent.maximize(
+        constraints = ConstraintSet(np.vstack(rows), np.asarray(targets))
+    result = maximize(
         functional,
         args.w,
         constraints,
@@ -465,6 +480,7 @@ def _checks_composability(pairs: int, seed: int) -> list[dict]:
 
 def _duality_residual(functional, model, xi, gamma, gamma_star) -> float:
     """Duality defect of a divergence's FD metric field and connections already at xi."""
+    from . import geometry
     return geometry.duality_residual(
         lambda x: geometry.div_metric(functional, model, x),
         lambda x: gamma,
@@ -484,6 +500,7 @@ def _interior_points(rng, size: int, count: int, floor: float = 0.04) -> list[np
 
 
 def _checks_geometry(w_max: int, points: int, seed: int) -> list[dict]:
+    from . import geometry
     checks = []
     rng = np.random.default_rng(seed)
     for functional in (_divergence("kl"), _divergence("sm:alpha=0.5,beta=0.7")):

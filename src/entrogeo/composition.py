@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ArityMismatch, InvalidArgument, LawMismatch, MonotonicityViolation
-from .formal_group import BinaryLaw, Conjugator, conjugate, iterate_pow2, q_sum
+from .formal_group import BinaryLaw, Conjugator, _fmt, conjugate, iterate_pow2, q_sum
 from .hf_entropy import EntropyFunctional, _f_power, _guard_param, _trace, product_residuals
 
 MONO_SLACK = 1e-12
@@ -99,7 +99,7 @@ def linear_composer(coeffs: Sequence[float]) -> Composer:
     return Composer(
         fn=lambda v: np.asarray(v, dtype=float) @ c,
         arity=int(c.size),
-        name=f"linear({','.join(format(x, 'g') for x in c)})",
+        name=f"linear({_fmt(*c)})",
         grad0=tuple(float(x) for x in c),
         monotone=bool(np.all(c >= 0.0)),
     )
@@ -253,7 +253,7 @@ def sm_pair_entropy(alpha1: float, alpha2: float, beta: float) -> EntropyFunctio
     sm_pair_value(a1, a2, b, np.array([1.0]))  # parameter validation
     return EntropyFunctional(
         fn=lambda weights: sm_pair_value(a1, a2, b, weights),
-        name=f"sm-pair({a1:g},{a2:g};{b:g})",
+        name=f"sm-pair({_fmt(a1, a2)};{_fmt(b)})",
         law=q_sum(b),
     )
 
@@ -277,7 +277,7 @@ def sm_tsallis_entropy(alpha: float, q: float) -> EntropyFunctional:
     sm_tsallis_value(a, qq, np.array([1.0]))  # parameter validation
     return EntropyFunctional(
         fn=lambda weights: sm_tsallis_value(a, qq, weights),
-        name=f"sm-tsallis({a:g};{qq:g})",
+        name=f"sm-tsallis({_fmt(a)};{_fmt(qq)})",
         law=q_sum(qq),
     )
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .composition import Composer
 from .errors import DomainError, LengthMismatch, ZetaRangeViolation
+from .formal_group import _fmt
 from .hf_entropy import (
     _IDENTITY_H,
     HFPair,
@@ -37,6 +37,9 @@ from .hf_entropy import (
     require_shape,
 )
 from .probability import ProbDist
+
+if TYPE_CHECKING:
+    from .composition import Composer
 
 #: |D(p, p)| allowed for a true divergence.
 DIAGONAL_TOL = 1e-12
@@ -124,7 +127,7 @@ def power_pair(a: float) -> HFPair:
     a = _guard_param(a, "a")
     sign = 1.0 if a > 1.0 else -1.0
     return HFPair(
-        name=f"power({a:g})",
+        name=f"power({_fmt(a)})",
         **_f_power(a),
         h=lambda x: sign * (np.asarray(x, dtype=float) - 1.0),
         h_inverse=lambda y: sign * np.asarray(y, dtype=float) + 1.0,
@@ -135,7 +138,7 @@ def power_pair(a: float) -> HFPair:
 def tsallis_relative_pair(alpha: float) -> HFPair:
     """f = (t^alpha - t)/(alpha - 1) with h = x: the Tsallis relative pair."""
     a = _guard_param(alpha, "alpha")
-    return HFPair(name=f"tsallis-relative({a:g})", **_f_tsallis(a, 1.0), **_IDENTITY_H)
+    return HFPair(name=f"tsallis-relative({_fmt(a)})", **_f_tsallis(a, 1.0), **_IDENTITY_H)
 
 
 def sm_divergence_pair(alpha: float, beta: float) -> HFPair:
@@ -146,7 +149,7 @@ def sm_divergence_pair(alpha: float, beta: float) -> HFPair:
     """
     a = _guard_param(alpha, "alpha")
     b = _guard_param(beta, "beta", positive=False)
-    return HFPair(name=f"sm-div({a:g},{b:g})", **_f_power(a), **_sm_rescale(a, b, -1.0))
+    return HFPair(name=f"sm-div({_fmt(a, b)})", **_f_power(a), **_sm_rescale(a, b, -1.0))
 
 
 def sm_div_functional(alpha: float, beta: float) -> DivergenceFunctional:
@@ -161,7 +164,7 @@ def sm_div_functional(alpha: float, beta: float) -> DivergenceFunctional:
     def fn(p, q):
         return pair.h(_trace(pair.f, p, np.power(np.asarray(q, dtype=float), 1.0 - a)))
 
-    return DivergenceFunctional(fn=fn, name=f"sm({a:g},{b:g})", pair=pair)
+    return DivergenceFunctional(fn=fn, name=f"sm({_fmt(a, b)})", pair=pair)
 
 
 # --- composition -----------------------------------------------------------------

@@ -114,6 +114,11 @@ class LawReport:
         return asdict(self)
 
 
+def _fmt(*params: float) -> str:
+    """Parameters as names show them: each as `:g` where that reads back exactly, else its repr."""
+    return ",".join(f"{x:g}" if float(f"{x:g}") == x else repr(float(x)) for x in params)
+
+
 def q_sum(q: float) -> BinaryLaw:
     """The deformed sum Phi(x, y) = x + y + (1 - q) x y on the whole line."""
     q = float(q)
@@ -124,7 +129,7 @@ def q_sum(q: float) -> BinaryLaw:
     def fn(x, y):
         return x + y + a * np.multiply(x, y)
 
-    return BinaryLaw(fn=fn, domain=Interval.reals(), name=f"q-sum({q:g})")
+    return BinaryLaw(fn=fn, domain=Interval.reals(), name=f"q-sum({_fmt(q)})")
 
 
 def additive_law() -> BinaryLaw:
@@ -281,7 +286,7 @@ def scale_conjugator(c: float) -> Conjugator:
     c = float(c)
     if not (math.isfinite(c) and c > 0.0):
         raise ParamOutOfRange(f"scale factor must be positive and finite, got {c}")
-    return Conjugator(forward=lambda x: c * x, inverse=lambda x: x / c, name=f"scale({c:g})")
+    return Conjugator(forward=lambda x: c * x, inverse=lambda x: x / c, name=f"scale({_fmt(c)})")
 
 
 def expm1_conjugator() -> Conjugator:

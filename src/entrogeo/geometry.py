@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .divergence import DivergenceFunctional
 from .errors import (
     AllZeroGradient,
     ArityMismatch,
@@ -50,6 +49,9 @@ from .errors import (
     StepTooLarge,
 )
 from .hf_entropy import HFPair, require_shape
+
+if TYPE_CHECKING:
+    from .divergence import DivergenceFunctional
 
 #: Relative step for second-derivative stencils (metrics).
 METRIC_STEP = 1e-4

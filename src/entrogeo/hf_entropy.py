@@ -48,7 +48,7 @@ from .errors import (
     ParamOutOfRange,
     ShapeMismatch,
 )
-from .formal_group import _BLOCK, BinaryLaw, Interval, additive_law, q_sum
+from .formal_group import _BLOCK, BinaryLaw, Interval, _fmt, additive_law, q_sum
 from .probability import ProbDist
 
 #: Do not approach the removable singularities closer than this.
@@ -379,7 +379,7 @@ def renyi(alpha: float) -> HFPair:
         return np.log(x) / (1.0 - a)
 
     return HFPair(
-        name=f"renyi({a:g})",
+        name=f"renyi({_fmt(a)})",
         **_f_power(a),
         h=h,
         h_inverse=lambda y: np.exp((1.0 - a) * np.asarray(y, dtype=float)),
@@ -389,14 +389,14 @@ def renyi(alpha: float) -> HFPair:
 
 def tsallis(q: float) -> HFPair:
     q = _guard_param(q, "q")
-    return HFPair(name=f"tsallis({q:g})", **_f_tsallis(q, -1.0), **_IDENTITY_H)
+    return HFPair(name=f"tsallis({_fmt(q)})", **_f_tsallis(q, -1.0), **_IDENTITY_H)
 
 
 def sharma_mittal(alpha: float, beta: float) -> HFPair:
     """The two-parameter family; beta -> 1 recovers Renyi, beta = alpha Tsallis."""
     a = _guard_param(alpha, "alpha")
     b = _guard_param(beta, "beta", positive=False)
-    return HFPair(name=f"sharma-mittal({a:g},{b:g})", **_f_power(a), **_sm_rescale(a, b, 1.0))
+    return HFPair(name=f"sharma-mittal({_fmt(a, b)})", **_f_power(a), **_sm_rescale(a, b, 1.0))
 
 
 def kaniadakis(kappa: float) -> HFPair:
@@ -413,7 +413,7 @@ def kaniadakis(kappa: float) -> HFPair:
         return out
 
     return HFPair(
-        name=f"kaniadakis({k:g})",
+        name=f"kaniadakis({_fmt(k)})",
         f=f,
         **_IDENTITY_H,
         d2f1=-1.0,

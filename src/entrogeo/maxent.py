@@ -271,9 +271,11 @@ def maximize(
 
     rng = np.random.default_rng(seed)
     runs = []
-    for r in range(restarts):
-        x0 = start if r == 0 else feasible.project(rng.dirichlet(np.ones(size)))
-        runs.append(_ascend(x0, value, grad, feasible, max_iter, tol))
+    # As in `eval`: a non-finite value or gradient ends the run unconverged, without a warning.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for r in range(restarts):
+            x0 = start if r == 0 else feasible.project(rng.dirichlet(np.ones(size)))
+            runs.append(_ascend(x0, value, grad, feasible, max_iter, tol))
 
     best = max(runs, key=lambda run: run[1])
     x_best, v_best, iters, converged, stationarity = best

@@ -474,3 +474,26 @@ def test_non_finite_value_prints_one_stderr_line(capsys, dist_file, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message + "\n"
+
+
+def test_maxent_non_finite_start_prints_nothing_on_stderr(capsys):
+    # sum p^200 underflows at the uniform start: the run stops unconverged, without a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["maxent", "--family", "renyi:alpha=200", "--w", "100"]) == 1
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    doc = json.loads(captured.out)
+    assert (doc["value"], doc["converged"]) == (None, False)
+
+
+def test_distinct_parameters_print_distinct_names(dist_file):
+    path = dist_file("p3.json", [0.2, 0.3, 0.5])
+    names = [
+        run(["entropy", "--family", f"renyi:alpha={a}", "--dist", path])[1]["entropy"]
+        for a in ("1.0000001", "1.0000002", "0.5")
+    ]
+    assert names == ["renyi(1.0000001)", "renyi(1.0000002)", "renyi(0.5)"]
+    doc = run(["divergence", "--family", "sm:alpha=0.5,beta=0.7", "--p", path, "--q", path])[1]
+    assert doc["divergence"] == "sm(0.5,0.7)"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import entrogeo
 from entrogeo import (
     BinaryLaw,
     Conjugator,
@@ -352,3 +353,27 @@ def test_interval_contains_and_clip():
     assert (clipped.lo, clipped.hi) == (-3.0, 3.0)
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
+
+
+
+@pytest.mark.parametrize(
+    "build, short_name",
+    [
+        (q_sum, "q-sum(1.5)"),
+        (scale_conjugator, "scale(1.5)"),
+        (entrogeo.renyi, "renyi(1.5)"),
+        (entrogeo.tsallis, "tsallis(1.5)"),
+        (lambda x: entrogeo.sharma_mittal(x, 0.7), "sharma-mittal(1.5,0.7)"),
+        (lambda x: entrogeo.kaniadakis(x - 1.0), "kaniadakis(0.5)"),
+        (entrogeo.power_pair, "power(1.5)"),
+        (entrogeo.tsallis_relative_pair, "tsallis-relative(1.5)"),
+        (lambda x: entrogeo.sm_divergence_pair(0.5, x), "sm-div(0.5,1.5)"),
+        (lambda x: entrogeo.sm_div_functional(x, 0.7), "sm(1.5,0.7)"),
+        (lambda x: entrogeo.sm_pair_entropy(0.3, 0.7, x), "sm-pair(0.3,0.7;1.5)"),
+        (lambda x: entrogeo.sm_tsallis_entropy(x, 0.5), "sm-tsallis(1.5;0.5)"),
+        (lambda x: entrogeo.linear_composer([x]), "linear(1.5)"),
+    ],
+)
+def test_names_keep_short_parameters_and_tell_near_equal_ones_apart(build, short_name):
+    assert build(1.5).name == short_name
+    assert build(1.5000001).name != build(1.5000002).name
