@@ -8,7 +8,11 @@ projection is max(x - A^T nu, 0), with the multiplier nu found by semismooth
 Newton on a convex dual of m + 1 variables.  It stops at a residual of
 `_PROJ_TOL`, or at the rounding floor eps |x| of forming x - A^T nu, which
 steep gradients near EVAL_CLIP lift above that (`_Feasible.project`).
-Backtracking keeps the ascent monotone.
+Backtracking keeps the ascent monotone.  The stationarity max|P(x + g) - x|
+is formed only when the line search's first trial P(x + s g) cannot bound it
+above tol: for feasible x, |P(x + s g) - x|_2 is non-decreasing in s and
+|P(x + s g) - x|_2 / s non-increasing (Gafni & Bertsekas 1984; Calamai &
+More 1987, Lemma 2.2).
 
 For concave functionals (every strictly shaped built-in) the stationary
 point found is the global maximizer.  For anything else the solver makes no
@@ -40,6 +44,7 @@ _NEWTON_ROUNDS = 100
 #: Projection residual |A p - b| accepted, per unit of the largest |A| entry.
 _PROJ_TOL = 1e-12
 _BISECTIONS = 100
+_EPS = float(np.finfo(float).eps)
 
 #: Coordinates per block of the finite-difference stencil (2 rows each).
 _FD_BLOCK = 64
@@ -107,11 +112,19 @@ class _Feasible:
         self.b = b_full
         self.gram_pinv = np.linalg.pinv(a_full @ a_full.T)
         self.rank = int(np.linalg.matrix_rank(a_full))
-        self.tol = _PROJ_TOL * max(1.0, float(np.max(np.abs(a_full))))
+        scale = float(np.max(np.abs(a_full)))
+        self.tol = _PROJ_TOL * max(1.0, scale)
         self.pullback = a_full.T @ self.gram_pinv
+        # at least (max|A| / sigma_min(A))^2 and 1: ill-conditioned rows
+        # enlarge the error that rounding and the tolerance leave in P
+        self.gain = max(1.0, float(np.trace(self.gram_pinv)) * scale**2)
 
     def residual(self, x: np.ndarray) -> float:
         return float(np.abs(self.a @ x - self.b).max())
+
+    def floor(self, scale: float) -> float:
+        """How far the stopping tolerance and rounding move P(z) for |z| <= scale."""
+        return self.gain * (self.tol + self.a.shape[1] * _EPS * scale)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """max(x - A^T nu, 0), where nu minimizes the convex dual
@@ -163,18 +176,22 @@ class _Feasible:
             lift = float(self.b @ step)
             t = 1.0
             while True:
-                z_t = x - self.a.T @ (nu + t * step)
+                trial = nu + t * step
+                z_t = x - self.a.T @ trial
                 p_t = np.maximum(z_t, 0.0)
                 change = 0.5 * float((p_t - p) @ (p_t + p)) + t * lift
                 if change <= -1e-4 * t * slope:
                     break
+                if np.array_equal(trial, nu):
+                    # p_t is p, so change is t lift and every shorter t fails too
+                    return p
                 t *= 0.5
                 if t < 1e-12:
                     return p
             if refine:
                 return p_t  # the last full step kept its active set
             full = active if t == 1.0 and rank == self.rank else None
-            nu, z, p = nu + t * step, z_t, p_t
+            nu, z, p = trial, z_t, p_t
         return p
 
 
@@ -196,6 +213,8 @@ def _ray_minimum(z: np.ndarray, r: np.ndarray, c: float) -> float | None:
     lo = 0.0
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # lo and hi are adjacent floats: no later round moves them
         if slope(mid) < 0.0:
             lo = mid
         else:
@@ -313,28 +332,51 @@ def _fd_gradient(fn, x: np.ndarray, step: float) -> np.ndarray:
 
 
 def _ascend(x0, value, grad, feasible, max_iter, tol):
+    """Projected gradient ascent; x is stationary when max|P(x + g) - x| <= tol.
+
+    The line search's first trial y = P(x + s g) comes first, and at s = 1 it
+    is P(x + g).  Otherwise the lemma in the module docstring bounds the
+    stationarity below by |y - x|_2 / (max(s, 1) sqrt(W)); above 2 (tol +
+    floor), P(x + g) is formed only at an exit, which reports it exactly.
+    """
     x = x0
     v = value(x)
     step = 1.0
-    stationarity = math.inf
     for it in range(1, max_iter + 1):
         g = grad(x)
-        stationarity = float(np.abs(feasible.project(x + g) - x).max())
-        if stationarity <= tol:
-            return x, v, it, True, stationarity
         s = step
-        accepted = False
-        while s >= 1e-14:
-            y = feasible.project(x + s * g)
+        y = feasible.project(x + s * g)
+        if s == 1.0:
+            stationarity = float(np.abs(y - x).max())
+        else:
+            reach = max(s, 1.0)
+            bound = float(np.linalg.norm(y - x)) / (reach * math.sqrt(x.size))
+            # y and P(x + g) each carry up to the floor
+            floor = feasible.floor(1.0 + reach * float(np.abs(g).max()))
+            proven = bound > 2.0 * (tol + floor)
+            stationarity = None if proven else _stationarity(feasible, x, g)
+        if stationarity is not None and stationarity <= tol:
+            return x, v, it, True, stationarity
+        while True:
             vy = value(y)
-            gain = float(g @ (y - x))
-            if vy >= v + 1e-4 * gain and vy >= v:
-                accepted = True
+            if vy >= v + 1e-4 * float(g @ (y - x)) and vy >= v:
                 break
             s *= 0.5
-        if not accepted:
-            # No improving step exists at any scale: numerically stationary.
-            return x, v, it, stationarity <= tol, stationarity
+            if s < 1e-14:
+                # No improving step exists at any scale: numerically stationary.
+                if stationarity is None:
+                    stationarity = _stationarity(feasible, x, g)
+                return x, v, it, stationarity <= tol, stationarity
+            y = feasible.project(x + s * g)
+        held = x, g, stationarity
         x, v = y, vy
         step = min(s * 2.0, 1e3)
+    x_held, g_held, stationarity = held
+    if stationarity is None:
+        stationarity = _stationarity(feasible, x_held, g_held)
     return x, v, max_iter, False, stationarity
+
+
+def _stationarity(feasible, x, g) -> float:
+    return float(np.abs(feasible.project(x + g) - x).max())
+

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entrogeo import ConstraintSet, EntropyFunctional, builtin_functional, maximize
+from entrogeo import maxent
 from entrogeo.composition import sm_pair_entropy
 from entrogeo.errors import Infeasible, LengthMismatch
 from entrogeo.maxent import _FD_BLOCK, EVAL_CLIP, _fd_gradient, _Feasible
@@ -203,6 +204,44 @@ def test_projection_stops_at_its_rounding_floor(monkeypatch, m, spare, log_scale
     _assert_kkt(feasible, x, p, tol=x.size * np.finfo(float).eps * max(1.0, np.abs(x).max()))
 
 
+@pytest.mark.parametrize(
+    "m, spare, log_scale, seed",
+    [
+        # every hard case of the two projection tests above
+        (2, 3, 0.0, 0),
+        (2, 2, 0.0, 5),
+        (1, 2, -1.0, 4485),
+        (1, 2, 0.0, 4485),
+        (1, 2, 2.0, 686),
+        (2, 2, 2.0, 492),
+        (1, 10, 4.0, 0),
+        (1, 10, 4.0, 7),
+        (1, 10, 5.0, 1),
+        (1, 10, 5.0, 4),
+        (1, 10, 6.0, 5),
+        (1, 10, 6.0, 8),
+        (2, 2, 4.0, 2),
+        # seeded feasible points with large steps
+        (0, 30, 6.0, 11),
+        (1, 40, 5.0, 12),
+        (2, 60, 6.0, 13),
+    ],
+)
+def test_projected_step_grows_with_s_and_its_ratio_to_s_shrinks(m, spare, log_scale, seed):
+    # For feasible x, |P(x + s g) - x| grows with s and |P(x + s g) - x| / s
+    # shrinks (Calamai & More 1987, Lemma 2.2): the ascent's stationarity
+    # bound, held here with the slack of its margin.
+    feasible, point = _projection_case(m, spare, log_scale, seed)
+    x = feasible.project(point)
+    g = np.random.default_rng(seed).normal(size=x.size) * 10.0**log_scale
+    full = np.linalg.norm(feasible.project(x + g) - x)
+    for s in (1e-6, 1e-3, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 8.0, 100.0, 1e3):
+        reach = max(s, 1.0)
+        slack = 2.0 * np.sqrt(x.size) * feasible.floor(1.0 + reach * np.abs(g).max())
+        moved = np.linalg.norm(feasible.project(x + s * g) - x)
+        assert moved <= reach * (full + slack)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2),
@@ -291,3 +330,93 @@ def test_bad_sizes_are_rejected():
         maximize(builtin_functional("shannon"), size=0)
     with pytest.raises(ValueError):
         maximize(builtin_functional("shannon"), size=2, restarts=0)
+
+
+def _ascend_eager(x0, value, grad, feasible, max_iter, tol):
+    """The ascent that forms P(x + g) in every iteration: the reference for `_ascend`."""
+    x = x0
+    v = value(x)
+    step = 1.0
+    stationarity = np.inf
+    for it in range(1, max_iter + 1):
+        g = grad(x)
+        stationarity = float(np.abs(feasible.project(x + g) - x).max())
+        if stationarity <= tol:
+            return x, v, it, True, stationarity
+        s = step
+        accepted = False
+        while s >= 1e-14:
+            y = feasible.project(x + s * g)
+            vy = value(y)
+            gain = float(g @ (y - x))
+            if vy >= v + 1e-4 * gain and vy >= v:
+                accepted = True
+                break
+            s *= 0.5
+        if not accepted:
+            return x, v, it, stationarity <= tol, stationarity
+        x, v = y, vy
+        step = min(s * 2.0, 1e3)
+    return x, v, max_iter, False, stationarity
+
+
+def _ascents(monkeypatch, ascend, entropy, size, constraints, **options):
+    runs = []
+
+    def recording(*args):
+        run = ascend(*args)
+        runs.append(run)
+        return run
+
+    monkeypatch.setattr(maxent, "_ascend", recording)
+    maximize(entropy, size, constraints, **options)
+    monkeypatch.undo()
+    return [(x.tobytes(), v, it, converged, stat) for x, v, it, converged, stat in runs]
+
+
+def _ramp(w, target=0.3):
+    return ConstraintSet((np.arange(w) / w)[None, :], [target])
+
+
+def test_ascent_reports_what_the_eager_ascent_reports(monkeypatch):
+    # (entropy, W, constraints, options); the exits reached are checked below
+    panel = [
+        (builtin_functional("shannon"), 10, _ramp(10), {}),  # tol exit after 40
+        (builtin_functional("shannon"), 40, _ramp(40), {}),  # stalls
+        (builtin_functional("renyi", alpha=2.0), 10, None, {}),  # the start is the maximizer
+        (builtin_functional("tsallis", q=0.5), 12, _ramp(12), {"max_iter": 1}),
+        (builtin_functional("tsallis", q=0.5), 12, _ramp(12), {"max_iter": 2}),
+        (builtin_functional("kaniadakis", kappa=0.3), 12, _ramp(12), {"max_iter": 3}),
+        (builtin_functional("kaniadakis", kappa=0.3), 8, _ramp(8), {"tol": 0.0, "max_iter": 40}),
+        (builtin_functional("shannon"), 8, _ramp(8), {"restarts": 2, "seed": 5}),
+        (builtin_functional("sharma_mittal", alpha=0.5, beta=0.7), 10, _ramp(10), {"tol": 1e-10}),
+        (sm_pair_entropy(0.3, 0.7, 0.5), 10, _ramp(10), {}),  # finite differences
+    ]
+    exits = set()
+    for entropy, size, constraints, options in panel:
+        args = (entropy, size, constraints)
+        got = _ascents(monkeypatch, maxent._ascend, *args, **options)
+        want = _ascents(monkeypatch, _ascend_eager, *args, **options)
+        assert got == want, (entropy.name, size, options)
+        max_iter = options.get("max_iter", 100_000)
+        for _, _, it, converged, _ in got:
+            exits.add("tol" if converged else "max_iter" if it == max_iter else "stall")
+    assert exits == {"tol", "stall", "max_iter"}
+
+
+def test_ascent_projects_the_stationarity_test_only_when_the_trial_cannot_decide(monkeypatch):
+    # maxent-solve's tsallis(0.5) problem at W = 200: 202 iterations.  The
+    # eager ascent, which forms P(x + g) in every iteration, makes 593
+    # lstsq solves here.
+    solves = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    result = maximize(builtin_functional("tsallis", q=0.5), 200, _ramp(200))
+    monkeypatch.undo()
+    assert result.iterations == 202
+    assert len(solves) <= 300
