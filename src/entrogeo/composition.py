@@ -26,6 +26,7 @@ to rounding accuracy, which is what the acceptance suite checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import ArityMismatch, InvalidArgument, LawMismatch, MonotonicityViolation
 from .formal_group import BinaryLaw, Conjugator, _fmt, conjugate, iterate_pow2, q_sum
-from .hf_entropy import EntropyFunctional, _f_power, _guard_param, _trace, product_residuals
+from .hf_entropy import EntropyFunctional, _f_power, _guard_param, _terms, _trace, product_residuals
 
 MONO_SLACK = 1e-12
 
@@ -237,25 +238,22 @@ def sm_pair_value(alpha1: float, alpha2: float, beta: float, weights) -> np.ndar
     Direct formula:
         (1 - (sum p^a1)^((b-1)/(a1-1)) * (sum p^a2)^((b-1)/(a2-1))) / (b - 1).
     """
-    a1 = _guard_param(alpha1, "alpha1")
-    a2 = _guard_param(alpha2, "alpha2")
-    b = _guard_param(beta, "beta", positive=False)
-    p = np.asarray(weights, dtype=float)
-    s1 = _trace(_f_power(a1)["f"], p)
-    s2 = _trace(_f_power(a2)["f"], p)
-    prod = np.power(s1, (b - 1.0) / (a1 - 1.0)) * np.power(s2, (b - 1.0) / (a2 - 1.0))
-    return (1.0 - prod) / (b - 1.0)
+    return sm_pair_entropy(alpha1, alpha2, beta).fn(weights)
 
 
 def sm_pair_entropy(alpha1: float, alpha2: float, beta: float) -> EntropyFunctional:
     """The `sm_pair_value` formula as a functional, carrying its q-sum law."""
-    a1, a2, b = float(alpha1), float(alpha2), float(beta)
-    sm_pair_value(a1, a2, b, np.array([1.0]))  # parameter validation
-    return EntropyFunctional(
-        fn=lambda weights: sm_pair_value(a1, a2, b, weights),
-        name=f"sm-pair({_fmt(a1, a2)};{_fmt(b)})",
-        law=q_sum(b),
-    )
+    a1 = _guard_param(alpha1, "alpha1")
+    a2 = _guard_param(alpha2, "alpha2")
+    b = _guard_param(beta, "beta", positive=False)
+    terms1, terms2 = (functools.partial(_terms, _f_power(a)["f"]) for a in (a1, a2))
+
+    def fn(weights):
+        s1, s2 = _trace(terms1, weights), _trace(terms2, weights)
+        prod = np.power(s1, (b - 1.0) / (a1 - 1.0)) * np.power(s2, (b - 1.0) / (a2 - 1.0))
+        return (1.0 - prod) / (b - 1.0)
+
+    return EntropyFunctional(fn=fn, name=f"sm-pair({_fmt(a1, a2)};{_fmt(b)})", law=q_sum(b))
 
 
 def sm_tsallis_value(alpha: float, q: float, weights) -> np.ndarray:
@@ -266,20 +264,15 @@ def sm_tsallis_value(alpha: float, q: float, weights) -> np.ndarray:
     which is `sm_pair_value(alpha, q, q, weights)`: Tsallis(q) is
     Sharma-Mittal(q, q), and its factor (sum p^q)^1 is exact.
     """
-    _guard_param(alpha, "alpha")  # the errors name this function's parameters
-    _guard_param(q, "q")
-    return sm_pair_value(alpha, q, q, weights)
+    return sm_tsallis_entropy(alpha, q).fn(weights)
 
 
 def sm_tsallis_entropy(alpha: float, q: float) -> EntropyFunctional:
     """The `sm_tsallis_value` formula as a functional, carrying its q-sum law."""
-    a, qq = float(alpha), float(q)
-    sm_tsallis_value(a, qq, np.array([1.0]))  # parameter validation
-    return EntropyFunctional(
-        fn=lambda weights: sm_tsallis_value(a, qq, weights),
-        name=f"sm-tsallis({_fmt(a)};{_fmt(qq)})",
-        law=q_sum(qq),
-    )
+    a = _guard_param(alpha, "alpha")  # the errors name this function's parameters
+    qq = _guard_param(q, "q")
+    built = sm_pair_entropy(a, qq, qq)
+    return EntropyFunctional(fn=built.fn, name=f"sm-tsallis({_fmt(a)};{_fmt(qq)})", law=built.law)
 
 
 # --- concavity ------------------------------------------------------------------

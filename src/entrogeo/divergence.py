@@ -14,7 +14,6 @@ weight the constituent metrics.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -31,8 +30,8 @@ from .hf_entropy import (
     _f_tsallis,
     _guard_param,
     _log_in_place,
-    _row_blocks,
     _sm_rescale,
+    _terms,
     _trace,
     require_shape,
 )
@@ -53,12 +52,10 @@ class DivergenceFunctional:
     """A divergence with optional provenance attached.
 
     `fn(p, q)` consumes weight arrays with outcomes along the last axis and
-    assumes q strictly positive; `eval` adds the validation layer for
-    distribution objects.  The given fn must reduce the outcome axis only:
-    the stored `fn` evaluates large arguments in row blocks (`_row_blocks`),
-    and relies on each row's value depending on that row alone.  `pair` is
-    set when the divergence is of (h, f) form, `constituents` and `grad0`
-    when it was composed from others.
+    assumes q strictly positive; it is used as given.  `eval` adds the
+    validation layer for distribution objects.  `pair` is set when the
+    divergence is of (h, f) form, `constituents` and `grad0` when it was
+    composed from others.
     """
 
     fn: Callable
@@ -66,9 +63,6 @@ class DivergenceFunctional:
     pair: HFPair | None = None
     constituents: tuple["DivergenceFunctional", ...] | None = None
     grad0: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "fn", functools.partial(_row_blocks, self.fn))
 
     def eval(self, p: ProbDist, q: ProbDist) -> float:
         if p.size != q.size:
@@ -89,9 +83,11 @@ def hf_div_functional(pair: HFPair) -> DivergenceFunctional:
     """
     require_shape(pair, "divergence")
 
+    def terms(p, q):
+        return _terms(pair.f, np.asarray(p, dtype=float) / q, q)
+
     def fn(p, q):
-        q = np.asarray(q, dtype=float)
-        return pair.h(_trace(pair.f, np.asarray(p, dtype=float) / q, q))
+        return pair.h(_trace(terms, p, q))
 
     return DivergenceFunctional(fn=fn, name=f"D[{pair.name}]", pair=pair)
 
@@ -110,9 +106,12 @@ def kl_functional() -> DivergenceFunctional:
     A term with p_i exactly 0 is 0; a nan or negative p_i makes its row nan.
     """
 
-    def fn(p, q):
+    def terms(p, q):
         p = np.asarray(p, dtype=float)
-        return _trace(_log_in_place, p / np.asarray(q, dtype=float), p)
+        return _terms(_log_in_place, p / q, p)  # logs the p / q temporary in place
+
+    def fn(p, q):
+        return _trace(terms, p, q)
 
     return DivergenceFunctional(fn=fn, name="kl", pair=kl_pair())
 
@@ -161,8 +160,11 @@ def sm_div_functional(alpha: float, beta: float) -> DivergenceFunctional:
     pair = sm_divergence_pair(alpha, beta)  # validates parameters
     a, b = float(alpha), float(beta)
 
+    def terms(p, q):
+        return _terms(pair.f, p, np.power(q, 1.0 - a))
+
     def fn(p, q):
-        return pair.h(_trace(pair.f, p, np.power(np.asarray(q, dtype=float), 1.0 - a)))
+        return pair.h(_trace(terms, p, q))
 
     return DivergenceFunctional(fn=fn, name=f"sm({_fmt(a, b)})", pair=pair)
 

@@ -31,8 +31,8 @@ PERM_TOL = 1e-9
 
 #: Float64 elements in one block of a bulk evaluation (256 KiB), so that the
 #: temporaries of a block stay in a 2 MiB L2 cache.  The two checkers compose
-#: their samples in chunks of this many; `hf_entropy` evaluates batches in row
-#: blocks of about this size.
+#: their samples in chunks of this many; the trace kernel `hf_entropy._trace`
+#: sums each trace in row blocks of about this size.
 _BLOCK = 2**15
 
 

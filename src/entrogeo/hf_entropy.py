@@ -27,13 +27,14 @@ differences.
 
 Conventions: f(0) = 0 exactly.  Traces keep exact zeros off the slow path
 that log and pow take at 0 by passing them to f as 1 and multiplying their
-terms by 0 (`_trace`).  Only an exact 0 reads as 0; a nan weight makes its
-row nan.  A batch larger than one block is evaluated in row blocks
-(`_row_blocks`), bit-identical to one call over the whole batch.
+terms by 0 (`_terms`).  Only an exact 0 reads as 0; a nan weight makes its
+row nan.  The trace kernel (`_trace`) sums a large batch in row blocks; h
+and everything after it see the whole batch's sums.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -65,9 +66,6 @@ DERIV_STEP = 1e-4
 
 #: Largest factor h' may change by across the construction probes.
 _H_SPREAD = math.exp(4.0)
-
-#: A row block of a 2-d batch holds a whole number of groups of this many rows.
-_ROW_GROUP = 16
 
 #: Role -> (its name in errors, the sign of c = h'(f(1)) f''(1) that fills it).
 _ROLES = {"entropy": ("an entropy", -1.0), "divergence": ("a divergence", 1.0)}
@@ -116,26 +114,22 @@ _FAST_EXPONENTS = frozenset({0.5, 2.0})
 def _zero_ok(f: Callable, *exponents: float) -> Callable:
     """Mark f, whose only nonlinearities are t^a at these exponents, as cheap at 0.
 
-    `_trace` passes exact zeros straight to a marked f, which is faster
+    `_terms` passes exact zeros straight to a marked f, which is faster
     where np.power takes no slow path at 0.
     """
     f.zero_ok = _FAST_EXPONENTS.issuperset(exponents)
     return f
 
 
-def _trace(f: Callable, x, weight=None) -> np.ndarray:
-    """sum_i f(x_i), or sum_i weight_i f(x_i), along the last axis.
+def _terms(f: Callable, x, weight=None) -> np.ndarray:
+    """f(x), or weight f(x), elementwise: the terms of one block of a trace.
 
-    The one trace behind every (h, f) entropy and divergence.  f must give
-    exactly 0 at 0, as every anchored pair's f does (a map like t ln t gets
-    there through `zero_preserving`).  log and general powers take a slow
-    path at 0, so when the first row of x holds a 0 (or any entry that is
-    not positive) the zeros go to f as 1 and their values are multiplied
-    by 0.  Otherwise x goes to f whole: reading one row costs a dense batch
-    nothing, and zeros further down cost f what they cost before.  f marked
-    `zero_ok` always gets x whole.  The values are scaled by `weight` in
-    place, so f must return a new array, or x itself when x is the
-    caller's own temporary.
+    f gives exactly 0 at 0.  log and general powers take a slow path there,
+    so when the first row of x holds an entry that is not positive, the
+    zeros go to f as 1 and their values are multiplied by 0; otherwise, or
+    when f is marked `zero_ok`, x goes to f whole.  The values are scaled
+    by `weight` in place, so f must return a new array, or x itself when x
+    is the caller's own temporary.
     """
     x = np.asarray(x, dtype=float)
     first = x[(0,) * (x.ndim - 1)] if x.ndim > 1 and x.size else x
@@ -146,46 +140,33 @@ def _trace(f: Callable, x, weight=None) -> np.ndarray:
     if weight is not None:
         full = np.broadcast(terms, weight).shape == terms.shape
         terms = np.multiply(terms, weight, out=terms if full else None)
-    return terms.sum(axis=-1)
+    return terms
 
 
-def _row_blocks(fn: Callable, *args):
-    """fn(*args), evaluated over blocks of leading rows once an array exceeds _BLOCK elements.
+def _trace(terms: Callable, *arrays) -> np.ndarray:
+    """terms(*arrays) summed along the last axis: the one trace behind every (h, f) value.
 
-    fn must reduce the outcome axis only, so that each row's value depends on
-    that row alone; the blocks' values, concatenated, are then those of one
-    call.  The arguments broadcast together; blocks run along axis 0 of the
-    broadcast shape and hold about _BLOCK elements each.  An argument with
-    that full ndim and leading extent is sliced, every other one (q of shape
-    (W,) or (1, W), points parked as (k, 1, W)) passes whole.  Along the only
-    row axis of a 2-d shape, a block holds whole groups of _ROW_GROUP rows and
-    the last one at least _ROW_GROUP rows: a BLAS product over the values, such
-    as a linear composer's, unrolls over rows and rounds a lone row apart.
+    Once an array argument of two or more axes holds more than _BLOCK
+    elements, each argument with the broadcast shape's ndim and leading extent
+    is cut along axis 0 into blocks of about _BLOCK elements, so that a block's
+    temporaries stay in L2; the others (q of shape (W,), points parked as
+    (k, 1, W)) pass whole.  Each block's row sums go into one output,
+    bit-identical to one sum.
     """
-    for a in args:
-        if getattr(a, "size", 0) > _BLOCK:
+    for a in arrays:
+        if getattr(a, "size", 0) > _BLOCK and a.ndim > 1:
             break
-    else:  # no array above one block: one call, at the cost of a size read per argument
-        return fn(*args)
-    arrays = [np.asarray(a) for a in args]
+    else:  # no batch above one block: one call, at the cost of a size read per argument
+        return terms(*arrays).sum(axis=-1)
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    if len(shape) < 2:
-        return fn(*arrays)
-    n = shape[0]
-    group = _ROW_GROUP if len(shape) == 2 else 1
     step = max(1, _BLOCK // max(1, math.prod(shape[1:])))
-    step += -step % group
-    starts = list(range(step, n, step))  # of every block but the first
-    if starts and n - starts[-1] < group:
-        starts.pop()
-    if not starts:
-        return fn(*arrays)
-    cut = [a.ndim == len(shape) and a.shape[0] == n for a in arrays]
-    edges = [0, *starts, n]
-    return np.concatenate([
-        fn(*(a[lo:hi] if c else a for a, c in zip(arrays, cut)))
-        for lo, hi in zip(edges, edges[1:])
-    ])
+    cut = [a.ndim == len(shape) and a.shape[0] == shape[0] for a in arrays]
+    out = np.empty(shape[:-1])
+    for lo in range(0, shape[0], step):
+        block = (a[lo : lo + step] if c else a for a, c in zip(arrays, cut))
+        terms(*block).sum(axis=-1, out=out[lo : lo + step])
+    return out
 
 
 @dataclass(frozen=True)
@@ -241,6 +222,10 @@ class HFPair:
     def f1(self) -> float:
         """f evaluated at 1 (the argument h must send to 0)."""
         return float(self.f(1.0))
+
+    @functools.cached_property
+    def _f_terms(self) -> Callable:  # the `_terms` of f, built once for every trace
+        return functools.partial(_terms, self.f)
 
     @property
     def f_shape(self) -> str:
@@ -501,10 +486,8 @@ class EntropyFunctional:
     """An entropy S with an optional composition law attached.
 
     `fn` maps a weights array (outcomes along the last axis) to values, so
-    the same object evaluates a single distribution or a stacked batch.  It
-    must reduce the outcome axis only: `eval_batch` evaluates a large batch
-    in row blocks (`_row_blocks`) and relies on each row's value depending
-    on that row alone.  `gradient`, when present, maps weights to dS/dp_i
+    the same object evaluates a single distribution or a stacked batch; it
+    is used as given.  `gradient`, when present, maps weights to dS/dp_i
     (same shape); it is only attached where it is analytic.
     """
 
@@ -521,18 +504,18 @@ class EntropyFunctional:
         return value
 
     def eval_batch(self, weights) -> np.ndarray:
-        """Evaluate on an (..., W) array of weight rows, in cache-sized row blocks."""
-        return np.asarray(_row_blocks(self.fn, np.asarray(weights, dtype=float)), dtype=float)
+        """Evaluate on an (..., W) array of weight rows."""
+        return np.asarray(self.fn(np.asarray(weights, dtype=float)), dtype=float)
 
 
 def hf_sum(pair: HFPair, weights) -> np.ndarray:
     """The raw trace sum_i f(p_i) along the last axis.
 
-    An exact zero weight contributes exactly f(0) = 0 (see `_trace` for how
+    An exact zero weight contributes exactly f(0) = 0 (see `_terms` for how
     it is kept off the slow path of log and pow); a nan weight makes its
     row nan.
     """
-    return _trace(pair.f, weights)
+    return _trace(pair._f_terms, weights)
 
 
 def eval_entropy(pair: HFPair, p: ProbDist) -> float:

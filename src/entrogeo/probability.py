@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, LengthMismatch, NegativeWeight, SumNotOne
+from .errors import IndexOutOfRange, InvalidArgument, LengthMismatch, NegativeWeight, SumNotOne
 
 #: |sum(p) - 1| allowed when constructing in memory.
 SIMPLEX_TOL = 1e-12
@@ -33,12 +33,15 @@ class ProbDist:
 
     Weights are stored exactly as given (as float64), never renormalized.
     The array is frozen, so instances are safe to share between threads.
+    `tol` must be >= 0: a nan or negative one raises InvalidArgument.
     """
 
     weights: np.ndarray
     tol: InitVar[float] = SIMPLEX_TOL
 
     def __post_init__(self, tol: float) -> None:
+        if not tol >= 0.0:  # a nan tolerance would pass every sum
+            raise InvalidArgument(f"tol must be a non-negative number, got {tol}")
         w = np.array(self.weights, dtype=float, copy=True).reshape(-1)
         if w.size == 0:
             raise LengthMismatch("a distribution needs at least one outcome")

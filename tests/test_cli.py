@@ -399,6 +399,13 @@ _INVALID_ARGUMENTS = {
     "verify-group-law-family": ["verify", "group-law", "--family", "tsallis", "--params", "q=2"],
     "verify-sk-params-without-family": ["verify", "sk", "--params", "q=1.5"],
     "verify-sk-q": ["verify", "sk", "--q", "0.5"],
+    # A nan tolerance would accept any weights; a negative one none.
+    "entropy-tol-nan": ["entropy", "--family", "shannon", "--dist", "off.json", "--tol", "nan"],
+    "entropy-tol-negative": ["entropy", "--family", "shannon", "--dist", "p.json", "--tol", "-1"],
+    "divergence-tol-nan": ["divergence", "--family", "kl", "--p", "off.json", "--q", "off.json",
+                           "--tol", "nan"],
+    "compose-tol-nan": ["compose", "--constituent", "tsallis:q=1.5", "--dist", "off.json",
+                        "--tol", "nan"],
 }
 
 
@@ -409,6 +416,7 @@ def test_invalid_arguments_exit_two_without_output(case, tmp_path, monkeypatch):
         "non-numeric.json": ["x", 1],
         "ragged.json": [[0.5], [0.2, 0.3]],
         "nested.json": [[0.5], [0.5]],
+        "off.json": [5, 7],
     }
     for name, weights in files.items():
         (tmp_path / name).write_text(json.dumps({"weights": weights}))

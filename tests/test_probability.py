@@ -10,7 +10,13 @@ from entrogeo import (
     uniform,
     validate,
 )
-from entrogeo.errors import IndexOutOfRange, LengthMismatch, NegativeWeight, SumNotOne
+from entrogeo.errors import (
+    IndexOutOfRange,
+    InvalidArgument,
+    LengthMismatch,
+    NegativeWeight,
+    SumNotOne,
+)
 from entrogeo.probability import FILE_TOL, SIMPLEX_TOL, load_distribution, loads_distribution
 
 
@@ -39,6 +45,22 @@ def test_sum_tolerance_is_strict():
         validate(off, tol=SIMPLEX_TOL)
     p = validate(off, tol=FILE_TOL)
     assert p.size == 2
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-12, -np.inf])
+def test_tolerance_must_be_non_negative(tol):
+    # a nan tolerance would otherwise accept any weights: |sum - 1| > nan is False
+    with pytest.raises(InvalidArgument, match="tol must be a non-negative number"):
+        validate([5.0, 7.0], tol=tol)
+    with pytest.raises(InvalidArgument):
+        ProbDist(np.array([0.5, 0.5]), tol)
+    with pytest.raises(InvalidArgument):
+        loads_distribution('{"weights": [0.5, 0.5]}', tol=tol)
+
+
+def test_zero_and_infinite_tolerances_are_accepted():
+    assert validate([0.25, 0.75], tol=0.0).size == 2
+    assert validate([5.0, 7.0], tol=np.inf).size == 2
 
 
 def test_negative_weight_rejected():

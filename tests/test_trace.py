@@ -7,10 +7,11 @@ kernel replaces exact zeros by 1 and multiplies their terms by 0, so every
 finite output must stay bit-identical (np.array_equal).  Only the reading of
 nan changes: a nan weight now makes its row nan for every family.
 
-The references evaluate a batch in one call.  `eval_batch` and a
-divergence's `fn` evaluate a batch above one block (`_BLOCK` elements) in
-row blocks, so the batches above one block check that the blocks' values
-are those of one call.
+The references evaluate a batch in one call.  The trace kernel sums a batch
+above one block (`_BLOCK` elements) in row blocks, so the batches above one
+block check that the blocks' sums are those of one call.  A functional's
+`fn` is not blocked around the kernel: h, composers and checks see the
+whole batch, and a user's `fn` is used as given.
 """
 
 import tracemalloc
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from entrogeo import (
+    DivergenceFunctional,
     EntropyFunctional,
     builtin_functional,
     group_compose,
@@ -356,6 +358,18 @@ def test_divergences_never_evaluate_at_zero_on_a_half_zero_batch(name):
         assert np.isfinite(ALL_DIVERGENCES[name].fn(p, q)).all()
 
 
+@pytest.mark.parametrize("pair", ["half-zero", "blocks-begin-dense", "blocked-vs-q(W,)"])
+def test_no_trace_writes_into_its_arguments(pair):
+    # Read-only arguments: an in-place write (ln over p / q, the weight product) would raise.
+    p, q = (np.array(a) for a in PAIRS[pair])
+    p.setflags(write=False)
+    q.setflags(write=False)
+    for functional in ALL_DIVERGENCES.values():
+        functional.fn(p, q)
+    for functional in ENTROPIES.values():
+        functional.fn(p)
+
+
 class _Recorder:
     def __init__(self, raw):
         self.raw = raw
@@ -423,10 +437,11 @@ def _bulk_peak(run) -> int:
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("call", ["eval_batch", "fn"])
 @pytest.mark.parametrize("name", sorted(ENTROPIES))
-def test_bulk_entropy_evaluation_stays_within_a_few_blocks(name):
+def test_bulk_entropy_evaluation_stays_within_a_few_blocks(name, call):
     w = _half_zero(np.random.default_rng(75), 10_000, 100)
-    assert _bulk_peak(lambda: ENTROPIES[name].eval_batch(w)) < BULK_PEAK
+    assert _bulk_peak(lambda: getattr(ENTROPIES[name], call)(w)) < BULK_PEAK
 
 
 @pytest.mark.parametrize("name", sorted(ALL_DIVERGENCES))
@@ -435,3 +450,35 @@ def test_bulk_divergence_evaluation_stays_within_a_few_blocks(name):
     p = _half_zero(rng, 10_000, 100)
     q = rng.dirichlet(np.ones(100), size=10_000)
     assert _bulk_peak(lambda: ALL_DIVERGENCES[name].fn(p, q)) < BULK_PEAK
+
+
+# --- user functionals ---------------------------------------------------------------
+
+
+def _batch_normalised(values):
+    """A row-coupled map: each row's value divided by the sum over the whole batch."""
+    return values / values.sum()
+
+
+def test_a_user_divergence_fn_is_used_as_given():
+    def fn(p, q):
+        return _batch_normalised((np.asarray(p) * np.asarray(q)).sum(axis=-1))
+
+    built = DivergenceFunctional(fn=fn, name="coupled")
+    assert built.fn is fn
+    rng = np.random.default_rng(77)
+    p = rng.dirichlet(np.ones(8), size=_BLOCK // 8 + 100)
+    q = rng.dirichlet(np.ones(8), size=p.shape[0])
+    assert p.size > _BLOCK
+    assert np.array_equal(built.fn(p, q), fn(p, q))
+
+
+def test_a_user_entropy_fn_is_used_as_given():
+    def fn(w):
+        return _batch_normalised(np.square(np.asarray(w)).sum(axis=-1))
+
+    built = EntropyFunctional(fn=fn, name="coupled")
+    assert built.fn is fn
+    w = np.random.default_rng(78).dirichlet(np.ones(8), size=_BLOCK // 8 + 100)
+    assert w.size > _BLOCK
+    assert np.array_equal(built.eval_batch(w), fn(w))
