@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 _SURFACE = {
     "composition": (
         "Composer", "ConcavityReport", "concavity_probe", "group_compose",
-        "linear_composer", "polynomial_composer", "sm_pair_entropy", "sm_pair_value",
-        "sm_tsallis_entropy", "sm_tsallis_value", "zeta_compose",
+        "linear_composer", "polynomial_composer", "sm_pair_entropy", "sm_tsallis_entropy",
+        "zeta_compose",
     ),
     "divergence": (
         "DivergenceFunctional", "hf_div_functional", "kl_functional", "kl_pair",

@@ -218,15 +218,16 @@ def _reject_inapplicable(args, applies: dict[str, bool], where: str) -> None:
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("ENTROGEO_SEED", "")
-    if not env:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ParamOutOfRange(f"ENTROGEO_SEED must be an integer, got {env!r}") from exc
+    source = "--seed"
+    if value is None:
+        source, env = "ENTROGEO_SEED", os.environ.get("ENTROGEO_SEED", "")
+        try:
+            value = int(env) if env else 0
+        except ValueError as exc:
+            raise ParamOutOfRange(f"ENTROGEO_SEED must be an integer, got {env!r}") from exc
+    if value < 0:
+        raise InvalidArgument(f"{source} must be non-negative, got {value}")
+    return value
 
 
 # --- subcommand handlers ------------------------------------------------------------

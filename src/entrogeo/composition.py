@@ -20,13 +20,13 @@ Two mechanisms, same output type:
 Two closed forms are provided for the Sharma-Mittal stack: `sm_pair_entropy`
 (two S-M entropies with a common beta combined through the beta-deformed sum)
 and `sm_tsallis_entropy` (an S-M entropy combined with the Tsallis entropy of
-the same q).  Both come with direct formulas that the engine must reproduce
+the same q).  The `fn` of each is its direct formula, summing the f table's
+t^a as given; `group_compose` on the constituent entropies must reproduce it
 to rounding accuracy, which is what the acceptance suite checks.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ArityMismatch, InvalidArgument, LawMismatch, MonotonicityViolation
 from .formal_group import BinaryLaw, Conjugator, _fmt, conjugate, iterate_pow2, q_sum
-from .hf_entropy import EntropyFunctional, _f_power, _guard_param, _terms, _trace, product_residuals
+from .hf_entropy import EntropyFunctional, _f_power, _guard_param, _trace, product_residuals
 
 MONO_SLACK = 1e-12
 
@@ -232,43 +232,33 @@ def _probe_law(entropy: EntropyFunctional, law: BinaryLaw, seed: int) -> None:
 # --- closed forms -------------------------------------------------------------
 
 
-def sm_pair_value(alpha1: float, alpha2: float, beta: float, weights) -> np.ndarray:
+def sm_pair_entropy(alpha1: float, alpha2: float, beta: float) -> EntropyFunctional:
     """Two Sharma-Mittal entropies with shared beta, combined by the beta-sum.
 
-    Direct formula:
+    The functional carries the q-sum law of beta; its `fn` is the direct formula
         (1 - (sum p^a1)^((b-1)/(a1-1)) * (sum p^a2)^((b-1)/(a2-1))) / (b - 1).
     """
-    return sm_pair_entropy(alpha1, alpha2, beta).fn(weights)
-
-
-def sm_pair_entropy(alpha1: float, alpha2: float, beta: float) -> EntropyFunctional:
-    """The `sm_pair_value` formula as a functional, carrying its q-sum law."""
     a1 = _guard_param(alpha1, "alpha1")
     a2 = _guard_param(alpha2, "alpha2")
     b = _guard_param(beta, "beta", positive=False)
-    terms1, terms2 = (functools.partial(_terms, _f_power(a)["f"]) for a in (a1, a2))
+    f1, f2 = (_f_power(a)["f"] for a in (a1, a2))
 
     def fn(weights):
-        s1, s2 = _trace(terms1, weights), _trace(terms2, weights)
+        s1, s2 = _trace(f1, weights), _trace(f2, weights)
         prod = np.power(s1, (b - 1.0) / (a1 - 1.0)) * np.power(s2, (b - 1.0) / (a2 - 1.0))
         return (1.0 - prod) / (b - 1.0)
 
     return EntropyFunctional(fn=fn, name=f"sm-pair({_fmt(a1, a2)};{_fmt(b)})", law=q_sum(b))
 
 
-def sm_tsallis_value(alpha: float, q: float, weights) -> np.ndarray:
+def sm_tsallis_entropy(alpha: float, q: float) -> EntropyFunctional:
     """A Sharma-Mittal entropy combined with the Tsallis entropy of the same q.
 
-    Direct formula:
+    The functional carries the q-sum law of q; its `fn` is the direct formula
         (1 - (sum p^q) * (sum p^alpha)^((q-1)/(alpha-1))) / (q - 1),
-    which is `sm_pair_value(alpha, q, q, weights)`: Tsallis(q) is
-    Sharma-Mittal(q, q), and its factor (sum p^q)^1 is exact.
+    which is `sm_pair_entropy(alpha, q, q)`: Tsallis(q) is Sharma-Mittal(q, q),
+    and its factor (sum p^q)^1 is exact.
     """
-    return sm_tsallis_entropy(alpha, q).fn(weights)
-
-
-def sm_tsallis_entropy(alpha: float, q: float) -> EntropyFunctional:
-    """The `sm_tsallis_value` formula as a functional, carrying its q-sum law."""
     a = _guard_param(alpha, "alpha")  # the errors name this function's parameters
     qq = _guard_param(q, "q")
     built = sm_pair_entropy(a, qq, qq)

@@ -31,7 +31,6 @@ from .hf_entropy import (
     _guard_param,
     _log_in_place,
     _sm_rescale,
-    _terms,
     _trace,
     require_shape,
 )
@@ -83,8 +82,10 @@ def hf_div_functional(pair: HFPair) -> DivergenceFunctional:
     """
     require_shape(pair, "divergence")
 
-    def terms(p, q):
-        return _terms(pair.f, np.asarray(p, dtype=float) / q, q)
+    def terms(p, q):  # scales f's values in place, where the block is still in cache
+        values = pair.f(np.asarray(p, dtype=float) / q)
+        values *= q
+        return values
 
     def fn(p, q):
         return pair.h(_trace(terms, p, q))
@@ -108,7 +109,9 @@ def kl_functional() -> DivergenceFunctional:
 
     def terms(p, q):
         p = np.asarray(p, dtype=float)
-        return _terms(_log_in_place, p / q, p)  # logs the p / q temporary in place
+        values = _log_in_place(p / q)  # logs the p / q temporary in place
+        values *= p
+        return values
 
     def fn(p, q):
         return _trace(terms, p, q)
@@ -160,8 +163,10 @@ def sm_div_functional(alpha: float, beta: float) -> DivergenceFunctional:
     pair = sm_divergence_pair(alpha, beta)  # validates parameters
     a, b = float(alpha), float(beta)
 
-    def terms(p, q):
-        return _terms(pair.f, p, np.power(q, 1.0 - a))
+    def terms(p, q):  # in place where q broadcasts into p's shape
+        values, weight = pair.f(p), np.power(q, 1.0 - a)
+        full = np.broadcast(values, weight).shape == values.shape
+        return np.multiply(values, weight, out=values if full else None)
 
     def fn(p, q):
         return pair.h(_trace(terms, p, q))

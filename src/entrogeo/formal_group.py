@@ -256,7 +256,8 @@ def conjugate(law: BinaryLaw, xi: Conjugator) -> BinaryLaw:
 
     omega is again commutative and associative; it keeps 0 as neutral element
     exactly when xi(0) = 0 (which all the built-in conjugators satisfy).  The
-    inverse is probed on a grid across the law's domain before use.
+    inverse is probed on a grid across the law's domain before use.  omega's
+    domain is the image of the law's: xi at each endpoint, finite or not.
     """
     probe = law.domain.clipped(-10.0, 10.0)
     xi.check_roundtrip(np.linspace(probe.lo, probe.hi, 17))
@@ -264,17 +265,8 @@ def conjugate(law: BinaryLaw, xi: Conjugator) -> BinaryLaw:
     def fn(x, y):
         return xi.forward(law(xi.inverse(x), xi.inverse(y)))
 
-    lo = float(xi.forward(law.domain.lo)) if math.isfinite(law.domain.lo) else _limit(xi, law.domain.lo)
-    hi = float(xi.forward(law.domain.hi)) if math.isfinite(law.domain.hi) else _limit(xi, law.domain.hi)
+    lo, hi = (float(xi.forward(end)) for end in (law.domain.lo, law.domain.hi))
     return BinaryLaw(fn=fn, domain=Interval(lo, hi), name=f"{xi.name}*{law.name}")
-
-
-def _limit(xi: Conjugator, endpoint: float) -> float:
-    """Image of an infinite endpoint under xi, via a large finite probe."""
-    probe = math.copysign(1e12, endpoint)
-    with np.errstate(over="ignore"):
-        value = float(xi.forward(probe))
-    return math.copysign(math.inf, endpoint) if abs(value) > 1e9 else value
 
 
 def identity_conjugator() -> Conjugator:

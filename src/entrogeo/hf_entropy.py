@@ -25,16 +25,17 @@ families here and the divergence pairs all build from it.  `HFPair` takes
 any other (h, f) and fills a missing h' and f'', f''' at 1 by central
 differences.
 
-Conventions: f(0) = 0 exactly.  Traces keep exact zeros off the slow path
-that log and pow take at 0 by passing them to f as 1 and multiplying their
-terms by 0 (`_terms`).  Only an exact 0 reads as 0; a nan weight makes its
-row nan.  The trace kernel (`_trace`) sums a large batch in row blocks; h
-and everything after it see the whole batch's sums.
+Conventions: f(0) = 0 exactly, and each f keeps that rule itself: every
+trace calls f as given.  The built-in fs keep exact zeros off the slow path
+that log and pow take at 0 by passing them as 1 and multiplying their values
+by 0 (`zero_preserving`), except t^0.5 and t^2, which are as fast at 0.
+Only an exact 0 reads as 0; a nan weight makes its row nan.  The trace
+kernel (`_trace`) sums a large batch in row blocks; h and everything after
+it see the whole batch's sums.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -71,7 +72,7 @@ _H_SPREAD = math.exp(4.0)
 _ROLES = {"entropy": ("an entropy", -1.0), "divergence": ("a divergence", 1.0)}
 
 
-def zero_preserving(raw: Callable) -> Callable:
+def zero_preserving(raw: Callable, *, _first_row: bool = False) -> Callable:
     """Extend a map on positive reals to t = 0 with value exactly 0.
 
     Needed for integrands like t ln t whose naive evaluation at 0 is nan.
@@ -79,31 +80,23 @@ def zero_preserving(raw: Callable) -> Callable:
     0: an array with no entry <= 0 goes to `raw` whole, in one call;
     otherwise every exact 0 goes to `raw` as 1 and its value is multiplied
     by 0.  Any other entry, nan or negative included, goes to `raw` as it
-    is.  `raw` always gets an array of at least one dimension.
+    is.  `raw` always gets an array of at least one dimension.  `_first_row`
+    searches the first row of a batch only, for a `raw` merely slow at 0.
     """
 
     def f(t):
-        arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if arr.min(initial=np.inf) > 0.0:  # no 0, negative or nan
-            out = np.asarray(raw(arr), dtype=float)
-        else:
-            out = _substituted(raw, arr)
-        return float(out[0]) if np.ndim(t) == 0 else out
+        x = np.asarray(t, dtype=float)
+        if x.ndim == 0:
+            return float(f(x[None])[0])
+        probe = x[(0,) * (x.ndim - 1)] if _first_row and x.ndim > 1 and x.size else x
+        if probe.min(initial=np.inf) > 0.0:  # no 0, negative or nan
+            return np.asarray(raw(x), dtype=float)
+        zero = x == 0.0
+        out = np.asarray(raw(x + zero), dtype=float)
+        out *= ~zero
+        return out
 
-    f.zero_ok = True
     return f
-
-
-def _substituted(f: Callable, x: np.ndarray) -> np.ndarray:
-    """f(x) elementwise, with each exact 0 of x passed to f as 1 and its value multiplied by 0.
-
-    Float arithmetic, several times cheaper than a masked gather or write;
-    f(1) is finite for every anchored pair, so each such value is 0.
-    """
-    zero = x == 0.0
-    terms = np.asarray(f(x + zero), dtype=float)
-    terms *= ~zero
-    return terms
 
 
 #: Exponents that np.power routes to sqrt and square: t^a costs no more at
@@ -111,36 +104,14 @@ def _substituted(f: Callable, x: np.ndarray) -> np.ndarray:
 _FAST_EXPONENTS = frozenset({0.5, 2.0})
 
 
-def _zero_ok(f: Callable, *exponents: float) -> Callable:
-    """Mark f, whose only nonlinearities are t^a at these exponents, as cheap at 0.
+def _cheap_at_zero(f: Callable, *exponents: float) -> Callable:
+    """f, whose only nonlinearities are t^a at these exponents, kept off the slow path at 0.
 
-    `_terms` passes exact zeros straight to a marked f, which is faster
-    where np.power takes no slow path at 0.
+    f is returned bare when np.power takes no slow path at any of them;
+    otherwise the zeros of a batch whose first row holds one go to f as 1
+    (`zero_preserving` on the first row).  Either way f(0) = 0 exactly.
     """
-    f.zero_ok = _FAST_EXPONENTS.issuperset(exponents)
-    return f
-
-
-def _terms(f: Callable, x, weight=None) -> np.ndarray:
-    """f(x), or weight f(x), elementwise: the terms of one block of a trace.
-
-    f gives exactly 0 at 0.  log and general powers take a slow path there,
-    so when the first row of x holds an entry that is not positive, the
-    zeros go to f as 1 and their values are multiplied by 0; otherwise, or
-    when f is marked `zero_ok`, x goes to f whole.  The values are scaled
-    by `weight` in place, so f must return a new array, or x itself when x
-    is the caller's own temporary.
-    """
-    x = np.asarray(x, dtype=float)
-    first = x[(0,) * (x.ndim - 1)] if x.ndim > 1 and x.size else x
-    if getattr(f, "zero_ok", False) or first.min(initial=np.inf) > 0.0:
-        terms = np.asarray(f(x), dtype=float)
-    else:
-        terms = _substituted(f, x)
-    if weight is not None:
-        full = np.broadcast(terms, weight).shape == terms.shape
-        terms = np.multiply(terms, weight, out=terms if full else None)
-    return terms
+    return f if _FAST_EXPONENTS.issuperset(exponents) else zero_preserving(f, _first_row=True)
 
 
 def _trace(terms: Callable, *arrays) -> np.ndarray:
@@ -173,7 +144,10 @@ def _trace(terms: Callable, *arrays) -> np.ndarray:
 class HFPair:
     """An anchored (h, f) pair with the derivative data geometry needs.
 
-    `f` maps [0, inf) to the reals with f(0) = 0; `h` rescales the sum and
+    `f` maps [0, inf) to the reals with f(0) = 0 exactly.  Every trace
+    calls it as given on whole arrays, zeros included, and a divergence
+    scales its values in place, so f returns a new float array (or its
+    argument, which is then the trace's own temporary); `h` rescales the sum and
     must carry an explicit inverse (no root-finding happens at evaluation
     time).  `h_prime` is h', and d2f1, d3f1 are f'', f''' at t = 1, the only
     derivatives of f at 1 the geometry reads (f'(1) enters no tensor).  The
@@ -222,10 +196,6 @@ class HFPair:
     def f1(self) -> float:
         """f evaluated at 1 (the argument h must send to 0)."""
         return float(self.f(1.0))
-
-    @functools.cached_property
-    def _f_terms(self) -> Callable:  # the `_terms` of f, built once for every trace
-        return functools.partial(_terms, self.f)
 
     @property
     def f_shape(self) -> str:
@@ -314,7 +284,7 @@ def _f_t_log_t(sign: float) -> dict:
 def _f_power(a: float) -> dict:
     """f = t^a: renyi, sharma_mittal, power and the sm divergence."""
     return {
-        "f": _zero_ok(lambda t: np.power(t, a), a),
+        "f": _cheap_at_zero(lambda t: np.power(t, a), a),
         "f_prime": lambda t: a * np.power(t, a - 1.0),
         "d2f1": a * (a - 1.0),
         "d3f1": a * (a - 1.0) * (a - 2.0),
@@ -331,7 +301,7 @@ def _f_tsallis(q: float, sign: float) -> dict:
         return out
 
     return {
-        "f": _zero_ok(f, q),
+        "f": _cheap_at_zero(f, q),
         "f_prime": lambda t: (sign * q * np.power(t, q - 1.0) - sign) / (q - 1.0),
         "d2f1": sign * q,
         "d3f1": sign * q * (q - 2.0),
@@ -399,7 +369,7 @@ def kaniadakis(kappa: float) -> HFPair:
 
     return HFPair(
         name=f"kaniadakis({_fmt(k)})",
-        f=f,
+        f=_cheap_at_zero(f, 1.0 - k, 1.0 + k),
         **_IDENTITY_H,
         d2f1=-1.0,
         d3f1=1.0 - k * k,
@@ -511,11 +481,11 @@ class EntropyFunctional:
 def hf_sum(pair: HFPair, weights) -> np.ndarray:
     """The raw trace sum_i f(p_i) along the last axis.
 
-    An exact zero weight contributes exactly f(0) = 0 (see `_terms` for how
-    it is kept off the slow path of log and pow); a nan weight makes its
-    row nan.
+    f gets the weights as given, so an exact zero weight contributes
+    exactly f(0) = 0, kept off the slow path of log and pow by each
+    built-in f itself; a nan weight makes its row nan.
     """
-    return _trace(pair._f_terms, weights)
+    return _trace(pair.f, weights)
 
 
 def eval_entropy(pair: HFPair, p: ProbDist) -> float:

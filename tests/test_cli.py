@@ -303,6 +303,31 @@ def test_seed_resolution(monkeypatch, dist_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["compose", "--constituent", "shannon", "--dist", "p.json", "--seed", "-1"], None,
+         "error: --seed must be non-negative, got -1"),
+        (["verify", "group-law", "--samples", "20", "--seed", "-1"], None,
+         "error: --seed must be non-negative, got -1"),
+        (["maxent", "--family", "shannon", "--w", "3", "--seed", "-1"], None,
+         "error: --seed must be non-negative, got -1"),
+        (["verify", "group-law", "--samples", "20"], "-3",
+         "error: ENTROGEO_SEED must be non-negative, got -3"),
+    ],
+)
+def test_a_negative_seed_exits_two(capsys, dist_file, monkeypatch, argv, env, message):
+    monkeypatch.chdir(Path(dist_file("p.json", [0.2, 0.3, 0.5])).parent)
+    if env is None:
+        monkeypatch.delenv("ENTROGEO_SEED", raising=False)
+    else:
+        monkeypatch.setenv("ENTROGEO_SEED", env)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 # --- failure modes ---------------------------------------------------------------
 
 

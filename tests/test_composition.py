@@ -18,9 +18,7 @@ from entrogeo import (
     scale_conjugator,
     shannon,
     sm_pair_entropy,
-    sm_pair_value,
     sm_tsallis_entropy,
-    sm_tsallis_value,
     uniform,
     validate,
     zeta_compose,
@@ -140,7 +138,7 @@ def test_group_compose_matches_the_two_family_closed_form():
     engine, omega = group_compose(parts, identity_conjugator(), m=1)
     assert engine.eval(P) == pytest.approx(SM_PAIR_03_07_05, rel=1e-14)
     assert engine.eval(P) == pytest.approx(
-        float(sm_pair_value(0.3, 0.7, 0.5, P.weights)), rel=1e-14
+        float(sm_pair_entropy(0.3, 0.7, 0.5).fn(P.weights)), rel=1e-14
     )
     assert omega.name == "id*q-sum(0.5)"
 
@@ -153,7 +151,7 @@ def test_group_compose_matches_the_tsallis_mix_closed_form():
     engine, _ = group_compose(parts, identity_conjugator(), m=1)
     assert engine.eval(P) == pytest.approx(SM_TSALLIS_03_07, rel=1e-13)
     assert engine.eval(P) == pytest.approx(
-        float(sm_tsallis_value(0.3, 0.7, P.weights)), rel=1e-13
+        float(sm_tsallis_entropy(0.3, 0.7).fn(P.weights)), rel=1e-13
     )
 
 
@@ -211,16 +209,16 @@ def test_group_compose_rejects_negative_depth_before_counting():
 
 def test_closed_forms_are_symmetric_in_the_exponents():
     w = P.weights
-    assert float(sm_pair_value(0.3, 0.7, 0.5, w)) == pytest.approx(
-        float(sm_pair_value(0.7, 0.3, 0.5, w)), rel=1e-15
+    assert float(sm_pair_entropy(0.3, 0.7, 0.5).fn(w)) == pytest.approx(
+        float(sm_pair_entropy(0.7, 0.3, 0.5).fn(w)), rel=1e-15
     )
 
 
 def test_closed_form_parameter_guards():
     with pytest.raises(ParamOutOfRange):
-        sm_pair_value(1.0, 0.7, 0.5, P.weights)
+        sm_pair_entropy(1.0, 0.7, 0.5)
     with pytest.raises(ParamOutOfRange):
-        sm_tsallis_value(0.3, 1.0, P.weights)
+        sm_tsallis_entropy(0.3, 1.0)
     with pytest.raises(ParamOutOfRange):
         sm_pair_entropy(0.3, 0.7, float("inf"))
 
@@ -233,9 +231,9 @@ def test_closed_form_entropies_carry_the_shared_law():
 def test_closed_form_batch_evaluation():
     rng = np.random.default_rng(4)
     batch = rng.dirichlet(np.ones(5), size=32)
-    vals = sm_pair_value(0.3, 0.7, 0.5, batch)
+    vals = sm_pair_entropy(0.3, 0.7, 0.5).fn(batch)
     assert vals.shape == (32,)
-    one = float(sm_pair_value(0.3, 0.7, 0.5, batch[7]))
+    one = float(sm_pair_entropy(0.3, 0.7, 0.5).fn(batch[7]))
     assert vals[7] == pytest.approx(one, rel=1e-15)
 
 

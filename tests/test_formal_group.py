@@ -320,6 +320,14 @@ def test_conjugated_law_domain_follows_the_image():
     assert omega.name == "expm1*q-sum(0.5)"
 
 
+def test_a_small_scale_keeps_the_whole_line():
+    # A finite probe of xi at +-inf would read 1e-4 * 1e12 as a finite endpoint.
+    omega = conjugate(q_sum(0.5), scale_conjugator(1e-4))
+    assert (omega.domain.lo, omega.domain.hi) == (-math.inf, math.inf)
+    report = check_group_axioms(omega, domain=(0.0, 2e8), samples=50)
+    assert report.commutativity_ok
+
+
 def test_scale_conjugation_is_similarity():
     omega = conjugate(additive_law(), scale_conjugator(2.0))
     assert omega(2.0, 4.0) == pytest.approx(6.0, abs=1e-15)

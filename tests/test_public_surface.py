@@ -29,7 +29,7 @@ EXEMPT = {
 
 #: Parameters of every callable in `entrogeo.__all__`: functions, dataclass
 #: fields and public methods (without self); exceptions are not counted.
-PUBLIC_PARAMETERS = 206
+PUBLIC_PARAMETERS = 199
 
 #: Options and positionals of the CLI parser and its subcommands, without --help.
 CLI_OPTIONS = 45

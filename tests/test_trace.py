@@ -1,11 +1,12 @@
 """The trace kernel: every entropy and divergence against the formulas it replaced.
 
 Each reference below is the formula the library evaluated before all traces
-went through one zero-aware kernel: masked scatter for t ln t, a plain
-np.power and sum for the power families, np.where for Kullback-Leibler.  The
-kernel replaces exact zeros by 1 and multiplies their terms by 0, so every
-finite output must stay bit-identical (np.array_equal).  Only the reading of
-nan changes: a nan weight now makes its row nan for every family.
+went through one kernel: masked scatter for t ln t, a plain np.power and
+sum for the power families, np.where for Kullback-Leibler.  The built-in fs
+replace exact zeros by 1 and multiply their values by 0, so every finite
+output must stay bit-identical (np.array_equal).  Only the reading of nan
+changes: a nan weight now makes its row nan for every family.  The kernel
+calls the f of a pair as given, so a user's f sees the weights themselves.
 
 The references evaluate a batch in one call.  The trace kernel sums a batch
 above one block (`_BLOCK` elements) in row blocks, so the batches above one
@@ -22,9 +23,11 @@ import pytest
 from entrogeo import (
     DivergenceFunctional,
     EntropyFunctional,
+    HFPair,
     builtin_functional,
     group_compose,
     hf_div_functional,
+    hf_sum,
     identity_conjugator,
     kaniadakis,
     kl_functional,
@@ -36,9 +39,7 @@ from entrogeo import (
     sharma_mittal,
     sm_div_functional,
     sm_pair_entropy,
-    sm_pair_value,
     sm_tsallis_entropy,
-    sm_tsallis_value,
     tsallis,
     tsallis_relative_pair,
     zeta_compose,
@@ -241,6 +242,11 @@ def test_builtin_f_is_bit_identical_on_scalars(family, params):
         assert np.array_equal(f(t), ref(t))
     t = np.array([0.0, 0.3, 1.0, 2.5])
     assert np.array_equal(f(t), ref(t))
+    # Called directly on a batch above one block whose zeros lie past a dense first row.
+    w = BATCHES["blocks-begin-dense"][_BLOCK // 8 :]
+    assert (w[0] > 0.0).all() and (w == 0.0).any() and w.size > _BLOCK
+    got = f(w)
+    assert np.array_equal(got, ref(w)) and not np.isnan(got).any()
 
 
 @pytest.mark.parametrize("pair", sorted(PAIRS))
@@ -254,10 +260,10 @@ def test_divergences_are_bit_identical_to_the_direct_formulas(name, pair):
 @pytest.mark.parametrize("batch", sorted(BATCHES))
 def test_closed_form_compositions_are_bit_identical(batch):
     w = BATCHES[batch]
-    assert np.array_equal(sm_pair_value(0.3, 0.7, 0.5, w), ref_sm_pair(0.3, 0.7, 0.5, w))
-    assert np.array_equal(sm_pair_value(0.5, 2.0, 1.5, w), ref_sm_pair(0.5, 2.0, 1.5, w))
-    assert np.array_equal(sm_tsallis_value(0.5, 1.5, w), ref_sm_tsallis(0.5, 1.5, w))
-    assert np.array_equal(sm_tsallis_value(0.3, 0.7, w), ref_sm_tsallis(0.3, 0.7, w))
+    assert np.array_equal(sm_pair_entropy(0.3, 0.7, 0.5).fn(w), ref_sm_pair(0.3, 0.7, 0.5, w))
+    assert np.array_equal(sm_pair_entropy(0.5, 2.0, 1.5).fn(w), ref_sm_pair(0.5, 2.0, 1.5, w))
+    assert np.array_equal(sm_tsallis_entropy(0.5, 1.5).fn(w), ref_sm_tsallis(0.5, 1.5, w))
+    assert np.array_equal(sm_tsallis_entropy(0.3, 0.7).fn(w), ref_sm_tsallis(0.3, 0.7, w))
 
 
 def _reference_functional(family, params, f):
@@ -378,6 +384,19 @@ class _Recorder:
     def __call__(self, t):
         self.calls.append(np.array(t, copy=True))
         return self.raw(t)
+
+
+def test_a_user_pair_gets_its_batch_as_given():
+    f = _Recorder(np.square)
+    pair = HFPair(name="square", f=f, h=lambda x: x - 1.0, h_inverse=lambda y: y + 1.0)
+    p, q = PAIRS["half-zero"]
+    assert (p[0] == 0.0).any()
+    f.calls.clear()
+    hf_sum(pair, p)
+    assert len(f.calls) == 1 and np.array_equal(f.calls[0], p)
+    f.calls.clear()
+    hf_div_functional(pair).fn(p, q)
+    assert len(f.calls) == 1 and np.array_equal(f.calls[0], p / q)
 
 
 def test_zero_preserving_passes_a_positive_array_whole():

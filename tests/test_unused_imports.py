@@ -1,8 +1,11 @@
-"""Every name a library module imports is referenced in that module.
+"""Every name a library module imports is referenced in that module, and every private name is read.
 
-No linter ships with the test dependencies, so this is a small `ast` scan:
+No linter ships with the test dependencies, so these are small `ast` scans:
 an import binds a name (`import a.b` binds `a`), and some `Name` node of the
-same module must read it.  `from __future__` imports bind no name.
+same module must read it.  `from __future__` imports bind no name.  A private
+(`_name`, not dunder) module-level function, class or constant, or a private
+method of a module-level class, must be read as a name or an attribute by
+some module of the package.
 """
 
 import ast
@@ -26,3 +29,42 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert unused == {}, f"{path.name}: imported but never used (name: line): {unused}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level private functions, classes and constants, and private methods of its classes."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    defined[member.name] = member.lineno
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name):
+                defined[target.id] = node.lineno
+    return {name: line for name, line in defined.items() if _private(name)}
+
+
+def test_every_private_name_is_read():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    dead = {
+        f"{module}:{line}": name
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    }
+    assert dead == {}, f"private names no module of the package reads (where: name): {dead}"
