@@ -31,10 +31,6 @@ def test_every_imported_name_is_used(path):
     assert unused == {}, f"{path.name}: imported but never used (name: line): {unused}"
 
 
-def _private(name: str) -> bool:
-    return name.startswith("_") and not name.startswith("__")
-
-
 def _private_definitions(tree: ast.Module) -> dict[str, int]:
     """Module-level private functions, classes and constants, and private methods of its classes."""
     defined = {}
@@ -49,7 +45,10 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
         for target in targets:
             if isinstance(target, ast.Name):
                 defined[target.id] = node.lineno
-    return {name: line for name, line in defined.items() if _private(name)}
+    return {
+        name: line for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__")
+    }
 
 
 def test_every_private_name_is_read():
