@@ -86,7 +86,8 @@ class Composer:
         fns = [member.fn for member in functionals]
 
         def fn(*args):
-            return self.fn(np.stack([np.asarray(f(*args), dtype=float) for f in fns], axis=-1))
+            values = [np.asarray(f(*args), dtype=float)[..., None] for f in fns]
+            return self.fn(np.concatenate(values, axis=-1))  # unequal shapes raise, as in np.stack
 
         inner = ", ".join(member.name for member in functionals)
         return functionals, fn, f"{self.name}({inner})"

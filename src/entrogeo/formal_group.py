@@ -255,12 +255,15 @@ def conjugate(law: BinaryLaw, xi: Conjugator) -> BinaryLaw:
     """Transport a law through xi: omega(x, y) = xi(Phi(xi^-1 x, xi^-1 y)).
 
     omega is again commutative and associative; it keeps 0 as neutral element
-    exactly when xi(0) = 0 (which all the built-in conjugators satisfy).  The
-    inverse is probed on a grid across the law's domain before use.  omega's
-    domain is the image of the law's: xi at each endpoint, finite or not.
+    exactly when xi(0) = 0 (which all the built-in conjugators satisfy).  xi is
+    probed on a grid across the law's domain: it must invert and increase there.
+    omega's domain is the image of the law's: xi at each endpoint, finite or not.
     """
     probe = law.domain.clipped(-10.0, 10.0)
-    xi.check_roundtrip(np.linspace(probe.lo, probe.hi, 17))
+    grid = np.linspace(probe.lo, probe.hi, 17)
+    xi.check_roundtrip(grid)
+    if probe.lo < probe.hi and not (np.diff(xi.forward(grid)) > 0.0).all():
+        raise InvalidArgument(f"conjugator {xi.name} is not strictly increasing on {probe}")
 
     def fn(x, y):
         return xi.forward(law(xi.inverse(x), xi.inverse(y)))

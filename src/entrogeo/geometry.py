@@ -10,7 +10,9 @@ checks it in one `in_domain` call.  Divergence calls are stacked, up to a
 budget of 1024 stencil rows a call: `div_connections` evaluates the stencil
 against several parked points at once, and `div_metric` takes a stack of
 points (k, n), each bit-identical to its own call, which `duality_residual`
-fills with the five-point centres of several axes at once.
+fills with the five-point centres of several axes at once.  A plan per size,
+cached on first use, holds the stencil offsets and a gather that puts each
+second difference at (i, j) and (j, i), so an FD Hessian is exactly symmetric.
 
 From a divergence D(p_xi || p_xi') three tensors arise at the diagonal:
 
@@ -67,6 +69,9 @@ CONN_SYMMETRY_TOL = 1e-8
 
 #: Most stencil rows one stacked divergence or metric-field call holds.
 _ROW_BUDGET = 1024
+
+_SHIFTS = np.array([-2.0, -1.0, 1.0, 2.0])[:, None]  #: t of `duality_residual`'s xi + t h e_k
+_SHIFTS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -160,51 +165,42 @@ def simplex_model(size: int) -> StatModel:
 
     def in_domain(xi):
         xi = np.asarray(xi, dtype=float)
-        return np.all(xi >= SIMPLEX_MARGIN, axis=-1) & (1.0 - xi.sum(axis=-1) >= SIMPLEX_MARGIN)
+        return (xi >= SIMPLEX_MARGIN).all(axis=-1) & (1.0 - xi.sum(axis=-1) >= SIMPLEX_MARGIN)
 
     def prob_fn(xi):
         xi = np.asarray(xi, dtype=float)
         return np.concatenate((1.0 - xi.sum(axis=-1, keepdims=True), xi), axis=-1)
 
-    return StatModel(
-        n_params=size,
-        prob_fn=prob_fn,
-        in_domain=in_domain,
-        name=f"simplex({size})",
-    )
+    return StatModel(n_params=size, prob_fn=prob_fn, in_domain=in_domain, name=f"simplex({size})")
 
 
 def _scaled(step: float | None, default: float, xi: np.ndarray) -> np.ndarray:
     """The step of each point in xi (shape (n,) or (k, n)): given, or default times max(1, |xi|)."""
     if step is not None:
-        if step <= 0.0:
-            raise InvalidArgument(f"step must be positive, got {step}")
+        if not 0.0 < step < np.inf:  # a nan fails too
+            bound = "positive" if step <= 0.0 else "finite"
+            raise InvalidArgument(f"step must be {bound}, got {step}")
         return np.full(xi.shape[:-1], float(step))
-    return np.asarray(default * np.maximum(1.0, np.max(np.abs(xi), axis=-1, initial=0.0)))
+    return np.asarray(default * np.maximum(1.0, np.abs(xi).max(axis=-1, initial=0.0)))
 
 
 @functools.lru_cache(maxsize=32)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index pairs (i, j) with j < i, row by row."""
-    i, j = np.nonzero(np.tri(n, k=-1, dtype=bool))
-    i.setflags(write=False)
-    j.setflags(write=False)
-    return i, j
-
-
-@functools.lru_cache(maxsize=32)
-def _unit_offsets(n: int) -> np.ndarray:
-    """Read-only stencil offsets for h = 1, in the row order `_stencil` documents."""
+def _plan(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only unit stencil offsets, in `_stencil`'s row order, and the (n, n) index that lays
+    out `_fd_second`'s entries as a symmetric matrix: (i, j) and (j, i) read one stored float."""
     axes = np.arange(n)
-    i, j = _pairs(n)
+    i, j = np.nonzero(np.tri(n, k=-1, dtype=bool))
     offsets = np.zeros((1 + 2 * n + 4 * i.size, n))
     offsets[1 + 2 * axes, axes] = 1.0
     offsets[2 + 2 * axes, axes] = -1.0
     rows = 1 + 2 * n + 4 * np.arange(i.size)[:, None] + np.arange(4)
     offsets[rows, i[:, None]] = [1.0, 1.0, -1.0, -1.0]
     offsets[rows, j[:, None]] = [1.0, -1.0, 1.0, -1.0]
+    gather = np.diag(axes)
+    gather[i, j] = gather[j, i] = n + np.arange(i.size)
     offsets.setflags(write=False)
-    return offsets
+    gather.setflags(write=False)
+    return offsets, gather
 
 
 def _stencil(model: StatModel, xi: np.ndarray, h: np.ndarray, mixed: bool = True) -> np.ndarray:
@@ -222,7 +218,7 @@ def _stencil(model: StatModel, xi: np.ndarray, h: np.ndarray, mixed: bool = True
     n = xi.shape[-1]
     if n != model.n_params:
         raise ParamOutOfRange(f"{model.name} takes {model.n_params} parameters, got {n}")
-    offsets = _unit_offsets(n) if mixed else _unit_offsets(n)[: 2 * n + 1]
+    offsets = _plan(n)[0] if mixed else _plan(n)[0][: 2 * n + 1]
     points = xi[..., None, :] + h[..., None, None] * offsets
     inside = np.asarray(model.in_domain(points))
     if not inside.all():
@@ -235,10 +231,11 @@ def _stencil(model: StatModel, xi: np.ndarray, h: np.ndarray, mixed: bool = True
     return np.asarray(model.prob_fn(points), dtype=float)
 
 
-def _blocks(items: np.ndarray, rows: int) -> list[np.ndarray]:
-    """items cut along axis 0 into runs of as many `rows`-row items as fit _ROW_BUDGET (>= 1)."""
+def _stacked(fn: Callable, items: np.ndarray, rows: int) -> np.ndarray:
+    """fn over runs of as many `rows`-row items as fit _ROW_BUDGET (>= 1), joined along axis 0."""
     size = max(1, _ROW_BUDGET // rows)
-    return [items[lo : lo + size] for lo in range(0, len(items), size)]
+    out = [fn(items[lo : lo + size]) for lo in range(0, len(items), size)]
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def _fd_first(table: np.ndarray, n: int, h: np.ndarray) -> np.ndarray:
@@ -247,23 +244,17 @@ def _fd_first(table: np.ndarray, n: int, h: np.ndarray) -> np.ndarray:
 
 
 def _fd_second(table: np.ndarray, n: int, h: np.ndarray) -> np.ndarray:
-    """Central second differences along the stencil axis (axis 0): shape (n, n, ...).
-
-    h is a step per point, broadcasting against the trailing axes.
-    """
-    axes = np.arange(n)
-    i, j = _pairs(n)
-    plus, minus = table[1 : 2 * n + 1 : 2], table[2 : 2 * n + 1 : 2]
-    out = np.empty((n, n) + table.shape[1:])
-    out[axes, axes] = (plus - 2.0 * table[0] + minus) / (h * h)
-    quad = table[2 * n + 1 :]
-    out[i, j] = out[j, i] = (quad[0::4] - quad[1::4] - quad[2::4] + quad[3::4]) / (4.0 * h * h)
-    return out
+    """Central second differences along axis 0, packed (n + n(n-1)/2, ...): the diagonal, then
+    each pair j < i, as `_plan(n)[1]` lays them out.  h broadcasts against the trailing axes."""
+    plus, minus, quad = table[1 : 2 * n + 1 : 2], table[2 : 2 * n + 1 : 2], table[2 * n + 1 :]
+    packed = np.empty((n + len(quad) // 4,) + table.shape[1:])
+    np.divide(plus - 2.0 * table[0] + minus, h * h, out=packed[:n])
+    np.divide(quad[0::4] - quad[1::4] - quad[2::4] + quad[3::4], 4.0 * h * h, out=packed[n:])
+    return packed
 
 
-def _values(divergence: DivergenceFunctional, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _values(divergence: DivergenceFunctional, p, q, rows: tuple) -> np.ndarray:
     values = np.asarray(divergence.fn(p, q), dtype=float)
-    rows = np.broadcast_shapes(p.shape, q.shape)[:-1]
     if values.shape != rows:  # fn must reduce the outcome axis only
         raise InvalidArgument(f"{divergence.name} gave shape {values.shape} for rows {rows}")
     return values
@@ -298,9 +289,9 @@ def div_metric(
     xi = xi if xi.ndim == 2 else xi.reshape(-1)
     h = _scaled(step, METRIC_STEP, xi)
     weights = _stencil(model, xi, h)
-    values = _values(divergence, weights, weights[..., :1, :])  # (..., stencil rows)
-    g = _fd_second(values.T, xi.shape[-1], h).T  # (..., n, n): the FD Hessian is symmetric
-    return MetricTensor(0.5 * (g + g.swapaxes(-1, -2)))
+    values = _values(divergence, weights, weights[..., :1, :], weights.shape[:-1])
+    n = xi.shape[-1]
+    return MetricTensor(_fd_second(values.T, n, h).T.take(_plan(n)[1], axis=-1))  # (..., n, n)
 
 
 def div_connections(
@@ -317,33 +308,38 @@ def div_connections(
     h = _scaled(step, CONN_STEP, xi)
     n = xi.size
     weights = _stencil(model, xi, h)
-    parked = _blocks(weights[1 : 2 * n + 1, None], len(weights))  # xi + h e_0, xi - h e_0, ...
+    parked, rows = weights[1 : 2 * n + 1, None], len(weights)  # xi + h e_0, xi - h e_0, ...
     out = []
-    for args in (lambda q: (weights, q), lambda q: (q, weights)):
-        values = np.concatenate([_values(divergence, *args(q)) for q in parked])
-        d2 = _fd_second(values.T, n, h)  # [i, j, parked point]
-        out.append(ConnCoeffs(-(d2[..., 0::2] - d2[..., 1::2]) / (2.0 * h)))
+    for block in (
+        lambda q: _values(divergence, weights, q, (len(q), rows)),
+        lambda q: _values(divergence, q, weights, (len(q), rows)),
+    ):
+        d2 = _fd_second(_stacked(block, parked, rows).T, n, h)  # [diagonal or pair, parked point]
+        out.append(ConnCoeffs((-(d2[:, 0::2] - d2[:, 1::2]) / (2.0 * h)).take(_plan(n)[1], axis=0)))
     return out[0], out[1]
 
 
-def alpha_connection(
-    model: StatModel, xi, alpha: float, step: float | None = None
-) -> ConnCoeffs:
+def alpha_connection(model: StatModel, xi, alpha: float, step: float | None = None) -> ConnCoeffs:
     """The classical alpha-connection of a finite model.
 
     Gamma^(a)_ij,k = E[(d_i d_j l + (1 - a)/2 d_i l d_j l) d_k l] with
     l = log p; log-derivatives by central differences, expectation exact.
+    alpha must be finite; one so large that the sum overflows raises DomainError.
     """
+    alpha = float(alpha)
+    if not np.isfinite(alpha):
+        raise InvalidArgument(f"alpha must be finite, got {alpha}")
     xi = np.asarray(xi, dtype=float).reshape(-1)
     h = _scaled(step, METRIC_STEP, xi)
     n = xi.size
     weights = _stencil(model, xi, h)
     logs = np.log(weights)
     dl = _fd_first(logs, n, h)
-    d2l = _fd_second(logs, n, h)
-    integrand = d2l + 0.5 * (1.0 - float(alpha)) * np.einsum("ix,jx->ijx", dl, dl)
-    gamma = np.einsum("ijx,kx,x->ijk", integrand, dl, weights[0])
-    return ConnCoeffs(0.5 * (gamma + gamma.transpose(1, 0, 2)))
+    d2l = _fd_second(logs, n, h).take(_plan(n)[1], axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # ConnCoeffs rejects a non-finite entry
+        integrand = d2l + 0.5 * (1.0 - alpha) * np.einsum("ix,jx->ijx", dl, dl)
+        gamma = np.einsum("ijx,kx,x->ijk", integrand, dl, weights[0])
+        return ConnCoeffs(0.5 * (gamma + gamma.transpose(1, 0, 2)))
 
 
 def closed_geometry(pair: HFPair, xi, size: int) -> tuple[MetricTensor, ConnCoeffs, ConnCoeffs]:
@@ -395,15 +391,15 @@ def duality_residual(
     h = _scaled(step, 1e-3, xi)
     n = xi.size
     model.point(xi)  # domain check up front
-    shifts = np.array([-2.0, -1.0, 1.0, 2.0])[:, None]
-    centres = (xi + shifts * (h * np.eye(n))[:, None]).reshape(4 * n, n)
-    vals = []
-    for stack in _blocks(centres, 2 * n * n + 1):
+    centres = (xi + _SHIFTS * (h * np.eye(n))[:, None]).reshape(4 * n, n)
+
+    def field(stack):
         v = np.asarray(metric_field(stack).entries)
         if v.shape != (len(stack), n, n):
             raise InvalidArgument(f"metric_field gave entries of shape {v.shape} for {stack.shape}")
-        vals.append(v)
-    vals = np.concatenate(vals).reshape(n, 4, n, n)
+        return v
+
+    vals = _stacked(field, centres, 2 * n * n + 1).reshape(n, 4, n, n)
     dg = (vals[:, 0] - 8.0 * vals[:, 1] + 8.0 * vals[:, 2] - vals[:, 3]) / (12.0 * h)
     gamma = np.asarray(conn_field(xi).entries)
     gamma_star = np.asarray(dual_field(xi).entries)

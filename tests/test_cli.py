@@ -509,6 +509,37 @@ def test_non_finite_value_prints_one_stderr_line(capsys, dist_file, monkeypatch,
     assert captured.err == message + "\n"
 
 
+_AT = ["--model", "simplex:2", "--point", "0.3,0.25"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["metric", *_AT, "--divergence", "kl", "--step", "nan"], "step must be finite, got nan"),
+        (["metric", *_AT, "--divergence", "kl", "--step", "inf"], "step must be finite, got inf"),
+        (["metric", *_AT, "--divergence", "fisher", "--step", "inf"],
+         "step must be finite, got inf"),
+        (["metric", *_AT, "--divergence", "kl", "--step=-inf"], "step must be positive, got -inf"),
+        (["connection", *_AT, "--divergence", "kl", "--step", "nan"],
+         "step must be finite, got nan"),
+        (["connection", *_AT, "--divergence", "kl", "--step", "inf"],
+         "step must be finite, got inf"),
+        (["connection", *_AT, "--alpha", "0.5", "--step", "inf"], "step must be finite, got inf"),
+        (["connection", *_AT, "--alpha", "inf"], "alpha must be finite, got inf"),
+        (["connection", *_AT, "--alpha", "nan"], "alpha must be finite, got nan"),
+        (["connection", *_AT, "--alpha", "1e308"], "connection entries are not finite"),
+    ],
+)
+def test_a_non_finite_step_or_alpha_prints_one_stderr_line(capsys, argv, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # outside pytest, each would print to stderr first
+        assert main(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_maxent_non_finite_start_prints_nothing_on_stderr(capsys):
     # sum p^200 underflows at the uniform start: the run stops unconverged, without a warning
     with warnings.catch_warnings(record=True) as caught:

@@ -80,6 +80,23 @@ def test_zeta_linear_combination_of_entropies():
     assert (streamed.name, streamed.eval(P)) == (combo.name, combo.eval(P))
 
 
+def test_the_composed_fn_stacks_member_values_along_a_last_axis():
+    s = builtin_functional("shannon")
+    t = builtin_functional("tsallis", q=2.0)
+    seen = []
+    recording = Composer(fn=lambda v: seen.append(v) or v @ [0.25, 0.75], arity=2, name="rec")
+    _, fn, _ = recording.over([s, t], "entropies")
+    batch = np.random.default_rng(3).dirichlet(np.ones(5), size=4)
+    for weights in (batch, batch[0]):
+        fn(weights)
+        assert np.array_equal(seen[-1], np.stack([s.fn(weights), t.fn(weights)], axis=-1))
+    # one value for a whole batch does not broadcast against per-row values
+    lumped = EntropyFunctional(fn=lambda w: float(np.sum(w)), name="lumped")
+    _, fn, _ = recording.over([s, lumped], "entropies")
+    with pytest.raises(ValueError):
+        fn(batch)
+
+
 def test_zeta_polynomial_on_shannon():
     s = builtin_functional("shannon")
     grown = zeta_compose([s], polynomial_composer([(1.0, (1,)), (1.0, (2,))], arity=1))

@@ -301,6 +301,13 @@ def test_conjugator_roundtrip_check():
     expm1_conjugator().check_roundtrip(np.linspace(-5.0, 5.0, 9))
 
 
+def test_a_decreasing_conjugator_is_refused_by_name():
+    neg = Conjugator(forward=np.negative, inverse=np.negative, name="neg")
+    neg.check_roundtrip(np.linspace(-10.0, 10.0, 17))  # it inverts, but it decreases
+    with pytest.raises(InvalidArgument, match="conjugator neg is not strictly increasing"):
+        conjugate(q_sum(0.5), neg)
+
+
 def test_conjugated_additive_law_through_expm1():
     omega = conjugate(additive_law(), expm1_conjugator())
     e_minus_one = math.expm1(1.0)

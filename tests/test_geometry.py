@@ -9,6 +9,7 @@ import pytest
 
 from entrogeo import (
     ConnCoeffs,
+    DivergenceFunctional,
     MetricTensor,
     alpha_connection,
     closed_geometry,
@@ -293,9 +294,106 @@ def test_stencils_refuse_to_cross_the_boundary():
     assert g.entries[0, 0] > 100.0
 
 
-def test_step_override_must_be_positive():
-    with pytest.raises(ValueError):
-        fisher_metric(simplex_model(1), [0.5], step=-1e-4)
+_ZERO_CONN = ConnCoeffs(np.zeros((2, 2, 2)))
+
+_INSTRUMENTS = {
+    "fisher_metric": lambda model, xi, step: fisher_metric(model, xi, step=step),
+    "div_metric": lambda model, xi, step: div_metric(kl_functional(), model, xi, step=step),
+    "div_connections": lambda model, xi, step: div_connections(
+        kl_functional(), model, xi, step=step
+    ),
+    "alpha_connection": lambda model, xi, step: alpha_connection(model, xi, 0.5, step=step),
+    "duality_residual": lambda model, xi, step: duality_residual(
+        lambda x: div_metric(kl_functional(), model, x),
+        lambda x: _ZERO_CONN,
+        lambda x: _ZERO_CONN,
+        model,
+        xi,
+        step=step,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        (np.nan, "step must be finite, got nan"),
+        (np.inf, "step must be finite, got inf"),
+        (-np.inf, "step must be positive, got -inf"),
+        (0.0, "step must be positive, got 0.0"),
+        (-1e-4, "step must be positive, got -0.0001"),
+    ],
+)
+@pytest.mark.parametrize("name", sorted(_INSTRUMENTS))
+def test_a_step_outside_zero_to_inf_is_an_invalid_argument(name, step, message):
+    # refused before a stencil is formed: no StepTooLarge for nan, no numpy warning for inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match=re.escape(message)):
+            _INSTRUMENTS[name](simplex_model(2), np.array([0.3, 0.25]), step)
+
+
+@pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+def test_alpha_connection_needs_a_finite_alpha(alpha):
+    with pytest.raises(InvalidArgument, match=re.escape(f"alpha must be finite, got {alpha}")):
+        alpha_connection(simplex_model(2), [0.3, 0.25], alpha)
+
+
+def test_an_overflowing_alpha_raises_domain_error_without_a_warning():
+    model = simplex_model(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (1e308, -1e308):
+            with pytest.raises(DomainError, match="connection entries are not finite"):
+                alpha_connection(model, [0.3, 0.3], alpha)
+        assert np.isfinite(alpha_connection(model, [0.3, 0.3], 1e300).entries).all()
+
+
+def _counting(model):
+    """model with counted in_domain and prob_fn calls, and the counts."""
+    calls = {"in_domain": 0, "prob_fn": 0}
+
+    def counted(name, fn):
+        def call(xi):
+            calls[name] += 1
+            return fn(xi)
+        return call
+
+    counted_model = dataclasses.replace(
+        model,
+        in_domain=counted("in_domain", model.in_domain),
+        prob_fn=counted("prob_fn", model.prob_fn),
+    )
+    return counted_model, calls
+
+
+@pytest.mark.parametrize("w", [1, 2, 6, 12])
+def test_each_stencil_makes_one_domain_call_and_one_weight_call(w):
+    model, calls = _counting(simplex_model(w))
+    xi = np.full(w, 1.0 / (w + 1))
+    kl = kl_functional()
+    for name, run in {
+        "fisher_metric": lambda: fisher_metric(model, xi),
+        "div_metric": lambda: div_metric(kl, model, xi),
+        "div_metric of a stack": lambda: div_metric(kl, model, np.stack([xi, 0.9 * xi, xi])),
+        "div_connections": lambda: div_connections(kl, model, xi),
+        "alpha_connection": lambda: alpha_connection(model, xi, 0.5),
+    }.items():
+        calls.update(in_domain=0, prob_fn=0)
+        run()
+        assert calls == {"in_domain": 1, "prob_fn": 1}, name
+    # duality_residual checks its point once, then each metric_field call is one stencil
+    gamma = ConnCoeffs(np.zeros((w, w, w)))
+    stacks = []
+    calls.update(in_domain=0, prob_fn=0)
+    duality_residual(
+        lambda x: stacks.append(x) or div_metric(kl, model, x),
+        lambda x: gamma,
+        lambda x: gamma,
+        model,
+        xi,
+    )
+    assert calls == {"in_domain": 1 + len(stacks), "prob_fn": 1 + len(stacks)}
 
 
 # --- the stencil engine against per-point loops -----------------------------------------
@@ -363,6 +461,9 @@ def _loop_alpha(model, xi, alpha, h):
 
 _ENGINE_DIVERGENCES = {
     "kl": kl_functional(),
+    "bare": DivergenceFunctional(  # a user's fn, no pair: Pearson's chi-square
+        fn=lambda p, q: np.sum((p - q) ** 2 / q, axis=-1), name="chi2"
+    ),
     "sm": sm_div_functional(0.5, 0.7),
     "power": hf_div_functional(power_pair(2.0)),
     "composed": zeta_compose_div(
@@ -372,7 +473,9 @@ _ENGINE_DIVERGENCES = {
 
 
 @pytest.mark.parametrize("step", [None, 3e-4])
-@pytest.mark.parametrize("w", [1, 2, 5, 8, 12])  # 8 and 12: parked points split over calls
+# 3: an odd pair count; 6: the largest size whose parked points fit one call per slot;
+# 8 and 12: parked points split over calls
+@pytest.mark.parametrize("w", [1, 2, 3, 5, 6, 8, 12])
 def test_stencil_engine_is_bit_identical_to_per_point_loops(w, step):
     rng = np.random.default_rng(100 + w)
     p = rng.dirichlet(np.full(w + 1, 6.0))
@@ -419,6 +522,17 @@ def test_divergence_calls_grow_linearly_with_dimension(w):
     if 2 * w * rows <= _ROW_BUDGET:
         assert len(calls) == 2  # one call per slot
     assert _ROW_BUDGET <= 4 * (2 * 12 * 12 + 1)  # no larger than one axis of W = 12 metrics
+
+
+def test_a_metric_near_the_largest_float_stays_finite_and_exact():
+    # Entries above DBL_MAX / 2: symmetrising by 0.5 (g + g^T) would overflow them to inf.
+    kl = kl_functional()
+    huge = DivergenceFunctional(fn=lambda p, q: 2e307 * kl.fn(p, q), name="2e307 kl")
+    model = simplex_model(2)
+    xi = np.array([0.3, 0.3])  # g_ii = 2e307 (1 / 0.3 + 1 / 0.4), about 1.17e308
+    g = div_metric(huge, model, xi).entries
+    assert g.max() > np.finfo(float).max / 2
+    assert np.array_equal(g, _loop_slot_hessian(huge, model, xi, xi, METRIC_STEP, 0))
 
 
 def test_connections_refuse_a_parked_point_outside_the_domain():
