@@ -303,6 +303,11 @@ def _at_point(args, command: str) -> tuple[geometry.StatModel, np.ndarray, dict]
     return model, point, {"command": command, "model": model.name, "point": point.tolist()}
 
 
+#: Around metric and connection: a step that over- or underflows shows only as its checked error.
+_QUIET = np.errstate(over="ignore", divide="ignore", invalid="ignore")
+
+
+@_QUIET
 def _cmd_metric(args) -> tuple[int, dict]:
     from . import geometry
     model, point, doc = _at_point(args, "metric")
@@ -323,6 +328,7 @@ def _cmd_metric(args) -> tuple[int, dict]:
     return 0, doc
 
 
+@_QUIET
 def _cmd_connection(args) -> tuple[int, dict]:
     from . import geometry
     model, point, doc = _at_point(args, "connection")

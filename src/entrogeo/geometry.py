@@ -13,6 +13,8 @@ points (k, n), each bit-identical to its own call, which `duality_residual`
 fills with the five-point centres of several axes at once.  A plan per size,
 cached on first use, holds the stencil offsets and a gather that puts each
 second difference at (i, j) and (j, i), so an FD Hessian is exactly symmetric.
+Tensors laid out here are symmetric by construction, so they are checked for
+finiteness only and frozen without a copy; public constructors check it all.
 
 From a divergence D(p_xi || p_xi') three tensors arise at the diagonal:
 
@@ -70,9 +72,6 @@ CONN_SYMMETRY_TOL = 1e-8
 #: Most stencil rows one stacked divergence or metric-field call holds.
 _ROW_BUDGET = 1024
 
-_SHIFTS = np.array([-2.0, -1.0, 1.0, 2.0])[:, None]  #: t of `duality_residual`'s xi + t h e_k
-_SHIFTS.setflags(write=False)
-
 
 @dataclass(frozen=True)
 class StatModel:
@@ -102,8 +101,11 @@ class StatModel:
 class MetricTensor:
     """A symmetric bilinear form (n, n), or a stack of them (k, n, n).
 
-    Symmetry is checked over the last two axes; a stack is positive definite
-    only if every member is.  A nan or infinite entry raises DomainError.
+    The constructor copies the entries, checks the shape, and checks symmetry
+    over the last two axes to SYMMETRY_TOL; a stack is positive definite only
+    if every member is.  A nan or infinite entry raises DomainError.  The
+    library's own metrics are exactly symmetric by construction: they are
+    checked for finiteness only and frozen in place.
     """
 
     entries: np.ndarray
@@ -132,7 +134,10 @@ class MetricTensor:
 class ConnCoeffs:
     """Lowered connection coefficients Gamma_{ij,k}, symmetric in (i, j).
 
-    A nan or infinite entry raises DomainError.
+    The constructor copies the entries, checks that they are (n, n, n), and
+    checks the (i, j) symmetry to CONN_SYMMETRY_TOL.  A nan or infinite entry
+    raises DomainError.  The library's own coefficients are exactly symmetric
+    by construction: they are checked for finiteness only and frozen in place.
     """
 
     entries: np.ndarray
@@ -150,6 +155,18 @@ class ConnCoeffs:
             )
         c.setflags(write=False)
         object.__setattr__(self, "entries", c)
+
+
+def _built(cls: type, entries: np.ndarray):
+    """cls around float entries laid out here, exactly symmetric by construction: only the
+    finiteness check, with the public wording, then frozen in place; no copy, no skew pass."""
+    if not np.isfinite(entries).all():
+        kind = "metric" if cls is MetricTensor else "connection"
+        raise DomainError(f"{kind} entries are not finite")
+    entries.setflags(write=False)
+    tensor = object.__new__(cls)
+    object.__setattr__(tensor, "entries", entries)
+    return tensor
 
 
 def simplex_model(size: int) -> StatModel:
@@ -174,20 +191,24 @@ def simplex_model(size: int) -> StatModel:
     return StatModel(n_params=size, prob_fn=prob_fn, in_domain=in_domain, name=f"simplex({size})")
 
 
-def _scaled(step: float | None, default: float, xi: np.ndarray) -> np.ndarray:
-    """The step of each point in xi (shape (n,) or (k, n)): given, or default times max(1, |xi|)."""
+def _scaled(step: float | None, default: float, xi: np.ndarray):
+    """The step of each point in xi (shape (n,) or (k, n)), a float64 scalar for one point:
+    given, or default times max(1, |xi|).  A given step must move every finite coordinate."""
     if step is not None:
         if not 0.0 < step < np.inf:  # a nan fails too
             bound = "positive" if step <= 0.0 else "finite"
             raise InvalidArgument(f"step must be {bound}, got {step}")
-        return np.full(xi.shape[:-1], float(step))
-    return np.asarray(default * np.maximum(1.0, np.abs(xi).max(axis=-1, initial=0.0)))
+        if (np.isfinite(xi) & ((xi + step == xi) | (xi - step == xi))).any():
+            raise InvalidArgument(f"step must move every coordinate of the point, got {step}")
+        return np.full(xi.shape[:-1], float(step))[()]
+    return default * np.abs(xi).max(axis=-1, initial=1.0)
 
 
 @functools.lru_cache(maxsize=32)
-def _plan(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only unit stencil offsets, in `_stencil`'s row order, and the (n, n) index that lays
-    out `_fd_second`'s entries as a symmetric matrix: (i, j) and (j, i) read one stored float."""
+def _plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only unit stencil offsets, in `_stencil`'s row order; the (n, n) index that lays out
+    `_fd_second`'s entries as a symmetric matrix: (i, j) and (j, i) read one stored float; and
+    the (4n, n) unit shifts t e_k, t = -2, -1, 1, 2, of `duality_residual`'s centres, axis-major."""
     axes = np.arange(n)
     i, j = np.nonzero(np.tri(n, k=-1, dtype=bool))
     offsets = np.zeros((1 + 2 * n + 4 * i.size, n))
@@ -198,9 +219,10 @@ def _plan(n: int) -> tuple[np.ndarray, np.ndarray]:
     offsets[rows, j[:, None]] = [1.0, -1.0, 1.0, -1.0]
     gather = np.diag(axes)
     gather[i, j] = gather[j, i] = n + np.arange(i.size)
-    offsets.setflags(write=False)
-    gather.setflags(write=False)
-    return offsets, gather
+    shifts = (np.array([-2.0, -1.0, 1.0, 2.0])[:, None] * np.eye(n)[:, None]).reshape(4 * n, n)
+    for table in (offsets, gather, shifts):
+        table.setflags(write=False)
+    return offsets, gather, shifts
 
 
 def _stencil(model: StatModel, xi: np.ndarray, h: np.ndarray, mixed: bool = True) -> np.ndarray:
@@ -271,7 +293,7 @@ def fisher_metric(model: StatModel, xi, step: float | None = None) -> MetricTens
     weights = _stencil(model, xi, h, mixed=False)
     dlog = _fd_first(np.log(weights), xi.size, h)
     g = (dlog * weights[0]) @ dlog.T
-    return MetricTensor(0.5 * (g + g.T))
+    return _built(MetricTensor, 0.5 * (g + g.T))
 
 
 def div_metric(
@@ -291,7 +313,7 @@ def div_metric(
     weights = _stencil(model, xi, h)
     values = _values(divergence, weights, weights[..., :1, :], weights.shape[:-1])
     n = xi.shape[-1]
-    return MetricTensor(_fd_second(values.T, n, h).T.take(_plan(n)[1], axis=-1))  # (..., n, n)
+    return _built(MetricTensor, _fd_second(values.T, n, h).T.take(_plan(n)[1], axis=-1))
 
 
 def div_connections(
@@ -315,7 +337,8 @@ def div_connections(
         lambda q: _values(divergence, q, weights, (len(q), rows)),
     ):
         d2 = _fd_second(_stacked(block, parked, rows).T, n, h)  # [diagonal or pair, parked point]
-        out.append(ConnCoeffs((-(d2[:, 0::2] - d2[:, 1::2]) / (2.0 * h)).take(_plan(n)[1], axis=0)))
+        d3 = -(d2[:, 0::2] - d2[:, 1::2]) / (2.0 * h)
+        out.append(_built(ConnCoeffs, d3.take(_plan(n)[1], axis=0)))
     return out[0], out[1]
 
 
@@ -336,10 +359,10 @@ def alpha_connection(model: StatModel, xi, alpha: float, step: float | None = No
     logs = np.log(weights)
     dl = _fd_first(logs, n, h)
     d2l = _fd_second(logs, n, h).take(_plan(n)[1], axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):  # ConnCoeffs rejects a non-finite entry
+    with np.errstate(over="ignore", invalid="ignore"):  # _built rejects a non-finite entry
         integrand = d2l + 0.5 * (1.0 - alpha) * np.einsum("ix,jx->ijx", dl, dl)
         gamma = np.einsum("ijx,kx,x->ijk", integrand, dl, weights[0])
-        return ConnCoeffs(0.5 * (gamma + gamma.transpose(1, 0, 2)))
+        return _built(ConnCoeffs, 0.5 * (gamma + gamma.transpose(1, 0, 2)))
 
 
 def closed_geometry(pair: HFPair, xi, size: int) -> tuple[MetricTensor, ConnCoeffs, ConnCoeffs]:
@@ -357,8 +380,9 @@ def closed_geometry(pair: HFPair, xi, size: int) -> tuple[MetricTensor, ConnCoef
     t = np.full((size, size, size), -1.0 / p[0] ** 2)
     axes = np.arange(size)
     t[axes, axes, axes] += 1.0 / p[1:] ** 2
-    g = MetricTensor(c * (np.diag(1.0 / p[1:]) + 1.0 / p[0]))
-    return g, ConnCoeffs(-0.5 * c * (1.0 - a) * t), ConnCoeffs(-0.5 * c * (1.0 + a) * t)
+    g = _built(MetricTensor, c * (np.diag(1.0 / p[1:]) + 1.0 / p[0]))
+    gamma = _built(ConnCoeffs, -0.5 * c * (1.0 - a) * t)
+    return g, gamma, _built(ConnCoeffs, -0.5 * c * (1.0 + a) * t)
 
 
 def hf_alpha_of(pair: HFPair) -> float:
@@ -390,8 +414,9 @@ def duality_residual(
     xi = np.asarray(xi, dtype=float).reshape(-1)
     h = _scaled(step, 1e-3, xi)
     n = xi.size
-    model.point(xi)  # domain check up front
-    centres = (xi + _SHIFTS * (h * np.eye(n))[:, None]).reshape(4 * n, n)
+    if n != model.n_params or not model.in_domain(xi):  # domain check up front
+        model.point(xi)  # raises ParamOutOfRange
+    centres = xi + h * _plan(n)[2]
 
     def field(stack):
         v = np.asarray(metric_field(stack).entries)
@@ -419,6 +444,8 @@ def combine_geometry(
     This is the geometry of a zeta-composed divergence: first-order behaviour
     of zeta at the origin is all that survives differentiation at the
     diagonal, so the composed tensors are the grad-zeta(0)-weighted sums.
+    The sums keep their inputs' symmetry, exact for the library's own tensors,
+    and are checked for finiteness only.
     """
     w = np.asarray(weights, dtype=float)
     if not (len(metrics) == len(connections) == len(dual_connections) == w.size):
@@ -432,4 +459,4 @@ def combine_geometry(
     g = sum(wi * np.asarray(m.entries) for wi, m in zip(w, metrics))
     c = sum(wi * np.asarray(t.entries) for wi, t in zip(w, connections))
     cs = sum(wi * np.asarray(t.entries) for wi, t in zip(w, dual_connections))
-    return MetricTensor(g), ConnCoeffs(c), ConnCoeffs(cs)
+    return _built(MetricTensor, g), _built(ConnCoeffs, c), _built(ConnCoeffs, cs)

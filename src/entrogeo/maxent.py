@@ -66,6 +66,9 @@ class ConstraintSet:
             )
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise InvalidArgument("constraint data must be finite")
+        with np.errstate(over="ignore"):  # the projection squares each row's largest entry
+            if not np.isfinite(np.square(np.abs(a).max(axis=1, initial=0.0))).all():
+                raise InvalidArgument(f"constraint entry {np.abs(a).max():g} squares to infinity")
         if a.shape[0] > 0 and np.linalg.matrix_rank(a) < a.shape[0]:
             raise InvalidArgument("constraint rows are linearly dependent")
         a.setflags(write=False)

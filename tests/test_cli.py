@@ -393,6 +393,8 @@ _INVALID_ARGUMENTS = {
                               "--constraint", "0,1,2:1", "--constraint", "0,2,4:2"],
     "maxent-nan-row": ["maxent", "--family", "shannon", "--w", "3",
                        "--constraint", "nan,1,2:1.2"],
+    "maxent-row-squares-to-inf": ["maxent", "--family", "shannon", "--w", "3",
+                                  "--constraint", "1,1e308,-1:-0.4"],
     "metric-negative-step": ["metric", "--model", "simplex:2", "--divergence", "kl",
                              "--point", "0.3,0.25", "--step", "-1"],
     "connection-negative-step": ["connection", "--model", "simplex:2", "--divergence", "kl",
@@ -531,6 +533,10 @@ _AT = ["--model", "simplex:2", "--point", "0.3,0.25"]
     ],
 )
 def test_a_non_finite_step_or_alpha_prints_one_stderr_line(capsys, argv, message):
+    _exits_two_with_one_stderr_line(capsys, argv, message)
+
+
+def _exits_two_with_one_stderr_line(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # outside pytest, each would print to stderr first
         assert main(argv) == 2
@@ -538,6 +544,39 @@ def test_a_non_finite_step_or_alpha_prints_one_stderr_line(capsys, argv, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+_LEAVES = (
+    "stencil point [1e+308, 0.25] leaves the domain of simplex(2); reduce the step or move inward"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 0.3 +- 1e-17 rounds back to 0.3: the parent printed an all-zero metric or Gamma
+        (["metric", *_AT, "--divergence", "kl", "--step", "1e-17"],
+         "step must move every coordinate of the point, got 1e-17"),
+        (["metric", *_AT, "--divergence", "fisher", "--step", "1e-17"],
+         "step must move every coordinate of the point, got 1e-17"),
+        (["connection", *_AT, "--divergence", "kl", "--step", "1e-17"],
+         "step must move every coordinate of the point, got 1e-17"),
+        (["connection", *_AT, "--alpha", "1", "--step", "1e-17"],
+         "step must move every coordinate of the point, got 1e-17"),
+        # h * h underflows to 0: two divide warnings, then "metric entries are not finite"
+        (["metric", *_AT, "--divergence", "kl", "--step", "1e-320"],
+         "step must move every coordinate of the point, got 1e-320"),
+        # the simplex domain sum overflows before the StepTooLarge error
+        (["metric", *_AT, "--divergence", "kl", "--step", "1e308"], _LEAVES),
+        (["connection", *_AT, "--divergence", "kl", "--step", "1e308"], _LEAVES),
+        (["connection", *_AT, "--alpha", "1", "--step", "1e308"], _LEAVES),
+        # the projection squares the largest entry of each row
+        (["maxent", "--family", "shannon", "--w", "3", "--constraint", "1,1e308,-1:-0.4"],
+         "constraint entry 1e+308 squares to infinity"),
+    ],
+)
+def test_a_step_or_row_out_of_float_range_prints_one_stderr_line(capsys, argv, message):
+    _exits_two_with_one_stderr_line(capsys, argv, message)
 
 
 def test_maxent_non_finite_start_prints_nothing_on_stderr(capsys):

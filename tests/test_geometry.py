@@ -333,6 +333,23 @@ def test_a_step_outside_zero_to_inf_is_an_invalid_argument(name, step, message):
             _INSTRUMENTS[name](simplex_model(2), np.array([0.3, 0.25]), step)
 
 
+@pytest.mark.parametrize(
+    "xi, step",
+    [
+        ([0.3, 0.25], 1e-17),  # 0.3 +- 1e-17 rounds back to 0.3: a flat stencil, zero entries
+        ([0.002, 0.3], 1e-17),  # the first coordinate moves, the second does not
+        ([0.3, 0.25], 1e-320),  # h * h would underflow to 0
+    ],
+)
+@pytest.mark.parametrize("name", sorted(_INSTRUMENTS))
+def test_a_step_that_leaves_a_coordinate_in_place_is_an_invalid_argument(name, xi, step):
+    message = f"step must move every coordinate of the point, got {step}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match=re.escape(message)):
+            _INSTRUMENTS[name](simplex_model(2), np.array(xi), step)
+
+
 @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
 def test_alpha_connection_needs_a_finite_alpha(alpha):
     with pytest.raises(InvalidArgument, match=re.escape(f"alpha must be finite, got {alpha}")):
@@ -382,7 +399,7 @@ def test_each_stencil_makes_one_domain_call_and_one_weight_call(w):
         calls.update(in_domain=0, prob_fn=0)
         run()
         assert calls == {"in_domain": 1, "prob_fn": 1}, name
-    # duality_residual checks its point once, then each metric_field call is one stencil
+    # duality_residual tests its point's domain once, then each metric_field call is one stencil
     gamma = ConnCoeffs(np.zeros((w, w, w)))
     stacks = []
     calls.update(in_domain=0, prob_fn=0)
@@ -393,7 +410,29 @@ def test_each_stencil_makes_one_domain_call_and_one_weight_call(w):
         model,
         xi,
     )
-    assert calls == {"in_domain": 1 + len(stacks), "prob_fn": 1 + len(stacks)}
+    assert calls == {"in_domain": 1 + len(stacks), "prob_fn": len(stacks)}
+
+
+@pytest.mark.parametrize("w", [1, 2, 6, 12])
+def test_engine_tensors_skip_the_public_validation(w, monkeypatch):
+    # the engine's tensors are exactly symmetric by construction: no copy, no skew pass
+    runs = []
+
+    def counted(check):
+        return lambda self: runs.append(type(self)) or check(self)
+
+    for cls in (MetricTensor, ConnCoeffs):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__post_init__))
+    model = simplex_model(w)
+    xi = np.full(w, 1.0 / (w + 1))
+    for d in _ENGINE_DIVERGENCES.values():
+        div_metric(d, model, xi)
+        div_metric(d, model, np.stack([xi, 0.9 * xi]))
+        div_connections(d, model, xi)
+    assert runs == []
+    MetricTensor(np.eye(w))  # the public constructors still validate
+    ConnCoeffs(np.zeros((w, w, w)))
+    assert runs == [MetricTensor, ConnCoeffs]
 
 
 # --- the stencil engine against per-point loops -----------------------------------------
@@ -470,6 +509,49 @@ _ENGINE_DIVERGENCES = {
         [kl_functional(), hf_div_functional(power_pair(2.0))], linear_composer([1.0, 0.5])
     ),
 }
+
+
+def _ij_transpose(tensor):
+    """The entries with i and j swapped: the last two axes of a metric, the first two of Gamma."""
+    if isinstance(tensor, MetricTensor):
+        return tensor.entries.swapaxes(-1, -2)
+    return tensor.entries.swapaxes(0, 1)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 6, 12])
+def test_engine_tensors_are_frozen_and_exactly_symmetric(w):
+    # they skip the public skew check, so (i, j) and (j, i) must hold the same float
+    rng = np.random.default_rng(400 + w)
+    model = simplex_model(w)
+    stack = _interior_stack(rng, w, 3)
+    xi = stack[0]
+    tensors = {"fisher_metric": fisher_metric(model, xi)}
+    for alpha in (-1.0, 0.0, 3.0):
+        tensors[f"alpha_connection {alpha}"] = alpha_connection(model, xi, alpha)
+    for name, d in _ENGINE_DIVERGENCES.items():
+        tensors[f"div_metric {name}"] = div_metric(d, model, xi)
+        tensors[f"div_metric of a stack {name}"] = div_metric(d, model, stack)
+        gamma, gamma_star = div_connections(d, model, xi)
+        tensors[f"Gamma {name}"], tensors[f"Gamma* {name}"] = gamma, gamma_star
+    for name, pair in {"kl": kl_pair(), "power": power_pair(2.0)}.items():
+        for label, tensor in zip(("g", "Gamma", "Gamma*"), closed_geometry(pair, xi, w)):
+            tensors[f"closed {label} {name}"] = tensor
+    parts = [tensors[f"{label} {name}"] for label in ("div_metric", "Gamma", "Gamma*")
+             for name in ("kl", "power")]
+    combined = combine_geometry([1.0, 0.5], parts[0:2], parts[2:4], parts[4:6])
+    tensors.update(zip(("combined g", "combined Gamma", "combined Gamma*"), combined))
+    for name, tensor in tensors.items():
+        assert not tensor.entries.flags.writeable, name
+        assert np.array_equal(tensor.entries, _ij_transpose(tensor)), name
+
+
+def test_public_constructors_copy_the_callers_array():
+    g = np.array([[2.0, 1.0], [1.0, 3.0]])
+    c = np.zeros((2, 2, 2))
+    metric, conn = MetricTensor(g), ConnCoeffs(c)
+    g[0, 0] = c[0, 0, 0] = 7.0
+    assert metric.entries[0, 0] == 2.0 and conn.entries[0, 0, 0] == 0.0
+    assert g.flags.writeable and c.flags.writeable  # the caller's arrays are not frozen
 
 
 @pytest.mark.parametrize("step", [None, 3e-4])
