@@ -29,9 +29,9 @@ _SURFACE = {
     ),
     "errors": ("EntrogeoError",),
     "formal_group": (
-        "BinaryLaw", "Conjugator", "Interval", "LawReport", "additive_law",
-        "check_group_axioms", "check_phi4_symmetry", "conjugate", "expm1_conjugator",
-        "identity_conjugator", "iterate_pow2", "q_sum", "scale_conjugator",
+        "BinaryLaw", "Conjugator", "Interval", "LawReport", "check_group_axioms",
+        "check_phi4_symmetry", "conjugate", "expm1_conjugator", "identity_conjugator",
+        "iterate_pow2", "q_sum", "scale_conjugator",
     ),
     "geometry": (
         "ConnCoeffs", "MetricTensor", "StatModel", "alpha_connection", "closed_geometry",
@@ -40,9 +40,9 @@ _SURFACE = {
     ),
     "hf_entropy": (
         "EntropyFunctional", "HFPair", "SKReport", "builtin_functional",
-        "composability_residual", "entropy_functional", "eval_entropy", "hf_sum",
-        "kaniadakis", "phi_from_chi", "product_chi", "renyi", "shannon", "sharma_mittal",
-        "sk_suite", "tsallis",
+        "composability_residual", "entropy_functional", "hf_sum", "kaniadakis",
+        "phi_from_chi", "product_chi", "renyi", "shannon", "sharma_mittal", "sk_suite",
+        "tsallis",
     ),
     "maxent": ("ConstraintSet", "MaxentResult", "maximize"),
     "probability": ("ProbDist", "load_distribution", "product", "uniform", "validate"),

@@ -48,6 +48,9 @@ PROBE_TOL = 1e-9
 #: How far below the chord a sampled concavity margin may fall.
 CONCAVITY_TOL = 1e-9
 
+#: `concavity_probe` samples mixtures over W = 2..CONCAVITY_W_MAX outcomes.
+CONCAVITY_W_MAX = 6
+
 
 @dataclass(frozen=True)
 class Composer:
@@ -290,25 +293,22 @@ class ConcavityReport:
 
 
 def concavity_probe(
-    entropy: EntropyFunctional,
-    w_max: int = 6,
-    samples: int = 10000,
-    seed: int = 0,
+    entropy: EntropyFunctional, samples: int = 10000, seed: int = 0
 ) -> ConcavityReport:
     """Sample mixing triples (p, q, lambda) and test the concavity inequality.
 
     The margin S(lam p + (1-lam) q) - lam S(p) - (1-lam) S(q) must stay above
     -CONCAVITY_TOL; the most negative sampled margin and, if it crosses the
     line, the witnessing triple are reported.  A nan margin is reported as
-    the minimum and fails the probe.  Samples are spread over W = 2..w_max,
-    at least one each.
+    the minimum and fails the probe.  Samples are spread over W = 2..
+    CONCAVITY_W_MAX, at least one each.
     """
-    if w_max < 2:
-        raise InvalidArgument("w_max must be at least 2")
-    if samples < w_max - 1:
-        raise InvalidArgument(f"need at least one sample per W in 2..{w_max}, got {samples}")
+    if samples < CONCAVITY_W_MAX - 1:
+        raise InvalidArgument(
+            f"need at least one sample per W in 2..{CONCAVITY_W_MAX}, got {samples}"
+        )
     rng = np.random.default_rng(seed)
-    sizes = list(range(2, w_max + 1))
+    sizes = list(range(2, CONCAVITY_W_MAX + 1))
     per = [samples // len(sizes)] * len(sizes)
     per[0] += samples - sum(per)
 
@@ -337,7 +337,7 @@ def concavity_probe(
                 }
     return ConcavityReport(
         entropy=entropy.name,
-        w_max=w_max,
+        w_max=CONCAVITY_W_MAX,
         samples=samples,
         tol=CONCAVITY_TOL,
         min_margin=min_margin,

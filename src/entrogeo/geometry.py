@@ -63,6 +63,9 @@ METRIC_STEP = 1e-4
 #: Relative step for third-derivative stencils (connections).
 CONN_STEP = 5e-4
 
+#: Relative step of `duality_residual`'s stencil on the metric field.
+DUALITY_STEP = 1e-3
+
 #: Interior margin of the simplex model.
 SIMPLEX_MARGIN = 1e-3
 
@@ -365,8 +368,8 @@ def alpha_connection(model: StatModel, xi, alpha: float, step: float | None = No
         return _built(ConnCoeffs, 0.5 * (gamma + gamma.transpose(1, 0, 2)))
 
 
-def closed_geometry(pair: HFPair, xi, size: int) -> tuple[MetricTensor, ConnCoeffs, ConnCoeffs]:
-    """Exact (g, Gamma, Gamma*) of an (h, f) divergence on the simplex model.
+def closed_geometry(pair: HFPair, xi) -> tuple[MetricTensor, ConnCoeffs, ConnCoeffs]:
+    """Exact (g, Gamma, Gamma*) of an (h, f) divergence on the simplex with len(xi) parameters.
 
     g_ij = c (delta_ij / p_i + 1 / p_0), Gamma = c Gamma^(-a) and Gamma* =
     c Gamma^(+a), with c = `pair.c` > 0 and a = `hf_alpha_of(pair)`.  The
@@ -375,6 +378,8 @@ def closed_geometry(pair: HFPair, xi, size: int) -> tuple[MetricTensor, ConnCoef
     (Amari & Nagaoka, Methods of Information Geometry).
     """
     require_shape(pair, "divergence")
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    size = len(xi)  # a stack (k, n) reads as k parameters and fails `point`'s arity check
     p = simplex_model(size).point(xi)
     c, a = pair.c, hf_alpha_of(pair)
     t = np.full((size, size, size), -1.0 / p[0] ** 2)
@@ -400,19 +405,19 @@ def duality_residual(
     dual_field: Callable,
     model: StatModel,
     xi,
-    step: float | None = None,
 ) -> float:
     """Max violation of d_k g_ij = Gamma_ki,j + Gamma*_kj,i at xi.
 
     `metric_field` maps a stack of parameter points (k, n) to a MetricTensor
     with entries (k, n, n), as `div_metric` does.  It is differentiated by a
-    five-point central stencil with the given step at xi + t h e_k, t = -2,
-    -1, 1, 2 (so a smooth bias in the field itself survives but the stencil's
-    own truncation does not), fed axis-major, as many centres per call as fit
-    the row budget at 2n^2 + 1 rows each.  The connection fields get xi.
+    five-point central stencil at xi + t h e_k, t = -2, -1, 1, 2, with h =
+    DUALITY_STEP max(1, |xi|) (so a smooth bias in the field itself survives
+    but the stencil's own truncation does not), fed axis-major, as many
+    centres per call as fit the row budget at 2n^2 + 1 rows each.  The
+    connection fields get xi.
     """
     xi = np.asarray(xi, dtype=float).reshape(-1)
-    h = _scaled(step, 1e-3, xi)
+    h = _scaled(None, DUALITY_STEP, xi)
     n = xi.size
     if n != model.n_params or not model.in_domain(xi):  # domain check up front
         model.point(xi)  # raises ParamOutOfRange

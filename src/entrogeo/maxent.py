@@ -5,9 +5,11 @@ constraint is implicit, never a row of A), `maximize` runs projected gradient
 ascent: each iterate is pulled back onto the feasible set by the exact
 Euclidean projection onto {p >= 0} intersect {A p = b, sum p = 1}.  That
 projection is max(x - A^T nu, 0), with the multiplier nu found by semismooth
-Newton on a convex dual of m + 1 variables.  It stops at a residual of
-`_PROJ_TOL`, or at the rounding floor eps |x| of forming x - A^T nu, which
-steep gradients near EVAL_CLIP lift above that (`_Feasible.project`).
+Newton on a convex dual of m + 1 variables.  It stops once each row's
+residual is within `_PROJ_TOL` per unit of that row's largest entry (so a
+row of large entries does not loosen the sum row), or at the rounding floor
+eps |x| of forming x - A^T nu, which steep gradients near EVAL_CLIP lift
+above that (`_Feasible.project`).
 Backtracking keeps the ascent monotone.  The stationarity max|P(x + g) - x|
 is formed only when the line search's first trial P(x + s g) cannot bound it
 above tol: for feasible x, |P(x + s g) - x|_2 is non-decreasing in s and
@@ -41,7 +43,7 @@ FEAS_TOL = 1e-9
 GRAD_STEP = 1e-6
 
 _NEWTON_ROUNDS = 100
-#: Projection residual |A p - b| accepted, per unit of the largest |A| entry.
+#: Projection residual |a_i p - b_i| accepted, per unit of the largest |a_ij| in row i.
 _PROJ_TOL = 1e-12
 _BISECTIONS = 100
 _EPS = float(np.finfo(float).eps)
@@ -115,8 +117,10 @@ class _Feasible:
         self.b = b_full
         self.gram_pinv = np.linalg.pinv(a_full @ a_full.T)
         self.rank = int(np.linalg.matrix_rank(a_full))
-        scale = float(np.max(np.abs(a_full)))
-        self.tol = _PROJ_TOL * max(1.0, scale)
+        row_scale = np.abs(a_full).max(axis=1)
+        scale = float(row_scale.max())
+        self.row_tol = _PROJ_TOL * np.maximum(1.0, row_scale)
+        self.tol = float(self.row_tol.max())  # the loosest row's, which `floor` bounds with
         self.pullback = a_full.T @ self.gram_pinv
         # at least (max|A| / sigma_min(A))^2 and 1: ill-conditioned rows
         # enlarge the error that rounding and the tolerance leave in P
@@ -138,15 +142,15 @@ class _Feasible:
         by least squares, and Armijo backtracking keeps theta decreasing.  A
         full step on active columns of full rank that keeps the active set is
         exact up to rounding, so it stops once |A p - b| is at rounding level:
-        at the tolerance, or after one refinement step past the first such
-        step.  Forming x - A^T nu rounds at about eps |x|, so for |x| above
-        about 1e4 that floor lies over the tolerance and further rounds cannot
-        lower it.  When the constraints miss the simplex theta is unbounded
+        each row within its tolerance, or after one refinement step past the
+        first such step.  Forming x - A^T nu rounds at about eps |x|, so for
+        |x| above about 1e4 that floor lies over the tolerance and further
+        rounds cannot lower it.  When the constraints miss the simplex theta is unbounded
         below, and the point returned keeps a residual.
         """
         miss = self.a @ x - self.b
         y = x - self.pullback @ miss
-        if y.min() >= 0.0 and self.residual(y) <= self.tol:
+        if y.min() >= 0.0 and (np.abs(self.a @ y - self.b) <= self.row_tol).all():
             return y
         nu = self.gram_pinv @ miss
         z = x - self.a.T @ nu
@@ -154,7 +158,7 @@ class _Feasible:
         full = None  # active set of the last full step on full-rank columns
         for _ in range(_NEWTON_ROUNDS):
             gap = self.a @ p - self.b  # minus the dual gradient
-            if np.abs(gap).max() <= self.tol:
+            if (np.abs(gap) <= self.row_tol).all():
                 return p
             active = z > 0.0
             refine = full is not None and np.array_equal(active, full)

@@ -225,6 +225,17 @@ def test_maxent_constrained():
     )
 
 
+@pytest.mark.parametrize("scale", ["1e12", "1e14", "1e16", "1e100"])
+def test_maxent_meets_a_row_of_large_entries(scale):
+    # a projection stop scaled by max|A| for every row left the sum row off by 0.4: exit 2
+    code, doc = run(
+        ["maxent", "--family", "shannon", "--w", "3", "--constraint", f"1,{scale},-1:-0.4"]
+    )
+    assert code == 0
+    assert doc["converged"] is True
+    np.testing.assert_allclose(doc["weights"], [0.3, 0.0, 0.7], rtol=0.0, atol=1e-15)
+
+
 def test_maxent_nonconvergence_exits_one():
     code, doc = run(
         [
@@ -495,6 +506,19 @@ def test_main_prints_and_returns(capsys, dist_file):
              "--p", "p50.json", "--q", "u50.json"],
             "error: sm(200,0.5) is not finite at the given pair",
         ),
+        (  # r = -1e300 / (1 - 1e-8): the pair's probes overflow h and meet log1p(-inf)
+            ["entropy", "--family", "sharma-mittal:alpha=1e-8,beta=1e300", "--dist", "u50.json"],
+            "error: sharma-mittal(1e-08,1e+300): h_inverse(h(x)) deviates by inf near f(1)",
+        ),
+        (  # the divergence mirror of the same pair
+            ["divergence", "--family", "sm:alpha=1e-8,beta=1e300",
+             "--p", "p50.json", "--q", "u50.json"],
+            "error: sm-div(1e-08,1e+300): h_inverse(h(x)) deviates by inf near f(1)",
+        ),
+        (
+            ["verify", "sk", "--family", "sharma-mittal:alpha=1e-8,beta=1e300"],
+            "error: sharma-mittal(1e-08,1e+300): h_inverse(h(x)) deviates by inf near f(1)",
+        ),
     ],
 )
 def test_non_finite_value_prints_one_stderr_line(capsys, dist_file, monkeypatch, argv, message):
@@ -579,16 +603,33 @@ def test_a_step_or_row_out_of_float_range_prints_one_stderr_line(capsys, argv, m
     _exits_two_with_one_stderr_line(capsys, argv, message)
 
 
-def test_maxent_non_finite_start_prints_nothing_on_stderr(capsys):
-    # sum p^200 underflows at the uniform start: the run stops unconverged, without a warning
+@pytest.mark.parametrize(
+    "argv, read, expected",
+    [
+        (  # sum p^200 underflows at the uniform start: the run stops unconverged
+            ["maxent", "--family", "renyi:alpha=200", "--w", "100"],
+            lambda doc: (doc["value"], doc["converged"]),
+            (None, False),
+        ),
+        (  # xi^-1 scales the samples by 1e300: x y overflows, and inf - inf is invalid
+            ["compose", "--xi", "scale:1e-300", "--m", "1", "--constituent", "tsallis:q=2",
+             "--constituent", "tsallis:q=2", "--dist", "u2.json"],
+            lambda doc: (doc["law_report"]["commutativity_residual"], doc["law_report"]["passed"]),
+            (None, False),
+        ),
+    ],
+)
+def test_a_non_finite_run_prints_nothing_on_stderr(
+    capsys, dist_file, monkeypatch, argv, read, expected
+):
+    monkeypatch.chdir(Path(dist_file("u2.json", [0.5, 0.5])).parent)
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["maxent", "--family", "renyi:alpha=200", "--w", "100"]) == 1
+        warnings.simplefilter("always")  # outside pytest, each would print to stderr first
+        assert main(argv) == 1
     assert [str(w.message) for w in caught] == []
     captured = capsys.readouterr()
     assert captured.err == ""
-    doc = json.loads(captured.out)
-    assert (doc["value"], doc["converged"]) == (None, False)
+    assert read(json.loads(captured.out)) == expected
 
 
 def test_distinct_parameters_print_distinct_names(dist_file):

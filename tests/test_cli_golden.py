@@ -3,6 +3,7 @@
 The corpus (argv lists and input files) and the golden outputs live under
 perfbench/; this test only reads them.  Each invocation runs in-process
 through `entrogeo.cli.execute` from a directory holding the input files.
+A clean call writes nothing to stderr; a failing one writes one `error:` line.
 """
 
 import contextlib
@@ -30,8 +31,13 @@ def test_cli_stdout_matches_golden(name, tmp_path, monkeypatch):
         (tmp_path / filename).write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("ENTROGEO_SEED", raising=False)
-    with contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
         code, text = execute(CORPUS[name])
     out = (text + "\n").encode() if text else b""
     assert code == EXIT_CODES[name]
     assert out == (GOLDEN / f"{name}.stdout").read_bytes()
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert lines == []

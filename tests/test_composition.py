@@ -258,12 +258,13 @@ CONCAVITY_KEYS = ["entropy", "w_max", "samples", "tol", "min_margin", "counterex
 
 
 def test_concavity_probe_passes_for_the_pair_family():
-    report = concavity_probe(sm_pair_entropy(0.3, 0.7, 0.5), w_max=4, samples=2000, seed=3)
+    report = concavity_probe(sm_pair_entropy(0.3, 0.7, 0.5), samples=2000, seed=3)
     assert report.passed
     assert report.min_margin >= -1e-9
     assert report.counterexample is None
     doc = report.as_dict()
     assert list(doc) == CONCAVITY_KEYS
+    assert doc["w_max"] == 6
     assert doc["counterexample"] is None and doc["passed"] is True
 
 
@@ -272,7 +273,7 @@ def test_concavity_probe_catches_a_convex_function():
         fn=lambda w: np.square(np.asarray(w, dtype=float)).sum(axis=-1),
         name="sum-of-squares",
     )
-    report = concavity_probe(impostor, w_max=3, samples=500, seed=1)
+    report = concavity_probe(impostor, samples=500, seed=1)
     assert not report.passed
     witness = report.counterexample
     assert witness is not None and witness["margin"] < -1e-3
@@ -290,20 +291,15 @@ def test_concavity_probe_fails_a_nan_margin():
         values = shannon.fn(w)
         return values * np.nan if np.shape(w)[-1] == 4 else values
 
-    report = concavity_probe(EntropyFunctional(fn=fn, name="holed"), w_max=6, samples=500)
+    report = concavity_probe(EntropyFunctional(fn=fn, name="holed"), samples=500)
     assert math.isnan(report.min_margin)
     assert report.counterexample is None
     assert not report.passed
-
-
-def test_concavity_probe_needs_two_outcomes():
-    with pytest.raises(InvalidArgument):
-        concavity_probe(builtin_functional("shannon"), w_max=1)
 
 
 @pytest.mark.parametrize("samples", [0, 4])
 def test_concavity_probe_needs_a_sample_at_every_size(samples):
     # W = 2..6 is five sizes; fewer samples would leave some W unprobed
     with pytest.raises(InvalidArgument, match="at least one sample per W"):
-        concavity_probe(builtin_functional("shannon"), w_max=6, samples=samples)
-    assert concavity_probe(builtin_functional("shannon"), w_max=6, samples=5).passed
+        concavity_probe(builtin_functional("shannon"), samples=samples)
+    assert concavity_probe(builtin_functional("shannon"), samples=5).passed

@@ -12,7 +12,6 @@ from entrogeo import (
     BinaryLaw,
     Conjugator,
     Interval,
-    additive_law,
     check_group_axioms,
     check_phi4_symmetry,
     conjugate,
@@ -54,10 +53,11 @@ def test_q_sum_neutral_element_is_exact():
 
 
 def test_q_sum_at_one_matches_plain_addition():
-    law, plain = q_sum(1.0), additive_law()
+    law = q_sum(1.0)
     rng = np.random.default_rng(3)
     x, y = rng.uniform(0, 10, size=(2, 64))
-    np.testing.assert_allclose(law(x, y), plain(x, y), rtol=0, atol=0)
+    np.testing.assert_array_equal(law(x, y), x + y)
+    assert law.name == "q-sum(1)"
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 2.0])
@@ -111,12 +111,12 @@ def test_law_without_identity_is_caught():
 
 
 def test_nan_residual_fails_its_verdict():
-    # finite on the samples, nan once a composed value passes 0.6: only the
+    # finite on the samples, nan once a composed value passes 1.2: only the
     # associativity residual sees nan, and nan <= tol is False
     holed = BinaryLaw(
-        fn=lambda x, y: np.where(x <= 0.6, x + y, np.nan), domain=Interval.reals(), name="holed"
+        fn=lambda x, y: np.where(x <= 1.2, x + y, np.nan), domain=Interval.reals(), name="holed"
     )
-    report = check_group_axioms(holed, domain=(0.0, 0.5), samples=200)
+    report = check_group_axioms(holed, samples=200)
     assert math.isnan(report.associativity_residual)
     assert not report.associativity_ok
     assert report.commutativity_ok and report.identity_ok
@@ -178,27 +178,20 @@ def test_a_nan_residual_in_a_later_chunk_is_kept():
 
 def test_domain_escape_when_samples_leave_domain():
     boxed = BinaryLaw(fn=lambda x, y: x + y, domain=Interval(0.0, 1.0), name="boxed")
-    with pytest.raises(DomainEscape):
-        check_group_axioms(boxed, domain=(0.0, 1.0), samples=200)
+    with pytest.raises(DomainEscape, match="Phi\\(x,y\\) escapes"):
+        check_group_axioms(boxed, samples=200)
 
 
 def test_domain_escape_when_identity_excluded():
     positive = BinaryLaw(fn=lambda x, y: x * y, domain=Interval(0.5, 2.0), name="positive")
-    with pytest.raises(DomainEscape):
-        check_group_axioms(positive, domain=(0.5, 1.0))
+    with pytest.raises(DomainEscape, match="neutral element 0 lies outside"):
+        check_group_axioms(positive)
 
 
 def test_sampling_interval_must_sit_inside_domain():
-    fenced = BinaryLaw(
-        fn=q_sum(3.0).fn, domain=Interval(-0.5, math.inf), name="fenced"
-    )
-    with pytest.raises(DomainEscape):
-        check_group_axioms(fenced, domain=(-2.0, 1.0))
-
-
-def test_sampling_interval_must_be_finite():
-    with pytest.raises(InvalidArgument, match="must be finite"):
-        check_group_axioms(q_sum(0.5), domain=(0.0, math.inf))
+    fenced = BinaryLaw(fn=q_sum(3.0).fn, domain=Interval(-1.0, 0.5), name="fenced")
+    with pytest.raises(DomainEscape, match=r"sampling interval \[0.0, 1.0\] leaves the domain"):
+        check_group_axioms(fenced)
 
 
 @given(
@@ -215,21 +208,21 @@ def test_deformed_sum_is_associative(q, x, y, z):
 
 
 def test_iterate_identity_at_m_zero():
-    once = iterate_pow2(additive_law(), 0)
+    once = iterate_pow2(q_sum(1.0), 0)
     assert once(3.5) == 3.5
 
 
 def test_iterate_sums_exactly():
-    four = iterate_pow2(additive_law(), 2)
+    four = iterate_pow2(q_sum(1.0), 2)
     assert four(1.0, 2.0, 3.0, 4.0) == 10.0
 
 
 def test_iterate_rejects_wrong_arity():
-    four = iterate_pow2(additive_law(), 2)
+    four = iterate_pow2(q_sum(1.0), 2)
     with pytest.raises(ArityMismatch):
         four(1.0, 2.0, 3.0)
     with pytest.raises(ValueError):
-        iterate_pow2(additive_law(), -1)
+        iterate_pow2(q_sum(1.0), -1)
 
 
 def test_iterate_bracketing_matches_left_fold():
@@ -309,13 +302,13 @@ def test_a_decreasing_conjugator_is_refused_by_name():
 
 
 def test_conjugated_additive_law_through_expm1():
-    omega = conjugate(additive_law(), expm1_conjugator())
+    omega = conjugate(q_sum(1.0), expm1_conjugator())
     e_minus_one = math.expm1(1.0)
     assert omega(e_minus_one, e_minus_one) == pytest.approx(
         E_SQUARED_MINUS_ONE, rel=1e-15
     )
     # conjugation preserves all three axioms
-    report = check_group_axioms(omega, domain=(0.0, 1.0), samples=500, tol=1e-9)
+    report = check_group_axioms(omega, samples=500)
     assert report.passed
 
 
@@ -331,12 +324,12 @@ def test_a_small_scale_keeps_the_whole_line():
     # A finite probe of xi at +-inf would read 1e-4 * 1e12 as a finite endpoint.
     omega = conjugate(q_sum(0.5), scale_conjugator(1e-4))
     assert (omega.domain.lo, omega.domain.hi) == (-math.inf, math.inf)
-    report = check_group_axioms(omega, domain=(0.0, 2e8), samples=50)
+    report = check_group_axioms(omega, samples=50)
     assert report.commutativity_ok
 
 
 def test_scale_conjugation_is_similarity():
-    omega = conjugate(additive_law(), scale_conjugator(2.0))
+    omega = conjugate(q_sum(1.0), scale_conjugator(2.0))
     assert omega(2.0, 4.0) == pytest.approx(6.0, abs=1e-15)
 
 

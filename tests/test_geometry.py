@@ -41,7 +41,7 @@ from entrogeo.errors import (
     ShapeMismatch,
     StepTooLarge,
 )
-from entrogeo.geometry import _ROW_BUDGET, CONN_STEP, METRIC_STEP, StatModel
+from entrogeo.geometry import _ROW_BUDGET, CONN_STEP, DUALITY_STEP, METRIC_STEP, StatModel
 from entrogeo.hf_entropy import HFPair
 
 
@@ -160,13 +160,13 @@ def test_divergence_metric_is_a_multiple_of_fisher(pair, functional, scale):
     got = div_metric(functional, model, xi)
     expected = scale * closed_fisher(xi)
     np.testing.assert_allclose(got.entries, expected, rtol=2e-5)
-    closed = closed_geometry(pair, xi, size=2)[0]
+    closed = closed_geometry(pair, xi)[0]
     np.testing.assert_allclose(closed.entries, expected, rtol=1e-12)
 
 
 def test_closed_metric_requires_divergence_shape():
     with pytest.raises(ShapeMismatch):
-        closed_geometry(shannon(), [0.3, 0.25], size=2)
+        closed_geometry(shannon(), [0.3, 0.25])
 
 
 def test_metric_scale_constants():
@@ -191,7 +191,7 @@ def test_closed_form_data_against_stencils_of_h_and_f(pair):
     # the closed metric is c times the Fisher metric at the model's weights
     xi = [0.3, 0.25]
     p = simplex_model(2).point(xi)
-    g = closed_geometry(pair, xi, size=2)[0].entries
+    g = closed_geometry(pair, xi)[0].entries
     np.testing.assert_array_equal(g, pair.c * (np.diag(1.0 / p[1:]) + 1.0 / p[0]))
 
 
@@ -222,7 +222,7 @@ def test_degenerate_curvature_is_rejected():
     with pytest.raises(DegenerateSecondDerivative):
         hf_alpha_of(flat)
     with pytest.raises(DegenerateSecondDerivative):
-        closed_geometry(flat, [0.3, 0.25], size=2)
+        closed_geometry(flat, [0.3, 0.25])
 
 
 def test_kl_connections_match_the_alpha_family():
@@ -294,8 +294,6 @@ def test_stencils_refuse_to_cross_the_boundary():
     assert g.entries[0, 0] > 100.0
 
 
-_ZERO_CONN = ConnCoeffs(np.zeros((2, 2, 2)))
-
 _INSTRUMENTS = {
     "fisher_metric": lambda model, xi, step: fisher_metric(model, xi, step=step),
     "div_metric": lambda model, xi, step: div_metric(kl_functional(), model, xi, step=step),
@@ -303,14 +301,6 @@ _INSTRUMENTS = {
         kl_functional(), model, xi, step=step
     ),
     "alpha_connection": lambda model, xi, step: alpha_connection(model, xi, 0.5, step=step),
-    "duality_residual": lambda model, xi, step: duality_residual(
-        lambda x: div_metric(kl_functional(), model, x),
-        lambda x: _ZERO_CONN,
-        lambda x: _ZERO_CONN,
-        model,
-        xi,
-        step=step,
-    ),
 }
 
 
@@ -534,7 +524,7 @@ def test_engine_tensors_are_frozen_and_exactly_symmetric(w):
         gamma, gamma_star = div_connections(d, model, xi)
         tensors[f"Gamma {name}"], tensors[f"Gamma* {name}"] = gamma, gamma_star
     for name, pair in {"kl": kl_pair(), "power": power_pair(2.0)}.items():
-        for label, tensor in zip(("g", "Gamma", "Gamma*"), closed_geometry(pair, xi, w)):
+        for label, tensor in zip(("g", "Gamma", "Gamma*"), closed_geometry(pair, xi)):
             tensors[f"closed {label} {name}"] = tensor
     parts = [tensors[f"{label} {name}"] for label in ("div_metric", "Gamma", "Gamma*")
              for name in ("kl", "power")]
@@ -706,13 +696,12 @@ def _loop_duality_residual(metric_at, gamma, gamma_star, model, xi, h):
     return float(np.max(np.abs(dg - (gamma + gamma_star.transpose(0, 2, 1)))))
 
 
-@pytest.mark.parametrize("step", [None, 2e-3])
 @pytest.mark.parametrize("w", [1, 2, 5, 8, 12])  # 8 and 12: centres split over calls
-def test_duality_residual_is_bit_identical_to_the_per_point_loop(w, step):
+def test_duality_residual_is_bit_identical_to_the_per_point_loop(w):
     rng = np.random.default_rng(300 + w)
     model = simplex_model(w)
     xi = _interior_stack(rng, w, 1)[0]
-    h = 1e-3 if step is None else step
+    h = DUALITY_STEP  # times max(1, |xi|) = 1 on the simplex
     for name, d in _STACK_DIVERGENCES.items():
         gamma, gamma_star = div_connections(d, model, xi)
         got = duality_residual(
@@ -721,7 +710,6 @@ def test_duality_residual_is_bit_identical_to_the_per_point_loop(w, step):
             lambda x: gamma_star,
             model,
             xi,
-            step=step,
         )
         want = _loop_duality_residual(
             lambda x: div_metric(d, model, x).entries,
@@ -862,7 +850,7 @@ def test_closed_connections_match_the_fd_alpha_connection():
         model = simplex_model(w)
         for pair in pairs:
             a = hf_alpha_of(pair)
-            _, gamma, gamma_star = closed_geometry(pair, p[1:], w)
+            _, gamma, gamma_star = closed_geometry(pair, p[1:])
             scale = _closed_scale(pair, p)
             fd = pair.c * alpha_connection(model, p[1:], -a).entries
             assert np.max(np.abs(gamma.entries - fd)) <= 1e-5 * scale, (pair.name, w)
@@ -874,7 +862,7 @@ def test_closed_connections_match_div_connections():
     for w, p in _closed_cases():
         model = simplex_model(w)
         for name, (pair, functional) in _CLOSED_PAIRS.items():
-            closed = closed_geometry(pair, p[1:], w)[1:]
+            closed = closed_geometry(pair, p[1:])[1:]
             fd = div_connections(functional, model, p[1:])
             for want, got in zip(closed, fd):
                 err = np.max(np.abs(got.entries - want.entries))
@@ -886,10 +874,10 @@ def test_closed_forms_satisfy_the_duality_identity():
     for w, p in _closed_cases():
         model = simplex_model(w)
         for name, (pair, _) in _CLOSED_PAIRS.items():
-            _, gamma, gamma_star = closed_geometry(pair, p[1:], w)
+            _, gamma, gamma_star = closed_geometry(pair, p[1:])
 
             def field(stack):
-                entries = [closed_geometry(pair, y, w)[0].entries for y in stack]
+                entries = [closed_geometry(pair, y)[0].entries for y in stack]
                 return MetricTensor(np.stack(entries))
 
             residual = duality_residual(
@@ -900,7 +888,7 @@ def test_closed_forms_satisfy_the_duality_identity():
 
 def test_closed_connections_of_kl_are_mixture_flat_and_exponential_dual():
     p = np.array([0.45, 0.3, 0.25])
-    _, gamma, gamma_star = closed_geometry(kl_pair(), p[1:], 2)
+    _, gamma, gamma_star = closed_geometry(kl_pair(), p[1:])
     assert np.array_equal(gamma.entries, np.zeros((2, 2, 2)))
     t = np.full((2, 2, 2), -1.0 / 0.45**2)
     t[0, 0, 0] += 1.0 / 0.3**2
@@ -908,8 +896,20 @@ def test_closed_connections_of_kl_are_mixture_flat_and_exponential_dual():
     np.testing.assert_allclose(gamma_star.entries, -t, rtol=1e-14)
 
 
+def test_closed_geometry_takes_its_size_from_one_point():
+    for xi in (0.3, [0.3], [0.3, 0.25], [0.2, 0.2, 0.25]):
+        w = np.size(xi)
+        g, gamma, gamma_star = closed_geometry(kl_pair(), xi)
+        assert g.entries.shape == (w, w)
+        assert gamma.entries.shape == gamma_star.entries.shape == (w, w, w)
+    with pytest.raises(ParamOutOfRange, match=re.escape("simplex(2) takes 2 parameters, got 4")):
+        closed_geometry(kl_pair(), [[0.1, 0.1], [0.1, 0.1]])
+    with pytest.raises(ParamOutOfRange, match="need at least one free parameter"):
+        closed_geometry(kl_pair(), [])
+
+
 def test_closed_connections_require_divergence_shape_and_an_interior_point():
     with pytest.raises(ShapeMismatch):
-        closed_geometry(shannon(), [0.3, 0.25], size=2)
+        closed_geometry(shannon(), [0.3, 0.25])
     with pytest.raises(ParamOutOfRange):
-        closed_geometry(kl_pair(), [0.6, 0.5], size=2)
+        closed_geometry(kl_pair(), [0.6, 0.5])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from entrogeo import (
     builtin_functional,
     composability_residual,
     entropy_functional,
-    eval_entropy,
     hf_sum,
     kaniadakis,
     phi_from_chi,
@@ -55,14 +55,15 @@ LN4 = math.log(4.0)
 
 
 def test_shannon_reference_values():
-    assert eval_entropy(shannon(), uniform(2)) == pytest.approx(LN2, rel=1e-15)
-    assert eval_entropy(shannon(), uniform(4)) == pytest.approx(LN4, rel=1e-15)
-    assert eval_entropy(shannon(), P) == pytest.approx(SHANNON_P, rel=1e-14)
+    assert entropy_functional(shannon()).eval(uniform(2)) == pytest.approx(LN2, rel=1e-15)
+    assert entropy_functional(shannon()).eval(uniform(4)) == pytest.approx(LN4, rel=1e-15)
+    assert entropy_functional(shannon()).eval(P) == pytest.approx(SHANNON_P, rel=1e-14)
 
 
 def test_certainty_has_zero_entropy():
     for pair in (shannon(), renyi(2.0), tsallis(0.5), sharma_mittal(0.5, 0.7), kaniadakis(0.3)):
-        assert eval_entropy(pair, validate([0, 1, 0, 0, 0])) == pytest.approx(0.0, abs=1e-12)
+        value = entropy_functional(pair).eval(validate([0, 1, 0, 0, 0]))
+        assert value == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -72,23 +73,26 @@ def test_certainty_has_zero_entropy():
 )
 def test_zero_outcomes_leave_the_entropy_unchanged(pair):
     # expansibility on literal padded weights, at every position of the zeros
-    base = eval_entropy(pair, P)
+    functional = entropy_functional(pair)
+    base = functional.eval(P)
     for padded in ([0.2, 0.3, 0.5, 0.0], [0.0, 0.2, 0.3, 0.5], [0.2, 0.0, 0.3, 0.0, 0.5]):
-        assert eval_entropy(pair, validate(padded)) == pytest.approx(base, rel=1e-14, abs=0.0)
+        assert functional.eval(validate(padded)) == pytest.approx(base, rel=1e-14, abs=0.0)
 
 
 def test_renyi_reference_values():
-    assert eval_entropy(renyi(2.0), uniform(4)) == pytest.approx(LN4, rel=1e-15)
-    assert eval_entropy(renyi(0.5), P) == pytest.approx(RENYI_05_P, rel=1e-14)
+    assert entropy_functional(renyi(2.0)).eval(uniform(4)) == pytest.approx(LN4, rel=1e-15)
+    assert entropy_functional(renyi(0.5)).eval(P) == pytest.approx(RENYI_05_P, rel=1e-14)
 
 
 def test_tsallis_reference_values():
-    assert eval_entropy(tsallis(2.0), validate([0.5, 0.5])) == pytest.approx(0.5, abs=1e-15)
-    assert eval_entropy(tsallis(1.5), P) == pytest.approx(TSALLIS_15_P, rel=1e-14)
+    half = validate([0.5, 0.5])
+    assert entropy_functional(tsallis(2.0)).eval(half) == pytest.approx(0.5, abs=1e-15)
+    assert entropy_functional(tsallis(1.5)).eval(P) == pytest.approx(TSALLIS_15_P, rel=1e-14)
 
 
 def test_sharma_mittal_reference_value():
-    assert eval_entropy(sharma_mittal(0.5, 0.7), P) == pytest.approx(SM_05_07_P, rel=1e-14)
+    value = entropy_functional(sharma_mittal(0.5, 0.7)).eval(P)
+    assert value == pytest.approx(SM_05_07_P, rel=1e-14)
 
 
 def test_sharma_mittal_collapses_to_tsallis_on_the_diagonal():
@@ -97,16 +101,17 @@ def test_sharma_mittal_collapses_to_tsallis_on_the_diagonal():
         weights = rng.dirichlet(np.ones(w))
         p = validate(weights, tol=1e-9)
         gap = abs(
-            eval_entropy(sharma_mittal(1.7, 1.7), p) - eval_entropy(tsallis(1.7), p)
+            entropy_functional(sharma_mittal(1.7, 1.7)).eval(p)
+            - entropy_functional(tsallis(1.7)).eval(p)
         )
         assert gap <= 1e-13
 
 
 def test_kaniadakis_reference_and_symmetry():
-    assert eval_entropy(kaniadakis(0.3), P) == pytest.approx(KANIADAKIS_03_P, rel=1e-14)
+    assert entropy_functional(kaniadakis(0.3)).eval(P) == pytest.approx(KANIADAKIS_03_P, rel=1e-14)
     # the deformation enters through kappa^2 only
-    assert eval_entropy(kaniadakis(-0.3), P) == pytest.approx(
-        eval_entropy(kaniadakis(0.3), P), rel=1e-15
+    assert entropy_functional(kaniadakis(-0.3)).eval(P) == pytest.approx(
+        entropy_functional(kaniadakis(0.3)).eval(P), rel=1e-15
     )
 
 
@@ -152,7 +157,7 @@ def test_zero_preserving_wraps_nan_at_zero():
 )
 def test_sharma_mittal_builds_near_alpha_one(alpha, beta):
     # r = (1 - beta)/(1 - alpha) reaches 5e7: the probes shrink to where x^r is finite
-    value = eval_entropy(sharma_mittal(alpha, beta), P)
+    value = entropy_functional(sharma_mittal(alpha, beta)).eval(P)
     assert math.isfinite(value) and value > 0.0
     sm_divergence_pair(alpha, beta)
 
@@ -176,6 +181,15 @@ def test_wrong_h_inverse_still_raises():
             h=lambda x: np.asarray(x) - 1.0,
             h_inverse=lambda y: np.asarray(y) + 1.0 + np.asarray(y) ** 3,
         )
+
+
+def test_an_overflowing_probe_fails_its_check_without_a_warning():
+    # r = (1 - 1e300)/(1 - 1e-8): h overflows near f(1) and h_inverse meets log1p(-inf)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InversionFailure, match="deviates by inf near f"):
+            sharma_mittal(1e-8, 1e300)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_fd_derivative_fallback_matches_analytic():
@@ -360,7 +374,7 @@ def test_builtins_are_nonnegative_on_random_distributions(w, seed):
     weights = np.random.default_rng(seed).dirichlet(np.ones(w))
     p = validate(weights, tol=1e-9)
     for pair in (shannon(), renyi(0.5), tsallis(2.0), sharma_mittal(2.0, 3.0), kaniadakis(0.5)):
-        assert eval_entropy(pair, p) >= -1e-12
+        assert entropy_functional(pair).eval(p) >= -1e-12
 
 
 def test_sk_suite_passes_for_builtins():

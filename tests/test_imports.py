@@ -60,7 +60,7 @@ print(json.dumps({
 def test_the_package_loads_its_layers_on_first_use():
     doc = json.loads(_child(_SURFACE_CHECK))
     assert doc["loaded"] == []
-    assert len(doc["names"]) == 68 and doc["names"] == sorted(doc["names"])
+    assert len(doc["names"]) == 66 and doc["names"] == sorted(doc["names"])
     assert doc["homes"] == [
         "entrogeo.composition", "entrogeo.divergence", "entrogeo.errors",
         "entrogeo.formal_group", "entrogeo.geometry", "entrogeo.hf_entropy",

@@ -110,6 +110,31 @@ def test_two_row_infeasible_constraints_raise():
         maximize(builtin_functional("shannon"), size=3, constraints=constraints)
 
 
+@pytest.mark.parametrize("scale", [1e12, 1e14, 1e16, 1e100])
+def test_a_row_of_large_entries_does_not_loosen_the_sum_row(scale):
+    # p = (0.3, 0, 0.7) meets p_0 + scale p_1 - p_2 = -0.4 exactly.  One tolerance scaled by
+    # max|A| let Newton stop at (1/3, 0, 1/3), with the sum row off by 0.4.
+    a_full = np.array([[1.0, 1.0, 1.0], [1.0, scale, -1.0]])
+    b_full = np.array([1.0, -0.4])
+    p = _Feasible(a_full, b_full).project(np.full(3, 1.0 / 3.0))
+    tol = 1e-12 * np.maximum(1.0, np.abs(a_full).max(axis=1))
+    assert np.all(np.abs(a_full @ p - b_full) <= tol)
+    result = maximize(
+        builtin_functional("shannon"), size=3, constraints=ConstraintSet(a_full[1:], b_full[1:])
+    )
+    assert result.converged
+    np.testing.assert_allclose(result.dist.weights, [0.3, 0.0, 0.7], rtol=0.0, atol=1e-15)
+
+
+def test_a_row_of_moderately_large_entries_converges():
+    # One tolerance scaled by max|A| = 1e6 let the sum row miss by up to 1e-6, above the
+    # stationarity tol of 1e-8, and the ascent ran to max_iter unconverged.
+    constraints = ConstraintSet([[1.0, 1e6, -1.0]], [0.5])
+    result = maximize(builtin_functional("shannon"), size=3, constraints=constraints)
+    assert result.converged and result.iterations < 10
+    assert result.constraint_residual <= 1e-9
+
+
 def _dykstra(feasible, x, rounds=100_000):
     """Dykstra's alternating projection between the affine set and the orthant."""
     p_corr = np.zeros_like(x)
