@@ -5,12 +5,14 @@ distributions; the canonical instance is the full open simplex, where
 xi = (p_1, ..., p_W) and p_0 = 1 - sum(xi) is the dependent coordinate.
 Everything here works on finite supports, so expectations are exact sums;
 only the parameter derivatives are numerical (central finite differences).
-Each tensor maps its whole stencil to weights in one `prob_fn` call and
-checks it in one `in_domain` call.  Divergence calls are stacked, up to a
-budget of 1024 stencil rows a call: `div_connections` evaluates the stencil
-against several parked points at once, and `div_metric` takes a stack of
-points (k, n), each bit-identical to its own call, which `duality_residual`
-fills with the five-point centres of several axes at once.  A plan per size,
+Each tensor maps its whole stencil to weights in one `prob_fn` call.  On the
+simplex, whose domain is a floor on the weights, one comparison of those
+weights checks the stencil; any other model checks it in one `in_domain`
+call first.  Divergence calls are stacked, up to a budget of 1024 stencil
+rows a call: `div_connections` evaluates the stencil against several parked
+points at once, and `div_metric` takes a stack of points (k, n), each
+bit-identical to its own call, which `duality_residual` fills with the
+five-point centres of several axes at once.  A plan per size,
 cached on first use, holds the stencil offsets and a gather that puts each
 second difference at (i, j) and (j, i), so an FD Hessian is exactly symmetric.
 Tensors laid out here are symmetric by construction, so they are checked for
@@ -38,7 +40,7 @@ constituents' tensors with weights grad zeta(0) (`combine_geometry`).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -82,13 +84,19 @@ class StatModel:
 
     `prob_fn` and `in_domain` take one parameter point or a stack of them
     along the leading axes (shape (..., n_params)) and return the weights
-    (..., W) or the domain test (...) of each point.
+    (..., W) or the domain test (...) of each point.  `simplex_model` also
+    sets `_floor`, its domain as a weight floor: a point is inside exactly
+    when each of its weights is at least the floor.  Stencils on such a model
+    are checked on their weights, and `in_domain` runs only to name a point
+    that fails.  Models built through this constructor, and copies made by
+    `dataclasses.replace`, have no floor and call `in_domain` every time.
     """
 
     n_params: int
     prob_fn: Callable
     in_domain: Callable
     name: str
+    _floor: float | None = field(default=None, init=False, repr=False)
 
     def point(self, xi) -> np.ndarray:
         """Weights at xi; raises ParamOutOfRange outside the open domain."""
@@ -183,15 +191,16 @@ def simplex_model(size: int) -> StatModel:
     if not SIMPLEX_MARGIN < 1.0 / (size + 1):
         raise ParamOutOfRange(f"margin {SIMPLEX_MARGIN} leaves no interior for W = {size}")
 
-    def in_domain(xi):
-        xi = np.asarray(xi, dtype=float)
-        return (xi >= SIMPLEX_MARGIN).all(axis=-1) & (1.0 - xi.sum(axis=-1) >= SIMPLEX_MARGIN)
-
     def prob_fn(xi):
         xi = np.asarray(xi, dtype=float)
         return np.concatenate((1.0 - xi.sum(axis=-1, keepdims=True), xi), axis=-1)
 
-    return StatModel(n_params=size, prob_fn=prob_fn, in_domain=in_domain, name=f"simplex({size})")
+    def in_domain(xi):
+        return (prob_fn(xi) >= SIMPLEX_MARGIN).all(axis=-1)
+
+    model = StatModel(n_params=size, prob_fn=prob_fn, in_domain=in_domain, name=f"simplex({size})")
+    object.__setattr__(model, "_floor", SIMPLEX_MARGIN)
+    return model
 
 
 def _scaled(step: float | None, default: float, xi: np.ndarray):
@@ -234,21 +243,33 @@ def _stencil(model: StatModel, xi: np.ndarray, h: np.ndarray, mixed: bool = True
     xi is one point (n,) or a stack (k, n) with steps h of shape xi.shape[:-1];
     the result is (rows, support) or (k, rows, support).  Rows: xi; xi + h e_i
     and xi - h e_i for each i; then, if `mixed`, xi +- h e_i +- h e_j for each
-    j < i in the sign order ++, +-, -+, --.  The whole table is checked
-    against the domain in one call and mapped to weights in one call.  The
-    first centre (in stack order) whose stencil leaves the domain raises
-    ParamOutOfRange if it lies outside itself, else StepTooLarge naming the
-    first point that leaves.
+    j < i in the sign order ++, +-, -+, --.  The whole table is mapped to
+    weights in one call.  A model with a weight floor checks those weights
+    against it in one comparison; any other model checks the table in one
+    `in_domain` call first.  The first centre (in stack order) whose stencil
+    leaves the domain raises ParamOutOfRange if it lies outside itself, else
+    StepTooLarge naming the first point that leaves.  A centre with a nan or
+    infinite coordinate at the default step (h not finite, and h times a zero
+    offset nan) raises ParamOutOfRange before the stencil is formed.
     """
     n = xi.shape[-1]
     if n != model.n_params:
         raise ParamOutOfRange(f"{model.name} takes {model.n_params} parameters, got {n}")
+    if not np.inf > (h if xi.ndim == 1 else h.max(initial=0.0)):  # a nan max fails too
+        centre = xi if xi.ndim == 1 else xi[np.argmin(h < np.inf)]
+        model.point(centre)  # ParamOutOfRange when that centre is outside
+        raise ParamOutOfRange(f"parameter {centre.tolist()} leaves no finite step in {model.name}")
     offsets = _plan(n)[0] if mixed else _plan(n)[0][: 2 * n + 1]
     points = xi[..., None, :] + h[..., None, None] * offsets
+    if model._floor is not None:
+        weights = model.prob_fn(points)
+        if (weights >= model._floor).all():
+            return weights
     inside = np.asarray(model.in_domain(points))
     if not inside.all():
         bad = np.unravel_index(np.argmin(inside), inside.shape)
-        model.point(xi[bad[:-1]])  # ParamOutOfRange when that centre is outside
+        if bad[-1] == 0:  # row 0 is the centre itself
+            model.point(xi[bad[:-1]])  # raises ParamOutOfRange
         raise StepTooLarge(
             f"stencil point {points[bad].tolist()} leaves the domain of "
             f"{model.name}; reduce the step or move inward"
@@ -327,22 +348,25 @@ def div_connections(
     Gamma_ij,k differentiates twice in the first slot and once in the second;
     Gamma*_ij,k swaps the roles.  Entries land in arrays indexed [i, j, k].
     Each divergence call evaluates the whole stencil in one slot against as
-    many parked points xi +- h e_k in the other as fit the row budget.
+    many parked points xi +- h e_k in the other as fit the row budget.  The
+    values of both slots form one table, differenced in one pass.
     """
     xi = np.asarray(xi, dtype=float).reshape(-1)
     h = _scaled(step, CONN_STEP, xi)
     n = xi.size
     weights = _stencil(model, xi, h)
     parked, rows = weights[1 : 2 * n + 1, None], len(weights)  # xi + h e_0, xi - h e_0, ...
-    out = []
-    for block in (
-        lambda q: _values(divergence, weights, q, (len(q), rows)),
-        lambda q: _values(divergence, q, weights, (len(q), rows)),
-    ):
-        d2 = _fd_second(_stacked(block, parked, rows).T, n, h)  # [diagonal or pair, parked point]
-        d3 = -(d2[:, 0::2] - d2[:, 1::2]) / (2.0 * h)
-        out.append(_built(ConnCoeffs, d3.take(_plan(n)[1], axis=0)))
-    return out[0], out[1]
+    table = [  # [parked point, stencil row] of each slot
+        _stacked(lambda q: _values(divergence, weights, q, (len(q), rows)), parked, rows),
+        _stacked(lambda q: _values(divergence, q, weights, (len(q), rows)), parked, rows),
+    ]
+    d2 = _fd_second(np.concatenate(table).T, n, h)  # [diagonal or pair, slot * 2n + parked point]
+    d3 = -(d2[:, 0::2] - d2[:, 1::2]) / (2.0 * h)  # [diagonal or pair, slot * n + k]
+    gather = _plan(n)[1]
+    return (
+        _built(ConnCoeffs, d3[:, :n].take(gather, axis=0)),
+        _built(ConnCoeffs, d3[:, n:].take(gather, axis=0)),
+    )
 
 
 def alpha_connection(model: StatModel, xi, alpha: float, step: float | None = None) -> ConnCoeffs:
@@ -419,7 +443,9 @@ def duality_residual(
     xi = np.asarray(xi, dtype=float).reshape(-1)
     h = _scaled(None, DUALITY_STEP, xi)
     n = xi.size
-    if n != model.n_params or not model.in_domain(xi):  # domain check up front
+    if n != model.n_params or not (  # domain check up front, on the weights given a floor
+        model.in_domain(xi) if model._floor is None else (model.prob_fn(xi) >= model._floor).all()
+    ):
         model.point(xi)  # raises ParamOutOfRange
     centres = xi + h * _plan(n)[2]
 

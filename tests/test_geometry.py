@@ -41,7 +41,15 @@ from entrogeo.errors import (
     ShapeMismatch,
     StepTooLarge,
 )
-from entrogeo.geometry import _ROW_BUDGET, CONN_STEP, DUALITY_STEP, METRIC_STEP, StatModel
+from entrogeo import geometry
+from entrogeo.geometry import (
+    _ROW_BUDGET,
+    CONN_STEP,
+    DUALITY_STEP,
+    METRIC_STEP,
+    SIMPLEX_MARGIN,
+    StatModel,
+)
 from entrogeo.hf_entropy import HFPair
 
 
@@ -338,6 +346,54 @@ def test_a_step_that_leaves_a_coordinate_in_place_is_an_invalid_argument(name, x
         warnings.simplefilter("error")
         with pytest.raises(InvalidArgument, match=re.escape(message)):
             _INSTRUMENTS[name](simplex_model(2), np.array(xi), step)
+
+
+def _residual(model, xi):
+    """duality_residual of kl's metric field against zero connections."""
+    zero = ConnCoeffs(np.zeros((model.n_params,) * 3))
+    return duality_residual(
+        lambda x: div_metric(kl_functional(), model, x), lambda x: zero, lambda x: zero, model, xi
+    )
+
+
+#: Every instrument at a point, with its step where it takes one.
+_STENCIL_INSTRUMENTS = {
+    **_INSTRUMENTS,
+    "div_metric of a stack": lambda model, xi, step: div_metric(
+        kl_functional(), model, np.stack([[0.3, 0.25], xi]), step=step
+    ),
+    "duality_residual": lambda model, xi, step: _residual(model, xi),
+}
+
+
+@pytest.mark.parametrize("coordinate", [np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(_STENCIL_INSTRUMENTS))
+def test_an_infinite_coordinate_at_the_default_step_is_out_of_range(name, coordinate):
+    # the default step there is inf, and inf times a zero offset is nan: refused before the stencil
+    xi = np.array([coordinate, 0.3])
+    message = f"parameter {xi.tolist()} outside the domain of simplex(2)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamOutOfRange, match=re.escape(message)):
+            _STENCIL_INSTRUMENTS[name](simplex_model(2), xi, None)
+
+
+def test_a_stack_names_its_first_centre_without_a_finite_step():
+    stack = np.array([[0.3, 0.25], [0.3, np.inf], [np.nan, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamOutOfRange, match=re.escape("parameter [0.3, inf] outside")):
+            div_metric(kl_functional(), simplex_model(2), stack)
+        # a model that admits every point still forms no stencil around inf
+        everywhere = StatModel(
+            n_params=1,
+            prob_fn=lambda xi: np.full(np.shape(xi)[:-1] + (2,), 0.5),
+            in_domain=lambda xi: np.ones(np.shape(xi)[:-1], dtype=bool),
+            name="everywhere",
+        )
+        message = "parameter [inf] leaves no finite step in everywhere"
+        with pytest.raises(ParamOutOfRange, match=re.escape(message)):
+            fisher_metric(everywhere, [np.inf])
 
 
 @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
@@ -913,3 +969,144 @@ def test_closed_connections_require_divergence_shape_and_an_interior_point():
         closed_geometry(shannon(), [0.3, 0.25])
     with pytest.raises(ParamOutOfRange):
         closed_geometry(kl_pair(), [0.6, 0.5])
+
+
+# --- the weight-floor path against the in_domain path -----------------------------------
+
+
+_SWEEP_DIVERGENCES = {name: _ENGINE_DIVERGENCES[name] for name in ("kl", "sm", "power", "composed")}
+
+
+def _without_floor(model):
+    """The same model on the in_domain path: dataclasses.replace resets init=False fields."""
+    copy = dataclasses.replace(model)
+    assert model._floor == SIMPLEX_MARGIN and copy._floor is None
+    return copy
+
+
+def _every_output(model, xi, stack):
+    out = {"fisher_metric": fisher_metric(model, xi).entries}
+    for alpha in (-1.0, 0.0, 3.0):
+        out[f"alpha_connection {alpha}"] = alpha_connection(model, xi, alpha).entries
+    for name, d in _SWEEP_DIVERGENCES.items():
+        out[f"div_metric {name}"] = div_metric(d, model, xi).entries
+        out[f"div_metric of a stack {name}"] = div_metric(d, model, stack).entries
+        gamma, gamma_star = div_connections(d, model, xi)
+        out[f"Gamma {name}"], out[f"Gamma* {name}"] = gamma.entries, gamma_star.entries
+        out[f"duality_residual {name}"] = duality_residual(
+            lambda x: div_metric(d, model, x),
+            lambda x: gamma,
+            lambda x: gamma_star,
+            model,
+            xi,
+        )
+    return out
+
+
+@pytest.mark.parametrize("w", [1, 2, 5, 12])
+def test_the_weight_floor_path_is_bit_identical_to_the_domain_path(w):
+    rng = np.random.default_rng(500 + w)
+    stack = _interior_stack(rng, w, 3)
+    model = simplex_model(w)
+    got = _every_output(model, stack[0], stack)
+    want = _every_output(_without_floor(model), stack[0], stack)
+    assert got.keys() == want.keys()
+    for name in got:
+        assert np.asarray(got[name]).tobytes() == np.asarray(want[name]).tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "xi, step, error, residual_error",  # residual_error: duality_residual's, at its own step
+    [
+        ([0.6, 0.5], None, ParamOutOfRange, ParamOutOfRange),  # the centre is outside
+        ([np.nan, 0.3], None, ParamOutOfRange, ParamOutOfRange),  # a nan default step
+        ([np.nan, 0.3], 1e-4, ParamOutOfRange, ParamOutOfRange),  # a finite step, a nan stencil
+        ([0.0015, 0.3], 1e-3, StepTooLarge, ParamOutOfRange),  # leaves through xi_0
+        ([0.3, 0.69], 0.01, StepTooLarge, None),  # leaves through p_0
+        ([0.00305, 0.4], None, None, StepTooLarge),  # a residual centre's stencil leaves
+    ],
+)
+@pytest.mark.parametrize("name", sorted(_STENCIL_INSTRUMENTS))
+def test_the_weight_floor_path_raises_like_the_domain_path(name, xi, step, error, residual_error):
+    xi = np.array(xi)
+    model = simplex_model(2)
+    raised = []
+    for side in (model, _without_floor(model)):
+        try:
+            _STENCIL_INSTRUMENTS[name](side, xi, step)
+        except (ParamOutOfRange, StepTooLarge) as exc:
+            raised.append((type(exc), str(exc)))
+        else:
+            raised.append((None, ""))
+    assert raised[0] == raised[1]
+    assert raised[0][0] is (residual_error if name == "duality_residual" else error)
+
+
+def _counting_with_floor(model):
+    """_counting, with the floor that dataclasses.replace drops put back."""
+    counted, calls = _counting(model)
+    object.__setattr__(counted, "_floor", model._floor)
+    return counted, calls
+
+
+@pytest.mark.parametrize("w", [1, 2, 6, 12])
+def test_a_floor_stencil_makes_one_weight_call_and_no_domain_call(w):
+    model, calls = _counting_with_floor(simplex_model(w))
+    xi = np.full(w, 1.0 / (w + 1))
+    edge = xi.copy()
+    edge[0] = SIMPLEX_MARGIN + 0.5 * METRIC_STEP  # every default stencil around it leaves
+    kl = kl_functional()
+    runs = {
+        "fisher_metric": lambda x: fisher_metric(model, x),
+        "div_metric": lambda x: div_metric(kl, model, x),
+        "div_metric of a stack": lambda x: div_metric(kl, model, np.stack([xi, 0.9 * xi, x])),
+        "div_connections": lambda x: div_connections(kl, model, x),
+        "alpha_connection": lambda x: alpha_connection(model, x, 0.5),
+    }
+    for name, run in runs.items():
+        calls.update(in_domain=0, prob_fn=0)
+        run(xi)
+        assert calls == {"in_domain": 0, "prob_fn": 1}, name
+        # a stencil that leaves the domain takes one in_domain call to name its point
+        calls.update(in_domain=0, prob_fn=0)
+        with pytest.raises(StepTooLarge):
+            run(edge)
+        assert calls == {"in_domain": 1, "prob_fn": 1}, name
+    gamma = ConnCoeffs(np.zeros((w, w, w)))
+    stacks = []
+    calls.update(in_domain=0, prob_fn=0)
+    duality_residual(
+        lambda x: stacks.append(x) or div_metric(kl, model, x),
+        lambda x: gamma,
+        lambda x: gamma,
+        model,
+        xi,
+    )
+    assert calls == {"in_domain": 0, "prob_fn": 1 + len(stacks)}
+
+
+@pytest.mark.parametrize("w", [1, 2, 6, 12])
+def test_div_connections_differences_both_slots_in_one_pass(w, monkeypatch):
+    shapes = []
+    second = geometry._fd_second
+    monkeypatch.setattr(
+        geometry, "_fd_second", lambda table, n, h: shapes.append(table.shape) or second(table, n, h)
+    )
+    div_connections(kl_functional(), simplex_model(w), np.full(w, 1.0 / (w + 1)))
+    assert shapes == [(2 * w * w + 1, 4 * w)]  # [stencil row, parked point of either slot]
+
+
+@pytest.mark.parametrize("per_call", [1, 5])
+@pytest.mark.parametrize("w", [8, 12])
+def test_connections_over_a_small_row_budget_stay_bit_identical(w, per_call, monkeypatch):
+    kl = kl_functional()
+    calls = []
+    d = dataclasses.replace(kl, fn=lambda p, q: calls.append(None) or kl.fn(p, q))
+    model = simplex_model(w)
+    xi = _interior_stack(np.random.default_rng(600 + w), w, 1)[0]
+    want = _loop_div_connections(kl, model, xi, CONN_STEP)
+    monkeypatch.setattr(geometry, "_ROW_BUDGET", per_call * (2 * w * w + 1))
+    gamma, gamma_star = div_connections(d, model, xi)
+    assert len(calls) == 2 * -(-2 * w // per_call)  # the parked points of each slot, split
+    assert gamma.entries.tobytes() == want[0].tobytes()
+    assert gamma_star.entries.tobytes() == want[1].tobytes()
