@@ -443,9 +443,7 @@ def duality_residual(
     xi = np.asarray(xi, dtype=float).reshape(-1)
     h = _scaled(None, DUALITY_STEP, xi)
     n = xi.size
-    if n != model.n_params or not (  # domain check up front, on the weights given a floor
-        model.in_domain(xi) if model._floor is None else (model.prob_fn(xi) >= model._floor).all()
-    ):
+    if n != model.n_params or not model.in_domain(xi):  # domain check up front
         model.point(xi)  # raises ParamOutOfRange
     centres = xi + h * _plan(n)[2]
 
