@@ -5,14 +5,12 @@ distributions; the canonical instance is the full open simplex, where
 xi = (p_1, ..., p_W) and p_0 = 1 - sum(xi) is the dependent coordinate.
 Everything here works on finite supports, so expectations are exact sums;
 only the parameter derivatives are numerical (central finite differences).
-Each tensor maps its whole stencil to weights in one `prob_fn` call.  On the
-simplex, whose domain is a floor on the weights, one comparison of those
-weights checks the stencil; any other model checks it in one `in_domain`
-call first.  Divergence calls are stacked, up to a budget of 1024 stencil
-rows a call: `div_connections` evaluates the stencil against several parked
-points at once, and `div_metric` takes a stack of points (k, n), each
-bit-identical to its own call, which `duality_residual` fills with the
-five-point centres of several axes at once.  A plan per size,
+Each tensor maps its whole stencil to weights in one `prob_fn` call, and one
+`in_domain` call judges those weights.  Divergence calls are stacked, up to a
+budget of 1024 stencil rows a call: `div_connections` evaluates the stencil
+against several parked points at once, and `div_metric` takes a stack of
+points (k, n), each bit-identical to its own call, which `duality_residual`
+fills with the five-point centres of several axes at once.  A plan per size,
 cached on first use, holds the stencil offsets and a gather that puts each
 second difference at (i, j) and (j, i), so an FD Hessian is exactly symmetric.
 Tensors laid out here are symmetric by construction, so they are checked for
@@ -40,7 +38,7 @@ constituents' tensors with weights grad zeta(0) (`combine_geometry`).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -82,30 +80,29 @@ _ROW_BUDGET = 1024
 class StatModel:
     """A parametric family of strictly positive finite distributions.
 
-    `prob_fn` and `in_domain` take one parameter point or a stack of them
-    along the leading axes (shape (..., n_params)) and return the weights
-    (..., W) or the domain test (...) of each point.  `simplex_model` also
-    sets `_floor`, its domain as a weight floor: a point is inside exactly
-    when each of its weights is at least the floor.  Stencils on such a model
-    are checked on their weights, and `in_domain` runs only to name a point
-    that fails.  Models built through this constructor, and copies made by
-    `dataclasses.replace`, have no floor and call `in_domain` every time.
+    `prob_fn` takes one parameter point or a stack of them along the leading
+    axes (shape (..., n_params)) and returns the weights (..., W) of each.
+    `in_domain` takes such weights and returns one truth value for the whole
+    array: True when every row is a distribution of the model.  `prob_fn`
+    runs on every stencil point before `in_domain` judges the weights, so for
+    a point just outside the domain it must return weights (nan allowed) and
+    not raise.
     """
 
     n_params: int
     prob_fn: Callable
     in_domain: Callable
     name: str
-    _floor: float | None = field(default=None, init=False, repr=False)
 
     def point(self, xi) -> np.ndarray:
         """Weights at xi; raises ParamOutOfRange outside the open domain."""
         xi = np.asarray(xi, dtype=float).reshape(-1)
         if xi.size != self.n_params:
             raise ParamOutOfRange(f"{self.name} takes {self.n_params} parameters, got {xi.size}")
-        if not self.in_domain(xi):
+        weights = np.asarray(self.prob_fn(xi), dtype=float)
+        if not self.in_domain(weights):
             raise ParamOutOfRange(f"parameter {xi.tolist()} outside the domain of {self.name}")
-        return np.asarray(self.prob_fn(xi), dtype=float)
+        return weights
 
 
 @dataclass(frozen=True)
@@ -195,12 +192,10 @@ def simplex_model(size: int) -> StatModel:
         xi = np.asarray(xi, dtype=float)
         return np.concatenate((1.0 - xi.sum(axis=-1, keepdims=True), xi), axis=-1)
 
-    def in_domain(xi):
-        return (prob_fn(xi) >= SIMPLEX_MARGIN).all(axis=-1)
+    def in_domain(weights):
+        return (weights >= SIMPLEX_MARGIN).all()
 
-    model = StatModel(n_params=size, prob_fn=prob_fn, in_domain=in_domain, name=f"simplex({size})")
-    object.__setattr__(model, "_floor", SIMPLEX_MARGIN)
-    return model
+    return StatModel(n_params=size, prob_fn=prob_fn, in_domain=in_domain, name=f"simplex({size})")
 
 
 def _scaled(step: float | None, default: float, xi: np.ndarray):
@@ -244,13 +239,13 @@ def _stencil(model: StatModel, xi: np.ndarray, h: np.ndarray, mixed: bool = True
     the result is (rows, support) or (k, rows, support).  Rows: xi; xi + h e_i
     and xi - h e_i for each i; then, if `mixed`, xi +- h e_i +- h e_j for each
     j < i in the sign order ++, +-, -+, --.  The whole table is mapped to
-    weights in one call.  A model with a weight floor checks those weights
-    against it in one comparison; any other model checks the table in one
-    `in_domain` call first.  The first centre (in stack order) whose stencil
-    leaves the domain raises ParamOutOfRange if it lies outside itself, else
-    StepTooLarge naming the first point that leaves.  A centre with a nan or
-    infinite coordinate at the default step (h not finite, and h times a zero
-    offset nan) raises ParamOutOfRange before the stencil is formed.
+    weights in one `prob_fn` call and judged in one `in_domain` call; only
+    when that fails are the rows judged one by one.  The first centre (in
+    stack order) whose stencil leaves the domain raises ParamOutOfRange if it
+    lies outside itself, else StepTooLarge naming the first point that
+    leaves.  A centre with a nan or infinite coordinate at the default step
+    (h not finite, and h times a zero offset nan) raises ParamOutOfRange
+    before the stencil is formed.
     """
     n = xi.shape[-1]
     if n != model.n_params:
@@ -261,20 +256,18 @@ def _stencil(model: StatModel, xi: np.ndarray, h: np.ndarray, mixed: bool = True
         raise ParamOutOfRange(f"parameter {centre.tolist()} leaves no finite step in {model.name}")
     offsets = _plan(n)[0] if mixed else _plan(n)[0][: 2 * n + 1]
     points = xi[..., None, :] + h[..., None, None] * offsets
-    if model._floor is not None:
-        weights = model.prob_fn(points)
-        if (weights >= model._floor).all():
-            return weights
-    inside = np.asarray(model.in_domain(points))
-    if not inside.all():
-        bad = np.unravel_index(np.argmin(inside), inside.shape)
-        if bad[-1] == 0:  # row 0 is the centre itself
-            model.point(xi[bad[:-1]])  # raises ParamOutOfRange
-        raise StepTooLarge(
-            f"stencil point {points[bad].tolist()} leaves the domain of "
-            f"{model.name}; reduce the step or move inward"
-        )
-    return np.asarray(model.prob_fn(points), dtype=float)
+    weights = np.asarray(model.prob_fn(points), dtype=float)
+    if model.in_domain(weights):
+        return weights
+    for bad in np.ndindex(weights.shape[:-1]):
+        if not model.in_domain(weights[bad]):
+            break
+    if bad[-1] == 0:  # row 0 is the centre itself
+        model.point(xi[bad[:-1]])  # raises ParamOutOfRange
+    raise StepTooLarge(
+        f"stencil point {points[bad].tolist()} leaves the domain of "
+        f"{model.name}; reduce the step or move inward"
+    )
 
 
 def _stacked(fn: Callable, items: np.ndarray, rows: int) -> np.ndarray:
@@ -443,8 +436,7 @@ def duality_residual(
     xi = np.asarray(xi, dtype=float).reshape(-1)
     h = _scaled(None, DUALITY_STEP, xi)
     n = xi.size
-    if n != model.n_params or not model.in_domain(xi):  # domain check up front
-        model.point(xi)  # raises ParamOutOfRange
+    model.point(xi)  # domain check up front
     centres = xi + h * _plan(n)[2]
 
     def field(stack):

@@ -1,12 +1,16 @@
 """Finite-difference information geometry against closed forms."""
 
+import copy
 import dataclasses
 import re
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entrogeo
 from entrogeo import (
     ConnCoeffs,
     DivergenceFunctional,
@@ -52,6 +56,9 @@ from entrogeo.geometry import (
 )
 from entrogeo.hf_entropy import HFPair
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import tracing  # noqa: E402
+
 
 def closed_fisher(point):
     """1/p as a diagonal in the free coordinates plus the 1/p_0 rank-one block."""
@@ -85,12 +92,14 @@ def test_simplex_model_maps_stacks_of_points():
     model = simplex_model(3)
     stack = np.array([[[0.2, 0.3, 0.1], [0.5, 0.6, 0.1]], [[0.0005, 0.2, 0.2], [0.1, 0.1, 0.1]]])
     weights = model.prob_fn(stack)
-    inside = model.in_domain(stack)
-    assert weights.shape == (2, 2, 4) and inside.shape == (2, 2)
-    np.testing.assert_array_equal(inside, [[True, False], [False, True]])
-    for idx in np.ndindex(2, 2):
+    assert weights.shape == (2, 2, 4)
+    # in_domain judges weights, one truth value per array: False when any row is under the margin
+    assert np.shape(model.in_domain(weights)) == ()
+    assert not model.in_domain(weights)
+    assert model.in_domain(weights[[0, 1], [0, 1]])  # the two rows inside
+    for idx, inside in zip(np.ndindex(2, 2), (True, False, False, True)):
         np.testing.assert_array_equal(weights[idx], model.prob_fn(stack[idx]))
-        assert inside[idx] == model.in_domain(stack[idx])
+        assert model.in_domain(weights[idx]) == inside
 
 
 def test_fisher_metric_against_the_closed_form():
@@ -388,7 +397,7 @@ def test_a_stack_names_its_first_centre_without_a_finite_step():
         everywhere = StatModel(
             n_params=1,
             prob_fn=lambda xi: np.full(np.shape(xi)[:-1] + (2,), 0.5),
-            in_domain=lambda xi: np.ones(np.shape(xi)[:-1], dtype=bool),
+            in_domain=lambda weights: True,
             name="everywhere",
         )
         message = "parameter [inf] leaves no finite step in everywhere"
@@ -413,50 +422,69 @@ def test_an_overflowing_alpha_raises_domain_error_without_a_warning():
 
 
 def _counting(model):
-    """model with counted in_domain and prob_fn calls, and the counts."""
+    """model with counted in_domain and prob_fn calls, and the counts.  copy.copy keeps every
+    attribute of the model, where dataclasses.replace rebuilds it from its init fields."""
     calls = {"in_domain": 0, "prob_fn": 0}
 
     def counted(name, fn):
-        def call(xi):
+        def call(x):
             calls[name] += 1
-            return fn(xi)
+            return fn(x)
         return call
 
-    counted_model = dataclasses.replace(
-        model,
-        in_domain=counted("in_domain", model.in_domain),
-        prob_fn=counted("prob_fn", model.prob_fn),
-    )
+    counted_model = copy.copy(model)
+    for name in calls:
+        object.__setattr__(counted_model, name, counted(name, getattr(model, name)))
     return counted_model, calls
 
 
-@pytest.mark.parametrize("w", [1, 2, 6, 12])
-def test_each_stencil_makes_one_domain_call_and_one_weight_call(w):
-    model, calls = _counting(simplex_model(w))
-    xi = np.full(w, 1.0 / (w + 1))
+def _stencil_runs(model, xi):
+    """Each stencil instrument on model as a function of its point x; the stack ends with x."""
     kl = kl_functional()
-    for name, run in {
-        "fisher_metric": lambda: fisher_metric(model, xi),
-        "div_metric": lambda: div_metric(kl, model, xi),
-        "div_metric of a stack": lambda: div_metric(kl, model, np.stack([xi, 0.9 * xi, xi])),
-        "div_connections": lambda: div_connections(kl, model, xi),
-        "alpha_connection": lambda: alpha_connection(model, xi, 0.5),
-    }.items():
+    return {
+        "fisher_metric": lambda x: fisher_metric(model, x),
+        "div_metric": lambda x: div_metric(kl, model, x),
+        "div_metric of a stack": lambda x: div_metric(kl, model, np.stack([xi, 0.9 * xi, x])),
+        "div_connections": lambda x: div_connections(kl, model, x),
+        "alpha_connection": lambda x: alpha_connection(model, x, 0.5),
+    }
+
+
+def _edge(xi):
+    """xi moved to just inside the margin: every default stencil around it leaves at row 2."""
+    edge = xi.copy()
+    edge[0] = SIMPLEX_MARGIN + 0.5 * METRIC_STEP
+    return edge
+
+
+@pytest.mark.parametrize("copied", [False, True])
+@pytest.mark.parametrize("w", [1, 2, 6, 12])
+def test_each_stencil_makes_one_weight_call_and_one_domain_call(w, copied):
+    # a dataclasses.replace copy takes the same path as the model itself
+    model, calls = _counting(dataclasses.replace(simplex_model(w)) if copied else simplex_model(w))
+    xi = np.full(w, 1.0 / (w + 1))
+    for name, run in _stencil_runs(model, xi).items():
         calls.update(in_domain=0, prob_fn=0)
-        run()
+        run(xi)
         assert calls == {"in_domain": 1, "prob_fn": 1}, name
-    # duality_residual tests its point's domain once, then each metric_field call is one stencil
+        # a stencil that leaves adds in_domain calls only to walk the rows up to the point it names
+        calls.update(in_domain=0, prob_fn=0)
+        with pytest.raises(StepTooLarge):
+            run(_edge(xi))
+        walked = 3 + (2 * (2 * w * w + 1) if name == "div_metric of a stack" else 0)
+        assert calls == {"in_domain": 1 + walked, "prob_fn": 1}, name
+    # duality_residual maps its own point once, then each metric_field call is one stencil
     gamma = ConnCoeffs(np.zeros((w, w, w)))
     stacks = []
     calls.update(in_domain=0, prob_fn=0)
     duality_residual(
-        lambda x: stacks.append(x) or div_metric(kl, model, x),
+        lambda x: stacks.append(x) or div_metric(kl_functional(), model, x),
         lambda x: gamma,
         lambda x: gamma,
         model,
         xi,
     )
-    assert calls == {"in_domain": 1 + len(stacks), "prob_fn": len(stacks)}
+    assert calls == {"in_domain": 1 + len(stacks), "prob_fn": 1 + len(stacks)}
 
 
 @pytest.mark.parametrize("w", [1, 2, 6, 12])
@@ -722,7 +750,7 @@ def _stretched_simplex(w, scale):
     return StatModel(
         n_params=w,
         prob_fn=lambda xi: base.prob_fn(np.asarray(xi) / scale),
-        in_domain=lambda xi: base.in_domain(np.asarray(xi) / scale),
+        in_domain=base.in_domain,
         name=f"stretched({w})",
     )
 
@@ -971,118 +999,90 @@ def test_closed_connections_require_divergence_shape_and_an_interior_point():
         closed_geometry(kl_pair(), [0.6, 0.5])
 
 
-# --- the weight-floor path against the in_domain path -----------------------------------
+# --- one domain path: errors, other floors, traced models --------------------------------
 
 
-_SWEEP_DIVERGENCES = {name: _ENGINE_DIVERGENCES[name] for name in ("kl", "sm", "power", "composed")}
+def _outside(xi, model="simplex(2)"):
+    return ParamOutOfRange, f"parameter {xi} outside the domain of {model}"
 
 
-def _without_floor(model):
-    """The same model on the in_domain path: dataclasses.replace resets init=False fields."""
-    copy = dataclasses.replace(model)
-    assert model._floor == SIMPLEX_MARGIN and copy._floor is None
-    return copy
-
-
-def _every_output(model, xi, stack):
-    out = {"fisher_metric": fisher_metric(model, xi).entries}
-    for alpha in (-1.0, 0.0, 3.0):
-        out[f"alpha_connection {alpha}"] = alpha_connection(model, xi, alpha).entries
-    for name, d in _SWEEP_DIVERGENCES.items():
-        out[f"div_metric {name}"] = div_metric(d, model, xi).entries
-        out[f"div_metric of a stack {name}"] = div_metric(d, model, stack).entries
-        gamma, gamma_star = div_connections(d, model, xi)
-        out[f"Gamma {name}"], out[f"Gamma* {name}"] = gamma.entries, gamma_star.entries
-        out[f"duality_residual {name}"] = duality_residual(
-            lambda x: div_metric(d, model, x),
-            lambda x: gamma,
-            lambda x: gamma_star,
-            model,
-            xi,
-        )
-    return out
-
-
-@pytest.mark.parametrize("w", [1, 2, 5, 12])
-def test_the_weight_floor_path_is_bit_identical_to_the_domain_path(w):
-    rng = np.random.default_rng(500 + w)
-    stack = _interior_stack(rng, w, 3)
-    model = simplex_model(w)
-    got = _every_output(model, stack[0], stack)
-    want = _every_output(_without_floor(model), stack[0], stack)
-    assert got.keys() == want.keys()
-    for name in got:
-        assert np.asarray(got[name]).tobytes() == np.asarray(want[name]).tobytes(), name
+def _leaves(point, model="simplex(2)"):
+    message = f"stencil point {point} leaves the domain of {model}; reduce the step or move inward"
+    return StepTooLarge, message
 
 
 @pytest.mark.parametrize(
     "xi, step, error, residual_error",  # residual_error: duality_residual's, at its own step
     [
-        ([0.6, 0.5], None, ParamOutOfRange, ParamOutOfRange),  # the centre is outside
-        ([np.nan, 0.3], None, ParamOutOfRange, ParamOutOfRange),  # a nan default step
-        ([np.nan, 0.3], 1e-4, ParamOutOfRange, ParamOutOfRange),  # a finite step, a nan stencil
-        ([0.0015, 0.3], 1e-3, StepTooLarge, ParamOutOfRange),  # leaves through xi_0
-        ([0.3, 0.69], 0.01, StepTooLarge, None),  # leaves through p_0
-        ([0.00305, 0.4], None, None, StepTooLarge),  # a residual centre's stencil leaves
+        ([0.6, 0.5], None, _outside([0.6, 0.5]), _outside([0.6, 0.5])),  # the centre is outside
+        ([np.nan, 0.3], None, _outside([np.nan, 0.3]), _outside([np.nan, 0.3])),  # nan step
+        ([np.nan, 0.3], 1e-4, _outside([np.nan, 0.3]), _outside([np.nan, 0.3])),  # nan stencil
+        ([0.0015, 0.3], 1e-3, _leaves([0.0005, 0.3]), _outside([-0.0005, 0.3])),  # through xi_0
+        ([0.3, 0.69], 0.01, _leaves([0.31, 0.69]), None),  # leaves through p_0
+        ([0.00305, 0.4], None, None, _leaves([0.0009500000000000001, 0.4])),  # a residual centre's
     ],
 )
 @pytest.mark.parametrize("name", sorted(_STENCIL_INSTRUMENTS))
-def test_the_weight_floor_path_raises_like_the_domain_path(name, xi, step, error, residual_error):
-    xi = np.array(xi)
-    model = simplex_model(2)
-    raised = []
-    for side in (model, _without_floor(model)):
-        try:
-            _STENCIL_INSTRUMENTS[name](side, xi, step)
-        except (ParamOutOfRange, StepTooLarge) as exc:
-            raised.append((type(exc), str(exc)))
-        else:
-            raised.append((None, ""))
-    assert raised[0] == raised[1]
-    assert raised[0][0] is (residual_error if name == "duality_residual" else error)
+def test_each_instrument_names_the_centre_or_the_point_that_leaves(
+    name, xi, step, error, residual_error
+):
+    want = residual_error if name == "duality_residual" else error
+    try:
+        _STENCIL_INSTRUMENTS[name](simplex_model(2), np.array(xi), step)
+    except (ParamOutOfRange, StepTooLarge) as exc:
+        assert (type(exc), str(exc)) == want
+    else:
+        assert want is None
 
 
-def _counting_with_floor(model):
-    """_counting, with the floor that dataclasses.replace drops put back."""
-    counted, calls = _counting(model)
-    object.__setattr__(counted, "_floor", model._floor)
-    return counted, calls
+def test_a_model_with_its_own_floor_names_the_point_that_leaves():
+    base = simplex_model(1)
+    floored = StatModel(
+        n_params=1,
+        prob_fn=base.prob_fn,
+        in_domain=lambda weights: (weights >= 0.1).all(),
+        name="floored(1)",
+    )
+    kl = kl_functional()
+    xi = np.array([0.105])
+    div_metric(kl, floored, xi, step=0.001)  # 0.104 is inside
+    with pytest.raises(StepTooLarge) as leaves:
+        div_metric(kl, floored, xi, step=0.01)  # inside the simplex margin, outside this floor
+    assert (leaves.type, str(leaves.value)) == _leaves((xi - 0.01).tolist(), "floored(1)")
+    with pytest.raises(ParamOutOfRange) as outside:
+        fisher_metric(floored, [0.05])
+    assert (outside.type, str(outside.value)) == _outside([0.05], "floored(1)")
+
+
+def _result(run, x):
+    """The bytes of run(x), tensors or a pair of them or a float, or its error and message."""
+    try:
+        out = run(x)
+    except (ParamOutOfRange, StepTooLarge) as exc:
+        return type(exc), str(exc)
+    parts = out if isinstance(out, tuple) else (out,)
+    return b"".join(np.asarray(getattr(part, "entries", part)).tobytes() for part in parts)
 
 
 @pytest.mark.parametrize("w", [1, 2, 6, 12])
-def test_a_floor_stencil_makes_one_weight_call_and_no_domain_call(w):
-    model, calls = _counting_with_floor(simplex_model(w))
+def test_a_traced_model_makes_the_calls_and_bytes_of_the_original(w):
+    tracer = tracing.Tracer()
+    traced = tracing.instrument(simplex_model(w), tracer, entrogeo)
+    model, calls = _counting(simplex_model(w))
     xi = np.full(w, 1.0 / (w + 1))
-    edge = xi.copy()
-    edge[0] = SIMPLEX_MARGIN + 0.5 * METRIC_STEP  # every default stencil around it leaves
-    kl = kl_functional()
-    runs = {
-        "fisher_metric": lambda x: fisher_metric(model, x),
-        "div_metric": lambda x: div_metric(kl, model, x),
-        "div_metric of a stack": lambda x: div_metric(kl, model, np.stack([xi, 0.9 * xi, x])),
-        "div_connections": lambda x: div_connections(kl, model, x),
-        "alpha_connection": lambda x: alpha_connection(model, x, 0.5),
-    }
-    for name, run in runs.items():
-        calls.update(in_domain=0, prob_fn=0)
-        run(xi)
-        assert calls == {"in_domain": 0, "prob_fn": 1}, name
-        # a stencil that leaves the domain takes one in_domain call to name its point
-        calls.update(in_domain=0, prob_fn=0)
-        with pytest.raises(StepTooLarge):
-            run(edge)
-        assert calls == {"in_domain": 1, "prob_fn": 1}, name
-    gamma = ConnCoeffs(np.zeros((w, w, w)))
-    stacks = []
-    calls.update(in_domain=0, prob_fn=0)
-    duality_residual(
-        lambda x: stacks.append(x) or div_metric(kl, model, x),
-        lambda x: gamma,
-        lambda x: gamma,
-        model,
-        xi,
-    )
-    assert calls == {"in_domain": 1, "prob_fn": len(stacks)}  # its own point: one in_domain call
+    original, copied = _stencil_runs(model, xi), _stencil_runs(traced, xi)
+    original["duality_residual"] = lambda x: _residual(model, x)
+    copied["duality_residual"] = lambda x: _residual(traced, x)
+    for name in original:
+        for x in (xi, _edge(xi)):
+            calls.update(in_domain=0, prob_fn=0)
+            want = _result(original[name], x)
+            with tracer.span("op"):
+                got = _result(copied[name], x)
+            op = tracer.ops()[-1:]
+            leaves = {leaf: tracer.leaf_totals(f"geometry.{leaf}", op)[0] for leaf in calls}
+            assert leaves == calls, name
+            assert got == want, name
 
 
 @pytest.mark.parametrize("w", [1, 2, 6, 12])
