@@ -8,7 +8,8 @@ constraints, and a CLI (`entrogeo`) that exposes evaluation plus built-in
 verification of the structural identities at desk scale.
 
 `import entrogeo` loads none of the layers: each public name, and each layer
-module (`entrogeo.geometry`, ...), loads its module on first use.
+module (`entrogeo.geometry`, ...), loads its module on first use.  The CLI
+calls the layers beyond its own imports through this same surface.
 """
 
 import importlib as _importlib

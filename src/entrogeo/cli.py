@@ -20,17 +20,16 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-# composition, divergence, geometry, maxent: imported where used, so a run loads only its layers.
+# The other layers are called as `entrogeo.<name>`, which loads the name's module
+# on first use, so a run loads only the layers its subcommand calls.
+import entrogeo
 from . import formal_group, hf_entropy
 from .errors import EntrogeoError, InvalidArgument, ParamOutOfRange
 from .probability import FILE_TOL, load_distribution
-
-if TYPE_CHECKING:
-    from . import divergence, geometry
 
 _METRIC_REL_TOL = 1e-5
 _CONN_TOL = 1e-4
@@ -139,25 +138,26 @@ def _parse_spec(text: str, extra_params: Sequence[str] | None = None) -> tuple[s
     return head.strip().lower().replace("_", "-"), params
 
 
-def _sm_pair(**params) -> hf_entropy.EntropyFunctional:
-    from .composition import sm_pair_entropy
-    return sm_pair_entropy(**params)
-
-
-def _sm_tsallis(**params) -> hf_entropy.EntropyFunctional:
-    from .composition import sm_tsallis_entropy
-    return sm_tsallis_entropy(**params)
-
-
 #: Entropy families by CLI name; each builder takes the spec's parameters.
 _ENTROPIES: dict[str, Callable[..., hf_entropy.EntropyFunctional]] = {
     **{
         name.replace("_", "-"): functools.partial(hf_entropy.builtin_functional, name)
         for name in hf_entropy._BUILTINS
     },
-    "sm-pair": _sm_pair,
-    "sm-tsallis": _sm_tsallis,
+    "sm-pair": lambda **params: entrogeo.sm_pair_entropy(**params),
+    "sm-tsallis": lambda **params: entrogeo.sm_tsallis_entropy(**params),
 }
+
+#: Divergence families by CLI name; each builder takes the spec's parameters.
+_DIVERGENCES: dict[str, Callable[..., entrogeo.DivergenceFunctional]] = {
+    "kl": lambda **params: entrogeo.kl_functional(**params),
+    "sm": lambda **params: entrogeo.sm_div_functional(**params),
+    "power": lambda **params: entrogeo.hf_div_functional(entrogeo.power_pair(**params)),
+    "tsallis-rel": lambda **params: entrogeo.hf_div_functional(
+        entrogeo.tsallis_relative_pair(**params)
+    ),
+}
+_DIVERGENCES["tsallis-relative"] = _DIVERGENCES["tsallis-rel"]
 
 
 def _resolve(table: dict[str, Callable], kind: str, text: str, extra_params=None):
@@ -175,24 +175,11 @@ def _entropy(text: str, extra_params=None) -> hf_entropy.EntropyFunctional:
     return _resolve(_ENTROPIES, "entropy", text, extra_params)
 
 
-def _divergence(text: str, extra_params=None) -> divergence.DivergenceFunctional:
-    from . import divergence
-
-    def hf(pair_builder: Callable) -> Callable[..., divergence.DivergenceFunctional]:
-        return lambda **params: divergence.hf_div_functional(pair_builder(**params))
-
-    families = {  # each builder takes the spec's parameters
-        "kl": divergence.kl_functional,
-        "sm": divergence.sm_div_functional,
-        "power": hf(divergence.power_pair),
-        "tsallis-rel": hf(divergence.tsallis_relative_pair),
-        "tsallis-relative": hf(divergence.tsallis_relative_pair),
-    }
-    return _resolve(families, "divergence", text, extra_params)
+def _divergence(text: str, extra_params=None) -> entrogeo.DivergenceFunctional:
+    return _resolve(_DIVERGENCES, "divergence", text, extra_params)
 
 
-def _model_from_spec(text: str) -> geometry.StatModel:
-    from .geometry import simplex_model
+def _model_from_spec(text: str) -> entrogeo.StatModel:
     fam, _, tail = text.partition(":")
     if fam.strip().lower() != "simplex":
         raise ParamOutOfRange(f"unknown model {text!r} (expected simplex:W)")
@@ -200,7 +187,23 @@ def _model_from_spec(text: str) -> geometry.StatModel:
         size = int(tail)
     except ValueError as exc:
         raise ParamOutOfRange(f"bad simplex size in {text!r}") from exc
-    return simplex_model(size)
+    return entrogeo.simplex_model(size)
+
+
+def _conjugator_from_spec(text: str) -> formal_group.Conjugator:
+    """Parse 'id', 'expm1', or 'scale:C' into a conjugator."""
+    name = text.strip().lower()
+    if name == "id":
+        return formal_group.identity_conjugator()
+    if name == "expm1":
+        return formal_group.expm1_conjugator()
+    if name.startswith("scale:"):
+        try:
+            c = float(name.split(":", 1)[1])
+        except ValueError as exc:
+            raise ParamOutOfRange(f"bad scale factor in {text!r}") from exc
+        return formal_group.scale_conjugator(c)
+    raise ParamOutOfRange(f"unknown conjugator {text!r} (expected id, expm1, or scale:C)")
 
 
 def _point_from_text(text: str) -> np.ndarray:
@@ -253,13 +256,11 @@ def _cmd_divergence(args) -> tuple[int, dict]:
         f"divergence --family {fam}",
     )
     if fam == "composed":
-        from .composition import linear_composer
-        from .divergence import zeta_compose_div
         if not args.of:
             raise ParamOutOfRange("--family composed requires at least one --of")
         coeffs = _point_from_text(args.coeffs) if args.coeffs else np.ones(len(args.of))
-        composer = linear_composer(coeffs)
-        functional = zeta_compose_div([_divergence(s) for s in args.of], composer)
+        composer = entrogeo.linear_composer(coeffs)
+        functional = entrogeo.zeta_compose_div([_divergence(s) for s in args.of], composer)
     else:
         functional = _divergence(args.family, args.params)
     p = load_distribution(args.p, tol=args.tol)
@@ -274,11 +275,10 @@ def _cmd_divergence(args) -> tuple[int, dict]:
 
 
 def _cmd_compose(args) -> tuple[int, dict]:
-    from .composition import group_compose
     seed = _resolve_seed(args.seed)
     constituents = [_entropy(s) for s in args.constituent]
-    xi = formal_group.conjugator_by_name(args.xi)
-    z, omega = group_compose(constituents, xi, args.m, seed=seed)
+    xi = _conjugator_from_spec(args.xi)
+    z, omega = entrogeo.group_compose(constituents, xi, args.m, seed=seed)
     dist = load_distribution(args.dist, tol=args.tol)
     report = formal_group.check_group_axioms(omega, samples=args.samples, seed=seed)
     doc = {
@@ -294,7 +294,7 @@ def _cmd_compose(args) -> tuple[int, dict]:
     return (0 if report.passed else 1), doc
 
 
-def _at_point(args, command: str) -> tuple[geometry.StatModel, np.ndarray, dict]:
+def _at_point(args, command: str) -> tuple[entrogeo.StatModel, np.ndarray, dict]:
     """The model and point of a geometry command, and its output header."""
     model = _model_from_spec(args.model)
     point = _point_from_text(args.point)
@@ -302,49 +302,46 @@ def _at_point(args, command: str) -> tuple[geometry.StatModel, np.ndarray, dict]
 
 
 def _cmd_metric(args) -> tuple[int, dict]:
-    from . import geometry
     model, point, doc = _at_point(args, "metric")
     functional = None
     if args.divergence.strip().lower() == "fisher":
-        tensor = geometry.fisher_metric(model, point, step=args.step)
+        tensor = entrogeo.fisher_metric(model, point, step=args.step)
         doc["divergence"] = "fisher"
     else:
         functional = _divergence(args.divergence)
-        tensor = geometry.div_metric(functional, model, point, step=args.step)
+        tensor = entrogeo.div_metric(functional, model, point, step=args.step)
         doc["divergence"] = functional.name
     doc["entries"] = tensor.entries.tolist()
     doc["positive_definite"] = tensor.is_positive_definite()
     if functional is not None and functional.pair is not None:
-        closed = geometry.closed_geometry(functional.pair, point)[0]
+        closed = entrogeo.closed_geometry(functional.pair, point)[0]
         doc["closed_form_entries"] = closed.entries.tolist()
         doc["closed_form_max_rel_error"] = _max_rel_error(tensor, closed)
     return 0, doc
 
 
 def _cmd_connection(args) -> tuple[int, dict]:
-    from . import geometry
     model, point, doc = _at_point(args, "connection")
     _reject_inapplicable(args, {"divergence": args.alpha is None}, "connection --alpha")
     if args.alpha is not None:
-        conn = geometry.alpha_connection(model, point, args.alpha, step=args.step)
+        conn = entrogeo.alpha_connection(model, point, args.alpha, step=args.step)
         doc["alpha"] = float(args.alpha)
         doc["gamma"] = conn.entries.tolist()
         return 0, doc
     if not args.divergence:
         raise ParamOutOfRange("connection needs --divergence or --alpha")
     functional = _divergence(args.divergence)
-    gamma, gamma_star = geometry.div_connections(functional, model, point, step=args.step)
+    gamma, gamma_star = entrogeo.div_connections(functional, model, point, step=args.step)
     doc["divergence"] = functional.name
     doc["gamma"] = gamma.entries.tolist()
     doc["gamma_star"] = gamma_star.entries.tolist()
     doc["duality_residual"] = _duality_residual(functional, model, point, gamma, gamma_star)
     if functional.pair is not None:
-        doc["hf_alpha"] = geometry.hf_alpha_of(functional.pair)
+        doc["hf_alpha"] = entrogeo.hf_alpha_of(functional.pair)
     return 0, doc
 
 
 def _cmd_maxent(args) -> tuple[int, dict]:
-    from .maxent import ConstraintSet, maximize
     seed = _resolve_seed(args.seed)
     functional = _entropy(args.family, args.params)
     constraints = None
@@ -362,8 +359,8 @@ def _cmd_maxent(args) -> tuple[int, dict]:
                 targets.append(float(target_text))
             except ValueError as exc:
                 raise ParamOutOfRange(f"bad constraint target in {item!r}") from exc
-        constraints = ConstraintSet(np.vstack(rows), np.asarray(targets))
-    result = maximize(
+        constraints = entrogeo.ConstraintSet(np.vstack(rows), np.asarray(targets))
+    result = entrogeo.maximize(
         functional,
         args.w,
         constraints,
@@ -385,7 +382,7 @@ def _check(name: str, passed: bool, details: dict | None = None, **extra) -> dic
     return {"name": name, **(details or {}), **extra, "passed": bool(passed)}
 
 
-def _max_rel_error(fd: geometry.MetricTensor, closed: geometry.MetricTensor) -> float:
+def _max_rel_error(fd: entrogeo.MetricTensor, closed: entrogeo.MetricTensor) -> float:
     """Largest |fd - closed| / |closed| over the entries, guarded against a 0 entry."""
     diff = np.abs(fd.entries - closed.entries)
     return float(np.max(diff / np.maximum(np.abs(closed.entries), 1e-300)))
@@ -479,9 +476,8 @@ def _checks_composability(pairs: int, seed: int) -> list[dict]:
 
 def _duality_residual(functional, model, xi, gamma, gamma_star) -> float:
     """Duality defect of a divergence's FD metric field and connections already at xi."""
-    from . import geometry
-    return geometry.duality_residual(
-        lambda x: geometry.div_metric(functional, model, x),
+    return entrogeo.duality_residual(
+        lambda x: entrogeo.div_metric(functional, model, x),
         lambda x: gamma,
         lambda x: gamma_star,
         model,
@@ -499,16 +495,15 @@ def _interior_points(rng, size: int, count: int, floor: float = 0.04) -> list[np
 
 
 def _checks_geometry(w_max: int, points: int, seed: int) -> list[dict]:
-    from . import geometry
     checks = []
     rng = np.random.default_rng(seed)
     for functional in (_divergence("kl"), _divergence("sm:alpha=0.5,beta=0.7")):
         worst = 0.0
         for size in range(1, w_max + 1):
-            model = geometry.simplex_model(size)
+            model = entrogeo.simplex_model(size)
             for xi in _interior_points(rng, size, points):
-                fd = geometry.div_metric(functional, model, xi)
-                closed = geometry.closed_geometry(functional.pair, xi)[0]
+                fd = entrogeo.div_metric(functional, model, xi)
+                closed = entrogeo.closed_geometry(functional.pair, xi)[0]
                 worst = max(worst, _max_rel_error(fd, closed))
         checks.append(
             _check(
@@ -522,12 +517,12 @@ def _checks_geometry(w_max: int, points: int, seed: int) -> list[dict]:
     functional = _divergence("power:a=2")
     pair = functional.pair
     size = 2
-    model = geometry.simplex_model(size)
+    model = entrogeo.simplex_model(size)
     xi = _interior_points(rng, size, 1)[0]
-    gamma, gamma_star = geometry.div_connections(functional, model, xi)
-    a = geometry.hf_alpha_of(pair)
-    ref = pair.c * geometry.alpha_connection(model, xi, -a).entries
-    ref_star = pair.c * geometry.alpha_connection(model, xi, a).entries
+    gamma, gamma_star = entrogeo.div_connections(functional, model, xi)
+    a = entrogeo.hf_alpha_of(pair)
+    ref = pair.c * entrogeo.alpha_connection(model, xi, -a).entries
+    ref_star = pair.c * entrogeo.alpha_connection(model, xi, a).entries
     err = float(np.max(np.abs(gamma.entries - ref) / (1.0 + np.abs(ref))))
     err_star = float(np.max(np.abs(gamma_star.entries - ref_star) / (1.0 + np.abs(ref_star))))
     checks.append(
@@ -542,7 +537,7 @@ def _checks_geometry(w_max: int, points: int, seed: int) -> list[dict]:
     )
 
     kl_div = _divergence("kl")
-    residual = _duality_residual(kl_div, model, xi, *geometry.div_connections(kl_div, model, xi))
+    residual = _duality_residual(kl_div, model, xi, *entrogeo.div_connections(kl_div, model, xi))
     checks.append(
         _check(
             "duality[kl]",

@@ -272,18 +272,3 @@ def expm1_conjugator() -> Conjugator:
     """xi(x) = e^x - 1, with inverse log(1 + x); fixes 0 and is increasing."""
     return Conjugator(forward=np.expm1, inverse=np.log1p, name="expm1")
 
-
-def conjugator_by_name(spec: str) -> Conjugator:
-    """Parse 'id', 'expm1', or 'scale:C' into a conjugator (CLI grammar)."""
-    text = spec.strip().lower()
-    if text == "id":
-        return identity_conjugator()
-    if text == "expm1":
-        return expm1_conjugator()
-    if text.startswith("scale:"):
-        try:
-            c = float(text.split(":", 1)[1])
-        except ValueError as exc:
-            raise ParamOutOfRange(f"bad scale factor in {spec!r}") from exc
-        return scale_conjugator(c)
-    raise ParamOutOfRange(f"unknown conjugator {spec!r} (expected id, expm1, or scale:C)")

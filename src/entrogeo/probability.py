@@ -109,8 +109,12 @@ def loads_distribution(text: str, tol: float = FILE_TOL) -> ProbDist:
 
 
 def load_distribution(path: str | Path, tol: float = FILE_TOL) -> ProbDist:
-    """Load a distribution file (JSON object or single-column CSV)."""
-    return loads_distribution(Path(path).read_text(), tol)
+    """Load a distribution file (JSON object or single-column CSV) of UTF-8 text."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LengthMismatch(f"distribution file {str(path)!r} is not UTF-8 text: {exc}") from exc
+    return loads_distribution(text, tol)
 
 
 def _csv_column(text: str) -> np.ndarray:

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entrogeo.cli import execute, main, render_json, render_pretty
+from entrogeo.cli import _conjugator_from_spec, execute, main, render_json, render_pretty
+from entrogeo.errors import ParamOutOfRange
 
 
 @pytest.fixture()
@@ -356,8 +357,22 @@ def test_entropy_families_are_the_builtin_table_then_the_compositions():
         "shannon", "renyi", "tsallis", "sharma-mittal", "kaniadakis", "sm-pair", "sm-tsallis",
     ]
     assert [name.replace("_", "-") for name in hf_entropy._BUILTINS] == list(cli._ENTROPIES)[:5]
+    assert list(cli._DIVERGENCES) == ["kl", "sm", "power", "tsallis-rel", "tsallis-relative"]
+    assert cli._DIVERGENCES["tsallis-relative"] is cli._DIVERGENCES["tsallis-rel"]
     built = cli._entropy("sharma-mittal:alpha=0.5,beta=0.7")
     assert built.name == hf_entropy.builtin_functional("sharma_mittal", alpha=0.5, beta=0.7).name
+
+
+def test_conjugator_spec_grammar():
+    assert _conjugator_from_spec("id").name == "id"
+    assert _conjugator_from_spec("expm1").name == "expm1"
+    assert _conjugator_from_spec("scale:2.5").forward(2.0) == 5.0
+    with pytest.raises(ParamOutOfRange):
+        _conjugator_from_spec("scale:zero")
+    with pytest.raises(ParamOutOfRange):
+        _conjugator_from_spec("log")
+    with pytest.raises(ParamOutOfRange):
+        _conjugator_from_spec("scale:-1")
 
 
 def test_missing_file_exits_two():
@@ -444,6 +459,7 @@ _INVALID_ARGUMENTS = {
                            "--tol", "nan"],
     "compose-tol-nan": ["compose", "--constituent", "tsallis:q=1.5", "--dist", "off.json",
                         "--tol", "nan"],
+    "dist-not-utf8": ["entropy", "--family", "shannon", "--dist", "not-utf8.json"],
 }
 
 
@@ -458,6 +474,7 @@ def test_invalid_arguments_exit_two_without_output(case, tmp_path, monkeypatch):
     }
     for name, weights in files.items():
         (tmp_path / name).write_text(json.dumps({"weights": weights}))
+    (tmp_path / "not-utf8.json").write_bytes(b"\xff\xfe{}")
     monkeypatch.chdir(tmp_path)
     assert execute(_INVALID_ARGUMENTS[case]) == (2, "")
 

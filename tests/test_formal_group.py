@@ -28,7 +28,7 @@ from entrogeo.errors import (
     InversionFailure,
     ParamOutOfRange,
 )
-from entrogeo.formal_group import _BLOCK, conjugator_by_name
+from entrogeo.formal_group import _BLOCK
 
 E_SQUARED_MINUS_ONE = 6.3890560989306495
 
@@ -331,6 +331,8 @@ def test_a_small_scale_keeps_the_whole_line():
 def test_scale_conjugation_is_similarity():
     omega = conjugate(q_sum(1.0), scale_conjugator(2.0))
     assert omega(2.0, 4.0) == pytest.approx(6.0, abs=1e-15)
+    with pytest.raises(ParamOutOfRange):
+        scale_conjugator(-1.0)
 
 
 def test_identity_conjugation_changes_nothing():
@@ -338,18 +340,6 @@ def test_identity_conjugation_changes_nothing():
     omega = conjugate(law, identity_conjugator())
     x, y = 0.3, 0.4
     assert omega(x, y) == law(x, y)
-
-
-def test_conjugator_by_name_grammar():
-    assert conjugator_by_name("id").name == "id"
-    assert conjugator_by_name("expm1").name == "expm1"
-    assert conjugator_by_name("scale:2.5").forward(2.0) == 5.0
-    with pytest.raises(ParamOutOfRange):
-        conjugator_by_name("scale:zero")
-    with pytest.raises(ParamOutOfRange):
-        conjugator_by_name("log")
-    with pytest.raises(ParamOutOfRange):
-        scale_conjugator(-1.0)
 
 
 def test_interval_contains_and_clip():

@@ -3,9 +3,12 @@
 `import entrogeo` loads no layer; a name loads its module on first use.  An
 `entrogeo` process loads the layers its subcommand uses and no others, so a
 new top-level import in `cli` or between layers shows up here as a changed
-module set.  Each case runs in its own interpreter.
+module set.  Each case runs in its own interpreter.  `cli` reaches the layers
+beyond its own imports as `entrogeo.<name>`; an `ast` rule keeps it from
+importing them by hand.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -90,7 +93,17 @@ _SUBCOMMANDS = {
         0,
         {"composition"},
     ),
+    "entropy-sm-tsallis": (
+        ["entropy", "--family", "sm-tsallis:alpha=0.5,q=1.5", "--dist", "p.json"],
+        0,
+        {"composition"},
+    ),
     "maxent": (["maxent", "--family", "shannon", "--w", "4"], 0, {"maxent"}),
+    "maxent-sm-pair": (
+        ["maxent", "--family", "sm-pair:alpha1=0.3,alpha2=0.7,beta=0.5", "--w", "4"],
+        0,
+        {"composition", "maxent"},
+    ),
     "compose": (
         ["compose", "--constituent", "shannon", "--dist", "p.json", "--samples", "20"],
         0,
@@ -98,6 +111,21 @@ _SUBCOMMANDS = {
     ),
     "divergence": (
         ["divergence", "--family", "kl", "--p", "p.json", "--q", "q.json"], 0, {"divergence"}
+    ),
+    "divergence-sm": (
+        ["divergence", "--family", "sm:alpha=0.5,beta=0.7", "--p", "p.json", "--q", "q.json"],
+        0,
+        {"divergence"},
+    ),
+    "divergence-power": (
+        ["divergence", "--family", "power:a=2", "--p", "p.json", "--q", "q.json"],
+        0,
+        {"divergence"},
+    ),
+    "divergence-tsallis-relative": (
+        ["divergence", "--family", "tsallis-relative:alpha=0.5", "--p", "p.json", "--q", "q.json"],
+        0,
+        {"divergence"},
     ),
     "divergence-composed": (
         ["divergence", "--family", "composed", "--of", "kl", "--of", "power:a=2",
@@ -125,3 +153,57 @@ def test_each_subcommand_loads_only_its_layers(case, tmp_path):
     code, _, modules = _child(_RUN_CLI, *argv, cwd=tmp_path).splitlines()[-1].partition(" ")
     assert int(code) == want_code
     assert set(modules.split()) == BASE | extra
+
+
+def _entrogeo_modules(node: ast.AST) -> set[str]:
+    """What an import statement of cli.py loads: its entrogeo modules, "entrogeo" for the package."""
+    if isinstance(node, ast.Import):
+        paths = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        base = ".".join(filter(None, ["entrogeo" if node.level else "", node.module]))
+        paths = [f"{base}.{alias.name}" for alias in node.names] if base == "entrogeo" else [base]
+    else:
+        return set()
+    modules = set()
+    for path in paths:
+        package, _, module = path.partition(".")
+        if package == "entrogeo":
+            modules.add(module.partition(".")[0] or "entrogeo")
+    return modules
+
+
+def _cli_imports() -> tuple[set[str], list[str]]:
+    """The entrogeo modules cli.py imports outside its functions, and each import inside one."""
+    outside: set[str] = set()
+    inside: list[str] = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            owner = child.name if is_function else function
+            modules = _entrogeo_modules(child)
+            if owner is None:
+                outside.update(modules)
+            elif modules:
+                inside.append(f"{owner} (line {child.lineno}): {sorted(modules)}")
+            visit(child, owner)
+
+    visit(ast.parse((SRC / "entrogeo" / "cli.py").read_text()), None)
+    return outside, inside
+
+
+def test_the_cli_reaches_the_other_layers_through_the_package():
+    outside, inside = _cli_imports()
+    assert inside == [], "a function in cli.py imports an entrogeo module; call entrogeo.<name>"
+    assert outside <= BASE | {"entrogeo"}
+
+
+def test_the_import_rule_sees_every_form_of_import():
+    tree = ast.parse(
+        "import entrogeo\nimport entrogeo.maxent\nfrom . import hf_entropy, simplex_model\n"
+        "from .geometry import simplex_model\nfrom entrogeo import composition\nimport numpy\n"
+    )
+    assert [_entrogeo_modules(node) for node in tree.body] == [
+        {"entrogeo"}, {"maxent"}, {"hf_entropy", "simplex_model"}, {"geometry"}, {"composition"},
+        set(),
+    ]

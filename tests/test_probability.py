@@ -153,3 +153,10 @@ def test_load_roundtrip(tmp_path):
     csv_path.write_text("0.5\n0.5\n")
     q = load_distribution(str(csv_path))
     np.testing.assert_array_equal(p.weights, q.weights)
+
+
+def test_load_rejects_a_file_that_is_not_utf8_text(tmp_path):
+    path = tmp_path / "dist.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(LengthMismatch, match=r"'.*dist\.json' is not UTF-8 text"):
+        load_distribution(path)
