@@ -359,7 +359,7 @@ def _cmd_maxent(args) -> tuple[int, dict]:
                 targets.append(float(target_text))
             except ValueError as exc:
                 raise ParamOutOfRange(f"bad constraint target in {item!r}") from exc
-        constraints = entrogeo.ConstraintSet(np.vstack(rows), np.asarray(targets))
+        constraints = entrogeo.ConstraintSet(rows, targets)
     result = entrogeo.maximize(
         functional,
         args.w,

@@ -22,8 +22,7 @@ law is from that identity on concrete product distributions.
 Each f of the built-in pairs is written once, in the f table (t ln t, t^a
 and the Tsallis f, the last two with their divergence mirror); the entropy
 families here and the divergence pairs all build from it.  `HFPair` takes
-any other (h, f) and fills a missing h' and f'', f''' at 1 by central
-differences.
+any other (h, f) with its exact derivative data: h', and f'', f''' at 1.
 
 Conventions: f(0) = 0 exactly, and each f keeps that rule itself: every
 trace calls f as given.  The built-in fs keep exact zeros off the slow path
@@ -64,9 +63,6 @@ NONNEG_TOL = 1e-12
 
 #: Largest maximality violation and expansibility residual `sk_suite` passes.
 SK_TOL = 1e-10
-
-#: Step of the 5-point stencils that fill a pair's missing derivative data.
-DERIV_STEP = 1e-4
 
 #: Largest factor h' may change by across the construction probes.
 _H_SPREAD = math.exp(4.0)
@@ -153,35 +149,26 @@ class HFPair:
     argument, which is then the trace's own temporary); `h` rescales the sum and
     must carry an explicit inverse (no root-finding happens at evaluation
     time).  `h_prime` is h', and d2f1, d3f1 are f'', f''' at t = 1, the only
-    derivatives of f at 1 the geometry reads (f'(1) enters no tensor).  The
-    built-in families give them analytically; any left out are filled from
-    5-point central stencils at step DERIV_STEP, so f must then be
-    evaluable on [1 - 2 DERIV_STEP, 1 + 2 DERIV_STEP], and the stencil's
-    f''' carries rounding noise of order 1e-4.  `f_prime`, when given, makes
-    the entropy gradient h'(sum f(p)) f'(p) analytic downstream.  `c` =
-    h'(f(1)) f''(1), set at construction, must not vanish: its sign is the
-    role (`require_shape`), its size the metric scale, and the sampled f and
-    h must agree with the signs of f''(1) and h'(f(1)).
+    derivatives of f at 1 the geometry reads (f'(1) enters no tensor).  All
+    three are required and used as given: the geometry reads them as exact.
+    `f_prime`, when given, makes the entropy gradient h'(sum f(p)) f'(p)
+    analytic downstream.  `c` = h'(f(1)) f''(1), set at construction, must
+    not vanish: its sign is the role (`require_shape`), its size the metric
+    scale, and the sampled f and h must agree with the signs of f''(1) and
+    h'(f(1)).
     """
 
     name: str
     f: Callable
     h: Callable
     h_inverse: Callable
-    h_prime: Callable | None = None
-    d2f1: float | None = None
-    d3f1: float | None = None
+    h_prime: Callable
+    d2f1: float
+    d3f1: float
     f_prime: Callable | None = None
     c: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.h_prime is None:
-            object.__setattr__(self, "h_prime", _fd_first_derivative(self.h, DERIV_STEP))
-        if None in (self.d2f1, self.d3f1):
-            filled = _derivs_at_one(self.f, DERIV_STEP)
-            for name, value in zip(("d2f1", "d3f1"), filled):
-                if getattr(self, name) is None:
-                    object.__setattr__(self, name, value)
         # A probe that over- or underflows shows only as the check it fails.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             object.__setattr__(self, "c", float(self.h_prime(self.f1)) * self.d2f1)
@@ -433,27 +420,6 @@ _BUILTINS: dict[str, tuple[Callable[..., HFPair], Callable[..., BinaryLaw | None
 }
 
 
-def _derivs_at_one(f: Callable, s: float) -> tuple[float, float]:
-    v = [float(f(1.0 + k * s)) for k in (-2, -1, 0, 1, 2)]
-    second = (-v[0] + 16.0 * v[1] - 30.0 * v[2] + 16.0 * v[3] - v[4]) / (12.0 * s * s)
-    third = (-v[0] + 2.0 * v[1] - 2.0 * v[3] + v[4]) / (2.0 * s**3)
-    return second, third
-
-
-def _fd_first_derivative(g: Callable, s: float) -> Callable:
-    def prime(x):
-        x = np.asarray(x, dtype=float)
-        step = s * np.maximum(1.0, np.abs(x))
-        return (
-            np.asarray(g(x - 2 * step))
-            - 8.0 * np.asarray(g(x - step))
-            + 8.0 * np.asarray(g(x + step))
-            - np.asarray(g(x + 2 * step))
-        ) / (12.0 * step)
-
-    return prime
-
-
 # --- evaluation ---------------------------------------------------------------
 
 
@@ -580,6 +546,8 @@ def sk_suite(
     """
     if w_max < 2:
         raise InvalidArgument("w_max must be at least 2")
+    if samples < 1:
+        raise InvalidArgument("need at least one sample")
     rng = np.random.default_rng(seed)
 
     maximality = -math.inf

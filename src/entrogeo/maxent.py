@@ -60,7 +60,12 @@ class ConstraintSet:
     targets: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.atleast_2d(np.asarray(self.coefficients, dtype=float))
+        try:
+            a = np.atleast_2d(np.asarray(self.coefficients, dtype=float))
+        except ValueError as exc:  # rows of unequal length
+            raise LengthMismatch("constraint rows must be numbers, all of one length") from exc
+        if a.ndim != 2:
+            raise LengthMismatch(f"constraint coefficients must be (rows, W), got shape {a.shape}")
         b = np.asarray(self.targets, dtype=float).reshape(-1)
         if a.shape[0] != b.size:
             raise LengthMismatch(

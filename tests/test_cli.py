@@ -421,6 +421,8 @@ _INVALID_ARGUMENTS = {
                        "--constraint", "nan,1,2:1.2"],
     "maxent-row-squares-to-inf": ["maxent", "--family", "shannon", "--w", "3",
                                   "--constraint", "1,1e308,-1:-0.4"],
+    "maxent-ragged-rows": ["maxent", "--family", "shannon", "--w", "3",
+                           "--constraint", "0,1,2:1.2", "--constraint", "0,1:0.5"],
     "metric-negative-step": ["metric", "--model", "simplex:2", "--divergence", "kl",
                              "--point", "0.3,0.25", "--step", "-1"],
     "connection-negative-step": ["connection", "--model", "simplex:2", "--divergence", "kl",
@@ -617,6 +619,13 @@ _LEAVES = (
     ],
 )
 def test_a_step_or_row_out_of_float_range_prints_one_stderr_line(capsys, argv, message):
+    _exits_two_with_one_stderr_line(capsys, argv, message)
+
+
+def test_constraint_rows_of_unequal_length_print_one_stderr_line(capsys):
+    argv = ["maxent", "--family", "shannon", "--w", "3",
+            "--constraint", "0,1,2:1.2", "--constraint", "0,1:0.5"]
+    message = "constraint rows must be numbers, all of one length"
     _exits_two_with_one_stderr_line(capsys, argv, message)
 
 

@@ -233,6 +233,7 @@ def test_degenerate_curvature_is_rejected():
         f=lambda t: np.asarray(t, dtype=float),
         h=lambda x: np.asarray(x) - 1.0,
         h_inverse=lambda y: np.asarray(y) + 1.0,
+        h_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         d2f1=1e-13,
         d3f1=0.0,
     )

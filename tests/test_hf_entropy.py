@@ -162,24 +162,30 @@ def test_sharma_mittal_builds_near_alpha_one(alpha, beta):
     sm_divergence_pair(alpha, beta)
 
 
+def _squared_pair(**changes) -> HFPair:
+    """(t^2, x - 1): convex f with increasing h (c = 2), with any field changed."""
+    fields = dict(
+        name="squared",
+        f=lambda t: np.asarray(t) ** 2,
+        h=lambda x: np.asarray(x) - 1.0,
+        h_inverse=lambda y: np.asarray(y) + 1.0,
+        h_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        d2f1=2.0,
+        d3f1=0.0,
+    )
+    return HFPair(**{**fields, **changes})
+
+
 def test_wrong_h_inverse_still_raises():
     steep = sharma_mittal(0.999, 2.0)
     with pytest.raises(InversionFailure):
         dataclasses.replace(steep, h_inverse=lambda y: steep.h_inverse(y) * (1.0 + 1e-6))
     with pytest.raises(InversionFailure):
-        HFPair(
-            name="off-by-a-bit",
-            f=lambda t: np.asarray(t) ** 2,
-            h=lambda x: np.asarray(x) - 1.0,
-            h_inverse=lambda y: np.asarray(y) + 1.001,
-        )
+        _squared_pair(name="off-by-a-bit", h_inverse=lambda y: np.asarray(y) + 1.001)
     # exact to third order at f(1): only a probe window of useful width sees it
     with pytest.raises(InversionFailure):
-        HFPair(
-            name="cubic-error",
-            f=lambda t: np.asarray(t) ** 2,
-            h=lambda x: np.asarray(x) - 1.0,
-            h_inverse=lambda y: np.asarray(y) + 1.0 + np.asarray(y) ** 3,
+        _squared_pair(
+            name="cubic-error", h_inverse=lambda y: np.asarray(y) + 1.0 + np.asarray(y) ** 3
         )
 
 
@@ -192,46 +198,10 @@ def test_an_overflowing_probe_fails_its_check_without_a_warning():
     assert [str(w.message) for w in caught] == []
 
 
-def test_fd_derivative_fallback_matches_analytic():
-    # build tsallis(1.5) by hand without supplying derivatives
-    q = 1.5
-    made = HFPair(
-        name="handmade",
-        f=zero_preserving(lambda t: (t - t**q) / (q - 1.0)),
-        h=lambda x: x,
-        h_inverse=lambda y: y,
-    )
-    reference = tsallis(q)
-    assert made.d2f1 == pytest.approx(reference.d2f1, abs=1e-6)
-    # the third-derivative stencil carries noise of order 1e-4 at this step
-    assert made.d3f1 == pytest.approx(reference.d3f1, abs=5e-4)
-    assert made.h_prime(np.array([0.5, 2.0])) == pytest.approx([1.0, 1.0], abs=1e-10)
-    # a value given is kept; only the missing ones are filled
-    partial = dataclasses.replace(made, d2f1=-1.5, d3f1=None)
-    assert (partial.d2f1, partial.d3f1) == (-1.5, made.d3f1)
-
-
 def test_declared_shape_must_match_sampled_shape():
     # a given f''(1) of the wrong sign: t^2 is convex, -2 declares it concave
     with pytest.raises(ShapeMismatch, match="f is not concave"):
-        HFPair(
-            name="mislabeled",
-            f=lambda t: np.asarray(t) ** 2,  # convex, f(0)=0
-            h=lambda x: np.asarray(x) - 1.0,
-            h_inverse=lambda y: np.asarray(y) + 1.0,
-            d2f1=-2.0,
-        )
-
-
-def _squared_pair(**changes) -> HFPair:
-    """(t^2, x - 1): convex f with increasing h (c = 2), with any field changed."""
-    fields = dict(
-        name="squared",
-        f=lambda t: np.asarray(t) ** 2,
-        h=lambda x: np.asarray(x) - 1.0,
-        h_inverse=lambda y: np.asarray(y) + 1.0,
-    )
-    return HFPair(**{**fields, **changes})
+        _squared_pair(name="mislabeled", d2f1=-2.0)
 
 
 @pytest.mark.parametrize(
@@ -261,12 +231,7 @@ def test_pair_claims_are_checked(changes, message):
 
 def test_entropy_shape_requires_the_right_pairing():
     # convex f with increasing h (c > 0) is a divergence pairing, not an entropy one
-    squared = HFPair(
-        name="squared",
-        f=lambda t: np.asarray(t) ** 2,
-        h=lambda x: np.asarray(x) - 1.0,
-        h_inverse=lambda y: np.asarray(y) + 1.0,
-    )
+    squared = _squared_pair()
     with pytest.raises(ShapeMismatch, match=r"\(convex f, increasing h\) cannot be an entropy$"):
         entropy_functional(squared)
     require_shape(squared, "divergence")  # the mirror use is fine
@@ -278,16 +243,15 @@ def test_entropy_shape_requires_the_right_pairing():
 
 def test_anchor_values_are_enforced():
     with pytest.raises(AnchorViolation):
-        HFPair(
+        _squared_pair(
             name="unanchored",
             f=lambda t: np.asarray(t) ** 2 + 0.1,  # f(0) != 0
             h=lambda x: np.asarray(x) - 1.1,
             h_inverse=lambda y: np.asarray(y) + 1.1,
         )
     with pytest.raises(AnchorViolation):
-        HFPair(
+        _squared_pair(
             name="uncentered",
-            f=lambda t: np.asarray(t) ** 2,
             h=lambda x: np.asarray(x) - 0.5,  # h(f(1)) = 0.5
             h_inverse=lambda y: np.asarray(y) + 0.5,
         )
@@ -392,6 +356,12 @@ def test_sk_suite_passes_for_builtins():
 def test_sk_suite_needs_two_outcomes():
     with pytest.raises(InvalidArgument):
         sk_suite(builtin_functional("shannon"), w_max=1)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sk_suite_needs_a_sample(samples):
+    with pytest.raises(InvalidArgument, match="need at least one sample"):
+        sk_suite(builtin_functional("tsallis", q=1.5), samples=samples)
 
 
 def test_sk_suite_flags_a_convex_impostor():

@@ -301,6 +301,13 @@ def test_batched_fd_gradient_equals_the_coordinate_loop():
         assert np.array_equal(_fd_gradient(functional.fn, x, step), loop)
 
 
+def test_constraint_rows_must_form_a_matrix():
+    with pytest.raises(LengthMismatch, match="all of one length"):
+        ConstraintSet([[1.0, 2.0], [1.0]], [1.0, 2.0])
+    with pytest.raises(LengthMismatch, match=r"must be \(rows, W\), got shape \(1, 1, 2\)"):
+        ConstraintSet([[[1.0, 0.0]]], [0.5])
+
+
 def test_constraint_validation():
     with pytest.raises(LengthMismatch):
         ConstraintSet([[1.0, 0.0]], [0.5, 0.5])

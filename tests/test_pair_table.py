@@ -3,8 +3,12 @@
 Each reference below spells out one builder's f, f', f'(1), f''(1), f'''(1),
 shapes, h, h^-1 and h' the way the builder wrote them before the builders
 shared one f table.  Every value must stay bit-identical (np.array_equal),
-f at t = 0 included.  Gradients at an exact zero weight are pinned last.
+f at t = 0 included.  The derivative data is also checked against 5-point
+stencils of each pair's own f and h.  Gradients at an exact zero weight are
+pinned last.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from entrogeo import (
     tsallis_relative_pair,
 )
 from entrogeo.errors import ShapeMismatch
-from entrogeo.hf_entropy import require_shape
+from entrogeo.hf_entropy import HFPair, require_shape
 
 #: f is pinned on T (t = 0 included), f' on its positive entries.
 T = np.array([0.0, 1e-300, 1e-12, 0.01, 0.1, 0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 5.0])
@@ -181,6 +185,50 @@ def test_pair_data_is_bit_identical(build, reference, params):
     assert np.array_equal(pair.h(xs), h(xs))
     assert np.array_equal(pair.h_inverse(pair.h(xs)), h_inverse(h(xs)))
     assert np.array_equal(pair.h_prime(xs), h_prime(xs))
+
+
+#: Step of the reference stencils, and the largest error each shows on this
+#: panel with margin: f''(1) reads about 3e-8 and f'''(1) about 2e-4 off
+#: (relative to max(|value|, 1)), h' about 5e-13 relative.
+STENCIL_STEP = 1e-4
+D2F1_TOL, D3F1_TOL, H_PRIME_TOL = 1e-6, 1e-3, 1e-11
+
+
+def stencil_derivs_at_one(f, s=STENCIL_STEP):
+    """f''(1) and f'''(1) from 5-point central stencils."""
+    v = [float(f(1.0 + k * s)) for k in (-2, -1, 0, 1, 2)]
+    second = (-v[0] + 16.0 * v[1] - 30.0 * v[2] + 16.0 * v[3] - v[4]) / (12.0 * s * s)
+    third = (-v[0] + 2.0 * v[1] - 2.0 * v[3] + v[4]) / (2.0 * s**3)
+    return second, third
+
+
+def stencil_first_derivative(g, x, s=STENCIL_STEP):
+    """g'(x) from a 5-point central stencil at step s max(1, |x|)."""
+    step = s * np.maximum(1.0, np.abs(x))
+    return (g(x - 2 * step) - 8.0 * g(x - step) + 8.0 * g(x + step) - g(x + 2 * step)) / (
+        12.0 * step
+    )
+
+
+@pytest.mark.parametrize("build, params", [(c[1], c[3]) for c in CASES], ids=[c[0] for c in CASES])
+def test_derivative_data_matches_stencils_of_f_and_h(build, params):
+    pair = build(*params)
+    second, third = stencil_derivs_at_one(pair.f)
+    assert abs(second - pair.d2f1) <= D2F1_TOL * max(abs(pair.d2f1), 1.0)
+    assert abs(third - pair.d3f1) <= D3F1_TOL * max(abs(pair.d3f1), 1.0)
+    xs = pair.f1 + np.linspace(-0.05, 0.05, 7)
+    exact = pair.h_prime(xs)
+    error = np.abs(stencil_first_derivative(pair.h, xs) - exact)
+    assert np.all(error <= H_PRIME_TOL * np.abs(exact))
+
+
+@pytest.mark.parametrize("missing", ["h_prime", "d2f1", "d3f1"])
+def test_a_pair_without_its_derivative_data_is_refused(missing):
+    pair = shannon()
+    given = {f.name: getattr(pair, f.name) for f in dataclasses.fields(HFPair) if f.init}
+    del given[missing]
+    with pytest.raises(TypeError, match=f"missing 1 required .*'{missing}'"):
+        HFPair(**given)
 
 
 DIVERGENCE_BUILDERS = (kl_pair, power_pair, tsallis_relative_pair, sm_divergence_pair)

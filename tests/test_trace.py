@@ -388,7 +388,15 @@ class _Recorder:
 
 def test_a_user_pair_gets_its_batch_as_given():
     f = _Recorder(np.square)
-    pair = HFPair(name="square", f=f, h=lambda x: x - 1.0, h_inverse=lambda y: y + 1.0)
+    pair = HFPair(
+        name="square",
+        f=f,
+        h=lambda x: x - 1.0,
+        h_inverse=lambda y: y + 1.0,
+        h_prime=np.ones_like,
+        d2f1=2.0,
+        d3f1=0.0,
+    )
     p, q = PAIRS["half-zero"]
     assert (p[0] == 0.0).any()
     f.calls.clear()
