@@ -208,7 +208,7 @@ def _conjugator_from_spec(text: str) -> formal_group.Conjugator:
 
 def _point_from_text(text: str) -> np.ndarray:
     try:
-        return np.asarray([float(v) for v in text.split(",") if v.strip()], dtype=float)
+        return np.asarray([float(v) for v in text.split(",")], dtype=float)  # "" raises too
     except ValueError as exc:
         raise ParamOutOfRange(f"bad point {text!r}") from exc
 

@@ -28,14 +28,21 @@ to rounding accuracy, which is what the acceptance suite checks.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ArityMismatch, InvalidArgument, LawMismatch, MonotonicityViolation
 from .formal_group import BinaryLaw, Conjugator, _fmt, conjugate, iterate_pow2, q_sum
-from .hf_entropy import EntropyFunctional, _f_power, _guard_param, _trace, product_residuals
+from .hf_entropy import (
+    EntropyFunctional,
+    _f_power,
+    _guard_param,
+    _PowerTraces,
+    _trace,
+    product_residuals,
+)
 
 MONO_SLACK = 1e-12
 
@@ -246,13 +253,25 @@ def sm_pair_entropy(alpha1: float, alpha2: float, beta: float) -> EntropyFunctio
     a2 = _guard_param(alpha2, "alpha2")
     b = _guard_param(beta, "beta", positive=False)
     f1, f2 = (_f_power(a)["f"] for a in (a1, a2))
+    e1, e2 = (b - 1.0) / (a1 - 1.0), (b - 1.0) / (a2 - 1.0)
 
     def fn(weights):
         s1, s2 = _trace(f1, weights), _trace(f2, weights)
-        prod = np.power(s1, (b - 1.0) / (a1 - 1.0)) * np.power(s2, (b - 1.0) / (a2 - 1.0))
+        prod = np.power(s1, e1) * np.power(s2, e2)
         return (1.0 - prod) / (b - 1.0)
 
-    return EntropyFunctional(fn=fn, name=f"sm-pair({_fmt(a1, a2)};{_fmt(b)})", law=q_sum(b))
+    def outer_gradient(s):  # dF/ds_k = -s1^e1 s2^e2 / ((a_k - 1) s_k)
+        prod = np.power(s[..., 0], e1) * np.power(s[..., 1], e2)
+        return -prod[..., None] / (np.array([a1 - 1.0, a2 - 1.0]) * s)
+
+    form = _PowerTraces((a1, a2), outer_gradient)
+    return EntropyFunctional(
+        fn=fn,
+        name=f"sm-pair({_fmt(a1, a2)};{_fmt(b)})",
+        law=q_sum(b),
+        gradient=form.gradient,
+        traces=form,
+    )
 
 
 def sm_tsallis_entropy(alpha: float, q: float) -> EntropyFunctional:
@@ -265,8 +284,7 @@ def sm_tsallis_entropy(alpha: float, q: float) -> EntropyFunctional:
     """
     a = _guard_param(alpha, "alpha")  # the errors name this function's parameters
     qq = _guard_param(q, "q")
-    built = sm_pair_entropy(a, qq, qq)
-    return EntropyFunctional(fn=built.fn, name=f"sm-tsallis({_fmt(a)};{_fmt(qq)})", law=built.law)
+    return replace(sm_pair_entropy(a, qq, qq), name=f"sm-tsallis({_fmt(a)};{_fmt(qq)})")
 
 
 # --- concavity ------------------------------------------------------------------

@@ -424,19 +424,47 @@ _BUILTINS: dict[str, tuple[Callable[..., HFPair], Callable[..., BinaryLaw | None
 
 
 @dataclass(frozen=True)
+class _PowerTraces:
+    """The structure S = F(s_1, ..., s_m) of an entropy of power traces s_k = sum_i p_i^a_k.
+
+    `exponents` holds the a_k.  `outer_gradient` maps traces stacked along a
+    last axis to dF/ds_k, stacked the same way.  `maximize` solves an entropy
+    that carries this record by its dual.
+    """
+
+    exponents: tuple[float, ...]
+    outer_gradient: Callable
+
+    def sums(self, weights) -> np.ndarray:
+        """s_k along a new last axis, each summed from the f table's t^a."""
+        return np.stack([_trace(_f_power(a)["f"], weights) for a in self.exponents], axis=-1)
+
+    def gradient(self, weights) -> np.ndarray:
+        """The chain rule dS/dp_i = sum_k dF/ds_k a_k p_i^(a_k - 1)."""
+        weights = np.asarray(weights, dtype=float)
+        a = np.asarray(self.exponents)
+        outer = self.outer_gradient(self.sums(weights))[..., None, :]
+        with np.errstate(divide="ignore"):  # an exact 0 weight gets the one-sided limit
+            return (outer * a * np.power(weights[..., None], a - 1.0)).sum(axis=-1)
+
+
+@dataclass(frozen=True)
 class EntropyFunctional:
     """An entropy S with an optional composition law attached.
 
     `fn` maps a weights array (outcomes along the last axis) to values, so
     the same object evaluates a single distribution or a stacked batch; it
     is used as given.  `gradient`, when present, maps weights to dS/dp_i
-    (same shape); it is only attached where it is analytic.
+    (same shape); it is only attached where it is analytic.  `traces`, when
+    present, records S as F(s_1, ..., s_m) of power traces (`_PowerTraces`);
+    the composition builders set it.
     """
 
     fn: Callable
     name: str
     law: BinaryLaw | None = None
     gradient: Callable | None = None
+    traces: _PowerTraces | None = None
 
     def eval(self, p: ProbDist) -> float:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -1,9 +1,20 @@
 """Maximum-entropy distributions under linear expectation constraints.
 
 Given an entropy functional S and constraints A p = b (the simplex sum
-constraint is implicit, never a row of A), `maximize` runs projected gradient
-ascent: each iterate is pulled back onto the feasible set by the exact
-Euclidean projection onto {p >= 0} intersect {A p = b, sum p = 1}.  That
+constraint is implicit, never a row of A), `maximize` takes one of two
+solvers, chosen by the functional.
+
+An entropy of power traces, S = F(s_1, ..., s_m) with s_k = sum_i p_i^a_k
+(`EntropyFunctional.traces`: sm-pair and sm-tsallis), is solved by a fixed
+point on the dual (Jaynes 1957; Boyd & Vandenberghe 2004, ch. 5).  Each
+round fixes w = dF/ds at the current point and solves the separable concave
+problem max sum_k w_k s_k under the constraints exactly: damped Newton on its
+m + 1 multipliers, with each p_i = (phi')^-1(mu + lambda . a_i) found by a
+vectorised Newton in log p.  The round count is the `iterations` reported.
+
+Every other functional runs projected gradient ascent: each iterate is
+pulled back onto the feasible set by the exact Euclidean projection onto
+{p >= 0} intersect {A p = b, sum p = 1}.  That
 projection is max(x - A^T nu, 0), with the multiplier nu found by semismooth
 Newton on a convex dual of m + 1 variables.  It stops once each row's
 residual is within `_PROJ_TOL` per unit of that row's largest entry (so a
@@ -14,7 +25,8 @@ Backtracking keeps the ascent monotone.  The stationarity max|P(x + g) - x|
 is formed only when the line search's first trial P(x + s g) cannot bound it
 above tol: for feasible x, |P(x + s g) - x|_2 is non-decreasing in s and
 |P(x + s g) - x|_2 / s non-increasing (Gafni & Bertsekas 1984; Calamai &
-More 1987, Lemma 2.2).
+More 1987, Lemma 2.2).  The dual's fixed point reports the same
+max|P(x + g) - x| at its last point, so `converged` means the same for both.
 
 For concave functionals (every strictly shaped built-in) the stationary
 point found is the global maximizer.  For anything else the solver makes no
@@ -50,6 +62,11 @@ _EPS = float(np.finfo(float).eps)
 
 #: Coordinates per block of the finite-difference stencil (2 rows each).
 _FD_BLOCK = 64
+
+#: Largest Newton step in log p of the dual's inner inversion; a step of at
+#: most _LOG_TOL is its last, since Newton leaves an error of its square.
+_LOG_STEP = 64.0
+_LOG_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -246,8 +263,13 @@ def maximize(
 ) -> MaxentResult:
     """Maximize S over the simplex slice cut out by the constraints.
 
+    A functional with `traces` takes the dual fixed point, where `iterations`
+    and `max_iter` count its outer rounds; any other takes projected ascent,
+    where they count ascent steps.  Both stop once max|P(x + g) - x| <= tol.
     Gradients are analytic when the functional carries one (every (h, f)
-    pair with f') and central differences with step GRAD_STEP otherwise.
+    pair with f', and the chain rule of sm-pair and sm-tsallis) and central
+    differences with step GRAD_STEP otherwise.  Restarts after the first
+    start either solver from a projected Dirichlet draw.
     Raises InvalidArgument unless max_iter >= 1 and tol >= 0, and Infeasible
     when no probability vector satisfies the constraints; failure to reach
     `tol` within `max_iter` only clears the `converged` flag.
@@ -306,7 +328,10 @@ def maximize(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for r in range(restarts):
             x0 = start if r == 0 else feasible.project(rng.dirichlet(np.ones(size)))
-            runs.append(_ascend(x0, value, grad, feasible, max_iter, tol))
+            if entropy.traces is not None:
+                runs.append(_fixed_point(x0, entropy.traces, value, grad, feasible, max_iter, tol))
+            else:
+                runs.append(_ascend(x0, value, grad, feasible, max_iter, tol))
 
     best = max(runs, key=lambda run: run[1])
     x_best, v_best, iters, converged, stationarity = best
@@ -392,3 +417,127 @@ def _ascend(x0, value, grad, feasible, max_iter, tol):
 def _stationarity(feasible, x, g) -> float:
     return float(np.abs(feasible.project(x + g) - x).max())
 
+
+def _fixed_point(x0, traces, value, grad, feasible, max_iter, tol):
+    """The dual fixed point for S = F(s_1, ..., s_m) of power traces s_k = sum_i p_i^a_k.
+
+    Each round fixes w = dF/ds at x and moves x to the maximizer of the
+    separable concave sum_k w_k s_k on the feasible set (`_separable_max`).
+    x is stationary when max|P(x + g) - x| <= tol, ascent's test on the
+    chain-rule gradient.  A round that changes no weight by more than
+    _PROJ_TOL of itself ends the run at its point; an inner solve that fails
+    ends it at x, unconverged.
+    """
+    alpha = np.asarray(traces.exponents, dtype=float)
+    x = x0
+    for it in range(1, max_iter + 1):
+        w = np.asarray(traces.outer_gradient(traces.sums(x)), dtype=float)
+        y = _separable_max(alpha, w, feasible, x)
+        if y is None:
+            break
+        settled = bool((np.abs(y - x) <= _PROJ_TOL * np.maximum(x, y)).all())
+        x = y
+        stationarity = _stationarity(feasible, x, grad(x))
+        if stationarity <= tol or settled or it == max_iter:
+            return x, value(x), it, stationarity <= tol, stationarity
+    return x, value(x), it, False, _stationarity(feasible, x, grad(x))
+
+
+def _separable_max(alpha, w, feasible, x):
+    """argmax of sum_i phi(p_i), phi(t) = sum_k w_k t^a_k, over {p >= 0, A p = b}; None on failure.
+
+    phi must be strictly concave: each w_k a_k (a_k - 1) < 0.  Then
+    p_i = (phi')^-1(y_i) with y = A^T nu, or 0 where y_i >= phi'(0+), and
+    nu minimizes the convex dual g(nu) = sum_i [phi(p_i) - y_i p_i] + b . nu,
+    whose gradient is b - A p and Hessian A diag(-1/phi''(p)) A^T (Boyd &
+    Vandenberghe 2004, ch. 5).  Newton on nu starts from the least-squares
+    fit of phi'(x) on the columns of A over positive x.  Its step descends
+    |A p - b|^2, on which it backtracks: g itself changes below its rounding
+    once the residual is small.  It stops one full step after each row's
+    residual is within its projection tolerance.
+    """
+    c = w * alpha  # phi'(t) = sum_k c_k t^e_k
+    e = alpha - 1.0
+    if not np.all(c * e < 0.0):  # a nan fails too
+        return None
+    a, b = feasible.a, feasible.b
+
+    def primal(nu, u):
+        """(p, -1/phi''(p), log p) at y = A^T nu, or None where some y_i has no finite p_i."""
+        y = a.T @ nu
+        if e.max() < 0.0 and y.min() <= 0.0:  # phi' > 0 falls to 0 only as t -> inf
+            return None
+        live = y < 0.0 if e.min() > 0.0 else np.full(y.size, True)  # else phi'(0+) = inf
+        u = u.copy()
+        u[live] = _log_inverse(c, e, y[live], u[live])
+        p = np.where(live, np.exp(u), 0.0)
+        d = np.where(live, -1.0 / (c * e * np.power(p[:, None], e - 1.0)).sum(axis=1), 0.0)
+        return (p, d, u) if np.isfinite(p).all() and np.isfinite(d).all() else None
+
+    pos = x > 0.0
+    slopes = (c * np.power(x[pos, None], e)).sum(axis=1)
+    nu = np.linalg.lstsq(a[:, pos].T, slopes, rcond=None)[0]
+    state = primal(nu, np.log(np.where(pos, x, 1.0 / x.size)))
+    if state is None:  # start from the uniform point's multipliers instead
+        nu = np.linalg.lstsq(a.T, np.full(x.size, (c * x.size**-e).sum()), rcond=None)[0]
+        state = primal(nu, np.full(x.size, -math.log(x.size)))
+    p, d, u = state
+    gap = a @ p - b
+    for _ in range(_NEWTON_ROUNDS):
+        step = np.linalg.lstsq((a * d) @ a.T, gap, rcond=None)[0]
+        if (np.abs(gap) <= feasible.row_tol).all():
+            last = primal(nu + step, u)
+            if last is not None and np.abs(a @ last[0] - b).max() <= np.abs(gap).max():
+                return last[0]
+            return p  # rounding rules already
+        merit = float(gap @ gap)
+        t = 1.0
+        while True:
+            trial = primal(nu + t * step, u)
+            if trial is not None:
+                trial_gap = a @ trial[0] - b
+                if float(trial_gap @ trial_gap) <= (1.0 - 2e-4 * t) * merit:
+                    break
+            t *= 0.5
+            if t < 1e-12:  # at the rounding floor of an ill-conditioned A D A^T
+                return p if np.abs(gap).max() <= FEAS_TOL else None
+        nu = nu + t * step
+        (p, d, u), gap = trial, trial_gap
+    return None
+
+
+def _log_inverse(c, e, y, u):
+    """log t solving sum_k c_k t^e_k = y entrywise, by Newton from u.
+
+    Every c_k e_k < 0, so the sum decreases in t.  With P and N the sums of
+    its positive and negative terms, Newton runs on
+    Q(u) = log(P + max(-y, 0)) - log(N + max(y, 0)), which decreases and is
+    close to linear in u, so it converges from any start: each log is a
+    log-sum-exp, and at the root |Q'| is at least the smallest |e_k| (its
+    terms are averages of the e_k).  A step past a bracket the iterates have
+    already set bisects it instead; it stops once no step exceeds _LOG_TOL.
+    """
+    pos = (c > 0.0)[:, None]
+    logc = np.log(np.abs(c))[:, None]
+    signed = np.where(pos, e[:, None], -e[:, None])  # d/du of log P's terms, of -log N's
+    extra_top = np.log(np.maximum(-y, 0.0))
+    extra_bottom = np.log(np.maximum(y, 0.0))
+    lo = np.full(u.size, -math.inf)
+    hi = np.full(u.size, math.inf)
+    for _ in range(_NEWTON_ROUNDS):
+        z = logc + e[:, None] * u
+        top = np.logaddexp.reduce(np.where(pos, z, -math.inf), axis=0, initial=-math.inf)
+        bottom = np.logaddexp.reduce(np.where(pos, -math.inf, z), axis=0, initial=-math.inf)
+        top, bottom = np.logaddexp(top, extra_top), np.logaddexp(bottom, extra_bottom)
+        gap = top - bottom
+        share = np.exp(z - np.where(pos, top, bottom))  # of its log's argument
+        slope = (signed * share).sum(axis=0)
+        lo = np.where(gap > 0.0, u, lo)
+        hi = np.where(gap < 0.0, u, hi)
+        nxt = u + np.clip(-gap / slope, -_LOG_STEP, _LOG_STEP)
+        nxt = np.where((nxt < lo) | (nxt > hi), 0.5 * (lo + hi), nxt)
+        done = float(np.abs(nxt - u).max(initial=0.0)) <= _LOG_TOL
+        u = nxt
+        if done:
+            break
+    return u

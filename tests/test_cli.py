@@ -423,6 +423,12 @@ _INVALID_ARGUMENTS = {
                                   "--constraint", "1,1e308,-1:-0.4"],
     "maxent-ragged-rows": ["maxent", "--family", "shannon", "--w", "3",
                            "--constraint", "0,1,2:1.2", "--constraint", "0,1:0.5"],
+    "maxent-blank-field": ["maxent", "--w", "2", "--family", "shannon",
+                           "--constraint", "0,,1:0.5"],
+    "metric-blank-field": ["metric", "--model", "simplex:2", "--divergence", "kl",
+                           "--point", "0.3,,0.25"],
+    "metric-trailing-comma": ["metric", "--model", "simplex:2", "--divergence", "kl",
+                              "--point", "0.3,0.25,"],
     "metric-negative-step": ["metric", "--model", "simplex:2", "--divergence", "kl",
                              "--point", "0.3,0.25", "--step", "-1"],
     "connection-negative-step": ["connection", "--model", "simplex:2", "--divergence", "kl",

@@ -25,8 +25,9 @@ from entrogeo import (
     uniform,
     validate,
 )
-from entrogeo.composition import sm_pair_entropy
+from entrogeo.composition import sm_pair_entropy, sm_tsallis_entropy
 from entrogeo.divergence import sm_divergence_pair
+from entrogeo.maxent import GRAD_STEP, _fd_gradient
 from entrogeo.errors import (
     AnchorViolation,
     DomainError,
@@ -198,12 +199,6 @@ def test_an_overflowing_probe_fails_its_check_without_a_warning():
     assert [str(w.message) for w in caught] == []
 
 
-def test_declared_shape_must_match_sampled_shape():
-    # a given f''(1) of the wrong sign: t^2 is convex, -2 declares it concave
-    with pytest.raises(ShapeMismatch, match="f is not concave"):
-        _squared_pair(name="mislabeled", d2f1=-2.0)
-
-
 @pytest.mark.parametrize(
     "changes, message",
     [
@@ -295,8 +290,28 @@ def test_analytic_gradient_on_every_builtin():
         ("kaniadakis", {"kappa": 0.3}),
     ):
         assert builtin_functional(family, **params).gradient is not None
-    # composed functionals carry no pair, hence no gradient
-    assert sm_pair_entropy(0.3, 0.7, 0.5).gradient is None
+
+
+@pytest.mark.parametrize(
+    "functional",
+    [
+        sm_pair_entropy(0.3, 0.7, 0.5),
+        sm_pair_entropy(0.5, 2.0, 1.5),
+        sm_pair_entropy(1.5, 3.0, 2.0),
+        sm_tsallis_entropy(0.3, 0.7),
+        sm_tsallis_entropy(0.5, 2.0),
+    ],
+    ids=lambda f: f.name,
+)
+def test_trace_entropies_carry_the_chain_rule_gradient(functional):
+    # dS/dp_i = sum_k dF/ds_k a_k p_i^(a_k - 1), against maximize's own central differences
+    w = np.random.default_rng(4).dirichlet(np.ones(7))
+    fd = _fd_gradient(functional.fn, w, GRAD_STEP)
+    np.testing.assert_allclose(functional.gradient(w), fd, rtol=1e-6, atol=0.0)
+    batch = np.vstack([w, w[::-1]])
+    np.testing.assert_allclose(
+        functional.gradient(batch)[1], functional.gradient(w[::-1]), rtol=1e-14, atol=0.0
+    )
 
 
 @pytest.mark.parametrize(

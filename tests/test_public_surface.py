@@ -35,7 +35,7 @@ ONE_VALUE_EXEMPT: dict[str, str] = {}
 
 #: Parameters of every callable in `entrogeo.__all__`: functions, dataclass
 #: fields and public methods (without self); exceptions are not counted.
-PUBLIC_PARAMETERS = 191
+PUBLIC_PARAMETERS = 192
 
 #: Options and positionals of the CLI parser and its subcommands, without --help.
 CLI_OPTIONS = 45
