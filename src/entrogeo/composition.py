@@ -35,14 +35,7 @@ import numpy as np
 
 from .errors import ArityMismatch, InvalidArgument, LawMismatch, MonotonicityViolation
 from .formal_group import BinaryLaw, Conjugator, _fmt, conjugate, iterate_pow2, q_sum
-from .hf_entropy import (
-    EntropyFunctional,
-    _f_power,
-    _guard_param,
-    _PowerTraces,
-    _trace,
-    product_residuals,
-)
+from .hf_entropy import EntropyFunctional, _guard_param, _PowerTraces, product_residuals
 
 MONO_SLACK = 1e-12
 
@@ -207,8 +200,6 @@ def group_compose(
     if len(entropies) != arity:
         raise ArityMismatch(f"group composition at m={m} takes {arity} entropies")
     law = entropies[0].law
-    if law is None:
-        raise LawMismatch(f"{entropies[0].name} carries no composition law")
     for s in entropies:
         if s.law is None:
             raise LawMismatch(f"{s.name} carries no composition law")
@@ -252,21 +243,18 @@ def sm_pair_entropy(alpha1: float, alpha2: float, beta: float) -> EntropyFunctio
     a1 = _guard_param(alpha1, "alpha1")
     a2 = _guard_param(alpha2, "alpha2")
     b = _guard_param(beta, "beta", positive=False)
-    f1, f2 = (_f_power(a)["f"] for a in (a1, a2))
     e1, e2 = (b - 1.0) / (a1 - 1.0), (b - 1.0) / (a2 - 1.0)
 
-    def fn(weights):
-        s1, s2 = _trace(f1, weights), _trace(f2, weights)
-        prod = np.power(s1, e1) * np.power(s2, e2)
-        return (1.0 - prod) / (b - 1.0)
+    def product(s):
+        return np.power(s[0], e1) * np.power(s[1], e2)
 
     def outer_gradient(s):  # dF/ds_k = -s1^e1 s2^e2 / ((a_k - 1) s_k)
-        prod = np.power(s[..., 0], e1) * np.power(s[..., 1], e2)
-        return -prod[..., None] / (np.array([a1 - 1.0, a2 - 1.0]) * s)
+        prod = product(s)
+        return np.stack([-prod / ((a - 1.0) * s_k) for a, s_k in zip((a1, a2), s)])
 
-    form = _PowerTraces((a1, a2), outer_gradient)
+    form = _PowerTraces((a1, a2), lambda s: (1.0 - product(s)) / (b - 1.0), outer_gradient)
     return EntropyFunctional(
-        fn=fn,
+        fn=form.value,
         name=f"sm-pair({_fmt(a1, a2)};{_fmt(b)})",
         law=q_sum(b),
         gradient=form.gradient,

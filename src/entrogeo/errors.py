@@ -36,10 +36,6 @@ class LengthMismatch(EntrogeoError):
     """Two weight vectors that must share a length do not."""
 
 
-class IndexOutOfRange(EntrogeoError):
-    """An outcome index lies outside 1..W."""
-
-
 # --- binary composition laws ----------------------------------------------
 
 

@@ -19,10 +19,10 @@ then the entropy itself composes through Phi(x, y) = h(chi(h^-1 x, h^-1 y))
 (`phi_from_chi`), and `composability_residual` measures how far a candidate
 law is from that identity on concrete product distributions.
 
-Each f of the built-in pairs is written once, in the f table (t ln t, t^a
-and the Tsallis f, the last two with their divergence mirror); the entropy
-families here and the divergence pairs all build from it.  `HFPair` takes
-any other (h, f) with its exact derivative data: h', and f'', f''' at 1.
+Each f of the built-in pairs is written once, in the f table (t ln t, t^a, the
+Tsallis and the Kaniadakis f, the first and third with their divergence mirror);
+the entropy families here and the divergence pairs all build from it.  `HFPair`
+takes any other (h, f) with its exact derivative data: h', and f'', f''' at 1.
 
 Conventions: f(0) = 0 exactly, and each f keeps that rule itself: every
 trace calls f as given.  The built-in fs keep exact zeros off the slow path
@@ -301,6 +301,23 @@ def _f_tsallis(q: float, sign: float) -> dict:
     }
 
 
+def _f_kaniadakis(k: float) -> dict:
+    """f = (t^(1-k) - t^(1+k)) / (2 k): kaniadakis."""
+
+    def f(t):
+        out = np.power(t, 1.0 - k)
+        out -= np.power(t, 1.0 + k)
+        out /= 2.0 * k
+        return out
+
+    return {
+        "f": _cheap_at_zero(f, 1.0 - k, 1.0 + k),
+        "f_prime": lambda t: ((1.0 - k) * np.power(t, -k) - (1.0 + k) * np.power(t, k)) / (2.0 * k),
+        "d2f1": -1.0,
+        "d3f1": 1.0 - k * k,
+    }
+
+
 #: ln t, 0 at t = 0, written in place over its argument: the kl integrand
 #: t ln t over t, which `kl_functional` weights by p instead of q.
 _log_in_place = zero_preserving(lambda t: np.log(t, out=t))
@@ -353,21 +370,7 @@ def kaniadakis(kappa: float) -> HFPair:
         raise ParamOutOfRange(
             f"kappa must satisfy {PARAM_GUARD:g} <= |kappa| < 1, got {k}"
         )
-
-    def f(t):
-        out = np.power(t, 1.0 - k)
-        out -= np.power(t, 1.0 + k)
-        out /= 2.0 * k
-        return out
-
-    return HFPair(
-        name=f"kaniadakis({_fmt(k)})",
-        f=_cheap_at_zero(f, 1.0 - k, 1.0 + k),
-        **_IDENTITY_H,
-        d2f1=-1.0,
-        d3f1=1.0 - k * k,
-        f_prime=lambda t: ((1.0 - k) * np.power(t, -k) - (1.0 + k) * np.power(t, k)) / (2.0 * k),
-    )
+    return HFPair(name=f"kaniadakis({_fmt(k)})", **_f_kaniadakis(k), **_IDENTITY_H)
 
 
 def _guard_param(value: float, label: str, positive: bool = True) -> float:
@@ -427,25 +430,34 @@ _BUILTINS: dict[str, tuple[Callable[..., HFPair], Callable[..., BinaryLaw | None
 class _PowerTraces:
     """The structure S = F(s_1, ..., s_m) of an entropy of power traces s_k = sum_i p_i^a_k.
 
-    `exponents` holds the a_k.  `outer_gradient` maps traces stacked along a
-    last axis to dF/ds_k, stacked the same way.  `maximize` solves an entropy
-    that carries this record by its dual.
+    `exponents` holds the a_k.  `outer` maps traces stacked along a first
+    axis, so that each s_k stays contiguous, to F; `outer_gradient` maps them
+    to dF/ds_k, stacked the same way.  Each t^a and its f' come from the f
+    table.  `maximize` solves an entropy that carries this record by its dual.
     """
 
     exponents: tuple[float, ...]
+    outer: Callable
     outer_gradient: Callable
+    powers: tuple[dict, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "powers", tuple(_f_power(a) for a in self.exponents))
 
     def sums(self, weights) -> np.ndarray:
-        """s_k along a new last axis, each summed from the f table's t^a."""
-        return np.stack([_trace(_f_power(a)["f"], weights) for a in self.exponents], axis=-1)
+        """s_k along a new first axis."""
+        return np.stack([_trace(power["f"], weights) for power in self.powers])
+
+    def value(self, weights) -> np.ndarray:
+        """S = F(s_1, ..., s_m)."""
+        return self.outer(self.sums(weights))
 
     def gradient(self, weights) -> np.ndarray:
         """The chain rule dS/dp_i = sum_k dF/ds_k a_k p_i^(a_k - 1)."""
         weights = np.asarray(weights, dtype=float)
-        a = np.asarray(self.exponents)
-        outer = self.outer_gradient(self.sums(weights))[..., None, :]
+        outer = zip(self.outer_gradient(self.sums(weights)), self.powers)
         with np.errstate(divide="ignore"):  # an exact 0 weight gets the one-sided limit
-            return (outer * a * np.power(weights[..., None], a - 1.0)).sum(axis=-1)
+            return sum(g[..., None] * power["f_prime"](weights) for g, power in outer)
 
 
 @dataclass(frozen=True)
@@ -583,16 +595,14 @@ def sk_suite(
     min_value = math.inf
     strict_ok = True
     for w in range(2, w_max + 1):
-        batch = np.vstack([rng.dirichlet(np.ones(w), size=samples), np.eye(w)])
-        u = np.full(w, 1.0 / w)
-        vals = entropy.eval_batch(batch)
-        u_val = float(entropy.eval_batch(u))
+        rows = [rng.dirichlet(np.ones(w), size=samples), np.eye(w), np.full((1, w), 1.0 / w)]
+        everything = np.vstack(rows)
+        padded = np.hstack([everything, np.zeros((everything.shape[0], 1))])
+        vals = entropy.eval_batch(everything)
+        gap = np.abs(entropy.eval_batch(padded) - vals)
+        vals, u_val = vals[:-1], float(vals[-1])  # the uniform row is the reference
         maximality = max(maximality, float(vals.max()) - u_val)
         strict_ok = strict_ok and bool(np.all(vals < u_val))
-
-        everything = np.vstack([batch, u[None, :]])
-        padded = np.hstack([everything, np.zeros((everything.shape[0], 1))])
-        gap = np.abs(entropy.eval_batch(padded) - entropy.eval_batch(everything))
         expansibility = max(expansibility, float(gap.max()))
         min_value = min(min_value, float(vals.min()), u_val)
 

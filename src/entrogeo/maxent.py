@@ -100,10 +100,6 @@ class ConstraintSet:
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "targets", b)
 
-    @property
-    def count(self) -> int:
-        return int(self.coefficients.shape[0])
-
 
 @dataclass(frozen=True)
 class MaxentResult:
@@ -276,7 +272,9 @@ def maximize(
     """
     if size < 1:
         raise LengthMismatch(f"need at least one outcome, got {size}")
-    if constraints is not None and constraints.coefficients.shape[1] != size:
+    if constraints is None:
+        constraints = ConstraintSet(np.empty((0, size)), ())
+    if constraints.coefficients.shape[1] != size:
         raise LengthMismatch(
             f"constraints are over {constraints.coefficients.shape[1]} outcomes, expected {size}"
         )
@@ -287,18 +285,13 @@ def maximize(
     if not tol >= 0.0:
         raise InvalidArgument(f"tol must be non-negative, got {tol}")
 
-    ones = np.ones((1, size))
-    if constraints is not None and constraints.count > 0:
-        a_full = np.vstack([ones, constraints.coefficients])
-        b_full = np.concatenate(([1.0], constraints.targets))
-    else:
-        a_full = ones
-        b_full = np.ones(1)
+    a_full = np.vstack([np.ones((1, size)), constraints.coefficients])
+    b_full = np.concatenate(([1.0], constraints.targets))
     feasible = _Feasible(a_full, b_full)
 
     start = feasible.project(np.full(size, 1.0 / size))
     if feasible.residual(start) > FEAS_TOL:
-        a, b = a_full[1:], b_full[1:]  # on the simplex a_i . p spans [min a_i, max a_i]
+        a, b = constraints.coefficients, constraints.targets  # a_i . p spans [min a_i, max a_i]
         gap = np.maximum(a.min(axis=1) - b, b - a.max(axis=1))
         i = int(np.argmax(gap))
         raise Infeasible(
@@ -481,6 +474,8 @@ def _separable_max(alpha, w, feasible, x):
     if state is None:  # start from the uniform point's multipliers instead
         nu = np.linalg.lstsq(a.T, np.full(x.size, (c * x.size**-e).sum()), rcond=None)[0]
         state = primal(nu, np.full(x.size, -math.log(x.size)))
+        if state is None:
+            return None
     p, d, u = state
     gap = a @ p - b
     for _ in range(_NEWTON_ROUNDS):

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidArgument, LengthMismatch, NegativeWeight, SumNotOne
+from .errors import InvalidArgument, LengthMismatch, NegativeWeight, SumNotOne
 
 #: |sum(p) - 1| allowed when constructing in memory.
 SIMPLEX_TOL = 1e-12
@@ -72,7 +72,7 @@ def validate(weights: Sequence[float] | np.ndarray, tol: float = SIMPLEX_TOL) ->
 def uniform(size: int) -> ProbDist:
     """The uniform distribution on `size` outcomes."""
     if size < 1:
-        raise IndexOutOfRange(f"need at least one outcome, got {size}")
+        raise LengthMismatch(f"need at least one outcome, got {size}")
     return ProbDist(np.full(size, 1.0 / size))
 
 

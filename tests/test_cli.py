@@ -649,6 +649,15 @@ def test_constraint_rows_of_unequal_length_print_one_stderr_line(capsys):
             lambda doc: (doc["law_report"]["commutativity_residual"], doc["law_report"]["passed"]),
             (None, False),
         ),
+        *(  # the dual's warm start and uniform restart both give non-finite weights
+            (["maxent", "--family", family, "--w", w], lambda doc: (doc["value"], doc["converged"]),
+             (None, False))
+            for family, w in (
+                ("sm-pair:alpha1=300,alpha2=0.7,beta=0.5", "50"),
+                ("sm-pair:alpha1=0.3,alpha2=0.7,beta=-1e8", "50"),
+                ("sm-tsallis:alpha=1e6,q=0.5", "5"),
+            )
+        ),
     ],
 )
 def test_a_non_finite_run_prints_nothing_on_stderr(

@@ -204,7 +204,7 @@ def test_group_compose_rejects_mixed_laws():
 
 def test_group_compose_rejects_lawless_constituents():
     k = builtin_functional("kaniadakis", kappa=0.4)
-    with pytest.raises(LawMismatch):
+    with pytest.raises(LawMismatch, match=r"kaniadakis\(0.4\) carries no composition law"):
         group_compose([k], identity_conjugator(), m=0)
     # a later constituent without a law is caught as well
     lawless = entropy_functional(shannon())

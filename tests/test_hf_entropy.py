@@ -368,6 +368,20 @@ def test_sk_suite_passes_for_builtins():
         assert report.min_value >= 0.0
 
 
+def test_sk_suite_evaluates_each_batch_once_and_its_padding_once():
+    calls = []
+    tsallis_fn = builtin_functional("tsallis", q=1.5).fn
+
+    def fn(weights):
+        calls.append(np.shape(weights))
+        return tsallis_fn(weights)
+
+    report = sk_suite(EntropyFunctional(fn=fn, name="counted"), w_max=4, samples=30)
+    assert report.passed
+    # two calls per W: samples + W corners + 1 uniform rows, then the same rows padded by a 0
+    assert calls == [(30 + w + 1, w + pad) for w in (2, 3, 4) for pad in (0, 1)]
+
+
 def test_sk_suite_needs_two_outcomes():
     with pytest.raises(InvalidArgument):
         sk_suite(builtin_functional("shannon"), w_max=1)

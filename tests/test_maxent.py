@@ -8,7 +8,7 @@ from entrogeo import ConstraintSet, EntropyFunctional, builtin_functional, maxim
 from entrogeo import maxent
 from entrogeo.cli import execute
 from entrogeo.composition import sm_pair_entropy, sm_tsallis_entropy
-from entrogeo.errors import Infeasible, LengthMismatch
+from entrogeo.errors import EntrogeoError, Infeasible, LengthMismatch
 from entrogeo.maxent import _FD_BLOCK, EVAL_CLIP, _fd_gradient, _Feasible
 
 # one linear expectation constraint: values (0, 1, 2), mean pinned to 1.2.
@@ -584,6 +584,30 @@ def test_dual_restarts_from_the_uniform_multipliers_when_the_fit_leaves_the_doma
     b = np.concatenate(([1.0], constraints.targets))
     ref = _bisection_fixed_point(entropy, a, b)
     np.testing.assert_allclose(result.dist.weights, ref, rtol=0.0, atol=1e-10)
+
+
+def test_dual_raises_only_entrogeo_errors_on_extreme_problems():
+    # Extreme alpha and beta, W from 2 to 50, 0 to 2 rows.  Where the warm start and the
+    # uniform restart both give non-finite weights, the inner solve fails and the run ends
+    # unconverged; about one problem in five here takes that path.
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        a1, a2 = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
+        beta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 8.0)
+        w = int(rng.integers(2, 51))
+        rows = rng.uniform(-1.0, 1.0, size=(int(rng.integers(0, 3)), w))
+        targets = rows @ rng.dirichlet(np.ones(w))
+        try:
+            maximize(sm_pair_entropy(a1, a2, beta), w, ConstraintSet(rows, targets))
+        except EntrogeoError:
+            pass
+
+
+def test_no_rows_is_no_constraints():
+    for entropy, w in ((builtin_functional("tsallis", q=0.5), 10),
+                       (sm_pair_entropy(0.3, 0.7, 0.5), 50)):
+        empty = ConstraintSet(np.empty((0, w)), [])
+        assert maximize(entropy, w).as_dict() == maximize(entropy, w, empty).as_dict()
 
 
 def test_each_functional_reaches_one_solver(monkeypatch):

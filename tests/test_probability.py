@@ -11,7 +11,6 @@ from entrogeo import (
     validate,
 )
 from entrogeo.errors import (
-    IndexOutOfRange,
     InvalidArgument,
     LengthMismatch,
     NegativeWeight,
@@ -83,7 +82,7 @@ def test_empty_rejected():
 def test_uniform():
     u = uniform(4)
     np.testing.assert_allclose(u.weights, 0.25)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(LengthMismatch):  # as ProbDist([]) and maximize(size=0)
         uniform(0)
 
 
