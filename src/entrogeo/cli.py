@@ -419,34 +419,18 @@ _SK_PANEL = (
 )
 
 
-def _checks_sk(
-    panel: Sequence[hf_entropy.EntropyFunctional], w_max: int, samples: int, seed: int
-) -> list[dict]:
-    checks = []
-    for functional in panel:
-        report = hf_entropy.sk_suite(functional, w_max, samples, seed)
-        checks.append(_check(f"sk-suite[{functional.name}]", report.passed, report.as_dict()))
-    return checks
+def _max_product_residual(fn: Callable, law: formal_group.BinaryLaw, pairs: list) -> float:
+    """Max |S(p x q) - Phi(S(p), S(q))| over the (p, q) rows of `pairs`; a nan propagates."""
+    return float(np.max([hf_entropy.product_residuals(fn, law, p, q).max() for p, q in pairs]))
 
 
-def _max_product_residual(fn: Callable, law: formal_group.BinaryLaw, rng, count: int) -> float:
-    """Max |S(p x q) - Phi(S(p), S(q))| over sampled product pairs."""
-    combos = [(w1, w2) for w1 in (2, 3, 4) for w2 in (2, 3, 4)]
-    each = max(1, count // len(combos))
-    worst = 0.0
-    for w1, w2 in combos:
-        p = rng.dirichlet(np.ones(w1), size=each)
-        q = rng.dirichlet(np.ones(w2), size=each)
-        worst = max(worst, float(np.max(hf_entropy.product_residuals(fn, law, p, q))))
-    return worst
-
-
-def _checks_composability(pairs: int, seed: int) -> list[dict]:
+def _checks_composability(count: int, seed: int) -> list[dict]:
+    shapes = [(w1, w2) for w1 in (2, 3, 4) for w2 in (2, 3, 4)]
+    pairs = hf_entropy._product_pairs(seed, shapes, max(1, count // len(shapes)))
     checks = []
     for spec in ("shannon", "renyi:alpha=2", "tsallis:q=1.5", "sharma-mittal:alpha=0.5,beta=0.7"):
         functional = _entropy(spec)
-        rng = np.random.default_rng(seed)
-        worst = _max_product_residual(functional.fn, functional.law, rng, pairs)
+        worst = _max_product_residual(functional.fn, functional.law, pairs)
         checks.append(
             _check(
                 f"composability[{functional.name}]",
@@ -458,11 +442,10 @@ def _checks_composability(pairs: int, seed: int) -> list[dict]:
         )
     # Kaniadakis must fail against every deformed sum tried (falsification).
     functional = _entropy("kaniadakis:kappa=0.4")
-    witnesses = {}
-    for q in (0.0, 0.5, 1.0, 1.5, 2.0):
-        rng = np.random.default_rng(seed)
-        worst = _max_product_residual(functional.fn, formal_group.q_sum(q), rng, pairs)
-        witnesses[f"q={q:g}"] = worst
+    witnesses = {
+        f"q={q:g}": _max_product_residual(functional.fn, formal_group.q_sum(q), pairs)
+        for q in (0.0, 0.5, 1.0, 1.5, 2.0)
+    }
     checks.append(
         _check(
             "composability-falsification[kaniadakis(0.4)]",
@@ -572,11 +555,11 @@ def _cmd_verify(args) -> tuple[int, dict]:
         qs = args.q if args.q else [0.0, 0.5, 1.0, 2.0]
         checks.extend(_checks_group_law(qs, args.samples, seed))
     if what in ("sk", "all"):
-        if what == "sk" and args.family:
-            panel = [_entropy(args.family, args.params)]
-        else:
-            panel = [_entropy(spec) for spec in _SK_PANEL]
-        checks.extend(_checks_sk(panel, args.w_max, args.samples, seed))
+        # --family implies sk, as _reject_inapplicable checked above
+        panel = [_entropy(args.family, args.params)] if args.family else map(_entropy, _SK_PANEL)
+        for functional in panel:
+            report = hf_entropy.sk_suite(functional, args.w_max, args.samples, seed)
+            checks.append(_check(f"sk-suite[{functional.name}]", report.passed, report.as_dict()))
     if what in ("composability", "all"):
         checks.extend(_checks_composability(args.pairs, seed))
     if what in ("geometry", "all"):
@@ -607,19 +590,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("entropy", help="evaluate an entropy on a distribution")
     p.add_argument("--family", required=True, help="shannon|renyi|tsallis|sharma-mittal|kaniadakis|sm-pair|sm-tsallis")
-    p.add_argument("--params", nargs="*", metavar="K=V", help="family parameters")
     p.add_argument("--dist", required=True, help="distribution file (JSON or one-column CSV)")
-    p.add_argument("--tol", type=float, default=FILE_TOL, help="simplex sum tolerance for file input")
     p.set_defaults(handler=_cmd_entropy)
 
     p = sub.add_parser("divergence", help="evaluate a divergence D(p || q)")
     p.add_argument("--family", required=True, help="kl|sm|power|tsallis-rel spec or composed")
-    p.add_argument("--params", nargs="*", metavar="K=V", help="family parameters")
     p.add_argument("--of", action="append", metavar="SPEC", help="constituent for --family composed (repeatable)")
     p.add_argument("--coeffs", help="comma-separated weights for --family composed")
     p.add_argument("--p", required=True, help="first distribution file")
     p.add_argument("--q", required=True, help="reference distribution file (strictly positive)")
-    p.add_argument("--tol", type=float, default=FILE_TOL)
     p.set_defaults(handler=_cmd_divergence)
 
     p = sub.add_parser("compose", help="group-compose entropies and verify the induced law")
@@ -629,23 +608,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=0, help="composition depth (2^m constituents)")
     p.add_argument("--dist", required=True, help="distribution file to evaluate on")
     p.add_argument("--samples", type=int, default=1000, help="axiom-check sample count")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=FILE_TOL)
     p.set_defaults(handler=_cmd_compose)
 
     p = sub.add_parser("metric", help="metric tensor at a model point")
-    p.add_argument("--model", required=True, help="simplex:W")
-    p.add_argument("--point", required=True, help="comma-separated coordinates")
     p.add_argument("--divergence", required=True, help="kl|sm:...|power:...|tsallis-rel:...|fisher")
-    p.add_argument("--step", type=float, default=None, help="finite-difference step override")
     p.set_defaults(handler=_cmd_metric)
 
     p = sub.add_parser("connection", help="dual connection coefficients at a model point")
-    p.add_argument("--model", required=True, help="simplex:W")
-    p.add_argument("--point", required=True, help="comma-separated coordinates")
     p.add_argument("--divergence", help="kl|sm:...|power:...|tsallis-rel:...")
     p.add_argument("--alpha", type=float, default=None, help="emit the alpha-connection instead")
-    p.add_argument("--step", type=float, default=None, help="finite-difference step override")
     p.set_defaults(handler=_cmd_connection)
 
     p = sub.add_parser("verify", help="run named verification checks")
@@ -656,21 +627,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-max", type=int, default=5)
     p.add_argument("--q", type=float, action="append", help="deformation(s) for group-law checks")
     p.add_argument("--family", help="restrict sk checks to one family")
-    p.add_argument("--params", nargs="*", metavar="K=V")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("maxent", help="maximize an entropy under linear constraints")
     p.add_argument("--family", required=True)
-    p.add_argument("--params", nargs="*", metavar="K=V")
     p.add_argument("--w", type=int, required=True, help="number of outcomes")
     p.add_argument("--constraint", action="append", metavar="C1,...,CW:T",
                    help="expectation constraint row and target (repeatable)")
     p.add_argument("--max-iter", type=int, default=100_000)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(handler=_cmd_maxent)
+
+    # options that several subcommands share, each stated once
+    for p in map(sub.choices.get, ("entropy", "divergence", "verify", "maxent")):
+        p.add_argument("--params", nargs="*", metavar="K=V", help="family parameters")
+    for p in map(sub.choices.get, ("entropy", "divergence", "compose")):
+        p.add_argument("--tol", type=float, default=FILE_TOL, help="simplex sum tolerance for file input")
+    for p in map(sub.choices.get, ("compose", "verify", "maxent")):
+        p.add_argument("--seed", type=int, default=None)
+    for p in map(sub.choices.get, ("metric", "connection")):
+        p.add_argument("--model", required=True, help="simplex:W")
+        p.add_argument("--point", required=True, help="comma-separated coordinates")
+        p.add_argument("--step", type=float, default=None, help="finite-difference step override")
 
     return parser
 

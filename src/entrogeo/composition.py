@@ -35,7 +35,9 @@ import numpy as np
 
 from .errors import ArityMismatch, InvalidArgument, LawMismatch, MonotonicityViolation
 from .formal_group import BinaryLaw, Conjugator, _fmt, conjugate, iterate_pow2, q_sum
-from .hf_entropy import EntropyFunctional, _guard_param, _PowerTraces, product_residuals
+from .hf_entropy import (
+    EntropyFunctional, _guard_param, _PowerTraces, _product_pairs, product_residuals
+)
 
 MONO_SLACK = 1e-12
 
@@ -200,10 +202,17 @@ def group_compose(
     if len(entropies) != arity:
         raise ArityMismatch(f"group composition at m={m} takes {arity} entropies")
     law = entropies[0].law
+    probes = _product_pairs(seed, ((2, 3), (3, 2), (2, 2)), 1)
     for s in entropies:
         if s.law is None:
             raise LawMismatch(f"{s.name} carries no composition law")
-        _probe_law(s, law, seed)
+        for p, q in probes:
+            residual = float(product_residuals(s.fn, law, p, q)[0])
+            if not residual <= PROBE_TOL:
+                raise LawMismatch(
+                    f"{s.name} misses {law.name} by {residual:.3e} on a "
+                    f"{p.shape[1]}x{q.shape[1]} probe pair (tol {PROBE_TOL:.1e})"
+                )
 
     phi_n = iterate_pow2(law, m)
     fns = [s.fn for s in entropies]
@@ -216,19 +225,6 @@ def group_compose(
     inner = ", ".join(s.name for s in entropies)
     name = f"{xi.name}*{law.name}^{arity}[{inner}]"
     return EntropyFunctional(fn=fn, name=name, law=omega), omega
-
-
-def _probe_law(entropy: EntropyFunctional, law: BinaryLaw, seed: int) -> None:
-    rng = np.random.default_rng(seed)
-    for w1, w2 in ((2, 3), (3, 2), (2, 2)):
-        p = rng.dirichlet(np.ones(w1))
-        q = rng.dirichlet(np.ones(w2))
-        residual = float(product_residuals(entropy.fn, law, p[None], q[None])[0])
-        if not residual <= PROBE_TOL:
-            raise LawMismatch(
-                f"{entropy.name} misses {law.name} by {residual:.3e} on a "
-                f"{w1}x{w2} probe pair (tol {PROBE_TOL:.1e})"
-            )
 
 
 # --- closed forms -------------------------------------------------------------

@@ -132,6 +132,14 @@ def q_sum(q: float) -> BinaryLaw:
     return BinaryLaw(fn=fn, domain=Interval.reals(), name=f"q-sum({_fmt(q)})")
 
 
+def _sample_chunks(k: int, samples: int, seed: int) -> list[np.ndarray]:
+    """`samples` seeded draws of k arguments from [0, 1), cut into (k, <= _BLOCK) chunks."""
+    if samples < 1:
+        raise InvalidArgument("need at least one sample")
+    draws = np.random.default_rng(seed).uniform(0.0, 1.0, size=(k, samples))
+    return [draws[:, start : start + _BLOCK] for start in range(0, samples, _BLOCK)]
+
+
 def check_group_axioms(law: BinaryLaw, samples: int = 1000, seed: int = 0) -> LawReport:
     """Check commutativity, associativity, and neutral element on samples.
 
@@ -143,19 +151,15 @@ def check_group_axioms(law: BinaryLaw, samples: int = 1000, seed: int = 0) -> La
     named ahead of an escaping Phi(y,z).  The samples are composed in chunks
     of _BLOCK, with the same values as in one call.
     """
-    if samples < 1:
-        raise InvalidArgument("need at least one sample")
+    chunks = _sample_chunks(3, samples, seed)
     if not law.domain.contains(0.0):
         raise DomainEscape(f"neutral element 0 lies outside the domain of {law.name}")
     if not law.domain.contains([0.0, 1.0]):
         raise DomainEscape(f"sampling interval [0.0, 1.0] leaves the domain of {law.name}")
 
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(0.0, 1.0, size=(3, samples))
     residuals = []
     yz_escapes = False  # raised after the loop, once every chunk's Phi(x,y) stayed inside
-    for start in range(0, samples, _BLOCK):
-        x, y, z = draws[:, start : start + _BLOCK]
+    for x, y, z in chunks:
         xy = law(x, y)
         yz = law(y, z)
         if not law.domain.contains(xy):
@@ -217,13 +221,8 @@ def check_phi4_symmetry(law: BinaryLaw, samples: int = 1000, seed: int = 0) -> f
     The samples are composed in chunks of _BLOCK, each of the 12 ordered
     pairs Phi(x_i, x_j) once per chunk.
     """
-    if samples < 1:
-        raise InvalidArgument("need at least one sample")
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(0.0, 1.0, size=(4, samples))
     residuals = []
-    for start in range(0, samples, _BLOCK):
-        args = draws[:, start : start + _BLOCK]
+    for args in _sample_chunks(4, samples, seed):
         # iterate_pow2's bracketing Phi(Phi(a, b), Phi(c, d)), each inner pair composed once
         inner = {(i, j): law(args[i], args[j]) for i, j in itertools.permutations(range(4), 2)}
         base = law(inner[0, 1], inner[2, 3])

@@ -117,18 +117,16 @@ class MetricTensor:
     """
 
     entries: np.ndarray
+    _kind = "metric"
 
     def __post_init__(self) -> None:
         g = np.array(self.entries, dtype=float)
         if g.ndim not in (2, 3) or g.shape[-2] != g.shape[-1]:
             raise InvalidArgument(f"metric entries must be square, got shape {g.shape}")
-        if not np.isfinite(g).all():  # before the skew, whose inf - inf would warn
-            raise DomainError("metric entries are not finite")
+        _freeze(self, g)  # before the skew, whose inf - inf would warn
         skew = float(np.abs(g - g.swapaxes(-1, -2)).max()) if g.size else 0.0
         if skew > SYMMETRY_TOL:
             raise InvalidArgument(f"metric asymmetric by {skew:.3e} (tol {SYMMETRY_TOL:.1e})")
-        g.setflags(write=False)
-        object.__setattr__(self, "entries", g)
 
     def is_positive_definite(self) -> bool:
         try:
@@ -149,32 +147,33 @@ class ConnCoeffs:
     """
 
     entries: np.ndarray
+    _kind = "connection"
 
     def __post_init__(self) -> None:
         c = np.array(self.entries, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise InvalidArgument(f"connection entries must be (n, n, n), got {c.shape}")
-        if not np.isfinite(c).all():  # before the skew, whose inf - inf would warn
-            raise DomainError("connection entries are not finite")
+        _freeze(self, c)  # before the skew, whose inf - inf would warn
         skew = float(np.abs(c - c.transpose(1, 0, 2)).max()) if c.size else 0.0
         if skew > CONN_SYMMETRY_TOL:
             raise InvalidArgument(
                 f"connection asymmetric in (i, j) by {skew:.3e} (tol {CONN_SYMMETRY_TOL:.1e})"
             )
-        c.setflags(write=False)
-        object.__setattr__(self, "entries", c)
+
+
+def _freeze(tensor, entries: np.ndarray):
+    """The tensor with its entries set, frozen in place, after checking that every one is finite."""
+    if not np.isfinite(entries).all():
+        raise DomainError(f"{tensor._kind} entries are not finite")
+    entries.setflags(write=False)
+    object.__setattr__(tensor, "entries", entries)
+    return tensor
 
 
 def _built(cls: type, entries: np.ndarray):
     """cls around float entries laid out here, exactly symmetric by construction: only the
-    finiteness check, with the public wording, then frozen in place; no copy, no skew pass."""
-    if not np.isfinite(entries).all():
-        kind = "metric" if cls is MetricTensor else "connection"
-        raise DomainError(f"{kind} entries are not finite")
-    entries.setflags(write=False)
-    tensor = object.__new__(cls)
-    object.__setattr__(tensor, "entries", entries)
-    return tensor
+    finiteness check, then frozen in place; no copy, no skew pass."""
+    return _freeze(object.__new__(cls), entries)
 
 
 def simplex_model(size: int) -> StatModel:
@@ -380,9 +379,9 @@ def alpha_connection(model: StatModel, xi, alpha: float, step: float | None = No
     dl = _fd_first(logs, n, h)
     d2l = _fd_second(logs, n, h).take(_plan(n)[1], axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # _built rejects a non-finite entry
+        # symmetric in (i, j) by construction: d2l reads one float for (i, j) and (j, i)
         integrand = d2l + 0.5 * (1.0 - alpha) * np.einsum("ix,jx->ijx", dl, dl)
-        gamma = np.einsum("ijx,kx,x->ijk", integrand, dl, weights[0])
-        return _built(ConnCoeffs, 0.5 * (gamma + gamma.transpose(1, 0, 2)))
+        return _built(ConnCoeffs, np.einsum("ijx,kx,x->ijk", integrand, dl, weights[0]))
 
 
 def closed_geometry(pair: HFPair, xi) -> tuple[MetricTensor, ConnCoeffs, ConnCoeffs]:

@@ -399,8 +399,9 @@ def _sm_rescale(alpha: float, beta: float, sign: float) -> dict:
     ca = sign * (1.0 - alpha)
 
     def h(x):
-        # x^r written as expm1(r ln x) to stay exact through r -> 0 and r = 1.
-        return np.expm1(r * np.log(x)) / cb
+        # x^r written as expm1(r ln x) to stay exact through r -> 0 and r = 1.  A trace is
+        # never 0, so an x of 0 (every term underflowed) has no value: nan, not -1 / cb.
+        return np.expm1(r * np.log(np.where(x == 0.0, np.nan, x))) / cb
 
     def h_inverse(y):
         # 1 + cb y <= 0 yields nan, which callers turn into DomainError
@@ -568,6 +569,11 @@ class SKReport:
         return asdict(self)
 
 
+def _nan_or(pick: Callable, *values: float) -> float:
+    """pick(values), Python's max or min (the first of 0.0 and -0.0), or nan if any is nan."""
+    return math.nan if any(map(math.isnan, values)) else pick(values)
+
+
 def sk_suite(
     entropy: EntropyFunctional,
     w_max: int = 6,
@@ -601,10 +607,10 @@ def sk_suite(
         vals = entropy.eval_batch(everything)
         gap = np.abs(entropy.eval_batch(padded) - vals)
         vals, u_val = vals[:-1], float(vals[-1])  # the uniform row is the reference
-        maximality = max(maximality, float(vals.max()) - u_val)
+        maximality = _nan_or(max, maximality, float(vals.max()) - u_val)
         strict_ok = strict_ok and bool(np.all(vals < u_val))
-        expansibility = max(expansibility, float(gap.max()))
-        min_value = min(min_value, float(vals.min()), u_val)
+        expansibility = _nan_or(max, expansibility, float(gap.max()))
+        min_value = _nan_or(min, min_value, float(vals.min()), u_val)
 
     maximality_ok = maximality <= SK_TOL
     expansibility_ok = expansibility <= SK_TOL
@@ -674,6 +680,13 @@ def product_residuals(fn: Callable, law: BinaryLaw, p, q) -> np.ndarray:
     joint = np.asarray(fn(np.einsum("ni,nj->nij", p, q).reshape(p.shape[0], -1)))
     split = law(np.asarray(fn(p)), np.asarray(fn(q)))
     return np.abs(joint - split)
+
+
+def _product_pairs(seed: int, shapes, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Seeded flat-Dirichlet (p, q) rows for product checks: for each (W1, W2) of `shapes` in
+    turn, `count` rows of p, then `count` rows of q, from one generator."""
+    draw = np.random.default_rng(seed).dirichlet
+    return [(draw(np.ones(w1), count), draw(np.ones(w2), count)) for w1, w2 in shapes]
 
 
 def composability_residual(pair: HFPair, law: BinaryLaw, p: ProbDist, q: ProbDist) -> float:

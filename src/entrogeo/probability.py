@@ -97,7 +97,8 @@ def loads_distribution(text: str, tol: float = FILE_TOL) -> ProbDist:
     if not isinstance(doc, dict) or "weights" not in doc:
         raise LengthMismatch('JSON distribution must be an object with a "weights" key')
     weights = doc["weights"]
-    if not isinstance(weights, list):
+    # numpy would read true as 1 and "0.5" as 0.5; map(type) keeps the scan in C
+    if not isinstance(weights, list) or not {bool, str}.isdisjoint(map(type, weights)):
         raise LengthMismatch('"weights" must be a list of numbers')
     try:
         array = np.asarray(weights, dtype=float)

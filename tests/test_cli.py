@@ -544,10 +544,15 @@ def test_main_prints_and_returns(capsys, dist_file):
             ["verify", "sk", "--family", "sharma-mittal:alpha=1e-8,beta=1e300"],
             "error: sharma-mittal(1e-08,1e+300): h_inverse(h(x)) deviates by inf near f(1)",
         ),
+        (  # sum p^2000 underflows to 0, which h once read as the value 1 (true value 0.50017)
+            ["entropy", "--family", "sharma-mittal:alpha=2000,beta=2", "--dist", "p3.json"],
+            "error: sharma-mittal(2000,2) is not finite at the given distribution",
+        ),
     ],
 )
 def test_non_finite_value_prints_one_stderr_line(capsys, dist_file, monkeypatch, argv, message):
     dist_file("u100.json", [0.01] * 100)
+    dist_file("p3.json", [0.2, 0.3, 0.5])
     dist_file("u50.json", [0.02] * 50)
     path = dist_file("p50.json", np.random.default_rng(0).dirichlet(np.ones(50)))
     monkeypatch.chdir(Path(path).parent)

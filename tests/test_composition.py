@@ -30,7 +30,16 @@ from entrogeo.errors import (
     MonotonicityViolation,
     ParamOutOfRange,
 )
-from entrogeo.hf_entropy import entropy_functional
+from entrogeo.cli import _COMPOSABILITY_TOL, _max_product_residual
+from entrogeo.formal_group import (
+    PERM_TOL,
+    BinaryLaw,
+    Interval,
+    check_group_axioms,
+    check_phi4_symmetry,
+    q_sum,
+)
+from entrogeo.hf_entropy import _product_pairs, entropy_functional, sk_suite
 
 # 50-digit reference values
 SM_PAIR_03_07_05 = 3.7943432922226759864  # alpha 0.3/0.7, beta 0.5, p=(.2,.3,.5)
@@ -303,3 +312,48 @@ def test_concavity_probe_needs_a_sample_at_every_size(samples):
     with pytest.raises(InvalidArgument, match="at least one sample per W"):
         concavity_probe(builtin_functional("shannon"), samples=samples)
     assert concavity_probe(builtin_functional("shannon"), samples=5).passed
+
+
+def _undefined(weights):
+    return np.full(np.shape(weights)[:-1], np.nan)
+
+
+# finite on [0, 1], where the checkers draw, nan once a composed value passes 1
+_HOLED = BinaryLaw(
+    fn=lambda x, y: np.where(x <= 1.0, x + y, np.nan), domain=Interval.reals(), name="holed"
+)
+_UNDEFINED = EntropyFunctional(fn=_undefined, name="undefined", law=q_sum(1.0))
+_PROBE_SHAPES = ((2, 3), (3, 2), (2, 2))
+
+
+@pytest.mark.parametrize(
+    "verdict",
+    [
+        lambda: sk_suite(_UNDEFINED, w_max=3, samples=20, strict=True).passed,
+        lambda: sk_suite(_UNDEFINED, w_max=3, samples=20, strict=False).passed,
+        lambda: concavity_probe(_UNDEFINED, samples=20).passed,
+        lambda: check_group_axioms(_HOLED, samples=20).passed,
+        lambda: check_phi4_symmetry(_HOLED, samples=20) <= PERM_TOL,
+        lambda: _max_product_residual(_undefined, q_sum(1.0), _product_pairs(0, _PROBE_SHAPES, 2))
+        <= _COMPOSABILITY_TOL,
+    ],
+    ids=["sk-strict", "sk-lenient", "concavity", "group-axioms", "phi4-symmetry", "composability"],
+)
+def test_a_nan_fails_every_seeded_verdict(verdict):
+    assert verdict() is False
+
+
+@pytest.mark.parametrize("seed", [0, 7, 7919])
+def test_product_pairs_draw_what_the_law_probe_and_verify_drew(seed):
+    rng = np.random.default_rng(seed)  # group_compose's probe: one p and one q per shape
+    probe = [(rng.dirichlet(np.ones(w1)), rng.dirichlet(np.ones(w2))) for w1, w2 in _PROBE_SHAPES]
+    for (p, q), (p0, q0) in zip(_product_pairs(seed, _PROBE_SHAPES, 1), probe, strict=True):
+        assert p.tobytes() == p0.tobytes() and q.tobytes() == q0.tobytes()
+    shapes = [(w1, w2) for w1 in (2, 3, 4) for w2 in (2, 3, 4)]
+    rng = np.random.default_rng(seed)  # verify composability: 20 rows of p, then of q, per shape
+    rows = [
+        (rng.dirichlet(np.ones(w1), size=20), rng.dirichlet(np.ones(w2), size=20))
+        for w1, w2 in shapes
+    ]
+    for (p, q), (p0, q0) in zip(_product_pairs(seed, shapes, 20), rows, strict=True):
+        assert p.tobytes() == p0.tobytes() and q.tobytes() == q0.tobytes()

@@ -132,6 +132,9 @@ def test_loads_rejects_garbage():
         loads_distribution('{"values": [1.0]}')
     with pytest.raises(LengthMismatch):
         loads_distribution('{"weights": 0.5}')
+    for loose in ("[true, false]", '["0.5", "0.5"]'):  # numpy would read 1, 0 and 0.5, 0.5
+        with pytest.raises(LengthMismatch, match="must be a list of numbers"):
+            loads_distribution(f'{{"weights": {loose}}}')
     for nested in ("[[0.5], [0.5]]", "[[0.25, 0.25], [0.25, 0.25]]", "[[1.0]]"):
         with pytest.raises(LengthMismatch):
             loads_distribution(f'{{"weights": {nested}}}')
