@@ -258,7 +258,7 @@ def _cmd_divergence(args) -> tuple[int, dict]:
     if fam == "composed":
         if not args.of:
             raise ParamOutOfRange("--family composed requires at least one --of")
-        coeffs = _point_from_text(args.coeffs) if args.coeffs else np.ones(len(args.of))
+        coeffs = np.ones(len(args.of)) if args.coeffs is None else _point_from_text(args.coeffs)
         composer = entrogeo.linear_composer(coeffs)
         functional = entrogeo.zeta_compose_div([_divergence(s) for s in args.of], composer)
     else:
@@ -328,7 +328,7 @@ def _cmd_connection(args) -> tuple[int, dict]:
         doc["alpha"] = float(args.alpha)
         doc["gamma"] = conn.entries.tolist()
         return 0, doc
-    if not args.divergence:
+    if args.divergence is None:
         raise ParamOutOfRange("connection needs --divergence or --alpha")
     functional = _divergence(args.divergence)
     gamma, gamma_star = entrogeo.div_connections(functional, model, point, step=args.step)
@@ -555,8 +555,8 @@ def _cmd_verify(args) -> tuple[int, dict]:
         qs = args.q if args.q else [0.0, 0.5, 1.0, 2.0]
         checks.extend(_checks_group_law(qs, args.samples, seed))
     if what in ("sk", "all"):
-        # --family implies sk, as _reject_inapplicable checked above
-        panel = [_entropy(args.family, args.params)] if args.family else map(_entropy, _SK_PANEL)
+        given = args.family is not None  # implies sk, as _reject_inapplicable checked above
+        panel = [_entropy(args.family, args.params)] if given else map(_entropy, _SK_PANEL)
         for functional in panel:
             report = hf_entropy.sk_suite(functional, args.w_max, args.samples, seed)
             checks.append(_check(f"sk-suite[{functional.name}]", report.passed, report.as_dict()))

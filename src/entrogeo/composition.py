@@ -34,7 +34,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ArityMismatch, InvalidArgument, LawMismatch, MonotonicityViolation
-from .formal_group import BinaryLaw, Conjugator, _fmt, conjugate, iterate_pow2, q_sum
+from .formal_group import (
+    BinaryLaw, Conjugator, _fmt, _require_pow2, conjugate, iterate_pow2, q_sum
+)
 from .hf_entropy import (
     EntropyFunctional, _guard_param, _PowerTraces, _product_pairs, product_residuals
 )
@@ -195,12 +197,8 @@ def group_compose(
     checked on seeded probe pairs at W in {2, 3} against the shared law of
     the first constituent; a residual above PROBE_TOL raises LawMismatch.
     """
-    if m < 0:
-        raise InvalidArgument(f"m must be >= 0, got {m}")
     entropies = list(entropies)
-    arity = 2**m
-    if len(entropies) != arity:
-        raise ArityMismatch(f"group composition at m={m} takes {arity} entropies")
+    _require_pow2("group composition", m, len(entropies))
     law = entropies[0].law
     probes = _product_pairs(seed, ((2, 3), (3, 2), (2, 2)), 1)
     for s in entropies:
@@ -223,7 +221,7 @@ def group_compose(
 
     omega = conjugate(law, xi)
     inner = ", ".join(s.name for s in entropies)
-    name = f"{xi.name}*{law.name}^{arity}[{inner}]"
+    name = f"{xi.name}*{law.name}^{len(entropies)}[{inner}]"
     return EntropyFunctional(fn=fn, name=name, law=omega), omega
 
 

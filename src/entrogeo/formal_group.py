@@ -188,6 +188,14 @@ def check_group_axioms(law: BinaryLaw, samples: int = 1000, seed: int = 0) -> La
     )
 
 
+def _require_pow2(what: str, m: int, count: int | None = None) -> None:
+    """Raise unless m >= 0 and a given count is 2^m, never forming 2^m (m may be huge)."""
+    if m < 0:
+        raise InvalidArgument(f"m must be >= 0, got {m}")
+    if count is not None and (count & (count - 1) or count.bit_length() != m + 1):
+        raise ArityMismatch(f"{what} takes 2^{m} arguments, got {count}")
+
+
 def iterate_pow2(law: BinaryLaw, m: int) -> Callable:
     """The 2^m-ary iterate of a law.
 
@@ -197,13 +205,11 @@ def iterate_pow2(law: BinaryLaw, m: int) -> Callable:
     group-composition engine uses.  The returned callable accepts floats or
     equal-shape arrays and raises ArityMismatch for a wrong argument count.
     """
-    if m < 0:
-        raise InvalidArgument(f"m must be >= 0, got {m}")
-    arity = 2**m
+    name = f"{law.name}^(2^{m})"
+    _require_pow2(name, m)
 
     def composed(*args):
-        if len(args) != arity:
-            raise ArityMismatch(f"{law.name}^({arity}) takes {arity} arguments, got {len(args)}")
+        _require_pow2(name, m, len(args))
         vals = list(args)
         while len(vals) > 1:
             vals = [law(a, b) for a, b in zip(vals[0::2], vals[1::2])]

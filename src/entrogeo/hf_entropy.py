@@ -148,14 +148,13 @@ class HFPair:
     scales its values in place, so f returns a new float array (or its
     argument, which is then the trace's own temporary); `h` rescales the sum and
     must carry an explicit inverse (no root-finding happens at evaluation
-    time).  `h_prime` is h', and d2f1, d3f1 are f'', f''' at t = 1, the only
-    derivatives of f at 1 the geometry reads (f'(1) enters no tensor).  All
-    three are required and used as given: the geometry reads them as exact.
-    `f_prime`, when given, makes the entropy gradient h'(sum f(p)) f'(p)
-    analytic downstream.  `c` = h'(f(1)) f''(1), set at construction, must
-    not vanish: its sign is the role (`require_shape`), its size the metric
-    scale, and the sampled f and h must agree with the signs of f''(1) and
-    h'(f(1)).
+    time).  `h_prime` is h', `f_prime` is f', and d2f1, d3f1 are f'', f''' at
+    t = 1, the only derivatives of f at 1 the geometry reads (f'(1) enters no
+    tensor).  All four are required and used as given: the geometry reads
+    them as exact, and the entropy gradient h'(sum f(p)) f'(p) is analytic.
+    `c` = h'(f(1)) f''(1), set at construction, must not vanish: its sign is
+    the role (`require_shape`), its size the metric scale, and the sampled f
+    and h must agree with the signs of f''(1) and h'(f(1)).
     """
 
     name: str
@@ -165,7 +164,7 @@ class HFPair:
     h_prime: Callable
     d2f1: float
     d3f1: float
-    f_prime: Callable | None = None
+    f_prime: Callable
     c: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -465,12 +464,12 @@ class _PowerTraces:
 class EntropyFunctional:
     """An entropy S with an optional composition law attached.
 
-    `fn` maps a weights array (outcomes along the last axis) to values, so
-    the same object evaluates a single distribution or a stacked batch; it
-    is used as given.  `gradient`, when present, maps weights to dS/dp_i
-    (same shape); it is only attached where it is analytic.  `traces`, when
-    present, records S as F(s_1, ..., s_m) of power traces (`_PowerTraces`);
-    the composition builders set it.
+    `fn` maps a weights array (outcomes along the last axis) to values, so the
+    same object evaluates a single distribution or a stacked batch; it is used
+    as given.  `gradient`, when present, maps weights to dS/dp_i (same shape);
+    only an analytic one is attached, and every (h, f) pair's entropy and
+    every power-trace composite has one.  `traces`, when present, records S as
+    F(s_1, ..., s_m) of power traces (`_PowerTraces`); the composition builders set it.
     """
 
     fn: Callable
@@ -508,15 +507,11 @@ def entropy_functional(pair: HFPair, law: BinaryLaw | None = None) -> EntropyFun
     def fn(weights):
         return pair.h(hf_sum(pair, weights))
 
-    gradient = None
-    if pair.f_prime is not None:
-        f_prime = pair.f_prime
-
-        def gradient(weights):  # noqa: F811 - deliberate rebind
-            weights = np.asarray(weights, dtype=float)
-            outer = np.asarray(pair.h_prime(hf_sum(pair, weights)), dtype=float)
-            with np.errstate(divide="ignore"):  # an exact 0 weight gets h' f'(0+)
-                return outer[..., None] * np.asarray(f_prime(weights))
+    def gradient(weights):
+        weights = np.asarray(weights, dtype=float)
+        outer = np.asarray(pair.h_prime(hf_sum(pair, weights)), dtype=float)
+        with np.errstate(divide="ignore"):  # an exact 0 weight gets h' f'(0+)
+            return outer[..., None] * np.asarray(pair.f_prime(weights))
 
     return EntropyFunctional(fn=fn, name=pair.name, law=law, gradient=gradient)
 

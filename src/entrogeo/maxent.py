@@ -37,7 +37,7 @@ result; a visible spread means the landscape has several basins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -115,16 +115,10 @@ class MaxentResult:
     restart_spread: float
 
     def as_dict(self) -> dict:
-        return {
-            "weights": self.dist.weights.tolist(),
-            "value": self.value,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "constraint_residual": self.constraint_residual,
-            "stationarity": self.stationarity,
-            "restart_values": list(self.restart_values),
-            "restart_spread": self.restart_spread,
-        }
+        """The fields in order, with `dist` as its weight list under "weights"."""
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        row["restart_values"] = list(self.restart_values)
+        return {"weights": row.pop("dist").weights.tolist(), **row}
 
 
 class _Feasible:
@@ -263,7 +257,7 @@ def maximize(
     and `max_iter` count its outer rounds; any other takes projected ascent,
     where they count ascent steps.  Both stop once max|P(x + g) - x| <= tol.
     Gradients are analytic when the functional carries one (every (h, f)
-    pair with f', and the chain rule of sm-pair and sm-tsallis) and central
+    pair, and the chain rule of sm-pair and sm-tsallis) and central
     differences with step GRAD_STEP otherwise.  Restarts after the first
     start either solver from a projected Dirichlet draw.
     Raises InvalidArgument unless max_iter >= 1 and tol >= 0, and Infeasible
@@ -304,16 +298,10 @@ def maximize(
     def value(x: np.ndarray) -> float:
         return float(entropy.fn(np.maximum(x, EVAL_CLIP)))
 
-    if entropy.gradient is not None:
-        analytic = entropy.gradient
-
-        def grad(x: np.ndarray) -> np.ndarray:
-            return np.asarray(analytic(np.maximum(x, EVAL_CLIP)), dtype=float)
-
-    else:
-
-        def grad(x: np.ndarray) -> np.ndarray:
+    def grad(x: np.ndarray) -> np.ndarray:
+        if entropy.gradient is None:
             return _fd_gradient(entropy.fn, x, GRAD_STEP)
+        return np.asarray(entropy.gradient(np.maximum(x, EVAL_CLIP)), dtype=float)
 
     rng = np.random.default_rng(seed)
     runs = []

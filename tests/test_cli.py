@@ -468,6 +468,13 @@ _INVALID_ARGUMENTS = {
     "compose-tol-nan": ["compose", "--constituent", "tsallis:q=1.5", "--dist", "off.json",
                         "--tol", "nan"],
     "dist-not-utf8": ["entropy", "--family", "shannon", "--dist", "not-utf8.json"],
+    # A given empty value is read, not taken for an option left out.
+    "verify-sk-empty-family": ["verify", "sk", "--family", "", "--params", "alpha=2"],
+    "divergence-composed-empty-coeffs": ["divergence", "--family", "composed", "--of", "kl",
+                                         "--coeffs", "", "--p", "p.json", "--q", "p.json"],
+    # 2^20000 is never formed, nor turned into text for the message.
+    "compose-m-20000": ["compose", "--constituent", "tsallis:q=1.5", "--m", "20000",
+                        "--dist", "p.json"],
 }
 
 

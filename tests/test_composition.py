@@ -37,6 +37,7 @@ from entrogeo.formal_group import (
     Interval,
     check_group_axioms,
     check_phi4_symmetry,
+    iterate_pow2,
     q_sum,
 )
 from entrogeo.hf_entropy import _product_pairs, entropy_functional, sk_suite
@@ -231,6 +232,23 @@ def test_group_compose_rejects_negative_depth_before_counting():
     s = builtin_functional("shannon")
     with pytest.raises(InvalidArgument, match=r"m must be >= 0, got -1"):
         group_compose([s], identity_conjugator(), m=-1)
+
+
+def test_the_pow2_arity_is_checked_without_forming_2_to_the_m():
+    # 2^20000 has 6,021 digits, past Python's limit for turning an int into text
+    s = builtin_functional("shannon")
+    with pytest.raises(ArityMismatch, match=r"takes 2\^20000 arguments, got 1$"):
+        group_compose([s], identity_conjugator(), m=20000)
+    with pytest.raises(ArityMismatch, match=r"takes 2\^20000 arguments, got 2$"):
+        iterate_pow2(q_sum(0.5), 20000)(1.0, 2.0)
+    law = q_sum(0.5)
+    four = iterate_pow2(law, 2)
+    assert four(0.1, 0.2, 0.3, 0.4) == law(law(0.1, 0.2), law(0.3, 0.4))
+    for count in (0, 1, 2, 3, 5, 8):
+        with pytest.raises(ArityMismatch, match=rf"takes 2\^2 arguments, got {count}$"):
+            four(*[0.1] * count)
+    with pytest.raises(InvalidArgument, match=r"m must be >= 0, got -1"):
+        iterate_pow2(law, -1)
 
 
 def test_closed_forms_are_symmetric_in_the_exponents():

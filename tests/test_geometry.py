@@ -236,6 +236,7 @@ def test_degenerate_curvature_is_rejected():
         h_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         d2f1=1e-13,
         d3f1=0.0,
+        f_prime=np.ones_like,
     )
     with pytest.raises(DegenerateSecondDerivative):
         hf_alpha_of(flat)

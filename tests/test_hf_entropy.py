@@ -173,6 +173,7 @@ def _squared_pair(**changes) -> HFPair:
         h_prime=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         d2f1=2.0,
         d3f1=0.0,
+        f_prime=lambda t: 2.0 * np.asarray(t),
     )
     return HFPair(**{**fields, **changes})
 

@@ -222,7 +222,7 @@ def test_derivative_data_matches_stencils_of_f_and_h(build, params):
     assert np.all(error <= H_PRIME_TOL * np.abs(exact))
 
 
-@pytest.mark.parametrize("missing", ["h_prime", "d2f1", "d3f1"])
+@pytest.mark.parametrize("missing", ["h_prime", "f_prime", "d2f1", "d3f1"])
 def test_a_pair_without_its_derivative_data_is_refused(missing):
     pair = shannon()
     given = {f.name: getattr(pair, f.name) for f in dataclasses.fields(HFPair) if f.init}

@@ -396,6 +396,7 @@ def test_a_user_pair_gets_its_batch_as_given():
         h_prime=np.ones_like,
         d2f1=2.0,
         d3f1=0.0,
+        f_prime=lambda t: 2.0 * np.asarray(t),
     )
     p, q = PAIRS["half-zero"]
     assert (p[0] == 0.0).any()
