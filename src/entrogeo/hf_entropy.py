@@ -103,14 +103,19 @@ def zero_preserving(raw: Callable, *, _first_row: bool = False) -> Callable:
 _FAST_EXPONENTS = frozenset({0.5, 2.0})
 
 
-def _cheap_at_zero(f: Callable, *exponents: float) -> Callable:
-    """f, whose only nonlinearities are t^a at these exponents, kept off the slow path at 0.
+def _power_sum(f: Callable, exponents: tuple, coefficients: tuple, linear: float = 0.0):
+    """f(t) = sum_k c_k t^a_k + linear t, kept off the slow path at 0 and tagged with its terms.
 
-    f is returned bare when np.power takes no slow path at any of them;
+    f is returned bare when np.power takes no slow path at any a_k;
     otherwise the zeros of a batch whose first row holds one go to f as 1
-    (`zero_preserving` on the first row).  Either way f(0) = 0 exactly.
+    (`zero_preserving` on the first row).  Either way f(0) = 0 exactly.  The
+    terms go to `f.power_terms`, from which `entropy_functional` builds the
+    `_PowerTraces` record that `maximize` solves by its dual.
     """
-    return f if _FAST_EXPONENTS.issuperset(exponents) else zero_preserving(f, _first_row=True)
+    if not _FAST_EXPONENTS.issuperset(exponents):
+        f = zero_preserving(f, _first_row=True)
+    f.power_terms = (exponents, coefficients, linear)
+    return f
 
 
 def _trace(terms: Callable, *arrays) -> np.ndarray:
@@ -276,7 +281,7 @@ def _f_t_log_t(sign: float) -> dict:
 def _f_power(a: float) -> dict:
     """f = t^a: renyi, sharma_mittal, power and the sm divergence."""
     return {
-        "f": _cheap_at_zero(lambda t: np.power(t, a), a),
+        "f": _power_sum(lambda t: np.power(t, a), (a,), (1.0,)),
         "f_prime": lambda t: a * np.power(t, a - 1.0),
         "d2f1": a * (a - 1.0),
         "d3f1": a * (a - 1.0) * (a - 2.0),
@@ -293,7 +298,7 @@ def _f_tsallis(q: float, sign: float) -> dict:
         return out
 
     return {
-        "f": _cheap_at_zero(f, q),
+        "f": _power_sum(f, (q,), (sign / (q - 1.0),), -sign / (q - 1.0)),
         "f_prime": lambda t: (sign * q * np.power(t, q - 1.0) - sign) / (q - 1.0),
         "d2f1": sign * q,
         "d3f1": sign * q * (q - 2.0),
@@ -310,7 +315,7 @@ def _f_kaniadakis(k: float) -> dict:
         return out
 
     return {
-        "f": _cheap_at_zero(f, 1.0 - k, 1.0 + k),
+        "f": _power_sum(f, (1.0 - k, 1.0 + k), (0.5 / k, -0.5 / k)),
         "f_prime": lambda t: ((1.0 - k) * np.power(t, -k) - (1.0 + k) * np.power(t, k)) / (2.0 * k),
         "d2f1": -1.0,
         "d3f1": 1.0 - k * k,
@@ -469,7 +474,8 @@ class EntropyFunctional:
     as given.  `gradient`, when present, maps weights to dS/dp_i (same shape);
     only an analytic one is attached, and every (h, f) pair's entropy and
     every power-trace composite has one.  `traces`, when present, records S as
-    F(s_1, ..., s_m) of power traces (`_PowerTraces`); the composition builders set it.
+    F(s_1, ..., s_m) of power traces (`_PowerTraces`): `entropy_functional` sets it
+    for an f that is a sum of powers, and sm-pair and sm-tsallis set their own.
     """
 
     fn: Callable
@@ -513,7 +519,19 @@ def entropy_functional(pair: HFPair, law: BinaryLaw | None = None) -> EntropyFun
         with np.errstate(divide="ignore"):  # an exact 0 weight gets h' f'(0+)
             return outer[..., None] * np.asarray(pair.f_prime(weights))
 
-    return EntropyFunctional(fn=fn, name=pair.name, law=law, gradient=gradient)
+    traces = None
+    if hasattr(pair.f, "power_terms"):  # S = h(linear + sum_k c_k s_k) where sum_i p_i = 1
+        exponents, coefficients, linear = pair.f.power_terms
+        c = np.array(coefficients)
+
+        def inner(s):
+            return linear + np.tensordot(c, s, axes=1)
+
+        def outer_gradient(s):  # dF/ds_k = h'(inner) c_k
+            return np.multiply.outer(c, pair.h_prime(inner(s)))
+
+        traces = _PowerTraces(exponents, lambda s: pair.h(inner(s)), outer_gradient)
+    return EntropyFunctional(fn=fn, name=pair.name, law=law, gradient=gradient, traces=traces)
 
 
 def builtin_functional(family: str, **params: float) -> EntropyFunctional:

@@ -5,12 +5,14 @@ constraint is implicit, never a row of A), `maximize` takes one of two
 solvers, chosen by the functional.
 
 An entropy of power traces, S = F(s_1, ..., s_m) with s_k = sum_i p_i^a_k
-(`EntropyFunctional.traces`: sm-pair and sm-tsallis), is solved by a fixed
-point on the dual (Jaynes 1957; Boyd & Vandenberghe 2004, ch. 5).  Each
-round fixes w = dF/ds at the current point and solves the separable concave
-problem max sum_k w_k s_k under the constraints exactly: damped Newton on its
-m + 1 multipliers, with each p_i = (phi')^-1(mu + lambda . a_i) found by a
-vectorised Newton in log p.  The round count is the `iterations` reported.
+(`EntropyFunctional.traces`: every built-in entropy but shannon, sm-pair and
+sm-tsallis), is solved by a fixed point on the dual (Jaynes 1957; Boyd &
+Vandenberghe 2004, ch. 5).  Each round fixes w = dF/ds at the current point
+and solves the separable concave problem max sum_k w_k s_k under the
+constraints exactly: damped Newton on its m + 1 multipliers, with each
+p_i = (phi')^-1(mu + lambda . a_i) found by a vectorised Newton in log p.
+The round count is the `iterations` reported.  Where a round's solve gives
+up, projected ascent continues from the round's start.
 
 Every other functional runs projected gradient ascent: each iterate is
 pulled back onto the feasible set by the exact Euclidean projection onto
@@ -67,6 +69,9 @@ _FD_BLOCK = 64
 #: most _LOG_TOL is its last, since Newton leaves an error of its square.
 _LOG_STEP = 64.0
 _LOG_TOL = 1e-8
+
+#: Rounds in a row above its lowest stationarity after which the dual stops.
+_STALE_ROUNDS = 10
 
 
 @dataclass(frozen=True)
@@ -253,21 +258,28 @@ def maximize(
 ) -> MaxentResult:
     """Maximize S over the simplex slice cut out by the constraints.
 
-    A functional with `traces` takes the dual fixed point, where `iterations`
-    and `max_iter` count its outer rounds; any other takes projected ascent,
-    where they count ascent steps.  Both stop once max|P(x + g) - x| <= tol.
+    A functional with `traces` (`entropy_functional` sets it for every
+    built-in but shannon) takes the dual fixed point, where `iterations` and
+    `max_iter` count its outer rounds and, once a round gives up, the ascent
+    steps that continue from there; any other takes projected ascent, where
+    they count ascent steps.  Both stop once max|P(x + g) - x| <= tol, and
+    `converged` also needs the constraint residual within FEAS_TOL.
     Gradients are analytic when the functional carries one (every (h, f)
     pair, and the chain rule of sm-pair and sm-tsallis) and central
     differences with step GRAD_STEP otherwise.  Restarts after the first
     start either solver from a projected Dirichlet draw.
-    Raises InvalidArgument unless max_iter >= 1 and tol >= 0, and Infeasible
-    when no probability vector satisfies the constraints; failure to reach
-    `tol` within `max_iter` only clears the `converged` flag.
+    Raises InvalidArgument unless max_iter >= 1, tol >= 0 and numpy can hold
+    `size` weights, and Infeasible when no probability vector satisfies the
+    constraints; failure to reach `tol` within `max_iter` only clears the
+    `converged` flag.
     """
     if size < 1:
         raise LengthMismatch(f"need at least one outcome, got {size}")
     if constraints is None:
-        constraints = ConstraintSet(np.empty((0, size)), ())
+        try:
+            constraints = ConstraintSet(np.empty((0, size)), ())
+        except ValueError as exc:  # numpy refuses the shape before allocating
+            raise InvalidArgument(f"cannot hold {size} outcomes: {exc}") from exc
     if constraints.coefficients.shape[1] != size:
         raise LengthMismatch(
             f"constraints are over {constraints.coefficients.shape[1]} outcomes, expected {size}"
@@ -319,12 +331,13 @@ def maximize(
     weights = np.maximum(x_best, 0.0)
     weights = weights / weights.sum()
     restart_values = tuple(run[1] for run in runs)
+    residual = feasible.residual(x_best)  # a step that rounds off the slice is no maximizer
     return MaxentResult(
         dist=ProbDist(weights),
         value=v_best,
-        converged=converged,
+        converged=converged and residual <= FEAS_TOL,
         iterations=iters,
-        constraint_residual=feasible.residual(x_best),
+        constraint_residual=residual,
         stationarity=stationarity,
         restart_values=restart_values,
         restart_spread=max(restart_values) - min(restart_values),
@@ -377,7 +390,7 @@ def _ascend(x0, value, grad, feasible, max_iter, tol):
             return x, v, it, True, stationarity
         while True:
             vy = value(y)
-            if vy >= v + 1e-4 * float(g @ (y - x)) and vy >= v:
+            if v <= vy < math.inf and vy >= v + 1e-4 * float(g @ (y - x)):  # overflow is no rise
                 break
             s *= 0.5
             if s < 1e-14:
@@ -406,22 +419,27 @@ def _fixed_point(x0, traces, value, grad, feasible, max_iter, tol):
     separable concave sum_k w_k s_k on the feasible set (`_separable_max`).
     x is stationary when max|P(x + g) - x| <= tol, ascent's test on the
     chain-rule gradient.  A round that changes no weight by more than
-    _PROJ_TOL of itself ends the run at its point; an inner solve that fails
-    ends it at x, unconverged.
+    _PROJ_TOL of itself ends the run at its point, and so does the
+    _STALE_ROUNDS-th round in a row above the lowest stationarity seen (the
+    rounding floor of exponents near 0 or 1 lies above tol).  Where an inner
+    solve fails, projected ascent continues from x with the rounds left, so a
+    failure in the first round is the ascent's run itself.
     """
     alpha = np.asarray(traces.exponents, dtype=float)
     x = x0
+    lowest, stale = math.inf, 0
     for it in range(1, max_iter + 1):
         w = np.asarray(traces.outer_gradient(traces.sums(x)), dtype=float)
         y = _separable_max(alpha, w, feasible, x)
         if y is None:
-            break
+            x, v, steps, *verdict = _ascend(x, value, grad, feasible, max_iter - it + 1, tol)
+            return x, v, it - 1 + steps, *verdict
         settled = bool((np.abs(y - x) <= _PROJ_TOL * np.maximum(x, y)).all())
         x = y
         stationarity = _stationarity(feasible, x, grad(x))
-        if stationarity <= tol or settled or it == max_iter:
+        lowest, stale = (stationarity, 0) if stationarity < lowest else (lowest, stale + 1)
+        if stationarity <= tol or settled or stale == _STALE_ROUNDS or it == max_iter:
             return x, value(x), it, stationarity <= tol, stationarity
-    return x, value(x), it, False, _stationarity(feasible, x, grad(x))
 
 
 def _separable_max(alpha, w, feasible, x):
@@ -498,7 +516,8 @@ def _log_inverse(c, e, y, u):
     close to linear in u, so it converges from any start: each log is a
     log-sum-exp, and at the root |Q'| is at least the smallest |e_k| (its
     terms are averages of the e_k).  A step past a bracket the iterates have
-    already set bisects it instead; it stops once no step exceeds _LOG_TOL.
+    already set bisects it instead; it stops once no step exceeds _LOG_TOL or
+    the rounding of Q over |Q'|, which exponents near 0 lift above it.
     """
     pos = (c > 0.0)[:, None]
     logc = np.log(np.abs(c))[:, None]
@@ -519,7 +538,8 @@ def _log_inverse(c, e, y, u):
         hi = np.where(gap < 0.0, u, hi)
         nxt = u + np.clip(-gap / slope, -_LOG_STEP, _LOG_STEP)
         nxt = np.where((nxt < lo) | (nxt > hi), 0.5 * (lo + hi), nxt)
-        done = float(np.abs(nxt - u).max(initial=0.0)) <= _LOG_TOL
+        floor = 8.0 * _EPS * (np.abs(top) + np.abs(bottom)) / np.abs(slope)
+        done = bool((np.abs(nxt - u) <= np.maximum(_LOG_TOL, floor)).all())
         u = nxt
         if done:
             break

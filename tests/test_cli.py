@@ -425,6 +425,8 @@ _INVALID_ARGUMENTS = {
                            "--constraint", "0,1,2:1.2", "--constraint", "0,1:0.5"],
     "maxent-blank-field": ["maxent", "--w", "2", "--family", "shannon",
                            "--constraint", "0,,1:0.5"],
+    # a size numpy refuses before it allocates; 1e8 to 1e15 would try to allocate
+    "maxent-w-beyond-numpy": ["maxent", "--family", "shannon", "--w", "100000000000000000000"],
     "metric-blank-field": ["metric", "--model", "simplex:2", "--divergence", "kl",
                            "--point", "0.3,,0.25"],
     "metric-trailing-comma": ["metric", "--model", "simplex:2", "--divergence", "kl",

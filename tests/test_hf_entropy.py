@@ -432,6 +432,49 @@ def test_sk_report_as_dict_keys():
     assert (loose["strict_checked"], loose["strict_ok"], loose["passed"]) == (False, True, True)
 
 
+# --- the power-trace record that maxent's dual solves ---------------------------
+
+#: Exponents at the guard on both sides of 1, ordinary ones, and large ones.
+_NEAR_ONE = (1.0 - 2e-8, 1.0 + 2e-8)
+_POWER_GRID = (
+    [(renyi, (a,)) for a in (1e-3, 0.5, *_NEAR_ONE, 2.0, 50.0, 200.0)]
+    + [(tsallis, (q,)) for q in (1e-3, 0.5, *_NEAR_ONE, 2.0, 50.0, 200.0)]
+    + [(sharma_mittal, (a, b)) for a in (0.5, _NEAR_ONE[1], 2.0, 200.0)
+       for b in (-5.0, 0.3, _NEAR_ONE[0], 2.0)]
+    + [(kaniadakis, (k,)) for k in (-0.9, -2e-8, 2e-8, 0.3, 0.99)]
+)
+
+
+@pytest.mark.parametrize(
+    "build, params", _POWER_GRID, ids=lambda v: getattr(v, "__name__", None) or repr(v)
+)
+def test_the_trace_record_of_a_power_family_is_its_entropy(build, params):
+    pair = build(*params)
+    entropy = entropy_functional(pair)
+    exponents, coefficients, linear = pair.f.power_terms
+    traces = entropy.traces
+    assert traces.exponents == exponents
+    rows = np.vstack([np.random.default_rng(0).dirichlet(np.ones(7), size=20), np.full(7, 1 / 7)])
+    value, fn, sums = traces.value(rows), entropy.fn(rows), traces.sums(rows)
+    slopes = traces.outer_gradient(sums)  # h' c_k
+    if linear == 0.0 and coefficients == (1.0,):  # h of the very sum fn takes
+        np.testing.assert_array_equal(value, fn)
+    # Otherwise the two sum in different orders terms up to h' linear and h' c_k s_k in size,
+    # which near the guard cancel to S: 1e-13 relative to the terms, not to S.
+    h_prime = slopes[0] / coefficients[0]
+    terms = np.abs(value) + np.abs(h_prime * linear) + (np.abs(slopes) * sums).sum(axis=0)
+    assert np.all(np.abs(value - fn) <= 1e-13 * terms)
+    # phi(t) = sum_k w_k t^a_k is strictly concave, as the dual needs
+    a = np.asarray(exponents)[:, None]
+    assert np.all(slopes * a * (a - 1.0) < 0.0)
+
+
+def test_a_pair_without_power_terms_has_no_trace_record():
+    assert entropy_functional(shannon()).traces is None
+    user = dataclasses.replace(renyi(2.0), name="user", f=lambda t: np.power(t, 2.0))
+    assert entropy_functional(user).traces is None
+
+
 # --- the trace bridge between chi and the entropy law -------------------------
 
 

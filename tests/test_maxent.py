@@ -1,5 +1,7 @@
 """Constrained entropy maximization on the simplex."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from entrogeo import ConstraintSet, EntropyFunctional, builtin_functional, maxim
 from entrogeo import maxent
 from entrogeo.cli import execute
 from entrogeo.composition import sm_pair_entropy, sm_tsallis_entropy
-from entrogeo.errors import EntrogeoError, Infeasible, LengthMismatch
+from entrogeo.errors import EntrogeoError, Infeasible, InvalidArgument, LengthMismatch
 from entrogeo.maxent import _FD_BLOCK, EVAL_CLIP, _fd_gradient, _Feasible
 
 # one linear expectation constraint: values (0, 1, 2), mean pinned to 1.2.
@@ -363,6 +365,10 @@ def test_bad_sizes_are_rejected():
         maximize(builtin_functional("shannon"), size=0)
     with pytest.raises(ValueError):
         maximize(builtin_functional("shannon"), size=2, restarts=0)
+    # sizes numpy refuses before allocating; from about 1e8 to 1e15 it would try to allocate
+    for size in (10**20, 2**63, 2**62):
+        with pytest.raises(InvalidArgument, match=f"^cannot hold {size} outcomes: "):
+            maximize(builtin_functional("shannon"), size=size)
 
 
 def _ascend_eager(x0, value, grad, feasible, max_iter, tol):
@@ -382,7 +388,7 @@ def _ascend_eager(x0, value, grad, feasible, max_iter, tol):
             y = feasible.project(x + s * g)
             vy = value(y)
             gain = float(g @ (y - x))
-            if vy >= v + 1e-4 * gain and vy >= v:
+            if vy >= v + 1e-4 * gain and v <= vy < np.inf:
                 accepted = True
                 break
             s *= 0.5
@@ -416,18 +422,25 @@ def _bare(entropy):
     return EntropyFunctional(fn=entropy.fn, name=f"bare {entropy.name}")
 
 
+def _ascent_only(entropy):
+    """The same functional without its trace record: the ascent on its analytic gradient."""
+    return replace(entropy, traces=None)
+
+
 def test_ascent_reports_what_the_eager_ascent_reports(monkeypatch):
     # (entropy, W, constraints, options); the exits reached are checked below
     panel = [
         (builtin_functional("shannon"), 10, _ramp(10), {}),  # tol exit after 40
         (builtin_functional("shannon"), 40, _ramp(40), {}),  # stalls
-        (builtin_functional("renyi", alpha=2.0), 10, None, {}),  # the start is the maximizer
-        (builtin_functional("tsallis", q=0.5), 12, _ramp(12), {"max_iter": 1}),
-        (builtin_functional("tsallis", q=0.5), 12, _ramp(12), {"max_iter": 2}),
-        (builtin_functional("kaniadakis", kappa=0.3), 12, _ramp(12), {"max_iter": 3}),
-        (builtin_functional("kaniadakis", kappa=0.3), 8, _ramp(8), {"tol": 0.0, "max_iter": 40}),
+        (_ascent_only(builtin_functional("renyi", alpha=2.0)), 10, None, {}),  # uniform is optimal
+        (_ascent_only(builtin_functional("tsallis", q=0.5)), 12, _ramp(12), {"max_iter": 1}),
+        (_ascent_only(builtin_functional("tsallis", q=0.5)), 12, _ramp(12), {"max_iter": 2}),
+        (_ascent_only(builtin_functional("kaniadakis", kappa=0.3)), 12, _ramp(12), {"max_iter": 3}),
+        (_ascent_only(builtin_functional("kaniadakis", kappa=0.3)), 8, _ramp(8),
+         {"tol": 0.0, "max_iter": 40}),
         (builtin_functional("shannon"), 8, _ramp(8), {"restarts": 2, "seed": 5}),
-        (builtin_functional("sharma_mittal", alpha=0.5, beta=0.7), 10, _ramp(10), {"tol": 1e-10}),
+        (_ascent_only(builtin_functional("sharma_mittal", alpha=0.5, beta=0.7)), 10, _ramp(10),
+         {"tol": 1e-10}),
         (_bare(sm_pair_entropy(0.3, 0.7, 0.5)), 10, _ramp(10), {}),  # finite differences
     ]
     exits = set()
@@ -454,7 +467,7 @@ def test_ascent_projects_the_stationarity_test_only_when_the_trial_cannot_decide
         return lstsq(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", counting)
-    result = maximize(builtin_functional("tsallis", q=0.5), 200, _ramp(200))
+    result = maximize(_ascent_only(builtin_functional("tsallis", q=0.5)), 200, _ramp(200))
     monkeypatch.undo()
     assert result.iterations == 202
     assert len(solves) <= 300
@@ -475,6 +488,17 @@ TRACE_ENTROPIES = [
     sm_tsallis_entropy(0.3, 0.7),
     sm_tsallis_entropy(0.5, 2.0),
     sm_tsallis_entropy(2.0, 1.5),
+]
+
+#: The built-in power families on maxent-solve's parameters: renyi, tsallis and sharma-mittal
+#: are one trace h(linear + c s), kaniadakis two, with exponents on each side of 1.
+POWER_ENTROPIES = [
+    builtin_functional("renyi", alpha=0.5),
+    builtin_functional("renyi", alpha=2.0),
+    builtin_functional("tsallis", q=0.5),
+    builtin_functional("tsallis", q=2.0),
+    builtin_functional("sharma_mittal", alpha=0.5, beta=0.7),
+    builtin_functional("kaniadakis", kappa=0.3),
 ]
 
 #: Iterations of the finite-difference ascent whose value the dual must reach.
@@ -537,7 +561,7 @@ def _bisection_fixed_point(entropy, a, b):
 
 @pytest.mark.parametrize("rows", [1, 2])
 @pytest.mark.parametrize("size", [3, 10, 50, 200])
-@pytest.mark.parametrize("entropy", TRACE_ENTROPIES, ids=lambda e: e.name)
+@pytest.mark.parametrize("entropy", TRACE_ENTROPIES + POWER_ENTROPIES, ids=lambda e: e.name)
 def test_dual_fixed_point_matches_the_bisection_reference(entropy, size, rows):
     constraints = _trace_constraints(size, rows)
     a = np.vstack([np.ones(size), constraints.coefficients])
@@ -588,8 +612,9 @@ def test_dual_restarts_from_the_uniform_multipliers_when_the_fit_leaves_the_doma
 
 def test_dual_raises_only_entrogeo_errors_on_extreme_problems():
     # Extreme alpha and beta, W from 2 to 50, 0 to 2 rows.  Where the warm start and the
-    # uniform restart both give non-finite weights, the inner solve fails and the run ends
-    # unconverged; about one problem in five here takes that path.
+    # uniform restart both give non-finite weights, the inner solve fails and ascent takes
+    # over; about one problem in five here takes that path.  The ascent would run out the
+    # default 10^5 steps on two of them, so the rounds are capped.
     rng = np.random.default_rng(0)
     for _ in range(200):
         a1, a2 = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
@@ -598,9 +623,113 @@ def test_dual_raises_only_entrogeo_errors_on_extreme_problems():
         rows = rng.uniform(-1.0, 1.0, size=(int(rng.integers(0, 3)), w))
         targets = rows @ rng.dirichlet(np.ones(w))
         try:
-            maximize(sm_pair_entropy(a1, a2, beta), w, ConstraintSet(rows, targets))
+            maximize(sm_pair_entropy(a1, a2, beta), w, ConstraintSet(rows, targets), max_iter=200)
         except EntrogeoError:
             pass
+
+
+def test_power_family_duals_raise_only_entrogeo_errors_on_extreme_problems():
+    # renyi, tsallis, sharma-mittal and kaniadakis at exponents from 1e-3 to 1e3, beta up to
+    # 1e8 either side and kappa down to 1e-8, W from 2 to about 300, 0 to 2 rows; the rounds
+    # are capped as above.  Any warning fails the test too.
+    rng = np.random.default_rng(1)
+    for _ in range(150):
+        family = ("renyi", "tsallis", "sharma_mittal", "kaniadakis")[int(rng.integers(4))]
+        a = 10.0 ** rng.uniform(-3.0, 3.0)
+        sign = rng.choice([-1.0, 1.0])
+        params = {
+            "renyi": {"alpha": a},
+            "tsallis": {"q": a},
+            "sharma_mittal": {"alpha": a, "beta": sign * 10.0 ** rng.uniform(-3.0, 8.0)},
+            "kaniadakis": {"kappa": sign * 10.0 ** rng.uniform(-8.0, -1e-3)},
+        }[family]
+        w = int(np.exp(rng.uniform(np.log(2.0), np.log(300.0))))
+        rows = rng.uniform(-1.0, 1.0, size=(int(rng.integers(0, 3)), w))
+        targets = rows @ rng.dirichlet(np.ones(w))
+        try:
+            entropy = builtin_functional(family, **params)
+            maximize(entropy, w, ConstraintSet(rows, targets), max_iter=200)
+        except EntrogeoError:
+            pass
+
+
+def _no_loss_panel():
+    """Problems where the dual gives up at large exponents: renyi, tsallis and sharma-mittal
+    (beta 0.3 and 2) at alpha or q of 50 and 200 on W = 3 with the ramp at 0.3, and tsallis at
+    50 and 200 on W = 100 without rows, with the ramp, or with the ramp and cos(i) at 0.1."""
+    panel = []
+    for a in (50.0, 200.0):
+        entropies = [builtin_functional("renyi", alpha=a), builtin_functional("tsallis", q=a)]
+        entropies += [builtin_functional("sharma_mittal", alpha=a, beta=b) for b in (0.3, 2.0)]
+        panel += [pytest.param(e, 3, _ramp(3), id=f"{e.name}-w3-ramp") for e in entropies]
+    ramp = np.arange(100) / 100
+    rows = {"none": None, "ramp": _ramp(100),
+            "ramp-cos": ConstraintSet([ramp, np.cos(np.arange(100))], [0.3, 0.1])}
+    for q in (50.0, 200.0):
+        e = builtin_functional("tsallis", q=q)
+        panel += [pytest.param(e, 100, c, id=f"{e.name}-w100-{k}") for k, c in rows.items()]
+    return panel
+
+
+@pytest.mark.parametrize("entropy, size, constraints", _no_loss_panel())
+def test_the_dual_loses_no_problem_that_ascent_solves(monkeypatch, entropy, size, constraints):
+    ascent = maximize(_ascent_only(entropy), size, constraints)
+    budgets = []
+
+    def recording(*args, _ascend=maxent._ascend):
+        budgets.append(args[4])
+        return _ascend(*args)
+
+    monkeypatch.setattr(maxent, "_ascend", recording)
+    result = maximize(entropy, size, constraints)
+    if ascent.converged:
+        assert result.converged
+        assert result.value >= ascent.value - 1e-13 * abs(ascent.value)
+    if budgets[:1] == [100_000]:  # the dual gave up in its first round: the ascent's own run
+        assert result.as_dict() == ascent.as_dict()
+
+
+def test_ascent_continues_where_the_dual_gives_up(monkeypatch):
+    # tol = 0 keeps the dual going after its first round; the second round gives up, and
+    # the ascent starts from the first round's point with the 9 rounds left
+    separable = maxent._separable_max
+    rounds, starts = [], []
+
+    def giving_up_in_round_two(*args):
+        rounds.append(args[3].copy())
+        return None if len(rounds) == 2 else separable(*args)
+
+    def recording(x0, *args, _ascend=maxent._ascend):
+        run = _ascend(x0, *args)
+        starts.append((x0.copy(), args[3], run))
+        return run
+
+    monkeypatch.setattr(maxent, "_separable_max", giving_up_in_round_two)
+    monkeypatch.setattr(maxent, "_ascend", recording)
+    result = maximize(builtin_functional("tsallis", q=0.5), 50, _ramp(50), max_iter=10, tol=0.0)
+    [(x0, budget, (x, v, steps, converged, stationarity))] = starts
+    assert len(rounds) == 2 and np.array_equal(x0, rounds[1]) and budget == 9
+    assert result.iterations == 1 + steps and result.value == v
+    assert result.stationarity == stationarity and result.converged is converged
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 50.0])
+def test_sharma_mittal_below_beta_zero_reaches_the_uniform_value(alpha):
+    # S(uniform) = (100^6 - 1) / 6 for any alpha: the gradient is about 1e12, so `converged`
+    # waits on a stationarity test relative to |g|; the value and the residual do not
+    entropy = builtin_functional("sharma_mittal", alpha=alpha, beta=-5.0)
+    result = maximize(entropy, 100)
+    assert result.value == pytest.approx(float(entropy.fn(np.full(100, 0.01))), rel=1e-14)
+    assert result.constraint_residual <= 1e-15
+
+
+def test_ascent_is_not_converged_off_the_slice():
+    # The gradient is a constant -2e12: forming x + g rounds at about 4e-4, the projection
+    # leaves the simplex, and the line search accepts the point because S rose.  The
+    # weights are renormalised, so only the residual shows the miss.
+    ascent = maximize(_ascent_only(builtin_functional("sharma_mittal", alpha=2.0, beta=-5.0)), 100)
+    assert ascent.constraint_residual > maxent.FEAS_TOL
+    assert not ascent.converged
 
 
 def test_no_rows_is_no_constraints():
@@ -622,11 +751,51 @@ def test_each_functional_reaches_one_solver(monkeypatch):
     entropy = sm_pair_entropy(0.3, 0.7, 0.5)
     maximize(entropy, 10, _ramp(10), restarts=2)
     maximize(sm_tsallis_entropy(0.5, 2.0), 10, _ramp(10))
-    assert solvers == ["_fixed_point"] * 3
+    for power in POWER_ENTROPIES:
+        maximize(power, 10, _ramp(10))
+    assert solvers == ["_fixed_point"] * (3 + len(POWER_ENTROPIES))
     solvers.clear()
     maximize(_bare(entropy), 10, _ramp(10), max_iter=3)
     maximize(builtin_functional("shannon"), 10, _ramp(10), max_iter=3)
     assert solvers == ["_ascend"] * 2
+
+
+def test_dual_stops_once_its_stationarity_stops_falling(monkeypatch):
+    # kaniadakis at kappa = 5e-8: its exponents 1 -+ kappa leave a rounding floor of about
+    # 4e-8, above tol, and the weights never settle to _PROJ_TOL of themselves.  The run ends
+    # _STALE_ROUNDS rounds after its lowest stationarity instead of running out max_iter.
+    seen = []
+
+    def recording(*args, _stationarity=maxent._stationarity):
+        seen.append(_stationarity(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(maxent, "_stationarity", recording)
+    result = maximize(builtin_functional("kaniadakis", kappa=5e-8), 200, _ramp(200))
+    assert not result.converged and result.iterations == len(seen) < 100
+    assert len(seen) - 1 - int(np.argmin(seen)) == maxent._STALE_ROUNDS
+
+
+def test_log_inverse_stops_at_its_rounding_floor(monkeypatch):
+    # kaniadakis at kappa = 1e-8 puts both exponents of phi' within 1e-8 of 0, so |Q'| is
+    # about 1e-8 and Q's rounding moves u by more than _LOG_TOL: without the floor every
+    # call ran all _NEWTON_ROUNDS rounds.  np.clip runs once per round.
+    rounds, calls = [], []
+    clip, log_inverse = np.clip, maxent._log_inverse
+
+    def counting_clip(*args, **kwargs):
+        rounds.append(1)
+        return clip(*args, **kwargs)
+
+    def counting_inverse(*args):
+        calls.append(1)
+        return log_inverse(*args)
+
+    monkeypatch.setattr(np, "clip", counting_clip)
+    monkeypatch.setattr(maxent, "_log_inverse", counting_inverse)
+    maximize(builtin_functional("kaniadakis", kappa=1e-8), 10, _ramp(10))
+    monkeypatch.undo()
+    assert calls and len(rounds) <= 20 * len(calls)
 
 
 def test_dual_counts_outer_rounds_against_max_iter():
@@ -654,14 +823,9 @@ def test_cli_sm_pair_maxent_converges():
 
 
 #: maxent-solve's problems (a_i = i/W, target 0.3, default options) that still stop
-#: unconverged: the projected ascent's 11.  The set may only shrink; drop an op that converges.
-UNCONVERGED_MAXENT_SOLVE = frozenset({
-    "shannon:w50", "shannon:w200",
-    "renyi(0.5):w50", "renyi(0.5):w200",
-    "tsallis(0.5):w50", "tsallis(0.5):w200",
-    "sharma_mittal(0.5,0.7):w10", "sharma_mittal(0.5,0.7):w50", "sharma_mittal(0.5,0.7):w200",
-    "kaniadakis(0.3):w50", "kaniadakis(0.3):w200",
-})
+#: unconverged: shannon's, the one family left on projected ascent.  The set may only
+#: shrink; drop an op that converges.
+UNCONVERGED_MAXENT_SOLVE = frozenset({"shannon:w50", "shannon:w200"})
 
 
 def test_maxent_solve_panel_unconverged_set_only_shrinks():
