@@ -5,30 +5,25 @@ constraint is implicit, never a row of A), `maximize` takes one of two
 solvers, chosen by the functional.
 
 An entropy of power traces, S = F(s_1, ..., s_m) with s_k = sum_i p_i^a_k
-(`EntropyFunctional.traces`: every built-in entropy but shannon, sm-pair and
-sm-tsallis), is solved by a fixed point on the dual (Jaynes 1957; Boyd &
+(`EntropyFunctional.traces`: sm-pair, sm-tsallis and every built-in entropy
+but shannon), is solved by a fixed point on the dual (Jaynes 1957; Boyd &
 Vandenberghe 2004, ch. 5).  Each round fixes w = dF/ds at the current point
 and solves the separable concave problem max sum_k w_k s_k under the
 constraints exactly: damped Newton on its m + 1 multipliers, with each
 p_i = (phi')^-1(mu + lambda . a_i) found by a vectorised Newton in log p.
-The round count is the `iterations` reported.  Where a round's solve gives
-up, projected ascent continues from the round's start.
+The round count is the `iterations` reported.  The multipliers fitted to
+warm-start a round are also the KKT certificate of the point it starts from.
+Where a round's solve gives up, projected ascent continues from there.
 
 Every other functional runs projected gradient ascent: each iterate is
-pulled back onto the feasible set by the exact Euclidean projection onto
-{p >= 0} intersect {A p = b, sum p = 1}.  That
-projection is max(x - A^T nu, 0), with the multiplier nu found by semismooth
-Newton on a convex dual of m + 1 variables.  It stops once each row's
-residual is within `_PROJ_TOL` per unit of that row's largest entry (so a
-row of large entries does not loosen the sum row), or at the rounding floor
-eps |x| of forming x - A^T nu, which steep gradients near EVAL_CLIP lift
-above that (`_Feasible.project`).
-Backtracking keeps the ascent monotone.  The stationarity max|P(x + g) - x|
-is formed only when the line search's first trial P(x + s g) cannot bound it
-above tol: for feasible x, |P(x + s g) - x|_2 is non-decreasing in s and
+pulled back onto {p >= 0, A p = b, sum p = 1} by the exact Euclidean
+projection max(x - A^T nu, 0), with nu found by semismooth Newton on a
+convex dual of m + 1 variables (`_Feasible.project`).  Backtracking keeps
+the ascent monotone.  The stationarity max|P(x + g) - x| is formed only when
+the line search's first trial P(x + s g) cannot bound it above tol: for
+feasible x, |P(x + s g) - x|_2 is non-decreasing in s and
 |P(x + s g) - x|_2 / s non-increasing (Gafni & Bertsekas 1984; Calamai &
-More 1987, Lemma 2.2).  The dual's fixed point reports the same
-max|P(x + g) - x| at its last point, so `converged` means the same for both.
+More 1987, Lemma 2.2).
 
 For concave functionals (every strictly shaped built-in) the stationary
 point found is the global maximizer.  For anything else the solver makes no
@@ -136,7 +131,7 @@ class _Feasible:
         self.rank = int(np.linalg.matrix_rank(a_full))
         row_scale = np.abs(a_full).max(axis=1)
         scale = float(row_scale.max())
-        self.row_tol = _PROJ_TOL * np.maximum(1.0, row_scale)
+        self.row_tol = _PROJ_TOL * np.maximum(1.0, row_scale)  # large rows keep the sum row's
         self.tol = float(self.row_tol.max())  # the loosest row's, which `floor` bounds with
         self.pullback = a_full.T @ self.gram_pinv
         # at least (max|A| / sigma_min(A))^2 and 1: ill-conditioned rows
@@ -262,12 +257,13 @@ def maximize(
     built-in but shannon) takes the dual fixed point, where `iterations` and
     `max_iter` count its outer rounds and, once a round gives up, the ascent
     steps that continue from there; any other takes projected ascent, where
-    they count ascent steps.  Both stop once max|P(x + g) - x| <= tol, and
-    `converged` also needs the constraint residual within FEAS_TOL.
-    Gradients are analytic when the functional carries one (every (h, f)
-    pair, and the chain rule of sm-pair and sm-tsallis) and central
-    differences with step GRAD_STEP otherwise.  Restarts after the first
-    start either solver from a projected Dirichlet draw.
+    they count ascent steps.  The dual stops once its KKT residual is within
+    tol, ascent once max|P(x + g) - x| is (the same where x and P(x + g) have
+    no zero weight), and `converged` also needs the constraint residual within
+    FEAS_TOL.  Gradients are analytic when the functional carries one (every
+    (h, f) pair, and the chain rule of sm-pair and sm-tsallis) and central
+    differences with step GRAD_STEP otherwise.  Restarts after the first start
+    either solver from a projected Dirichlet draw.
     Raises InvalidArgument unless max_iter >= 1, tol >= 0 and numpy can hold
     `size` weights, and Infeasible when no probability vector satisfies the
     constraints; failure to reach `tol` within `max_iter` only clears the
@@ -326,8 +322,7 @@ def maximize(
             else:
                 runs.append(_ascend(x0, value, grad, feasible, max_iter, tol))
 
-    best = max(runs, key=lambda run: run[1])
-    x_best, v_best, iters, converged, stationarity = best
+    x_best, v_best, iters, converged, stationarity = max(runs, key=lambda run: run[1])
     weights = np.maximum(x_best, 0.0)
     weights = weights / weights.sum()
     restart_values = tuple(run[1] for run in runs)
@@ -412,57 +407,64 @@ def _stationarity(feasible, x, g) -> float:
     return float(np.abs(feasible.project(x + g) - x).max())
 
 
-def _fixed_point(x0, traces, value, grad, feasible, max_iter, tol):
+def _fixed_point(x, traces, value, grad, feasible, max_iter, tol):
     """The dual fixed point for S = F(s_1, ..., s_m) of power traces s_k = sum_i p_i^a_k.
 
     Each round fixes w = dF/ds at x and moves x to the maximizer of the
     separable concave sum_k w_k s_k on the feasible set (`_separable_max`).
-    x is stationary when max|P(x + g) - x| <= tol, ascent's test on the
-    chain-rule gradient.  A round that changes no weight by more than
-    _PROJ_TOL of itself ends the run at its point, and so does the
-    _STALE_ROUNDS-th round in a row above the lowest stationarity seen (the
-    rounding floor of exponents near 0 or 1 lies above tol).  Where an inner
-    solve fails, projected ascent continues from x with the rounds left, so a
-    failure in the first round is the ascent's run itself.
+    phi'(t) = sum_k w_k a_k t^(a_k - 1) is dS/dp at x up to a constant, so the
+    fit of phi'(x) that warm-starts a round judges the last round's x by its
+    KKT residual (`_kkt`), ascent's max|P(x + g) - x| where x and P(x + g) have
+    no zero weight.  A round that moves no weight by over _PROJ_TOL of itself
+    ends the run, as does the _STALE_ROUNDS-th round in a row above the lowest
+    stationarity (exponents near 0 or 1 have a rounding floor above tol).
+    Where an inner solve fails, ascent continues from x with the rounds left.
     """
     alpha = np.asarray(traces.exponents, dtype=float)
-    x = x0
-    lowest, stale = math.inf, 0
-    for it in range(1, max_iter + 1):
+    lowest, stale, settled = math.inf, 0, False
+    for it in range(max_iter + 1):  # rounds done
         w = np.asarray(traces.outer_gradient(traces.sums(x)), dtype=float)
-        y = _separable_max(alpha, w, feasible, x)
+        c, e = w * alpha, alpha - 1.0  # phi'(t) = sum_k c_k t^e_k
+        nu, stationarity = _kkt(c, e, feasible.a, x)
+        if it:
+            lowest, stale = (stationarity, 0) if stationarity < lowest else (lowest, stale + 1)
+            if stationarity <= tol or settled or stale == _STALE_ROUNDS or it == max_iter:
+                return x, value(x), it, stationarity <= tol, stationarity
+        y = _separable_max(c, e, feasible, x, nu)
         if y is None:
-            x, v, steps, *verdict = _ascend(x, value, grad, feasible, max_iter - it + 1, tol)
-            return x, v, it - 1 + steps, *verdict
+            x, v, steps, *verdict = _ascend(x, value, grad, feasible, max_iter - it, tol)
+            return x, v, it + steps, *verdict
         settled = bool((np.abs(y - x) <= _PROJ_TOL * np.maximum(x, y)).all())
         x = y
-        stationarity = _stationarity(feasible, x, grad(x))
-        lowest, stale = (stationarity, 0) if stationarity < lowest else (lowest, stale + 1)
-        if stationarity <= tol or settled or stale == _STALE_ROUNDS or it == max_iter:
-            return x, value(x), it, stationarity <= tol, stationarity
 
 
-def _separable_max(alpha, w, feasible, x):
-    """argmax of sum_i phi(p_i), phi(t) = sum_k w_k t^a_k, over {p >= 0, A p = b}; None on failure.
+def _kkt(c, e, a, x):
+    """nu fitting phi'(x) = sum_k c_k x^e_k by A^T nu where x > 0, and x's KKT residual."""
+    slopes = (c * np.power(x[:, None], e)).sum(axis=1)  # phi'(0+) at a zero weight
+    pos = x > 0.0
+    nu = np.linalg.lstsq(a[:, pos].T, slopes[pos], rcond=None)[0]
+    miss = slopes - a.T @ nu  # where x = 0 only phi'(0+) above the price A^T nu counts
+    return nu, float(np.where(pos, np.abs(miss), np.maximum(miss, 0.0)).max())
 
-    phi must be strictly concave: each w_k a_k (a_k - 1) < 0.  Then
-    p_i = (phi')^-1(y_i) with y = A^T nu, or 0 where y_i >= phi'(0+), and
-    nu minimizes the convex dual g(nu) = sum_i [phi(p_i) - y_i p_i] + b . nu,
-    whose gradient is b - A p and Hessian A diag(-1/phi''(p)) A^T (Boyd &
-    Vandenberghe 2004, ch. 5).  Newton on nu starts from the least-squares
-    fit of phi'(x) on the columns of A over positive x.  Its step descends
-    |A p - b|^2, on which it backtracks: g itself changes below its rounding
-    once the residual is small.  It stops one full step after each row's
-    residual is within its projection tolerance.
+
+def _separable_max(c, e, feasible, x, nu):
+    """argmax of sum_i phi(p_i), phi'(t) = sum_k c_k t^e_k, over {p >= 0, A p = b}; None on failure.
+
+    phi must be strictly concave (each c_k e_k < 0).  Then p_i = (phi')^-1(y_i)
+    with y = A^T nu, or 0 where y_i >= phi'(0+), and nu minimizes the convex
+    dual g(nu) = sum_i [phi(p_i) - y_i p_i] + b . nu, whose gradient is
+    b - A p and Hessian A diag(-1/phi''(p)) A^T (Boyd & Vandenberghe 2004,
+    ch. 5).  Newton on nu starts from the given fit (or the uniform point's)
+    and descends |A p - b|^2, on which it backtracks: g itself changes below
+    its rounding once the residual is small.  It stops one full step after
+    each row's residual is within its projection tolerance.
     """
-    c = w * alpha  # phi'(t) = sum_k c_k t^e_k
-    e = alpha - 1.0
     if not np.all(c * e < 0.0):  # a nan fails too
         return None
     a, b = feasible.a, feasible.b
 
     def primal(nu, u):
-        """(p, -1/phi''(p), log p) at y = A^T nu, or None where some y_i has no finite p_i."""
+        """(p, g's Hessian, log p) at y = A^T nu, or None where p or the Hessian is not finite."""
         y = a.T @ nu
         if e.max() < 0.0 and y.min() <= 0.0:  # phi' > 0 falls to 0 only as t -> inf
             return None
@@ -471,21 +473,19 @@ def _separable_max(alpha, w, feasible, x):
         u[live] = _log_inverse(c, e, y[live], u[live])
         p = np.where(live, np.exp(u), 0.0)
         d = np.where(live, -1.0 / (c * e * np.power(p[:, None], e - 1.0)).sum(axis=1), 0.0)
-        return (p, d, u) if np.isfinite(p).all() and np.isfinite(d).all() else None
+        hessian = (a * d) @ a.T  # d is near 1e300 p^2 at exponents near 0, so this overflows
+        return (p, hessian, u) if np.isfinite(p).all() and np.isfinite(hessian).all() else None
 
-    pos = x > 0.0
-    slopes = (c * np.power(x[pos, None], e)).sum(axis=1)
-    nu = np.linalg.lstsq(a[:, pos].T, slopes, rcond=None)[0]
-    state = primal(nu, np.log(np.where(pos, x, 1.0 / x.size)))
+    state = primal(nu, np.log(np.where(x > 0.0, x, 1.0 / x.size)))
     if state is None:  # start from the uniform point's multipliers instead
         nu = np.linalg.lstsq(a.T, np.full(x.size, (c * x.size**-e).sum()), rcond=None)[0]
         state = primal(nu, np.full(x.size, -math.log(x.size)))
         if state is None:
             return None
-    p, d, u = state
+    p, hessian, u = state
     gap = a @ p - b
     for _ in range(_NEWTON_ROUNDS):
-        step = np.linalg.lstsq((a * d) @ a.T, gap, rcond=None)[0]
+        step = np.linalg.lstsq(hessian, gap, rcond=None)[0]
         if (np.abs(gap) <= feasible.row_tol).all():
             last = primal(nu + step, u)
             if last is not None and np.abs(a @ last[0] - b).max() <= np.abs(gap).max():
@@ -503,7 +503,7 @@ def _separable_max(alpha, w, feasible, x):
             if t < 1e-12:  # at the rounding floor of an ill-conditioned A D A^T
                 return p if np.abs(gap).max() <= FEAS_TOL else None
         nu = nu + t * step
-        (p, d, u), gap = trial, trial_gap
+        (p, hessian, u), gap = trial, trial_gap
     return None
 
 

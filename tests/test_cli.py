@@ -687,6 +687,27 @@ def test_a_non_finite_run_prints_nothing_on_stderr(
     assert read(json.loads(captured.out)) == expected
 
 
+@pytest.mark.parametrize(
+    "family, row",
+    [
+        ("renyi:alpha=1e-300", "1e6,0,1:0.5"),
+        ("tsallis:q=1e-300", "1e6,0,1:0.5"),
+        ("sharma-mittal:alpha=1e-300,beta=0.5", "1e6,0,1:0.5"),
+        ("renyi:alpha=1e-300", "2e6,0,1:1e6"),
+    ],
+)
+def test_a_dual_hessian_that_overflows_hands_the_run_to_ascent(capsys, family, row):
+    # At an exponent of 1e-300, -1/phi'' is about 1e301 p, and against a row entry of 1e6 the
+    # dual's Hessian A diag(-1/phi'') A^T overflows.  Its inner solve gives up there, and
+    # ascent continues as after any other give-up, where lstsq used to raise.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["maxent", "--family", family, "--w", "3", "--constraint", row]) in (0, 1)
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)["command"] == "maxent"
+
+
 def test_distinct_parameters_print_distinct_names(dist_file):
     path = dist_file("p3.json", [0.2, 0.3, 0.5])
     names = [

@@ -610,12 +610,28 @@ def test_dual_restarts_from_the_uniform_multipliers_when_the_fit_leaves_the_doma
     np.testing.assert_allclose(result.dist.weights, ref, rtol=0.0, atol=1e-10)
 
 
+def _tally(results, converged, non_finite):
+    """The converged and non-finite counts of a sweep's results, held as a ratchet: a count
+    that gets worse fails, and so does one that gets better until its pin follows it."""
+    got = (sum(r.converged for r in results), sum(not np.isfinite(r.value) for r in results))
+    assert got[0] >= converged and got[1] <= non_finite, f"problems were lost: {got}"
+    assert got == (converged, non_finite), f"problems were gained: pin {got}"
+
+
+#: Converged and non-finite results of the 200 extreme sm-pair problems below.
+SM_PAIR_SWEEP = (106, 59)
+
+#: Converged and non-finite results of the 150 extreme four-family problems below.
+POWER_FAMILY_SWEEP = (128, 12)
+
+
 def test_dual_raises_only_entrogeo_errors_on_extreme_problems():
     # Extreme alpha and beta, W from 2 to 50, 0 to 2 rows.  Where the warm start and the
     # uniform restart both give non-finite weights, the inner solve fails and ascent takes
     # over; about one problem in five here takes that path.  The ascent would run out the
     # default 10^5 steps on two of them, so the rounds are capped.
     rng = np.random.default_rng(0)
+    results = []
     for _ in range(200):
         a1, a2 = 10.0 ** rng.uniform(-3.0, 3.0, size=2)
         beta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 8.0)
@@ -623,9 +639,11 @@ def test_dual_raises_only_entrogeo_errors_on_extreme_problems():
         rows = rng.uniform(-1.0, 1.0, size=(int(rng.integers(0, 3)), w))
         targets = rows @ rng.dirichlet(np.ones(w))
         try:
-            maximize(sm_pair_entropy(a1, a2, beta), w, ConstraintSet(rows, targets), max_iter=200)
+            entropy = sm_pair_entropy(a1, a2, beta)
+            results.append(maximize(entropy, w, ConstraintSet(rows, targets), max_iter=200))
         except EntrogeoError:
             pass
+    _tally(results, *SM_PAIR_SWEEP)
 
 
 def test_power_family_duals_raise_only_entrogeo_errors_on_extreme_problems():
@@ -633,6 +651,7 @@ def test_power_family_duals_raise_only_entrogeo_errors_on_extreme_problems():
     # 1e8 either side and kappa down to 1e-8, W from 2 to about 300, 0 to 2 rows; the rounds
     # are capped as above.  Any warning fails the test too.
     rng = np.random.default_rng(1)
+    results = []
     for _ in range(150):
         family = ("renyi", "tsallis", "sharma_mittal", "kaniadakis")[int(rng.integers(4))]
         a = 10.0 ** rng.uniform(-3.0, 3.0)
@@ -648,9 +667,10 @@ def test_power_family_duals_raise_only_entrogeo_errors_on_extreme_problems():
         targets = rows @ rng.dirichlet(np.ones(w))
         try:
             entropy = builtin_functional(family, **params)
-            maximize(entropy, w, ConstraintSet(rows, targets), max_iter=200)
+            results.append(maximize(entropy, w, ConstraintSet(rows, targets), max_iter=200))
         except EntrogeoError:
             pass
+    _tally(results, *POWER_FAMILY_SWEEP)
 
 
 def _no_loss_panel():
@@ -764,16 +784,20 @@ def test_dual_stops_once_its_stationarity_stops_falling(monkeypatch):
     # kaniadakis at kappa = 5e-8: its exponents 1 -+ kappa leave a rounding floor of about
     # 4e-8, above tol, and the weights never settle to _PROJ_TOL of themselves.  The run ends
     # _STALE_ROUNDS rounds after its lowest stationarity instead of running out max_iter.
+    # The dual judges its start too, before the first round; that residual is not counted.
     seen = []
 
-    def recording(*args, _stationarity=maxent._stationarity):
-        seen.append(_stationarity(*args))
-        return seen[-1]
+    def recording(*args, _kkt=maxent._kkt):
+        nu, stationarity = _kkt(*args)
+        seen.append(stationarity)
+        return nu, stationarity
 
-    monkeypatch.setattr(maxent, "_stationarity", recording)
+    monkeypatch.setattr(maxent, "_kkt", recording)
     result = maximize(builtin_functional("kaniadakis", kappa=5e-8), 200, _ramp(200))
-    assert not result.converged and result.iterations == len(seen) < 100
-    assert len(seen) - 1 - int(np.argmin(seen)) == maxent._STALE_ROUNDS
+    rounds = seen[1:]
+    assert not result.converged and result.iterations == len(rounds) == 15
+    assert result.stationarity == rounds[-1]
+    assert len(rounds) - 1 - int(np.argmin(rounds)) == maxent._STALE_ROUNDS
 
 
 def test_log_inverse_stops_at_its_rounding_floor(monkeypatch):
@@ -828,26 +852,88 @@ def test_cli_sm_pair_maxent_converges():
 UNCONVERGED_MAXENT_SOLVE = frozenset({"shannon:w50", "shannon:w200"})
 
 
-def test_maxent_solve_panel_unconverged_set_only_shrinks():
+def _maxent_solve_panel():
+    """maxent-solve's ops as (label, entropy, W), each under the ramp a_i = i/W at 0.3."""
+    families = (
+        ("shannon", {}),
+        ("renyi", {"alpha": 0.5}),
+        ("renyi", {"alpha": 2.0}),
+        ("tsallis", {"q": 0.5}),
+        ("tsallis", {"q": 2.0}),
+        ("sharma_mittal", {"alpha": 0.5, "beta": 0.7}),
+        ("kaniadakis", {"kappa": 0.3}),
+    )
     panel = [
         (f"{family}({','.join(f'{v:g}' for v in params.values())})" if params else family,
-         builtin_functional(family, **params), (10, 50, 200))
-        for family, params in (
-            ("shannon", {}),
-            ("renyi", {"alpha": 0.5}),
-            ("renyi", {"alpha": 2.0}),
-            ("tsallis", {"q": 0.5}),
-            ("tsallis", {"q": 2.0}),
-            ("sharma_mittal", {"alpha": 0.5, "beta": 0.7}),
-            ("kaniadakis", {"kappa": 0.3}),
-        )
+         builtin_functional(family, **params), w)
+        for family, params in families
+        for w in (10, 50, 200)
     ]
-    panel.append(("sm_pair(0.3,0.7,0.5)", sm_pair_entropy(0.3, 0.7, 0.5), (10, 50)))
+    return panel + [("sm_pair(0.3,0.7,0.5)", sm_pair_entropy(0.3, 0.7, 0.5), w) for w in (10, 50)]
+
+
+def test_maxent_solve_panel_unconverged_set_only_shrinks():
     unconverged = {
         f"{label}:w{w}"
-        for label, entropy, sizes in panel
-        for w in sizes
+        for label, entropy, w in _maxent_solve_panel()
         if not maximize(entropy, w, _ramp(w)).converged
     }
     assert not unconverged - UNCONVERGED_MAXENT_SOLVE, "ops that converged before no longer do"
     assert not UNCONVERGED_MAXENT_SOLVE - unconverged, "ops now converge: drop them from the set"
+
+
+def test_the_dual_projects_only_its_start(monkeypatch):
+    # Each round is judged by the KKT residual of its own warm-start fit, so the one
+    # projection is the start's, however many rounds run (sm-pair takes 3 here).
+    calls = []
+    project = _Feasible.project
+
+    def counting(self, x):
+        calls.append(1)
+        return project(self, x)
+
+    monkeypatch.setattr(_Feasible, "project", counting)
+    duals = [(label, entropy, w) for label, entropy, w in _maxent_solve_panel() if entropy.traces]
+    assert len(duals) == 20
+    for label, entropy, w in duals:
+        calls.clear()
+        assert maximize(entropy, w, _ramp(w)).converged, label
+        assert len(calls) == 1, label
+
+
+def _feasible_directions(a, support, count, seed):
+    """count seeded directions d with A d = 0 and d = 0 off the support, scaled to max|d| = 1."""
+    null = np.linalg.svd(a[:, support])[2][a.shape[0]:]
+    d = np.zeros((count, a.shape[1]))
+    d[:, support] = np.random.default_rng(seed).standard_normal((count, null.shape[0])) @ null
+    return d / np.abs(d).max(axis=1, keepdims=True)
+
+
+def _largest_rise(entropy, p, a, step):
+    """max over 16 seeded feasible d and both signs of (S(p + t d) - S(p)) / |S(p)|, with
+    t = step shortened so that p + t d stays >= 0."""
+    value = float(entropy.fn(p))
+    rise = -np.inf
+    for d in _feasible_directions(a, p > 0.0, 16, seed=0):
+        for move in (d, -d):
+            down = move < 0.0
+            t = min(step, float(np.min(p[down] / -move[down])))
+            rise = max(rise, (float(entropy.fn(p + t * move)) - value) / abs(value))
+    return rise
+
+
+def test_converged_answers_are_local_maxima_along_feasible_directions():
+    # Reference-free: a converged answer is no lower than its feasible neighbours 1e-4 or
+    # 1e-5 away.  The 1e-5 probe also sees an answer moved 1e-4 along another feasible
+    # direction, at every op; at 1e-4 the curvature along a random direction outweighs the
+    # first-order rise that such a move leaves, once W >= 50.
+    for label, entropy, w in _maxent_solve_panel():
+        result = maximize(entropy, w, _ramp(w))
+        if not result.converged:
+            continue
+        p = result.dist.weights
+        a = np.vstack([np.ones(w), np.arange(w) / w])
+        assert max(_largest_rise(entropy, p, a, step) for step in (1e-4, 1e-5)) <= 1e-13, label
+        [d] = _feasible_directions(a, p > 0.0, 1, seed=1)
+        t = min(1e-4, float(np.min(p[d < 0.0] / -d[d < 0.0])))
+        assert _largest_rise(entropy, p + t * d, a, 1e-5) > 1e-9, label
