@@ -10,7 +10,8 @@ but shannon), is solved by a fixed point on the dual (Jaynes 1957; Boyd &
 Vandenberghe 2004, ch. 5).  Each round fixes w = dF/ds at the current point
 and solves the separable concave problem max sum_k w_k s_k under the
 constraints exactly: damped Newton on its m + 1 multipliers, with each
-p_i = (phi')^-1(mu + lambda . a_i) found by a vectorised Newton in log p.
+p_i = (phi')^-1(mu + lambda . a_i) in closed form for one trace (renyi,
+tsallis, sharma_mittal) and by a vectorised Newton in log p for more.
 The round count is the `iterations` reported.  The multipliers fitted to
 warm-start a round are also the KKT certificate of the point it starts from.
 Where a round's solve gives up, projected ascent continues from there.
@@ -508,17 +509,19 @@ def _separable_max(c, e, feasible, x, nu):
 
 
 def _log_inverse(c, e, y, u):
-    """log t solving sum_k c_k t^e_k = y entrywise, by Newton from u.
+    """log t solving sum_k c_k t^e_k = y entrywise: log(y / c) / e at one term, else Newton from u.
 
     Every c_k e_k < 0, so the sum decreases in t.  With P and N the sums of
     its positive and negative terms, Newton runs on
     Q(u) = log(P + max(-y, 0)) - log(N + max(y, 0)), which decreases and is
-    close to linear in u, so it converges from any start: each log is a
-    log-sum-exp, and at the root |Q'| is at least the smallest |e_k| (its
-    terms are averages of the e_k).  A step past a bracket the iterates have
-    already set bisects it instead; it stops once no step exceeds _LOG_TOL or
-    the rounding of Q over |Q'|, which exponents near 0 lift above it.
+    close to linear in u (affine at one term), so it converges from any
+    start: each log is a log-sum-exp, and at the root |Q'| is at least the
+    smallest |e_k| (its terms are averages of the e_k).  A step past a
+    bracket the iterates have set bisects it instead; it stops once no step
+    exceeds _LOG_TOL or the rounding of Q over |Q'|, which exponents near 0 lift above it.
     """
+    if c.size == 1:  # Q is affine; log|y| - log|c| would cancel to a 1e-14 error
+        return np.log(y / c[0]) / e[0]
     pos = (c > 0.0)[:, None]
     logc = np.log(np.abs(c))[:, None]
     signed = np.where(pos, e[:, None], -e[:, None])  # d/du of log P's terms, of -log N's

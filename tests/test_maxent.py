@@ -11,7 +11,9 @@ from entrogeo import maxent
 from entrogeo.cli import execute
 from entrogeo.composition import sm_pair_entropy, sm_tsallis_entropy
 from entrogeo.errors import EntrogeoError, Infeasible, InvalidArgument, LengthMismatch
-from entrogeo.maxent import _FD_BLOCK, EVAL_CLIP, _fd_gradient, _Feasible
+from entrogeo.maxent import _EPS, _FD_BLOCK, EVAL_CLIP, _fd_gradient, _Feasible
+
+import maxent_oracle
 
 # one linear expectation constraint: values (0, 1, 2), mean pinned to 1.2.
 # Reference solution from scalar root finding at high precision.
@@ -622,7 +624,7 @@ def _tally(results, converged, non_finite):
 SM_PAIR_SWEEP = (106, 59)
 
 #: Converged and non-finite results of the 150 extreme four-family problems below.
-POWER_FAMILY_SWEEP = (128, 12)
+POWER_FAMILY_SWEEP = (129, 12)
 
 
 def test_dual_raises_only_entrogeo_errors_on_extreme_problems():
@@ -800,10 +802,9 @@ def test_dual_stops_once_its_stationarity_stops_falling(monkeypatch):
     assert len(rounds) - 1 - int(np.argmin(rounds)) == maxent._STALE_ROUNDS
 
 
-def test_log_inverse_stops_at_its_rounding_floor(monkeypatch):
-    # kaniadakis at kappa = 1e-8 puts both exponents of phi' within 1e-8 of 0, so |Q'| is
-    # about 1e-8 and Q's rounding moves u by more than _LOG_TOL: without the floor every
-    # call ran all _NEWTON_ROUNDS rounds.  np.clip runs once per round.
+def _log_inverse_rounds(monkeypatch, entropy, size):
+    """The Newton rounds of each `_log_inverse` call while maximizing entropy on the ramp at
+    size; np.clip runs once per round."""
     rounds, calls = [], []
     clip, log_inverse = np.clip, maxent._log_inverse
 
@@ -812,14 +813,46 @@ def test_log_inverse_stops_at_its_rounding_floor(monkeypatch):
         return clip(*args, **kwargs)
 
     def counting_inverse(*args):
-        calls.append(1)
-        return log_inverse(*args)
+        before = len(rounds)
+        u = log_inverse(*args)
+        calls.append(len(rounds) - before)
+        return u
 
     monkeypatch.setattr(np, "clip", counting_clip)
     monkeypatch.setattr(maxent, "_log_inverse", counting_inverse)
-    maximize(builtin_functional("kaniadakis", kappa=1e-8), 10, _ramp(10))
+    maximize(entropy, size, _ramp(size))
     monkeypatch.undo()
-    assert calls and len(rounds) <= 20 * len(calls)
+    return calls
+
+
+def test_log_inverse_stops_at_its_rounding_floor(monkeypatch):
+    # kaniadakis at kappa = 1e-8 puts both exponents of phi' within 1e-8 of 0, so |Q'| is
+    # about 1e-8 and Q's rounding moves u by more than _LOG_TOL: without the floor every
+    # call ran all _NEWTON_ROUNDS rounds.  phi' has two terms, so every call runs Newton.
+    calls = _log_inverse_rounds(monkeypatch, builtin_functional("kaniadakis", kappa=1e-8), 10)
+    assert calls and min(calls) >= 1 and sum(calls) <= 20 * len(calls)
+
+
+def test_one_term_log_inverse_is_its_closed_form():
+    # phi'(t) = c t^e with c e < 0 is inverted by u = log(y / c) / e: c exp(e u) gives y back
+    # to a few ulps, scaled by the |log(y / c)| that the argument of exp carries.
+    for e in (-0.999, -0.5, 1.0, 199.0):
+        for c in -np.sign(e) * np.array([1e-3, 1.0, 1e5]):
+            y = np.sign(c) * np.logspace(-250.0, 250.0, 501)
+            u = maxent._log_inverse(np.array([c]), np.array([e]), y, np.zeros(y.size))
+            scale = np.maximum(1.0, np.abs(np.log(y / c)))
+            assert np.all(np.abs(c * np.exp(e * u) - y) <= 2.0 * _EPS * scale * np.abs(y)), (c, e)
+
+
+def test_only_phi_of_two_or_more_terms_runs_newton(monkeypatch):
+    one_term = [builtin_functional(family, **params) for family, params in MAXENT_SOLVE_FAMILIES
+                if family in ("renyi", "tsallis", "sharma_mittal")]
+    for entropy in one_term:
+        calls = _log_inverse_rounds(monkeypatch, entropy, 50)
+        assert calls and not any(calls), entropy.name
+    for entropy in (builtin_functional("kaniadakis", kappa=0.3), sm_pair_entropy(0.3, 0.7, 0.5)):
+        calls = _log_inverse_rounds(monkeypatch, entropy, 50)
+        assert calls and min(calls) >= 1, entropy.name
 
 
 def test_dual_counts_outer_rounds_against_max_iter():
@@ -852,21 +885,24 @@ def test_cli_sm_pair_maxent_converges():
 UNCONVERGED_MAXENT_SOLVE = frozenset({"shannon:w50", "shannon:w200"})
 
 
+#: maxent-solve's built-in families, each run at W = 10, 50 and 200.
+MAXENT_SOLVE_FAMILIES = (
+    ("shannon", {}),
+    ("renyi", {"alpha": 0.5}),
+    ("renyi", {"alpha": 2.0}),
+    ("tsallis", {"q": 0.5}),
+    ("tsallis", {"q": 2.0}),
+    ("sharma_mittal", {"alpha": 0.5, "beta": 0.7}),
+    ("kaniadakis", {"kappa": 0.3}),
+)
+
+
 def _maxent_solve_panel():
     """maxent-solve's ops as (label, entropy, W), each under the ramp a_i = i/W at 0.3."""
-    families = (
-        ("shannon", {}),
-        ("renyi", {"alpha": 0.5}),
-        ("renyi", {"alpha": 2.0}),
-        ("tsallis", {"q": 0.5}),
-        ("tsallis", {"q": 2.0}),
-        ("sharma_mittal", {"alpha": 0.5, "beta": 0.7}),
-        ("kaniadakis", {"kappa": 0.3}),
-    )
     panel = [
         (f"{family}({','.join(f'{v:g}' for v in params.values())})" if params else family,
          builtin_functional(family, **params), w)
-        for family, params in families
+        for family, params in MAXENT_SOLVE_FAMILIES
         for w in (10, 50, 200)
     ]
     return panel + [("sm_pair(0.3,0.7,0.5)", sm_pair_entropy(0.3, 0.7, 0.5), w) for w in (10, 50)]
@@ -937,3 +973,20 @@ def test_converged_answers_are_local_maxima_along_feasible_directions():
         [d] = _feasible_directions(a, p > 0.0, 1, seed=1)
         t = min(1e-4, float(np.min(p[d < 0.0] / -d[d < 0.0])))
         assert _largest_rise(entropy, p + t * d, a, 1e-5) > 1e-9, label
+
+
+def test_every_panel_answer_closes_the_lagrangian_gap():
+    # tests/maxent_oracle.py: the dual bound g(mu, lambda) at multipliers fitted to p, less
+    # F(p), is >= 0 for a feasible p and 0 at the maximum; p is feasible to rounding, hence
+    # the small negative margin.  Shannon's two unconverged ops pass too.  A p moved 1e-4
+    # along a feasible direction (shortened to keep p >= 0) opens the gap past the bound.
+    for family, params in MAXENT_SOLVE_FAMILIES:
+        phi, dphi = maxent_oracle.concave_phi(family, **params)
+        for w in (10, 50, 200):
+            p = maximize(builtin_functional(family, **params), w, _ramp(w)).dist.weights
+            a, b = np.vstack([np.ones(w), np.arange(w) / w]), np.array([1.0, 0.3])
+            gap = maxent_oracle.relative_gap(phi, dphi, a, b, p)
+            assert -1e-13 <= gap <= 1e-12, (family, params, w, gap)
+            [d] = _feasible_directions(a, p > 0.0, 1, seed=1)
+            t = min(1e-4, float(np.min(p[d < 0.0] / -d[d < 0.0])))
+            assert maxent_oracle.relative_gap(phi, dphi, a, b, p + t * d) > 1e-12, (family, w)

@@ -42,7 +42,7 @@ PUBLIC_PARAMETERS = 192
 CLI_OPTIONS = 45
 
 #: Lines of src/entrogeo/*.py, as `wc -l` counts them.
-SOURCE_LINES = 3575
+SOURCE_LINES = 3578
 
 
 def _consumer_sources() -> dict[str, str]:
