@@ -17,8 +17,10 @@ which is the additive law at q = 1 and multiplicative-type otherwise.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -32,8 +34,42 @@ PERM_TOL = 1e-9
 #: Float64 elements in one block of a bulk evaluation (256 KiB), so that the
 #: temporaries of a block stay in a 2 MiB L2 cache.  The two checkers compose
 #: their samples in chunks of this many; the trace kernel `hf_entropy._trace`
-#: sums each trace in row blocks of about this size.
+#: sums each trace in row blocks of about this size.  Blocks and chunks go
+#: through `_split`: one thread per usable CPU, the values of one thread.
 _BLOCK = 2**15
+
+_POOL = None  # `_split`'s worker threads, built by the first call that splits
+_IN_SHARE = contextvars.ContextVar("entrogeo_in_share", default=False)
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's threads
+    os.register_at_fork(after_in_child=lambda: globals().update(_POOL=None))
+
+
+def _split(fn: Callable, items) -> list:
+    """[fn(item) for item in items], run as one contiguous share of the items per usable CPU.
+
+    The first share runs in the calling thread and the others on a thread pool,
+    each in a copy of the caller's context (np.errstate holds there).  Every
+    share finishes before this returns or raises the earliest failing item's
+    exception.  One item, one CPU or a call from inside a share runs inline.
+    """
+    global _POOL
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n = min(len(items), cpus or 1)
+    if n < 2 or _IN_SHARE.get():
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor, wait
+    _POOL = _POOL or ThreadPoolExecutor(cpus - 1, thread_name_prefix="entrogeo")
+
+    def share(part):
+        _IN_SHARE.set(True)
+        return [fn(item) for item in part]
+    parts = [items[len(items) * k // n : len(items) * (k + 1) // n] for k in range(n)]
+    futures = [_POOL.submit(contextvars.copy_context().run, share, part) for part in parts[1:]]
+    try:
+        head = contextvars.copy_context().run(share, parts[0])
+    finally:
+        wait(futures)
+    return head + [out for future in futures for out in future.result()]
 
 
 @dataclass(frozen=True)
@@ -149,7 +185,8 @@ def check_group_axioms(law: BinaryLaw, samples: int = 1000, seed: int = 0) -> La
     rest of [0, 1] does, or if a composed value escapes it, since feeding such
     a value back into the law would be meaningless; an escaping Phi(x,y) is
     named ahead of an escaping Phi(y,z).  The samples are composed in chunks
-    of _BLOCK, with the same values as in one call.
+    of _BLOCK, with the same values as in one call, on one thread per CPU:
+    the law may run concurrently on two chunks and must keep no state.
     """
     chunks = _sample_chunks(3, samples, seed)
     if not law.domain.contains(0.0):
@@ -157,21 +194,20 @@ def check_group_axioms(law: BinaryLaw, samples: int = 1000, seed: int = 0) -> La
     if not law.domain.contains([0.0, 1.0]):
         raise DomainEscape(f"sampling interval [0.0, 1.0] leaves the domain of {law.name}")
 
-    residuals = []
-    yz_escapes = False  # raised after the loop, once every chunk's Phi(x,y) stayed inside
-    for x, y, z in chunks:
-        xy = law(x, y)
-        yz = law(y, z)
+    def chunk_residuals(chunk):
+        x, y, z = chunk
+        xy, yz = law(x, y), law(y, z)
         if not law.domain.contains(xy):
             raise DomainEscape(f"Phi(x,y) escapes the domain of {law.name}")
-        yz_escapes = yz_escapes or not law.domain.contains(yz)
-        if not yz_escapes:
-            residuals.append((
-                np.max(np.abs(xy - law(y, x))),
-                np.max(np.abs(law(xy, z) - law(x, yz))),
-                np.max(np.abs(law(x, np.zeros_like(x)) - x)),
-            ))
-    if yz_escapes:
+        if not law.domain.contains(yz):
+            return None  # raised once every chunk's Phi(x,y) stayed inside
+        return (
+            np.max(np.abs(xy - law(y, x))),
+            np.max(np.abs(law(xy, z) - law(x, yz))),
+            np.max(np.abs(law(x, np.zeros_like(x)) - x)),
+        )
+    residuals = _split(chunk_residuals, chunks)
+    if None in residuals:
         raise DomainEscape(f"Phi(y,z) escapes the domain of {law.name}")
     comm, assoc, ident = (float(r) for r in np.max(residuals, axis=0))  # a nan propagates
     return LawReport(
@@ -225,18 +261,19 @@ def check_phi4_symmetry(law: BinaryLaw, samples: int = 1000, seed: int = 0) -> f
     its four arguments, so the returned residual is rounding-level; a
     genuinely asymmetric law shows up at O(1), and a nan value makes it nan.
     The samples are composed in chunks of _BLOCK, each of the 12 ordered
-    pairs Phi(x_i, x_j) once per chunk.
+    pairs Phi(x_i, x_j) once per chunk, on one thread per CPU: the law may
+    run concurrently on two chunks and must keep no state.
     """
-    residuals = []
-    for args in _sample_chunks(4, samples, seed):
+    def chunk_residuals(args):
         # iterate_pow2's bracketing Phi(Phi(a, b), Phi(c, d)), each inner pair composed once
         inner = {(i, j): law(args[i], args[j]) for i, j in itertools.permutations(range(4), 2)}
         base = law(inner[0, 1], inner[2, 3])
-        residuals += [
+        return [
             np.max(np.abs(law(inner[a, b], inner[c, d]) - base))
             for a, b, c, d in itertools.permutations(range(4))
             if (a, b, c, d) != (0, 1, 2, 3)
         ]
+    residuals = _split(chunk_residuals, _sample_chunks(4, samples, seed))
     return float(np.max(residuals))  # a nan propagates
 
 

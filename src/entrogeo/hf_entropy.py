@@ -29,8 +29,8 @@ trace calls f as given.  The built-in fs keep exact zeros off the slow path
 that log and pow take at 0 by passing them as 1 and multiplying their values
 by 0 (`zero_preserving`), except t^0.5 and t^2, which are as fast at 0.
 Only an exact 0 reads as 0; a nan weight makes its row nan.  The trace
-kernel (`_trace`) sums a large batch in row blocks; h and everything after
-it see the whole batch's sums.
+kernel (`_trace`) sums a large batch in row blocks, one thread per CPU; h
+and everything after it see the whole batch's sums.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import (
     ParamOutOfRange,
     ShapeMismatch,
 )
-from .formal_group import _BLOCK, BinaryLaw, Interval, _fmt, q_sum
+from .formal_group import _BLOCK, BinaryLaw, Interval, _fmt, _split, q_sum
 from .probability import ProbDist
 
 #: Do not approach the removable singularities closer than this.
@@ -126,7 +126,7 @@ def _trace(terms: Callable, *arrays) -> np.ndarray:
     is cut along axis 0 into blocks of about _BLOCK elements, so that a block's
     temporaries stay in L2; the others (q of shape (W,), points parked as
     (k, 1, W)) pass whole.  Each block's row sums go into one output,
-    bit-identical to one sum.
+    bit-identical to one sum; blocks run on one thread per CPU (`_split`).
     """
     for a in arrays:
         if getattr(a, "size", 0) > _BLOCK and a.ndim > 1:
@@ -138,9 +138,11 @@ def _trace(terms: Callable, *arrays) -> np.ndarray:
     step = max(1, _BLOCK // max(1, math.prod(shape[1:])))
     cut = [a.ndim == len(shape) and a.shape[0] == shape[0] for a in arrays]
     out = np.empty(shape[:-1])
-    for lo in range(0, shape[0], step):
-        block = (a[lo : lo + step] if c else a for a, c in zip(arrays, cut))
-        terms(*block).sum(axis=-1, out=out[lo : lo + step])
+
+    def block(lo):
+        part = (a[lo : lo + step] if c else a for a, c in zip(arrays, cut))
+        terms(*part).sum(axis=-1, out=out[lo : lo + step])
+    _split(block, range(0, shape[0], step))
     return out
 
 
@@ -159,7 +161,8 @@ class HFPair:
     them as exact, and the entropy gradient h'(sum f(p)) f'(p) is analytic.
     `c` = h'(f(1)) f''(1), set at construction, must not vanish: its sign is
     the role (`require_shape`), its size the metric scale, and the sampled f
-    and h must agree with the signs of f''(1) and h'(f(1)).
+    and h must agree with the signs of f''(1) and h'(f(1)).  Row blocks of a
+    batch may reach f concurrently, so f must keep no state between calls.
     """
 
     name: str

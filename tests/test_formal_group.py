@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,13 +161,16 @@ def test_chunked_axiom_residuals_are_those_of_one_call(law):
 
 
 def test_an_escaping_phi_xy_in_a_later_chunk_is_named_first():
-    x, y, z = np.random.default_rng(0).uniform(0.0, 1.0, size=(3, CHUNKED))
-    early, late = 5, CHUNKED - 3
-    with pytest.raises(DomainEscape, match=r"Phi\(y,z\)"):
-        check_group_axioms(_marked_law([(y[early], z[early])], 5.0), samples=CHUNKED)
-    both = _marked_law([(y[early], z[early]), (x[late], y[late])], 5.0)
-    with pytest.raises(DomainEscape, match=r"Phi\(x,y\)"):
-        check_group_axioms(both, samples=CHUNKED)
+    # The early escape lies in the first chunk and the late one in the last, so
+    # in different shares whenever the chunks run on two or more threads.
+    for samples in (CHUNKED, 5 * _BLOCK + 1):
+        x, y, z = np.random.default_rng(0).uniform(0.0, 1.0, size=(3, samples))
+        early, late = 5, samples - 1
+        with pytest.raises(DomainEscape, match=r"Phi\(y,z\)"):
+            check_group_axioms(_marked_law([(y[early], z[early])], 5.0), samples=samples)
+        both = _marked_law([(y[early], z[early]), (x[late], y[late])], 5.0)
+        with pytest.raises(DomainEscape, match=r"Phi\(x,y\)"):
+            check_group_axioms(both, samples=samples)
 
 
 def test_a_nan_residual_in_a_later_chunk_is_kept():
@@ -174,6 +181,31 @@ def test_a_nan_residual_in_a_later_chunk_is_kept():
     assert math.isnan(report.associativity_residual)
     assert report.commutativity_ok and report.identity_ok
     assert not report.passed
+
+
+def test_a_law_that_evaluates_a_bulk_batch_runs_through_two_chunks():
+    # The law's own multi-block trace runs inline in whichever share calls it;
+    # a fresh interpreter, so that a deadlock fails on the timeout.
+    code = f"""
+import numpy as np
+import entrogeo
+shannon = entrogeo.builtin_functional("shannon")
+w = np.random.default_rng(83).dirichlet(np.ones(100), size=3 * {_BLOCK} // 100)
+want = shannon.eval_batch(w)
+
+def fn(x, y):
+    assert np.array_equal(shannon.eval_batch(w), want)
+    return x + y
+
+law = entrogeo.BinaryLaw(fn=fn, domain=entrogeo.Interval.reals(), name="traced")
+assert entrogeo.check_group_axioms(law, samples={_BLOCK + 1}).passed
+print(entrogeo.check_phi4_symmetry(law, samples={_BLOCK + 1}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(entrogeo.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 1e-15  # rounding of x + y in another order
 
 
 def test_domain_escape_when_samples_leave_domain():

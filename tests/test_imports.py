@@ -3,9 +3,11 @@
 `import entrogeo` loads no layer; a name loads its module on first use.  An
 `entrogeo` process loads the layers its subcommand uses and no others, so a
 new top-level import in `cli` or between layers shows up here as a changed
-module set.  Each case runs in its own interpreter.  `cli` reaches the layers
-beyond its own imports as `entrogeo.<name>`; an `ast` rule keeps it from
-importing them by hand.
+module set.  No layer and no subcommand loads `concurrent.futures`: the thread
+pool that splits bulk work is imported by the first call that splits.  Each
+case runs in its own interpreter.  `cli` reaches the layers beyond its own
+imports as `entrogeo.<name>`; an `ast` rule keeps it from importing them by
+hand.
 """
 
 import ast
@@ -39,6 +41,7 @@ import importlib, json, sys
 import entrogeo
 loaded = sorted(m for m in sys.modules if m.startswith("entrogeo.") or m == "numpy")
 values = {n: getattr(entrogeo, n) for n in entrogeo.__all__}
+futures = [m for m in sys.modules if m.startswith("concurrent")]
 homes = {n: v.__module__ for n, v in values.items()}
 layers = sorted(set(homes.values()))
 try:
@@ -56,6 +59,7 @@ print(json.dumps({
     ),
     "dir_covers": set(entrogeo.__all__) <= set(dir(entrogeo)),
     "unknown": unknown,
+    "futures": futures,
 }))
 """
 
@@ -73,13 +77,15 @@ def test_the_package_loads_its_layers_on_first_use():
     assert doc["layers_resolve"]
     assert doc["dir_covers"]
     assert doc["unknown"] == "module 'entrogeo' has no attribute 'no_such_name'"
+    assert doc["futures"] == []
 
 
 _RUN_CLI = """
 import sys
 from entrogeo.cli import main
 code = main(sys.argv[1:])
-print(code, *sorted(m.partition(".")[2] for m in sys.modules if m.startswith("entrogeo.")))
+print(code, *sorted(m.partition(".")[2] for m in sys.modules if m.startswith("entrogeo.")),
+      *sorted(m for m in sys.modules if m.startswith("concurrent")))
 """
 
 _POINT = ["--model", "simplex:2", "--point", "0.3,0.3"]

@@ -10,12 +10,21 @@ calls the f of a pair as given, so a user's f sees the weights themselves.
 
 The references evaluate a batch in one call.  The trace kernel sums a batch
 above one block (`_BLOCK` elements) in row blocks, so the batches above one
-block check that the blocks' sums are those of one call.  A functional's
-`fn` is not blocked around the kernel: h, composers and checks see the
-whole batch, and a user's `fn` is used as given.
+block check that the blocks' sums are those of one call.  The blocks run as
+one contiguous share per usable CPU, so batches of several blocks are also
+checked against a run with every block in the calling thread.  A
+functional's `fn` is not blocked around the kernel: h, composers and checks
+see the whole batch, and a user's `fn` is used as given.
 """
 
+import contextvars
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,8 +54,11 @@ from entrogeo import (
     zeta_compose,
     zeta_compose_div,
 )
-from entrogeo import hf_entropy
+from entrogeo import formal_group, hf_entropy
+from entrogeo.formal_group import _split
 from entrogeo.hf_entropy import _BLOCK, zero_preserving
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def ref_zero_preserving(raw):
@@ -448,6 +460,175 @@ def test_row_blocks_keep_a_linear_composer_bit_identical(m, monkeypatch):
             assert np.array_equal(entropy.eval_batch(p), one_call)
             one_call = composer.fn(np.stack([kl_fn(p, q)] * m, axis=-1))
             assert np.array_equal(divergence.fn(p, q), one_call)
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _one_share(call):
+    """call() with every `_split` run inline, as from inside a share."""
+    context = contextvars.copy_context()
+    context.run(formal_group._IN_SHARE.set, True)
+    return context.run(call)
+
+
+#: Rows of width 100 in one block, and the batch heights of 2, 3 and 31
+#: blocks: each last block is short, and with two CPUs 3 and 31 blocks make
+#: an uneven last share.
+BLOCK_ROWS = _BLOCK // 100
+SPLIT_ROWS = {"2-blocks": BLOCK_ROWS + 5, "3-blocks": 2 * BLOCK_ROWS + 100,
+              "31-blocks": 30 * BLOCK_ROWS + 13}
+
+
+@pytest.mark.parametrize("rows", sorted(SPLIT_ROWS))
+def test_split_blocks_are_bit_identical_to_one_thread(rows):
+    rng = np.random.default_rng(79)
+    p = _half_zero(rng, SPLIT_ROWS[rows], 100)
+    q = rng.dirichlet(np.ones(100), size=p.shape[0])
+    for name, functional in ENTROPIES.items():
+        got = functional.eval_batch(p)
+        assert np.array_equal(got, _one_share(lambda: functional.eval_batch(p))), name
+        assert np.isfinite(got).all(), name
+    for name, functional in ALL_DIVERGENCES.items():
+        for q_arg in (q, q[0]):
+            got = functional.fn(p, q_arg)
+            assert np.array_equal(got, _one_share(lambda: functional.fn(p, q_arg))), name
+
+
+def test_each_cpu_takes_one_contiguous_share_of_the_items():
+    n = min(31, _cpus())
+    owners = _split(lambda item: threading.get_ident(), range(31))
+    for k in range(n):
+        share = owners[31 * k // n : 31 * (k + 1) // n]
+        assert len(set(share)) == 1  # one thread runs a whole share
+        assert (share[0] == threading.get_ident()) == (k == 0)  # the head share is the caller's
+    assert _split(lambda item: 2 * item, range(7)) == [2 * item for item in range(7)]
+    assert _split(lambda item: item, []) == []
+
+
+def test_the_trace_kernel_splits_its_row_blocks():
+    calls = []
+
+    def f(t):
+        calls.append((threading.get_ident(), np.shape(t)[:1]))
+        return np.square(t)
+
+    pair = HFPair(name="square", f=f, h=lambda x: x - 1.0, h_inverse=lambda y: y + 1.0,
+                  h_prime=np.ones_like, d2f1=2.0, d3f1=0.0, f_prime=lambda t: 2.0 * t)
+    calls.clear()
+    w = _half_zero(np.random.default_rng(80), SPLIT_ROWS["31-blocks"], 100)
+    assert np.array_equal(hf_sum(pair, w), np.square(w).sum(axis=-1))
+    assert len(calls) == 31 and sum(rows for _, (rows,) in calls) == w.shape[0]
+    assert len({ident for ident, _ in calls}) == min(2, _cpus())
+
+
+def test_a_worker_share_keeps_the_callers_errstate():
+    w = _half_zero(np.random.default_rng(81), SPLIT_ROWS["3-blocks"], 100)
+    w[-1, :2] = [-0.1, 0.1]  # a negative weight in the last row, in the last share
+    shannon_fn = builtin("shannon", ()).eval_batch
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        shannon_fn(w)
+    with np.errstate(invalid="ignore"):  # a warning in a worker would be an error here
+        values = shannon_fn(w)
+    assert np.isnan(values[-1]) and np.isfinite(values[:-1]).all()
+
+
+def test_concurrent_callers_get_the_values_of_one_thread():
+    # More calling threads than CPUs, each splitting its own batch through the
+    # shared pool, with thread switches forced often.
+    w = _half_zero(np.random.default_rng(84), SPLIT_ROWS["3-blocks"], 100)
+    functionals = [builtin("shannon", ()), builtin("renyi", (0.3,)), ENTROPIES["sm_pair"]]
+    want = [_one_share(lambda: f.eval_batch(w)) for f in functionals]
+    got = {}
+
+    def caller(k):
+        got[k] = [functionals[(k + j) % 3].eval_batch(w) for j in range(6)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,), daemon=True) for k in range(8)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    for k in range(8):
+        assert all(np.array_equal(got[k][j], want[(k + j) % 3]) for j in range(6))
+
+
+def _failing_at(fail: dict, finished: list):
+    """An item map that sleeps fail[item] seconds and then raises ValueError(item)."""
+
+    def fn(item):
+        if item in fail:
+            time.sleep(fail[item])
+            raise ValueError(item)
+        time.sleep(0.2 if item == 9 else 0.0)
+        finished.append(item)
+        return item
+
+    return fn
+
+
+def test_the_earliest_failing_item_wins():
+    # On two CPUs, 5 (second share) fails first in time and 4 (head share) 50 ms later.
+    with pytest.raises(ValueError) as caught:
+        _split(_failing_at({4: 0.05, 5: 0.0, 8: 0.0}, []), list(range(10)))
+    assert caught.value.args == (4,)
+
+
+def test_every_share_finishes_before_the_call_raises():
+    finished = []
+    with pytest.raises(ValueError) as caught:
+        _split(_failing_at({0: 0.0}, finished), list(range(10)))
+    assert caught.value.args == (0,)
+    assert (9 in finished) == (_cpus() > 1)  # in a later share, 0.2 s after the head failed
+
+
+def _child(code: str) -> str:
+    """Run code in a fresh interpreter, which must exit 0 within 60 s; its stdout."""
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_BULK = f"""
+import numpy as np
+import entrogeo
+shannon = entrogeo.builtin_functional("shannon")
+w = np.random.default_rng(82).dirichlet(np.ones(100), size={SPLIT_ROWS["31-blocks"]})
+want = shannon.eval_batch(w)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_child_builds_its_own_pool():
+    _child(_BULK + """
+import os, signal
+pid = os.fork()
+if pid == 0:  # the parent's pool threads are gone here
+    signal.alarm(30)
+    os._exit(0 if np.array_equal(shannon.eval_batch(w), want) else 1)
+_, status = os.waitpid(pid, 0)
+assert os.waitstatus_to_exitcode(status) == 0, status
+assert np.array_equal(shannon.eval_batch(w), want)
+""")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity")
+def test_one_usable_cpu_starts_no_thread():
+    out = _child("""
+import os, sys, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+""" + _BULK + """
+print(threading.active_count(), "concurrent.futures" in sys.modules)
+""")
+    assert out.split() == ["1", "False"]
 
 
 #: Largest tracemalloc peak of one bulk call on a 10^4 x 100 batch.  One
