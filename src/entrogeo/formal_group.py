@@ -48,8 +48,8 @@ def _split(fn: Callable, items) -> list:
     """[fn(item) for item in items], run as one contiguous share of the items per usable CPU.
 
     The first share runs in the calling thread and the others on a thread pool,
-    each in a copy of the caller's context (np.errstate holds there).  Every
-    share finishes before this returns or raises the earliest failing item's
+    each in a copy of the caller's context and error state.  Every share
+    finishes before this returns or raises the earliest failing item's
     exception.  One item, one CPU or a call from inside a share runs inline.
     """
     global _POOL
@@ -59,10 +59,12 @@ def _split(fn: Callable, items) -> list:
         return [fn(item) for item in items]
     from concurrent.futures import ThreadPoolExecutor, wait
     _POOL = _POOL or ThreadPoolExecutor(cpus - 1, thread_name_prefix="entrogeo")
+    err = np.geterr()  # numpy 1.x keeps np.errstate per thread, not in the context
 
     def share(part):
         _IN_SHARE.set(True)
-        return [fn(item) for item in part]
+        with np.errstate(**err):
+            return [fn(item) for item in part]
     parts = [items[len(items) * k // n : len(items) * (k + 1) // n] for k in range(n)]
     futures = [_POOL.submit(contextvars.copy_context().run, share, part) for part in parts[1:]]
     try:
@@ -184,9 +186,8 @@ def check_group_axioms(law: BinaryLaw, samples: int = 1000, seed: int = 0) -> La
     if 0 (the required neutral element) lies outside the law's domain, if the
     rest of [0, 1] does, or if a composed value escapes it, since feeding such
     a value back into the law would be meaningless; an escaping Phi(x,y) is
-    named ahead of an escaping Phi(y,z).  The samples are composed in chunks
-    of _BLOCK, with the same values as in one call, on one thread per CPU:
-    the law may run concurrently on two chunks and must keep no state.
+    named ahead of an escaping Phi(y,z).  Chunks of _BLOCK samples run on one
+    thread per CPU, with the values of one call, so the law must keep no state.
     """
     chunks = _sample_chunks(3, samples, seed)
     if not law.domain.contains(0.0):
@@ -260,9 +261,8 @@ def check_phi4_symmetry(law: BinaryLaw, samples: int = 1000, seed: int = 0) -> f
     commutative and associative law the iterate is a symmetric function of
     its four arguments, so the returned residual is rounding-level; a
     genuinely asymmetric law shows up at O(1), and a nan value makes it nan.
-    The samples are composed in chunks of _BLOCK, each of the 12 ordered
-    pairs Phi(x_i, x_j) once per chunk, on one thread per CPU: the law may
-    run concurrently on two chunks and must keep no state.
+    Chunks of _BLOCK samples run on one thread per CPU, so the law must keep no
+    state; a chunk composes each of the 12 ordered pairs Phi(x_i, x_j) once.
     """
     def chunk_residuals(args):
         # iterate_pow2's bracketing Phi(Phi(a, b), Phi(c, d)), each inner pair composed once

@@ -25,6 +25,7 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -520,7 +521,8 @@ def test_the_trace_kernel_splits_its_row_blocks():
     w = _half_zero(np.random.default_rng(80), SPLIT_ROWS["31-blocks"], 100)
     assert np.array_equal(hf_sum(pair, w), np.square(w).sum(axis=-1))
     assert len(calls) == 31 and sum(rows for _, (rows,) in calls) == w.shape[0]
-    assert len({ident for ident, _ in calls}) == min(2, _cpus())
+    threads = len({ident for ident, _ in calls})  # a worker may run more than one share
+    assert threads == 1 if _cpus() == 1 else 2 <= threads <= min(31, _cpus())
 
 
 def test_a_worker_share_keeps_the_callers_errstate():
@@ -532,6 +534,15 @@ def test_a_worker_share_keeps_the_callers_errstate():
     with np.errstate(invalid="ignore"):  # a warning in a worker would be an error here
         values = shannon_fn(w)
     assert np.isnan(values[-1]) and np.isfinite(values[:-1]).all()
+
+
+def test_a_share_keeps_the_callers_error_state_outside_its_context(monkeypatch):
+    # numpy 1.x keeps the error state per thread, not in the context: an empty
+    # context per share stands in for that here.
+    monkeypatch.setattr(formal_group, "contextvars", SimpleNamespace(copy_context=contextvars.Context))
+    with np.errstate(invalid="raise", divide="ignore"):
+        states = _split(lambda item: np.geterr(), range(31))
+        assert states == [np.geterr()] * 31
 
 
 def test_concurrent_callers_get_the_values_of_one_thread():
