@@ -468,11 +468,11 @@ def _duality_residual(functional, model, xi, gamma, gamma_star) -> float:
     )
 
 
-def _interior_points(rng, size: int, count: int, floor: float = 0.04) -> list[np.ndarray]:
+def _interior_points(rng, size: int, count: int) -> list[np.ndarray]:
     points = []
     while len(points) < count:
         p = rng.dirichlet(8.0 * np.ones(size + 1))
-        if float(p.min()) >= floor:
+        if float(p.min()) >= 0.04:  # every weight, the dropped first one too
             points.append(p[1:])
     return points
 

@@ -63,8 +63,8 @@ class Composer:
     `fn` consumes values along the last axis.  `grad0` is the gradient at the
     origin when it is known in closed form; geometry needs it to weight the
     constituent metrics.  `monotone` records whether the builder could
-    certify the componentwise order on the non-negative orthant.  `over`
-    applies the map to m entropies or divergences.
+    certify the componentwise order on the non-negative orthant.  It is applied
+    to m entropies by `zeta_compose` and to m divergences by `zeta_compose_div`.
     """
 
     fn: Callable
@@ -81,7 +81,7 @@ class Composer:
                 f"grad0 has {len(self.grad0)} entries for arity {self.arity}"
             )
 
-    def over(self, functionals: Sequence, kind: str) -> tuple[list, Callable, str]:
+    def _over(self, functionals: Sequence, kind: str) -> tuple[list, Callable, str]:
         """Check there are `arity` functionals; return (them as a list, composed fn, its name).
 
         The composed fn passes its arguments to every functional and applies this map to their
@@ -153,13 +153,13 @@ def polynomial_composer(
 def zeta_compose(entropies: Sequence[EntropyFunctional], composer: Composer) -> EntropyFunctional:
     """Compose entropies through a monotone map; the result is an entropy again.
 
-    The composer must take m entropies (`Composer.over`), be flagged
-    monotone, and survive a spot check: MONO_SAMPLES componentwise-ordered
+    The composer must take the m entropies given (else ArityMismatch), be
+    flagged monotone, and survive a spot check: MONO_SAMPLES componentwise-ordered
     pairs in [0, 5]^m, drawn with seed 0, must map to ordered values, and
     the sampled values must stay non-negative.  Violations raise
     MonotonicityViolation rather than producing a silent pseudo-entropy.
     """
-    _, fn, name = composer.over(entropies, "entropies")
+    _, fn, name = composer._over(entropies, "entropies")
     if not composer.monotone:
         raise MonotonicityViolation(f"{composer.name} is not flagged monotone")
     _spot_check_monotone(composer)

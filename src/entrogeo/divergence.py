@@ -182,14 +182,14 @@ def zeta_compose_div(
 ) -> DivergenceFunctional:
     """Compose divergences through zeta >= 0 with zeta(x) = 0 iff x = 0.
 
-    The composer must take m divergences (`Composer.over`), zeta(0) must
-    vanish to DIAGONAL_TOL, and zeta must be strictly positive on
+    The composer must take the m divergences given (else ArityMismatch), zeta(0)
+    must vanish to DIAGONAL_TOL, and zeta must be strictly positive on
     ZETA_SAMPLES points per batch drawn with seed 0 from the orthant's
     interior and, for m >= 2, from each of its faces; violations raise
     ZetaRangeViolation.  The result records its constituents and the gradient
     of zeta at the origin, which downstream geometry uses as mixture weights.
     """
-    divergences, fn, name = composer.over(divergences, "divergences")
+    divergences, fn, name = composer._over(divergences, "divergences")
     _spot_check_zeta(composer)
     return DivergenceFunctional(
         fn=fn, name=name, constituents=tuple(divergences), grad0=composer.grad0

@@ -563,8 +563,8 @@ def builtin_functional(family: str, **params: float) -> EntropyFunctional:
 class SKReport:
     """Residuals and verdicts of the Shannon-Khinchin checks over seeded samples.
 
-    The fields are in output order.  `strict_ok` is True when the strict
-    check was not asked for, so `passed` is the conjunction of the four oks.
+    The fields are in output order.  The strict check always runs, so
+    `strict_checked` is True, and `passed` is the conjunction of the four oks.
     """
 
     entropy: str
@@ -595,7 +595,6 @@ def sk_suite(
     w_max: int = 6,
     samples: int = 1000,
     seed: int = 0,
-    strict: bool = True,
 ) -> SKReport:
     """Check maximality at uniform, expansibility, and non-negativity.
 
@@ -603,8 +602,8 @@ def sk_suite(
     For each W in 2..w_max the batch holds `samples` flat-Dirichlet draws plus
     every certainty corner; the uniform distribution is the reference.  The
     maximality violation and the expansibility residual pass within SK_TOL.
-    With `strict=True` the maximum must be attained only at uniform among the
-    sampled non-uniform rows (the strictly-shaped case).
+    The strict check needs the violation below 0: every sampled non-uniform
+    row lies strictly below uniform, so the maximum is attained there alone.
     """
     if w_max < 2:
         raise InvalidArgument("w_max must be at least 2")
@@ -615,7 +614,6 @@ def sk_suite(
     maximality = -math.inf
     expansibility = 0.0
     min_value = math.inf
-    strict_ok = True
     for w in range(2, w_max + 1):
         rows = [rng.dirichlet(np.ones(w), size=samples), np.eye(w), np.full((1, w), 1.0 / w)]
         everything = np.vstack(rows)
@@ -624,14 +622,13 @@ def sk_suite(
         gap = np.abs(entropy.eval_batch(padded) - vals)
         vals, u_val = vals[:-1], float(vals[-1])  # the uniform row is the reference
         maximality = _nan_or(max, maximality, float(vals.max()) - u_val)
-        strict_ok = strict_ok and bool(np.all(vals < u_val))
         expansibility = _nan_or(max, expansibility, float(gap.max()))
         min_value = _nan_or(min, min_value, float(vals.min()), u_val)
 
     maximality_ok = maximality <= SK_TOL
     expansibility_ok = expansibility <= SK_TOL
     nonneg_ok = min_value >= -NONNEG_TOL
-    strict_ok = strict_ok if strict else True
+    strict_ok = maximality < 0.0  # each sampled row below uniform; a nan fails
     return SKReport(
         entropy=entropy.name,
         w_max=w_max,
@@ -643,7 +640,7 @@ def sk_suite(
         maximality_ok=maximality_ok,
         expansibility_ok=expansibility_ok,
         nonneg_ok=nonneg_ok,
-        strict_checked=strict,
+        strict_checked=True,
         strict_ok=strict_ok,
         passed=maximality_ok and expansibility_ok and nonneg_ok and strict_ok,
     )

@@ -395,13 +395,10 @@ def _ascend(x0, value, grad, feasible, max_iter, tol):
                     stationarity = _stationarity(feasible, x, g)
                 return x, v, it, stationarity <= tol, stationarity
             y = feasible.project(x + s * g)
-        held = x, g, stationarity
         x, v = y, vy
         step = min(s * 2.0, 1e3)
-    x_held, g_held, stationarity = held
-    if stationarity is None:
-        stationarity = _stationarity(feasible, x_held, g_held)
-    return x, v, max_iter, False, stationarity
+    stationarity = _stationarity(feasible, x, grad(x))  # of the weights returned
+    return x, v, max_iter, stationarity <= tol, stationarity
 
 
 def _stationarity(feasible, x, g) -> float:

@@ -116,17 +116,14 @@ def test_every_builtin_entropy_passes_the_axiom_battery(capsys):
     t0 = time.perf_counter()
     failures = []
     for family, params in specs:
-        rep = sk_suite(
-            builtin_functional(family, **params),
-            w_max=6, samples=1_000, seed=77, strict=False,
-        )
+        rep = sk_suite(builtin_functional(family, **params), w_max=6, samples=1_000, seed=77)
         if not rep.passed:
             failures.append(rep.entropy)
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 5.0
     _report(
         capsys,
-        "uniform-maximality/expansibility/non-negativity",
+        "strict-uniform-maximality/expansibility/non-negativity",
         ok,
         f"{len(specs) - len(failures)}/{len(specs)} functionals at tol 1e-10, "
         f"{elapsed:.2f}s (<5s){'; failed: ' + ', '.join(failures) if failures else ''}",

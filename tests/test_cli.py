@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entrogeo import hf_div_functional, tsallis_relative_pair, validate
 from entrogeo.cli import _conjugator_from_spec, execute, main, render_json, render_pretty
 from entrogeo.errors import ParamOutOfRange
 
@@ -122,6 +123,18 @@ def test_divergence_pair_spec(dist_file):
     code, doc = run(["divergence", "--family", "power:a=2", "--p", p, "--q", q])
     assert code == 0
     assert doc["value"] == pytest.approx(1.0 / 3.0, rel=1e-14)
+
+
+def test_divergence_tsallis_relative_family_and_its_alias(dist_file):
+    p, q = [0.2, 0.3, 0.5], [0.25, 0.25, 0.5]
+    paths = ["--p", dist_file("p.json", p), "--q", dist_file("q.json", q)]
+    want = hf_div_functional(tsallis_relative_pair(0.5)).eval(validate(p), validate(q))
+    texts = []
+    for family in ("tsallis-rel:alpha=0.5", "tsallis-relative:alpha=0.5"):
+        code, text = execute(["divergence", "--family", family, *paths])
+        assert code == 0 and json.loads(text)["value"] == want
+        texts.append(text)
+    assert texts[0] == texts[1]
 
 
 def test_divergence_composed(dist_file):

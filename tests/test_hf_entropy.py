@@ -404,6 +404,20 @@ def test_sk_suite_flags_a_convex_impostor():
     assert report.maximality_violation > 0.1
 
 
+def test_sk_suite_strict_check_fails_a_maximum_off_uniform():
+    # a constant, and one whose uniform row alone dips 1e-12: both pass the maximality
+    # check to SK_TOL, and only the strict one sees them
+    plateaus = [
+        EntropyFunctional(fn=lambda w: np.zeros(np.shape(w)[:-1]), name="constant"),
+        EntropyFunctional(fn=lambda w: np.where(np.ptp(w, axis=-1) == 0.0, -1e-12, 0.0),
+                          name="dipped"),
+    ]
+    for plateau, violation in zip(plateaus, (0.0, 1e-12)):
+        report = sk_suite(plateau, w_max=3, samples=100)
+        assert (report.maximality_ok, report.strict_ok, report.passed) == (True, False, False)
+        assert report.maximality_violation == violation
+
+
 SK_KEYS = [
     "entropy",
     "w_max",
@@ -426,10 +440,7 @@ def test_sk_report_as_dict_keys():
     assert doc["passed"] is True
     assert {"maximality_violation", "expansibility_residual", "min_value"} <= set(doc)
     assert list(doc) == SK_KEYS
-    # without the strict check, strict_ok reads True and passed ignores it
-    loose = sk_suite(entropy_functional(shannon()), w_max=2, samples=50, strict=False).as_dict()
-    assert list(loose) == SK_KEYS
-    assert (loose["strict_checked"], loose["strict_ok"], loose["passed"]) == (False, True, True)
+    assert (doc["strict_checked"], doc["strict_ok"]) == (True, True)
 
 
 # --- the power-trace record that maxent's dual solves ---------------------------

@@ -25,7 +25,6 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -534,15 +533,6 @@ def test_a_worker_share_keeps_the_callers_errstate():
     with np.errstate(invalid="ignore"):  # a warning in a worker would be an error here
         values = shannon_fn(w)
     assert np.isnan(values[-1]) and np.isfinite(values[:-1]).all()
-
-
-def test_a_share_keeps_the_callers_error_state_outside_its_context(monkeypatch):
-    # numpy 1.x keeps the error state per thread, not in the context: an empty
-    # context per share stands in for that here.
-    monkeypatch.setattr(formal_group, "contextvars", SimpleNamespace(copy_context=contextvars.Context))
-    with np.errstate(invalid="raise", divide="ignore"):
-        states = _split(lambda item: np.geterr(), range(31))
-        assert states == [np.geterr()] * 31
 
 
 def test_concurrent_callers_get_the_values_of_one_thread():
