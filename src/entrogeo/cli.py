@@ -228,9 +228,7 @@ def _resolve_seed(value: int | None) -> int:
             value = int(env) if env else 0
         except ValueError as exc:
             raise ParamOutOfRange(f"ENTROGEO_SEED must be an integer, got {env!r}") from exc
-    if value < 0:
-        raise InvalidArgument(f"{source} must be non-negative, got {value}")
-    return value
+    return formal_group._seed(value, source)
 
 
 # --- subcommand handlers ------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ArityMismatch, InvalidArgument, LawMismatch, MonotonicityViolation
 from .formal_group import (
-    BinaryLaw, Conjugator, _fmt, _require_pow2, conjugate, iterate_pow2, q_sum
+    BinaryLaw, Conjugator, _fmt, _require_pow2, _seed, conjugate, iterate_pow2, q_sum
 )
 from .hf_entropy import (
     EntropyFunctional, _guard_param, _PowerTraces, _product_pairs, product_residuals
@@ -307,7 +307,7 @@ def concavity_probe(
         raise InvalidArgument(
             f"need at least one sample per W in 2..{CONCAVITY_W_MAX}, got {samples}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     sizes = list(range(2, CONCAVITY_W_MAX + 1))
     per = [samples // len(sizes)] * len(sizes)
     per[0] += samples - sum(per)

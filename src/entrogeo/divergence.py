@@ -14,7 +14,6 @@ weight the constituent metrics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -28,9 +27,10 @@ from .hf_entropy import (
     _f_power,
     _f_t_log_t,
     _f_tsallis,
+    _finite_value,
     _guard_param,
     _log_in_place,
-    _sm_rescale,
+    _sm_pair,
     _trace,
     require_shape,
 )
@@ -68,11 +68,7 @@ class DivergenceFunctional:
             raise LengthMismatch(f"lengths differ: {p.size} vs {q.size}")
         if np.any(q.weights <= 0.0):
             raise DomainError("reference distribution must be strictly positive")
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            value = float(self.fn(p.weights, q.weights))  # a non-finite value raises below
-        if not math.isfinite(value):
-            raise DomainError(f"{self.name} is not finite at the given pair")
-        return value
+        return _finite_value(self, "pair", p.weights, q.weights)
 
 
 def hf_div_functional(pair: HFPair) -> DivergenceFunctional:
@@ -149,9 +145,7 @@ def sm_divergence_pair(alpha: float, beta: float) -> HFPair:
     f(t) = t^alpha and h(x) = (x^((1-beta)/(1-alpha)) - 1)/(beta - 1); the
     pairing mirrors the S-M entropy one (alpha > 1: convex f, increasing h).
     """
-    a = _guard_param(alpha, "alpha")
-    b = _guard_param(beta, "beta", positive=False)
-    return HFPair(name=f"sm-div({_fmt(a, b)})", **_f_power(a), **_sm_rescale(a, b, -1.0))
+    return _sm_pair(alpha, beta, -1.0, "sm-div")
 
 
 def sm_div_functional(alpha: float, beta: float) -> DivergenceFunctional:

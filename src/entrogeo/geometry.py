@@ -123,10 +123,7 @@ class MetricTensor:
         g = np.array(self.entries, dtype=float)
         if g.ndim not in (2, 3) or g.shape[-2] != g.shape[-1]:
             raise InvalidArgument(f"metric entries must be square, got shape {g.shape}")
-        _freeze(self, g)  # before the skew, whose inf - inf would warn
-        skew = float(np.abs(g - g.swapaxes(-1, -2)).max()) if g.size else 0.0
-        if skew > SYMMETRY_TOL:
-            raise InvalidArgument(f"metric asymmetric by {skew:.3e} (tol {SYMMETRY_TOL:.1e})")
+        _freeze_symmetric(self, g, (-1, -2), SYMMETRY_TOL)
 
     def is_positive_definite(self) -> bool:
         try:
@@ -153,12 +150,7 @@ class ConnCoeffs:
         c = np.array(self.entries, dtype=float)
         if c.ndim != 3 or len(set(c.shape)) != 1:
             raise InvalidArgument(f"connection entries must be (n, n, n), got {c.shape}")
-        _freeze(self, c)  # before the skew, whose inf - inf would warn
-        skew = float(np.abs(c - c.transpose(1, 0, 2)).max()) if c.size else 0.0
-        if skew > CONN_SYMMETRY_TOL:
-            raise InvalidArgument(
-                f"connection asymmetric in (i, j) by {skew:.3e} (tol {CONN_SYMMETRY_TOL:.1e})"
-            )
+        _freeze_symmetric(self, c, (0, 1), CONN_SYMMETRY_TOL, " in (i, j)")
 
 
 def _freeze(tensor, entries: np.ndarray):
@@ -168,6 +160,14 @@ def _freeze(tensor, entries: np.ndarray):
     entries.setflags(write=False)
     object.__setattr__(tensor, "entries", entries)
     return tensor
+
+
+def _freeze_symmetric(tensor, entries, axes: tuple, tol: float, where: str = "") -> None:
+    """`_freeze`, then InvalidArgument if swapping `axes` moves an entry by more than tol."""
+    _freeze(tensor, entries)  # before the skew, whose inf - inf would warn
+    skew = float(np.abs(entries - entries.swapaxes(*axes)).max()) if entries.size else 0.0
+    if skew > tol:
+        raise InvalidArgument(f"{tensor._kind} asymmetric{where} by {skew:.3e} (tol {tol:.1e})")
 
 
 def _built(cls: type, entries: np.ndarray):

@@ -49,7 +49,7 @@ from .errors import (
     ParamOutOfRange,
     ShapeMismatch,
 )
-from .formal_group import _BLOCK, BinaryLaw, Interval, _fmt, _split, q_sum
+from .formal_group import _BLOCK, BinaryLaw, Interval, _fmt, _seed, _split, q_sum
 from .probability import ProbDist
 
 #: Do not approach the removable singularities closer than this.
@@ -366,9 +366,7 @@ def tsallis(q: float) -> HFPair:
 
 def sharma_mittal(alpha: float, beta: float) -> HFPair:
     """The two-parameter family; beta -> 1 recovers Renyi, beta = alpha Tsallis."""
-    a = _guard_param(alpha, "alpha")
-    b = _guard_param(beta, "beta", positive=False)
-    return HFPair(name=f"sharma-mittal({_fmt(a, b)})", **_f_power(a), **_sm_rescale(a, b, 1.0))
+    return _sm_pair(alpha, beta, 1.0, "sharma-mittal")
 
 
 def kaniadakis(kappa: float) -> HFPair:
@@ -395,15 +393,17 @@ def _guard_param(value: float, label: str, positive: bool = True) -> float:
     return value
 
 
-def _sm_rescale(alpha: float, beta: float, sign: float) -> dict:
-    """h, h^-1 and h' of h(x) = (x^r - 1) / (sign (1 - beta)), as HFPair arguments.
+def _sm_pair(alpha: float, beta: float, sign: float, family: str) -> HFPair:
+    """The Sharma-Mittal pair f = t^alpha, h(x) = (x^r - 1) / (sign (1 - beta)), named family.
 
     r = (1 - beta)/(1 - alpha).  sign 1 gives the entropy pair, -1 the divergence pair;
     negating 1 - beta is exact.  h' has the sign of sign (1 - alpha).
     """
-    r = (1.0 - beta) / (1.0 - alpha)
-    cb = sign * (1.0 - beta)
-    ca = sign * (1.0 - alpha)
+    a = _guard_param(alpha, "alpha")
+    b = _guard_param(beta, "beta", positive=False)
+    r = (1.0 - b) / (1.0 - a)
+    cb = sign * (1.0 - b)
+    ca = sign * (1.0 - a)
 
     def h(x):
         # x^r written as expm1(r ln x) to stay exact through r -> 0 and r = 1.  A trace is
@@ -418,7 +418,8 @@ def _sm_rescale(alpha: float, beta: float, sign: float) -> dict:
     def h_prime(x):
         return np.exp((r - 1.0) * np.log(x)) / ca
 
-    return {"h": h, "h_inverse": h_inverse, "h_prime": h_prime}
+    return HFPair(name=f"{family}({_fmt(a, b)})", **_f_power(a), h=h, h_inverse=h_inverse,
+                  h_prime=h_prime)
 
 
 #: Family name -> (pair builder, builder of its natural composition law).
@@ -468,6 +469,15 @@ class _PowerTraces:
             return sum(g[..., None] * power["f_prime"](weights) for g, power in outer)
 
 
+def _finite_value(functional, where: str, *weights) -> float:
+    """functional.fn(*weights) as a float, with numpy silenced; DomainError unless finite."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        value = float(functional.fn(*weights))  # a non-finite value raises below
+    if not math.isfinite(value):
+        raise DomainError(f"{functional.name} is not finite at the given {where}")
+    return value
+
+
 @dataclass(frozen=True)
 class EntropyFunctional:
     """An entropy S with an optional composition law attached.
@@ -488,11 +498,7 @@ class EntropyFunctional:
     traces: _PowerTraces | None = None
 
     def eval(self, p: ProbDist) -> float:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            value = float(self.fn(p.weights))  # a non-finite value raises below
-        if not math.isfinite(value):
-            raise DomainError(f"{self.name} is not finite at the given distribution")
-        return value
+        return _finite_value(self, "distribution", p.weights)
 
     def eval_batch(self, weights) -> np.ndarray:
         """Evaluate on an (..., W) array of weight rows."""
@@ -609,7 +615,7 @@ def sk_suite(
         raise InvalidArgument("w_max must be at least 2")
     if samples < 1:
         raise InvalidArgument("need at least one sample")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
 
     maximality = -math.inf
     expansibility = 0.0
@@ -698,7 +704,7 @@ def product_residuals(fn: Callable, law: BinaryLaw, p, q) -> np.ndarray:
 def _product_pairs(seed: int, shapes, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Seeded flat-Dirichlet (p, q) rows for product checks: for each (W1, W2) of `shapes` in
     turn, `count` rows of p, then `count` rows of q, from one generator."""
-    draw = np.random.default_rng(seed).dirichlet
+    draw = np.random.default_rng(_seed(seed)).dirichlet
     return [(draw(np.ones(w1), count), draw(np.ones(w2), count)) for w1, w2 in shapes]
 
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import Infeasible, InvalidArgument, LengthMismatch
+from .formal_group import _seed
 from .hf_entropy import EntropyFunctional
 from .probability import ProbDist
 
@@ -312,7 +313,7 @@ def maximize(
             return _fd_gradient(entropy.fn, x, GRAD_STEP)
         return np.asarray(entropy.gradient(np.maximum(x, EVAL_CLIP)), dtype=float)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     runs = []
     # As in `eval`: a non-finite value or gradient ends the run unconverged, without a warning.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

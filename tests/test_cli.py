@@ -181,6 +181,25 @@ def test_compose_reports_law_and_value(dist_file):
     assert doc["law_report"]["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, residual",
+    [
+        (  # omega(x, y) is about -1e12 x y, so its iterates reach about 1e24
+            ["--xi", "scale:1e-12", "--m", "1", "--constituent", "tsallis:q=2",
+             "--constituent", "tsallis:q=2"],
+            268435456.0,
+        ),
+        (["--constituent", "tsallis:q=1000"], 2.3283064365386963e-10),  # |Phi| up to about 1e6
+    ],
+)
+def test_an_exact_law_with_large_values_passes_relative_to_them(dist_file, argv, residual):
+    path = dist_file("p3.json", [0.2, 0.3, 0.5])
+    code, doc = run(["compose", "--samples", "50", *argv, "--dist", path])
+    assert code == 0
+    assert doc["law_report"]["associativity_residual"] == residual  # absolute, as before
+    assert doc["law_report"]["passed"] is True
+
+
 def test_metric_reports_closed_form_agreement(dist_file):
     code, doc = run(
         ["metric", "--model", "simplex:2", "--point", "0.3,0.25", "--divergence", "kl"]

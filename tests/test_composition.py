@@ -14,6 +14,7 @@ from entrogeo import (
     group_compose,
     identity_conjugator,
     linear_composer,
+    maximize,
     polynomial_composer,
     scale_conjugator,
     shannon,
@@ -358,6 +359,29 @@ _PROBE_SHAPES = ((2, 3), (3, 2), (2, 2))
 )
 def test_a_nan_fails_every_seeded_verdict(verdict):
     assert verdict() is False
+
+
+#: Every public entry point that takes a seed, called with it, and what it returns as data.
+_SEEDED = {
+    "maximize": lambda seed: maximize(
+        builtin_functional("shannon"), 4, restarts=2, seed=seed
+    ).restart_values,
+    "sk_suite": lambda seed: sk_suite(builtin_functional("shannon"), 3, 20, seed),
+    "concavity_probe": lambda seed: concavity_probe(builtin_functional("shannon"), 20, seed),
+    "check_group_axioms": lambda seed: check_group_axioms(q_sum(0.5), 20, seed),
+    "check_phi4_symmetry": lambda seed: check_phi4_symmetry(q_sum(0.5), 20, seed),
+    "group_compose": lambda seed: group_compose(
+        [builtin_functional("tsallis", q=1.5)], identity_conjugator(), 0, seed
+    )[0].eval(P),
+}
+
+
+@pytest.mark.parametrize("entry", _SEEDED.values(), ids=_SEEDED.keys())
+def test_every_seeded_entry_point_takes_a_non_negative_integer_seed(entry):
+    for seed in (-1, 1.5, None):
+        with pytest.raises(InvalidArgument, match="^seed must be"):
+            entry(seed)
+    assert entry(np.int64(3)) == entry(3)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 7919])

@@ -32,7 +32,7 @@ from entrogeo.errors import (
     InversionFailure,
     ParamOutOfRange,
 )
-from entrogeo.formal_group import _BLOCK
+from entrogeo.formal_group import AXIOM_TOL, _BLOCK
 
 E_SQUARED_MINUS_ONE = 6.3890560989306495
 
@@ -124,6 +124,28 @@ def test_nan_residual_fails_its_verdict():
     assert math.isnan(report.associativity_residual)
     assert not report.associativity_ok
     assert report.commutativity_ok and report.identity_ok
+    assert not report.passed
+
+
+#: Exactly associative laws whose composed values on [0, 1)^3 reach about 1e6 and 1e24.
+LARGE_LAWS = {
+    "q-sum(1000)": q_sum(1000.0),
+    "scale(1e-12)": conjugate(q_sum(2.0), scale_conjugator(1e-12)),
+}
+
+
+@pytest.mark.parametrize("law", LARGE_LAWS.values(), ids=LARGE_LAWS.keys())
+def test_residuals_are_judged_relative_to_the_compared_value(law):
+    report = check_group_axioms(law, samples=50)
+    assert report.associativity_residual > AXIOM_TOL  # the report keeps the absolute maximum
+    assert report.passed
+
+    def off(x, y):  # off by 1e-9 max(1, |Phi|) where x < y
+        value = law(x, y)
+        return value + 1e-9 * np.maximum(1.0, np.abs(value)) * (x < y)
+
+    report = check_group_axioms(BinaryLaw(fn=off, domain=law.domain, name="off"), samples=50)
+    assert not report.commutativity_ok
     assert not report.passed
 
 

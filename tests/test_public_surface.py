@@ -42,7 +42,7 @@ PUBLIC_PARAMETERS = 188
 CLI_OPTIONS = 45
 
 #: Lines of src/entrogeo/*.py, as `wc -l` counts them.
-SOURCE_LINES = 3605
+SOURCE_LINES = 3625
 
 
 def _consumer_sources() -> dict[str, str]:
